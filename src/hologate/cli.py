@@ -54,7 +54,7 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _emit(record: dict, precision: int) -> None:
-    print(json.dumps(_round_floats(record, precision), sort_keys=True))
+    print(json.dumps(_round_floats(record, precision), sort_keys=True, allow_nan=False))
 
 
 def _config_record(args, cutoff: int | None = None) -> dict:

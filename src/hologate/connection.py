@@ -75,11 +75,16 @@ class _EigAction:
     def __init__(self, generator: np.ndarray):
         w, v = np.linalg.eigh(1j * generator)
         self._w = w
-        self._v = v
+        self.vectors = v
         self._vh = v.conj().T
 
     def apply(self, t: float, cols: np.ndarray) -> np.ndarray:
-        return self._v @ (np.exp(-1j * t * self._w)[:, None] * (self._vh @ cols))
+        return self.vectors @ (np.exp(-1j * t * self._w)[:, None] * (self._vh @ cols))
+
+    def matrix(self, t: float, basis: np.ndarray | None = None) -> np.ndarray:
+        """exp(t * G) as a dense matrix; with basis = W @ vectors, W exp(t * G) W^dag."""
+        basis = self.vectors if basis is None else basis
+        return (basis * np.exp(-1j * t * self._w)[None, :]) @ basis.conj().T
 
 
 class FrameFactory:
@@ -90,6 +95,7 @@ class FrameFactory:
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
+        fock.check_code_below_top_quartile(cutoff)
         self.plane = plane
         self.cutoff = cutoff
         if plane is PlaneId.III:
@@ -104,22 +110,38 @@ class FrameFactory:
         self.code_dim = self.code.shape[1]
         self.dim = self.code.shape[0]
 
+    def _split(self, u: float, v: float) -> tuple[float, float]:
+        """Plane coordinates as (outer, inner) control parameters."""
+        return (v, u) if self.plane is PlaneId.III else (u, v)
+
     def frame(self, u: float, v: float) -> np.ndarray:
         """Columns of the dressed code basis at plane point (u, v)."""
-        if self.plane is PlaneId.III:
-            return self._outer.apply(v, self._inner.apply(u, self.code))
-        return self._outer.apply(u, self._inner.apply(v, self.code))
+        outer, inner = self._split(u, v)
+        return self._outer.apply(outer, self._inner.apply(inner, self.code))
 
     def control_apply(self, u: float, v: float, state: np.ndarray) -> np.ndarray:
         """Apply the full control unitary C(u, v) to an arbitrary state block."""
-        if self.plane is PlaneId.III:
-            return self._outer.apply(v, self._inner.apply(u, state))
-        return self._outer.apply(u, self._inner.apply(v, state))
+        outer, inner = self._split(u, v)
+        return self._outer.apply(outer, self._inner.apply(inner, state))
 
     def control_apply_dagger(self, u: float, v: float, state: np.ndarray) -> np.ndarray:
-        if self.plane is PlaneId.III:
-            return self._inner.apply(-u, self._outer.apply(-v, state))
-        return self._inner.apply(-v, self._outer.apply(-u, state))
+        outer, inner = self._split(u, v)
+        return self._inner.apply(-inner, self._outer.apply(-outer, state))
+
+    def edge_step(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+        """C(p1)^dag C(p0) as a dense matrix, for two points that share one coordinate.
+
+        When only the inner control moves, the outer factors cancel.  When only
+        the outer one moves, the step is the outer propagator conjugated by the
+        fixed inner one.
+        """
+        outer0, inner0 = self._split(p0[0], p0[1])
+        outer1, inner1 = self._split(p1[0], p1[1])
+        if outer0 == outer1:
+            return self._inner.matrix(inner0 - inner1)
+        if inner0 != inner1:
+            raise ValueError("edge_step needs two points that share one plane coordinate")
+        return self._outer.matrix(outer0 - outer1, self._inner.apply(-inner0, self._outer.vectors))
 
 
 @lru_cache(maxsize=8)
@@ -301,9 +323,42 @@ def curvature_at(
     )
 
 
-def _polar_unitary(mat: np.ndarray) -> np.ndarray:
+def polar_unitary(mat: np.ndarray) -> np.ndarray:
+    """Closest unitary to `mat` (the unitary factor of its polar decomposition)."""
     u, _, vh = np.linalg.svd(mat)
     return u @ vh
+
+
+def _frame_at(
+    factory: FrameFactory, phase_gauge: Callable[[float, float], np.ndarray] | None
+) -> Callable[[np.ndarray], np.ndarray]:
+    def frame_at(p):
+        cols = factory.frame(p[0], p[1])
+        if phase_gauge is not None:
+            cols = cols * np.asarray(phase_gauge(p[0], p[1]))[None, :]
+        return cols
+
+    return frame_at
+
+
+def _stepped_product(
+    frame_at: Callable[[np.ndarray], np.ndarray],
+    points: np.ndarray,
+    holonomy: np.ndarray,
+    prev: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extend `holonomy` by one re-unitarized overlap per step along `points`.
+
+    `prev` is the frame at points[0] when the caller already has it.  Returns
+    the extended holonomy and the frame at the last point.
+    """
+    if prev is None:
+        prev = frame_at(points[0])
+    for p in points[1:]:
+        cur = frame_at(p)
+        holonomy = polar_unitary(cur.conj().T @ prev) @ holonomy
+        prev = cur
+    return holonomy, prev
 
 
 def _ordered_frame_product(
@@ -311,19 +366,34 @@ def _ordered_frame_product(
     points: np.ndarray,
     phase_gauge: Callable[[float, float], np.ndarray] | None,
 ) -> np.ndarray:
-    def frame_at(p):
-        cols = factory.frame(p[0], p[1])
-        if phase_gauge is not None:
-            cols = cols * np.asarray(phase_gauge(p[0], p[1]))[None, :]
-        return cols
+    """Ordered product of re-unitarized frame overlaps, one per step along `points`."""
+    identity = np.eye(factory.code_dim, dtype=complex)
+    return _stepped_product(_frame_at(factory, phase_gauge), points, identity)[0]
 
+
+def _edge_run_product(
+    factory: FrameFactory,
+    runs: list[loops_mod.EdgeRun],
+    phase_gauge: Callable[[float, float], np.ndarray] | None,
+) -> np.ndarray:
+    """The same ordered product over the boundary runs, in traversal order.
+
+    On an axis-aligned run only the outer or only the inner control moves, so
+    every step's overlap is the same matrix and the run contributes that one
+    re-unitarized overlap raised to the run's step count.  A phase gauge
+    varies along every edge, so gauged products take each step.
+    """
+    frame_at = _frame_at(factory, phase_gauge)
     holonomy = np.eye(factory.code_dim, dtype=complex)
-    prev = frame_at(points[0])
-    for k in range(1, len(points)):
-        cur = frame_at(points[k])
-        overlap = cur.conj().T @ prev
-        holonomy = _polar_unitary(overlap) @ holonomy
-        prev = cur
+    prev = None  # frame at the start of the current run, when already built
+    for run in runs:
+        if phase_gauge is None and run.axis_aligned:
+            start = prev if prev is not None else frame_at(run.start)
+            step = polar_unitary(frame_at(run.first_step()).conj().T @ start)
+            holonomy = np.linalg.matrix_power(step, run.count) @ holonomy
+            prev = None
+        else:
+            holonomy, prev = _stepped_product(frame_at, run.points(), holonomy, prev)
     return holonomy
 
 
@@ -338,18 +408,19 @@ def holonomy_path_ordered(
 
     The boundary is split into `steps` segments and the ordered product of
     re-unitarized frame-overlap matrices <phi_a(p_{k+1}) | phi_b(p_k)> is
-    accumulated.  The result lives in the raw dressed-frame basis; use
-    calibrated_code_matrix() to compare with the area-formula gates.  A run at
-    steps/2 provides the convergence estimate.
+    accumulated; an axis-aligned edge takes its constant overlap to the power
+    of its step count, which is the same product.  The result lives in the raw
+    dressed-frame basis; use calibrated_code_matrix() to compare with the
+    area-formula gates.  A run at steps/2 provides the convergence estimate.
     """
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
     check_loop_truncation(loop, cutoff)
     factory = frame_factory(loop.plane, cutoff)
-    points = loops_mod.discretize_boundary(loop, steps)
-    holonomy = _ordered_frame_product(factory, points, phase_gauge)
-    coarse_points = loops_mod.discretize_boundary(loop, max(steps // 2, 4))
-    coarse = _ordered_frame_product(factory, coarse_points, phase_gauge)
+    runs = loops_mod.boundary_runs(loop, steps)
+    holonomy = _edge_run_product(factory, runs, phase_gauge)
+    coarse_runs = loops_mod.boundary_runs(loop, max(steps // 2, 4))
+    coarse = _edge_run_product(factory, coarse_runs, phase_gauge)
     convergence = float(np.linalg.norm(holonomy - coarse))
     if tolerance is not None and convergence > tolerance:
         raise ConvergenceFailureError(

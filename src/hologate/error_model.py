@@ -205,15 +205,14 @@ def statistical_loop_noise(
         )
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    nominal = loop.orientation * float(
-        loops_mod.polygon_sigma_exact(loop.plane, verts)
-    )
+    # boundary_vertices runs in traversal order, so the exact sums carry the orientation
+    nominal = float(loops_mod.polygon_sigma_exact(loop.plane, verts))
     half = (samples + 1) // 2
     rng = np.random.default_rng(seed)
     shapes = rng.standard_normal(size=(half, len(verts), 2))
     jitter = np.concatenate([shapes, -shapes], axis=0)
     sampled = verts[None, :, :] + amplitude * jitter
-    sigmas = loop.orientation * loops_mod.polygon_sigma_exact(loop.plane, sampled)
+    sigmas = loops_mod.polygon_sigma_exact(loop.plane, sampled)
     mean = float(np.mean(sigmas))
     return NoiseSummary(
         sigma_nominal=nominal,

@@ -153,6 +153,15 @@ def _top_quartile_mask(cutoff: int, mode_count: int) -> np.ndarray:
     return (n1 >= lo) | (n2 >= lo)
 
 
+def check_code_below_top_quartile(cutoff: int) -> None:
+    """Reject cutoffs whose top quartile reaches the code levels 0 and 1."""
+    if (3 * cutoff) // 4 < 2:
+        raise ValueError(
+            f"cutoff {cutoff} is too small: the code levels 0 and 1 must sit below "
+            "the top quartile of Fock levels; use a cutoff of at least 3"
+        )
+
+
 def truncation_defect(op: TruncatedOperator) -> float:
     """Worst top-quartile population over the code states after applying op."""
     mask = _top_quartile_mask(op.cutoff, op.mode_count)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -63,20 +63,54 @@ class KickedResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _schedule_points(schedule: KickSchedule) -> np.ndarray:
-    points = loops_mod.discretize_boundary(schedule.loop, schedule.kick_count)
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    max_step = float(np.max(seg)) if len(seg) else 0.0
+def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
+    runs = loops_mod.boundary_runs(schedule.loop, schedule.kick_count)
+    max_step = max(float(np.linalg.norm(run.end - run.start)) / run.count for run in runs)
     if max_step > MAX_CONTROL_STEP:
         raise ValueError(
             f"largest control increment {max_step:.4f} exceeds {MAX_CONTROL_STEP}; "
             "increase kick_count"
         )
-    return points
+    return runs
+
+
+def _stepped_kicks(
+    factory: connection.FrameFactory,
+    dwell: np.ndarray,
+    points: np.ndarray,
+    state: np.ndarray,
+    after_kick: Callable[[np.ndarray], None],
+) -> np.ndarray:
+    """One kick per step along `points`: two control applies and a dwell each."""
+    for (u_prev, v_prev), (u_cur, v_cur) in zip(points[:-1], points[1:]):
+        state = factory.control_apply(u_prev, v_prev, state)
+        state = factory.control_apply_dagger(u_cur, v_cur, state)
+        state = dwell[:, None] * state
+        after_kick(state)
+    return state
+
+
+def _edge_power_kicks(
+    factory: connection.FrameFactory,
+    dwell: np.ndarray,
+    run: loops_mod.EdgeRun,
+    state: np.ndarray,
+    after_kick: Callable[[np.ndarray], None],
+) -> np.ndarray:
+    """The kicks of an axis-aligned run: one constant step matrix, applied count times.
+
+    Only one control factor moves along the run, so C(p+h)^dag C(p) does not
+    depend on p and every kick of the run is dwell * C(p0+h)^dag C(p0).
+    """
+    kick = dwell[:, None] * factory.edge_step(run.start, run.first_step())
+    for _ in range(run.count):
+        state = kick @ state
+        after_kick(state)
+    return state
 
 
 def _evolve(schedule: KickSchedule, record_profile: bool):
-    points = _schedule_points(schedule)
+    runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
     mode_count = 2 if schedule.loop.plane is PlaneId.III else 1
@@ -84,24 +118,21 @@ def _evolve(schedule: KickSchedule, record_profile: bool):
     code = factory.code
     code_idx = np.nonzero(np.sum(np.abs(code) ** 2, axis=1))[0]
 
-    state = code.copy()  # all code columns evolved together
     profile = []
-    for k in range(1, len(points)):
-        u_prev, v_prev = points[k - 1]
-        u_cur, v_cur = points[k]
-        state = factory.control_apply(u_prev, v_prev, state)
-        state = factory.control_apply_dagger(u_cur, v_cur, state)
-        state = dwell[:, None] * state
+
+    def after_kick(state: np.ndarray) -> None:
         if record_profile:
             inside = np.sum(np.abs(state[code_idx, :]) ** 2, axis=0)
             profile.append(float(np.max(1.0 - inside)))
+
+    state = code.copy()  # all code columns evolved together
+    for run in runs:
+        if run.axis_aligned:
+            state = _edge_power_kicks(factory, dwell, run, state, after_kick)
+        else:
+            state = _stepped_kicks(factory, dwell, run.points(), state, after_kick)
     overlap = code.conj().T @ state
     return overlap, profile
-
-
-def _polar_unitary(mat: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(mat)
-    return u @ vh
 
 
 def run_kicked(schedule: KickSchedule) -> KickedResult:
@@ -114,7 +145,7 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
     """
     overlap, _ = _evolve(schedule, record_profile=False)
     leakage = float(np.max(1.0 - np.sum(np.abs(overlap) ** 2, axis=0)))
-    code_map = _polar_unitary(overlap)
+    code_map = connection.polar_unitary(overlap)
     prediction = connection.formula_gate_in_frame(schedule.loop)
     dim = code_map.shape[0]
     fidelity = float(np.abs(np.trace(code_map.conj().T @ prediction)) / dim)

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,6 +47,9 @@ class Rect:
     v_max: float
 
     def __post_init__(self):
+        corners = (self.u_min, self.u_max, self.v_min, self.v_max)
+        if not all(math.isfinite(c) for c in corners):
+            raise ValueError(f"rect bounds must be finite, got {corners}")
         if not (self.u_min < self.u_max):
             raise ValueError(f"need u_min < u_max, got [{self.u_min}, {self.u_max}]")
         if not (self.v_min < self.v_max):
@@ -75,6 +78,8 @@ class Polyline:
         verts = tuple((float(u), float(v)) for u, v in self.vertices)
         if len(verts) < 3:
             raise ValueError("polyline needs at least 3 vertices")
+        if not all(math.isfinite(c) for vertex in verts for c in vertex):
+            raise ValueError("polyline vertices must be finite")
         if verts[0] == verts[-1]:
             raise ValueError("closure is implicit; first vertex must not repeat at the end")
         if _has_proper_crossing(verts):
@@ -467,8 +472,31 @@ def boundary_vertices(loop: LoopSpec) -> np.ndarray:
     return verts
 
 
-def discretize_boundary(loop: LoopSpec, steps: int) -> np.ndarray:
-    """(steps+1, 2) points along the boundary, closed, allocated by edge length."""
+class EdgeRun(NamedTuple):
+    """`count` equal steps along one straight boundary edge from `start` to `end`."""
+
+    start: np.ndarray
+    end: np.ndarray
+    count: int
+
+    @property
+    def axis_aligned(self) -> bool:
+        """Only one plane coordinate moves, so every step of the run is the same map."""
+        return bool(self.start[0] == self.end[0] or self.start[1] == self.end[1])
+
+    def points(self) -> np.ndarray:
+        """(count+1, 2) step points, `start` and `end` included."""
+        ts = np.linspace(0.0, 1.0, self.count, endpoint=False)
+        inner = self.start[None, :] + ts[:, None] * (self.end - self.start)[None, :]
+        return np.concatenate([inner, self.end[None, :]], axis=0)
+
+    def first_step(self) -> np.ndarray:
+        """The point one step along the run from `start`."""
+        return self.start + (1.0 / self.count) * (self.end - self.start)
+
+
+def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
+    """The boundary in traversal order as per-edge runs; `steps` split by edge length."""
     verts = boundary_vertices(loop)
     n = len(verts)
     lengths = np.array(
@@ -476,21 +504,20 @@ def discretize_boundary(loop: LoopSpec, steps: int) -> np.ndarray:
     )
     total = float(np.sum(lengths))
     if total == 0.0:
-        return np.repeat(verts[:1], steps + 1, axis=0)
+        return [EdgeRun(verts[0], verts[0], steps)]
     counts = np.maximum(1, np.floor(steps * lengths / total).astype(int))
     while int(np.sum(counts)) < steps:
         counts[int(np.argmax(lengths / counts))] += 1
     while int(np.sum(counts)) > steps:
         reducible = np.where(counts > 1)[0]
         counts[reducible[int(np.argmin((lengths / counts)[reducible]))]] -= 1
-    points = []
-    for i in range(n):
-        p0 = verts[i]
-        p1 = verts[(i + 1) % n]
-        ts = np.linspace(0.0, 1.0, counts[i], endpoint=False)
-        points.append(p0[None, :] + ts[:, None] * (p1 - p0)[None, :])
-    points.append(verts[:1])
-    return np.concatenate(points, axis=0)
+    return [EdgeRun(verts[i], verts[(i + 1) % n], int(counts[i])) for i in range(n)]
+
+
+def discretize_boundary(loop: LoopSpec, steps: int) -> np.ndarray:
+    """(steps+1, 2) points along the boundary, closed, allocated by edge length."""
+    runs = boundary_runs(loop, steps)
+    return np.concatenate([run.points()[:-1] for run in runs] + [runs[-1].end[None, :]])
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +541,9 @@ def loop_to_dict(loop: LoopSpec) -> dict:
 def loop_from_dict(data: dict) -> LoopSpec:
     try:
         plane = PlaneId(data["plane"])
-        orientation = int(data.get("orientation", 1))
+        orientation = data.get("orientation", 1)
+        if isinstance(orientation, bool) or not isinstance(orientation, int):
+            raise ValueError(f"orientation must be the integer +1 or -1, got {orientation!r}")
         if "rect" in data and "polyline" in data:
             raise ValueError("loop must have either 'rect' or 'polyline', not both")
         if "rect" in data:

@@ -198,6 +198,35 @@ def test_missing_file_exit_code(capsys):
     assert cli.main(["area", "/nonexistent/loop.json"]) == 2
 
 
+def assert_one_line_parse_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_non_finite_vertex_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"plane": "I", "polyline": [[0.0, 0.0], [NaN, 0.1], [0.2, 0.3]]}')
+    assert_one_line_parse_error(capsys, ["area", str(path)])
+
+
+def test_non_integer_orientation_exits_2(capsys, tmp_path):
+    path = tmp_path / "tilted.json"
+    rect = {"u_min": 0.0, "u_max": 0.1, "v_min": 0.0, "v_max": 0.1}
+    path.write_text(json.dumps({"plane": "I", "orientation": 1.7, "rect": rect}))
+    assert_one_line_parse_error(capsys, ["area", str(path)])
+
+
+@pytest.mark.parametrize("method", ["connection", "kicked"])
+def test_cutoff_below_code_levels_exits_2(capsys, tmp_path, method):
+    loop_file = write_loop(tmp_path, "small.json", LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1)))
+    for cutoff in ("1", "2"):
+        assert_one_line_parse_error(
+            capsys, ["--cutoff", cutoff, "--steps", "128", "oracle", loop_file, "--method", method]
+        )
+
+
 def test_strict_truncation_exit_code(capsys, tmp_path):
     # displacement amplitude far beyond what cutoff 8 can carry
     loop_file = write_loop(

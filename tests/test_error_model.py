@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hologate import error_model, gates
+from hologate import error_model, gates, loops
 from hologate.error_model import BorderShift
-from hologate.loops import LoopSpec, PlaneId, Rect
+from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
 HADAMARD_RECT = LoopSpec(PlaneId.II, Rect(0.0, math.pi / 4.0, 0.0, math.log(2.0)))
 PLANE3_RECT = LoopSpec(PlaneId.III, Rect(0.0, math.acosh(2.0), 0.0, math.pi / 8.0))
@@ -191,3 +191,19 @@ def test_statistical_noise_requires_rectangle_or_polyline_vertices():
     summary = error_model.statistical_loop_noise(PLANE3_RECT, 0.01, seed=1, samples=200)
     assert summary.samples == 200
     assert summary.sigma_nominal == pytest.approx(3.0 * math.pi / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize(
+    "loop",
+    [
+        LoopSpec(PlaneId.I, Rect(0.0, 0.3, 0.1, 0.4)),
+        LoopSpec(PlaneId.III, Polyline(((0.1, 0.0), (0.4, 0.1), (0.2, 0.3)))),
+    ],
+    ids=["rect-I", "polyline-III"],
+)
+def test_statistical_noise_nominal_is_signed_area(loop, orientation):
+    oriented = LoopSpec(loop.plane, loop.shape, orientation)
+    summary = error_model.statistical_loop_noise(oriented, 0.001, seed=5, samples=64)
+    assert summary.sigma_nominal == pytest.approx(loops.area(oriented).sigma, abs=1e-12)
+    assert np.sign(summary.mean) == orientation

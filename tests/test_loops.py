@@ -201,6 +201,32 @@ def test_discretize_boundary_closes_and_allocates():
     assert seg.max() < 3.0 * seg.min()
 
 
+def test_boundary_runs_split_steps_per_edge():
+    rect = LoopSpec(PlaneId.I, Rect(0.0, 0.3, 0.0, 0.1), -1)
+    runs = loops.boundary_runs(rect, 40)
+    assert [run.count for run in runs] == [5, 15, 5, 15]  # clockwise: up the short edge first
+    assert all(run.axis_aligned for run in runs)
+    assert np.array_equal(runs[0].start, loops.boundary_vertices(rect)[0])
+    for run, following in zip(runs, runs[1:] + runs[:1]):
+        assert np.array_equal(run.end, following.start)
+    tilted = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.2, 0.05), (0.1, 0.2))))
+    assert not any(run.axis_aligned for run in loops.boundary_runs(tilted, 40))
+
+
+def test_shapes_reject_non_finite_coordinates():
+    with pytest.raises(ValueError):
+        Polyline(((0.0, 0.0), (float("nan"), 0.1), (0.2, 0.3)))
+    with pytest.raises(ValueError):
+        Rect(0.0, float("inf"), 0.0, 0.1)
+
+
+def test_loop_from_dict_rejects_non_integer_orientation():
+    rect = {"u_min": 0.0, "u_max": 0.1, "v_min": 0.0, "v_max": 0.1}
+    for orientation in (1.7, 1.0, "1", True):
+        with pytest.raises(ValueError):
+            loops.loop_from_dict({"plane": "I", "orientation": orientation, "rect": rect})
+
+
 def test_exact_contour_matches_closed_form_vectorized():
     verts = np.asarray(HADAMARD_RECT.shape.vertices_ccw())
     batch = np.stack([verts, verts])
