@@ -1,7 +1,7 @@
 """Holonomic gate synthesis from closed loops in optical control-parameter space.
 
 The package builds the gates three ways and checks them against each other:
-closed-form weighted areas feeding exact generator exponentials (gates),
+exact weighted areas feeding exact generator exponentials (gates),
 a path-ordered transport of dressed Fock-space frames (connection), and a
 stroboscopic Kerr-dwell evolution (kicked).
 """

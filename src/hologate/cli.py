@@ -32,12 +32,6 @@ EXIT_TRUNCATION = 4
 DEFAULT_SINGLE_MODE_CUTOFF = 60
 DEFAULT_TWO_MODE_CUTOFF = 14
 
-# Reference rectangles conventionally paired with a pi/4 target; carried on area reports.
-_PAPER_RECT_TARGETS = (
-    (PlaneId.II, Rect(0.0, math.pi / 4.0, 0.0, math.log(2.0)), math.pi / 4.0),
-    (PlaneId.III, Rect(0.0, math.acosh(2.0), 0.0, math.pi / 8.0), math.pi / 4.0),
-)
-
 
 def _round_floats(obj, digits: int):
     if isinstance(obj, float):
@@ -60,7 +54,6 @@ def _emit(record: dict, precision: int) -> None:
 def _config_record(args, cutoff: int | None = None) -> dict:
     return {
         "cutoff": cutoff,
-        "quadrature_tolerance": args.tolerance,
         "fd_step": args.fd_step,
         "seed": args.seed,
         "output_precision": args.precision,
@@ -81,19 +74,20 @@ def _effective_cutoff(args, loop: LoopSpec) -> int:
 
 
 def _paper_stated_sigma(loop: LoopSpec) -> float | None:
-    if not isinstance(loop.shape, Rect):
+    """The stated pi/4 target when the loop is one of the paper's reference rectangles."""
+    stated = compiler.PAPER_STATED_RECTS.get(loop.plane.value)
+    if stated is None or not isinstance(loop.shape, Rect):
         return None
-    for plane, rect, target in _PAPER_RECT_TARGETS:
-        if loop.plane is plane and all(
-            math.isclose(getattr(loop.shape, f), getattr(rect, f), rel_tol=0, abs_tol=1e-12)
-            for f in ("u_min", "u_max", "v_min", "v_max")
-        ):
-            return loop.orientation * target
+    if all(
+        math.isclose(getattr(loop.shape, f), bound, rel_tol=0, abs_tol=1e-12)
+        for f, bound in stated["rect"].items()
+    ):
+        return loop.orientation * stated["stated_sigma"]
     return None
 
 
-def _area_record(loop: LoopSpec, args) -> dict:
-    result = loops_mod.area(loop, args.tolerance)
+def _area_record(loop: LoopSpec) -> dict:
+    result = loops_mod.area(loop)
     record = {
         "loop": loops_mod.loop_to_dict(loop),
         "sigma": result.sigma,
@@ -108,7 +102,7 @@ def _area_record(loop: LoopSpec, args) -> dict:
 
 def cmd_area(args) -> int:
     loop = _load_loop(args.loop_file)
-    record = _area_record(loop, args)
+    record = _area_record(loop)
     record["config"] = _config_record(args)
     _emit(record, args.precision)
     return EXIT_OK
@@ -116,10 +110,10 @@ def cmd_area(args) -> int:
 
 def cmd_gate(args) -> int:
     loop = _load_loop(args.loop_file)
-    gate = gates.gate_for_loop(loop, args.tolerance)
+    gate = gates.gate_for_loop(loop)
     record = {
         "config": _config_record(args),
-        "area": _area_record(loop, args),
+        "area": _area_record(loop),
         "generator": gate.diagnostics["generator"],
         "provenance": gate.provenance,
         "matrix": matrix_to_json(gate.matrix),
@@ -131,13 +125,13 @@ def cmd_gate(args) -> int:
 def cmd_oracle(args) -> int:
     loop = _load_loop(args.loop_file)
     cutoff = _effective_cutoff(args, loop)
-    formula = gates.gate_for_loop(loop, args.tolerance)
+    formula = gates.gate_for_loop(loop)
     record = {
         "config": _config_record(args, cutoff),
         "method": args.method,
         "steps": args.steps,
         "formula_gate": matrix_to_json(formula.matrix),
-        "area": _area_record(loop, args),
+        "area": _area_record(loop),
     }
     if args.method == "connection":
         try:
@@ -179,11 +173,8 @@ def cmd_error(args) -> int:
     loop = _load_loop(args.loop_file)
     record: dict = {"config": _config_record(args), "loop": loops_mod.loop_to_dict(loop)}
     if args.shift is not None:
-        parts = [float(tok) for tok in args.shift.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--shift needs four comma-separated values: du_lo,du_hi,dv_lo,dv_hi")
-        shift = error_model.BorderShift(*parts)
-        report = error_model.perturbed_area(loop, shift, args.tolerance)
+        shift = error_model.BorderShift(*args.shift)
+        report = error_model.perturbed_area(loop, shift)
         sens = error_model.sensitivity(loop, args.fd_step)
         record.update(
             {
@@ -201,9 +192,9 @@ def cmd_error(args) -> int:
             }
     elif args.statistical is not None:
         amplitude, samples = args.statistical
-        summary = error_model.statistical_loop_noise(
-            loop, float(amplitude), args.seed, int(samples)
-        )
+        if not samples.is_integer():
+            raise ValueError(f"--statistical SAMPLES must be an integer, got {samples!r}")
+        summary = error_model.statistical_loop_noise(loop, amplitude, args.seed, int(samples))
         record.update(
             {
                 "sigma_nominal": summary.sigma_nominal,
@@ -230,18 +221,49 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _border_shift(text: str) -> tuple[float, ...]:
+    parts = tuple(_finite_float(tok) for tok in text.split(","))
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(
+            "needs four comma-separated values: du_lo,du_hi,dv_lo,dv_hi"
+        )
+    return parts
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line in one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hologate",
         description="Holonomic gates from closed loops in optical control space",
     )
     parser.add_argument("--cutoff", type=int, default=None, help="Fock cutoff per mode")
-    parser.add_argument("--tolerance", type=float, default=1e-10, help="quadrature tolerance")
-    parser.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
+    parser.add_argument("--fd-step", dest="fd_step", type=_finite_float, default=1e-4)
     parser.add_argument("--steps", type=int, default=2000, help="oracle steps / kick count")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--strict", action="store_true", help="truncation warnings become exit 4")
-    parser.add_argument("--precision", type=int, default=12, help="output significant digits")
+    parser.add_argument(
+        "--precision", type=_positive_int, default=12, help="output significant digits"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_area = sub.add_parser("area", help="weighted area of a loop file")
@@ -259,14 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_error = sub.add_parser("error", help="border-shift or statistical error analysis")
     p_error.add_argument("loop_file")
-    p_error.add_argument("--shift", default=None, help="du_lo,du_hi,dv_lo,dv_hi")
-    p_error.add_argument("--statistical", nargs=2, metavar=("AMPLITUDE", "SAMPLES"), default=None)
+    p_error.add_argument(
+        "--shift", type=_border_shift, default=None, help="du_lo,du_hi,dv_lo,dv_hi"
+    )
+    p_error.add_argument(
+        "--statistical", nargs=2, type=_finite_float, metavar=("AMPLITUDE", "SAMPLES"),
+        default=None,
+    )
     p_error.set_defaults(func=cmd_error)
 
     p_compile = sub.add_parser("compile", help="compile a circuit file to a loop schedule")
     p_compile.add_argument("circuit_file")
     p_compile.add_argument(
-        "--shift-magnitude", dest="shift_magnitude", type=float, default=0.0,
+        "--shift-magnitude", dest="shift_magnitude", type=_finite_float, default=0.0,
         help="per-border shift magnitude for the first-order error budget",
     )
     p_compile.set_defaults(func=cmd_compile)

@@ -15,7 +15,6 @@ onto the other.  calibrate() re-derives the frozen choice numerically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import fock, gates
 from . import loops as loops_mod
-from .exceptions import ConvergenceFailureError, StepCancellationError, TruncationWarning
+from .exceptions import ConvergenceFailureError, StepCancellationError
 from .fock import ControlPoint
 from .loops import LoopSpec, PlaneId, Rect
 
@@ -69,24 +68,6 @@ class CurvatureSample:
     residual: float  # off-generator remainder of the calibrated curvature
 
 
-class _EigAction:
-    """exp(t * G) for a fixed skew-Hermitian G, applied through one eigh."""
-
-    def __init__(self, generator: np.ndarray):
-        w, v = np.linalg.eigh(1j * generator)
-        self._w = w
-        self.vectors = v
-        self._vh = v.conj().T
-
-    def apply(self, t: float, cols: np.ndarray) -> np.ndarray:
-        return self.vectors @ (np.exp(-1j * t * self._w)[:, None] * (self._vh @ cols))
-
-    def matrix(self, t: float, basis: np.ndarray | None = None) -> np.ndarray:
-        """exp(t * G) as a dense matrix; with basis = W @ vectors, W exp(t * G) W^dag."""
-        basis = self.vectors if basis is None else basis
-        return (basis * np.exp(-1j * t * self._w)[None, :]) @ basis.conj().T
-
-
 class FrameFactory:
     """Builds dressed code frames on one plane with cached eigendecompositions.
 
@@ -100,13 +81,13 @@ class FrameFactory:
         self.cutoff = cutoff
         if plane is PlaneId.III:
             self.code = fock.code_states(cutoff, mode_count=2)
-            self._inner = _EigAction(fock.two_mode_squeeze_generator(1.0, cutoff).matrix)
-            self._outer = _EigAction(fock.two_mode_mix_generator(1.0, cutoff).matrix)
+            self._inner = fock.Propagator(fock.two_mode_squeeze_generator(1.0, cutoff).matrix)
+            self._outer = fock.Propagator(fock.two_mode_mix_generator(1.0, cutoff).matrix)
         else:
             self.code = fock.code_states(cutoff, mode_count=1)
             phase = 1.0 if plane is PlaneId.I else 1.0j
-            self._inner = _EigAction(fock.squeeze_generator(phase, cutoff).matrix)
-            self._outer = _EigAction(fock.displacement_generator(1.0, cutoff).matrix)
+            self._inner = fock.Propagator(fock.squeeze_generator(phase, cutoff).matrix)
+            self._outer = fock.Propagator(fock.displacement_generator(1.0, cutoff).matrix)
         self.code_dim = self.code.shape[1]
         self.dim = self.code.shape[0]
 
@@ -174,10 +155,10 @@ def calibrated_code_matrix(plane: PlaneId, raw: np.ndarray) -> np.ndarray:
     return v @ raw @ v.conj().T
 
 
-def formula_gate_in_frame(loop: LoopSpec, tolerance: float = 1e-10) -> np.ndarray:
+def formula_gate_in_frame(loop: LoopSpec) -> np.ndarray:
     """The area-formula gate expressed in the raw dressed-frame basis."""
     v = CALIBRATION_GAUGE[loop.plane]
-    return v.conj().T @ gates.gate_for_loop(loop, tolerance).matrix @ v
+    return v.conj().T @ gates.gate_for_loop(loop).matrix @ v
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +203,8 @@ def dressed_frame(point: ControlPoint, plane: PlaneId, cutoff: int) -> DressedFr
 
 def _warn_on_frame_truncation(vectors: np.ndarray, cutoff: int, plane: PlaneId) -> None:
     mode_count = 2 if plane is PlaneId.III else 1
-    mask = fock._top_quartile_mask(cutoff, mode_count)
-    pop = float(np.max(np.sum(np.abs(vectors[mask, :]) ** 2, axis=0)))
-    if pop > fock.TOP_QUARTILE_BUDGET:
-        warnings.warn(
-            f"dressed frame on plane {plane.value}: top-quartile population "
-            f"{pop:.3e} exceeds {fock.TOP_QUARTILE_BUDGET:.0e}",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    population = fock.top_quartile_population(vectors, cutoff, mode_count)
+    fock.warn_if_truncated(population, f"dressed frame on plane {plane.value}")
 
 
 def check_loop_truncation(loop: LoopSpec, cutoff: int) -> None:

@@ -75,17 +75,13 @@ def shifted_rect(rect: Rect, shift: BorderShift) -> Rect:
     )
 
 
-def perturbed_area(
-    rect_loop: LoopSpec,
-    shift: BorderShift,
-    tolerance: float = loops_mod.DEFAULT_QUADRATURE_TOLERANCE,
-) -> ErrorReport:
+def perturbed_area(rect_loop: LoopSpec, shift: BorderShift) -> ErrorReport:
     """Area of the border-shifted rectangle; epsilon = sigma' - sigma."""
     rect = _require_rect(rect_loop)
     moved = shifted_rect(rect, shift)  # Rect/LoopSpec validation rejects degenerate results
     perturbed_loop = LoopSpec(rect_loop.plane, moved, rect_loop.orientation)
-    sigma = loops_mod.area(rect_loop, tolerance).sigma
-    sigma_p = loops_mod.area(perturbed_loop, tolerance).sigma
+    sigma = loops_mod.area(rect_loop).sigma
+    sigma_p = loops_mod.area(perturbed_loop).sigma
     sides = (rect.u_max - rect.u_min, rect.v_max - rect.v_min)
     large = any(
         abs(s) >= 0.5 * sides[i // 2] for i, s in enumerate(shift.as_tuple())
@@ -101,14 +97,16 @@ def perturbed_area(
 def sensitivity(rect_loop: LoopSpec, fd_step: float = 1e-6) -> dict[str, float]:
     """Central-difference partials of sigma with respect to each outward border shift."""
     rect = _require_rect(rect_loop)
+    if not fd_step > 0.0:
+        raise ValueError(f"fd_step must be positive, got {fd_step}")
 
     def sigma_of(du_lo, du_hi, dv_lo, dv_hi):
         moved = Rect(
             rect.u_min - du_lo, rect.u_max + du_hi, rect.v_min - dv_lo, rect.v_max + dv_hi
         )
         # bypass plane-domain validation: stencil points may probe r slightly < 0
-        value = loops_mod._rect_closed_form(rect_loop.plane, moved)
-        return rect_loop.orientation * value
+        value = loops_mod.polygon_sigma_exact(rect_loop.plane, moved.vertices_ccw())
+        return rect_loop.orientation * float(value)
 
     out = {}
     for i, name in enumerate(BORDERS):

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import TruncationWarning
 
@@ -58,9 +57,6 @@ class TruncatedOperator:
     @property
     def dim(self) -> int:
         return self.cutoff ** self.mode_count
-
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.cutoff, self.matrix.conj().T, self.mode_count)
 
 
 @dataclass(frozen=True)
@@ -114,14 +110,6 @@ def annihilator(cutoff: int) -> TruncatedOperator:
     return TruncatedOperator(cutoff, mat)
 
 
-def creation(cutoff: int) -> TruncatedOperator:
-    return annihilator(cutoff).dagger()
-
-
-def number_operator(cutoff: int) -> TruncatedOperator:
-    return TruncatedOperator(cutoff, np.diag(np.arange(cutoff, dtype=complex)))
-
-
 def mode_operators(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-mode annihilators (a1, a2) on the N^2 product space, index n1*N + n2."""
     a = annihilator(cutoff).matrix
@@ -162,43 +150,58 @@ def check_code_below_top_quartile(cutoff: int) -> None:
         )
 
 
+def top_quartile_population(cols: np.ndarray, cutoff: int, mode_count: int) -> float:
+    """Worst population in the top quartile of Fock levels over the columns of cols."""
+    mask = _top_quartile_mask(cutoff, mode_count)
+    return float(np.max(np.sum(np.abs(cols[mask, :]) ** 2, axis=0)))
+
+
 def truncation_defect(op: TruncatedOperator) -> float:
     """Worst top-quartile population over the code states after applying op."""
-    mask = _top_quartile_mask(op.cutoff, op.mode_count)
     out = op.matrix @ code_states(op.cutoff, op.mode_count)
-    return float(np.max(np.sum(np.abs(out[mask, :]) ** 2, axis=0)))
+    return top_quartile_population(out, op.cutoff, op.mode_count)
 
 
-def _warn_if_truncated(op: TruncatedOperator, label: str) -> None:
-    defect = truncation_defect(op)
-    if defect > TOP_QUARTILE_BUDGET:
+def warn_if_truncated(population: float, label: str) -> None:
+    """TruncationWarning when a top-quartile population exceeds the trust budget."""
+    if population > TOP_QUARTILE_BUDGET:
         warnings.warn(
-            f"{label}: top-quartile population {defect:.3e} exceeds "
-            f"{TOP_QUARTILE_BUDGET:.0e}; raise the cutoff to trust this operator",
+            f"{label}: top-quartile population {population:.3e} exceeds "
+            f"{TOP_QUARTILE_BUDGET:.0e}; raise the cutoff to trust this result",
             TruncationWarning,
             stacklevel=3,
         )
 
 
-def matrix_exponential(generator: TruncatedOperator) -> TruncatedOperator:
-    """exp(G) of a square generator.
+class Propagator:
+    """exp(t * G) for a fixed skew-Hermitian G, through one cached eigh.
 
-    Skew-Hermitian generators go through a Hermitian eigendecomposition, which
-    keeps the result unitary to machine precision; anything else falls back to
-    scipy's expm.
+    G = -iH with H Hermitian, so exp(t * G) = V exp(-i t w) V^dag is unitary to
+    machine precision for every t.
     """
-    mat = generator.matrix
-    if not np.all(np.isfinite(mat.view(float))):
-        raise ValueError("generator has non-finite entries")
-    scale = np.linalg.norm(mat)
-    if scale == 0.0:
-        exp_mat = np.eye(mat.shape[0], dtype=complex)
-    elif np.linalg.norm(mat + mat.conj().T) <= 1e-12 * scale:
-        # G = -iH with H Hermitian, so exp(G) = V exp(-i w) V^dag.
-        w, v = np.linalg.eigh(1j * mat)
-        exp_mat = (v * np.exp(-1j * w)) @ v.conj().T
-    else:
-        exp_mat = scipy.linalg.expm(mat)
+
+    def __init__(self, generator: np.ndarray):
+        if not np.all(np.isfinite(generator)):
+            raise ValueError("generator has non-finite entries")
+        if np.linalg.norm(generator + generator.conj().T) > 1e-12 * np.linalg.norm(generator):
+            raise ValueError("generator is not skew-Hermitian")
+        w, v = np.linalg.eigh(1j * generator)
+        self._w = w
+        self.vectors = v
+        self._vh = v.conj().T
+
+    def apply(self, t: float, cols: np.ndarray) -> np.ndarray:
+        return self.vectors @ (np.exp(-1j * t * self._w)[:, None] * (self._vh @ cols))
+
+    def matrix(self, t: float, basis: np.ndarray | None = None) -> np.ndarray:
+        """exp(t * G) as a dense matrix; with basis = W @ vectors, W exp(t * G) W^dag."""
+        basis = self.vectors if basis is None else basis
+        return (basis * np.exp(-1j * t * self._w)[None, :]) @ basis.conj().T
+
+
+def matrix_exponential(generator: TruncatedOperator) -> TruncatedOperator:
+    """exp(G) of a skew-Hermitian generator; anything else raises ValueError."""
+    exp_mat = Propagator(generator.matrix).matrix(1.0)
     return TruncatedOperator(generator.cutoff, exp_mat, generator.mode_count)
 
 
@@ -211,7 +214,7 @@ def displacement_generator(lam: complex, cutoff: int) -> TruncatedOperator:
 def displacement(lam: complex, cutoff: int) -> TruncatedOperator:
     """D(lam) = exp(lam*a^dag - conj(lam)*a)."""
     op = matrix_exponential(displacement_generator(lam, cutoff))
-    _warn_if_truncated(op, f"displacement(lam={lam})")
+    warn_if_truncated(truncation_defect(op), f"displacement(lam={lam})")
     return op
 
 
@@ -225,7 +228,7 @@ def squeeze_generator(mu: complex, cutoff: int) -> TruncatedOperator:
 def squeeze(mu: complex, cutoff: int) -> TruncatedOperator:
     """S(mu) = exp(mu*(a^dag)^2 - conj(mu)*a^2)."""
     op = matrix_exponential(squeeze_generator(mu, cutoff))
-    _warn_if_truncated(op, f"squeeze(mu={mu})")
+    warn_if_truncated(truncation_defect(op), f"squeeze(mu={mu})")
     return op
 
 
@@ -239,7 +242,7 @@ def two_mode_mix_generator(xi: complex, cutoff: int) -> TruncatedOperator:
 def two_mode_mix(xi: complex, cutoff: int) -> TruncatedOperator:
     """N(xi) = exp(xi*a1^dag*a2 - conj(xi)*a1*a2^dag), a beam-splitter-like coupling."""
     op = matrix_exponential(two_mode_mix_generator(xi, cutoff))
-    _warn_if_truncated(op, f"two_mode_mix(xi={xi})")
+    warn_if_truncated(truncation_defect(op), f"two_mode_mix(xi={xi})")
     return op
 
 
@@ -253,7 +256,7 @@ def two_mode_squeeze_generator(zeta: complex, cutoff: int) -> TruncatedOperator:
 def two_mode_squeeze(zeta: complex, cutoff: int) -> TruncatedOperator:
     """M(zeta) = exp(zeta*a1^dag*a2^dag - conj(zeta)*a1*a2)."""
     op = matrix_exponential(two_mode_squeeze_generator(zeta, cutoff))
-    _warn_if_truncated(op, f"two_mode_squeeze(zeta={zeta})")
+    warn_if_truncated(truncation_defect(op), f"two_mode_squeeze(zeta={zeta})")
     return op
 
 

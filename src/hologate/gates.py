@@ -80,11 +80,6 @@ class GateMatrix:
                     f"{self.provenance} gate has unitarity defect {defect:.3e}"
                 )
 
-    def dagger(self) -> "GateMatrix":
-        return GateMatrix(
-            self.dim, self.matrix.conj().T, self.provenance, self.unitarity_defect
-        )
-
 
 def gate_from_area(generator: Generator, sigma: float) -> GateMatrix:
     """exp(-i * G * sigma) in exact trigonometric form.
@@ -132,12 +127,9 @@ def controlled_not() -> GateMatrix:
     return GateMatrix(4, mat, "composed")
 
 
-def gate_for_loop(
-    loop: LoopSpec,
-    tolerance: float = loops_mod.DEFAULT_QUADRATURE_TOLERANCE,
-) -> GateMatrix:
+def gate_for_loop(loop: LoopSpec) -> GateMatrix:
     """Area-formula gate of a loop: sigma = area(loop), generator set by its plane."""
-    area_result: AreaResult = loops_mod.area(loop, tolerance)
+    area_result: AreaResult = loops_mod.area(loop)
     generator = PLANE_GENERATOR[loop.plane]
     gate = gate_from_area(generator, area_result.sigma)
     return GateMatrix(

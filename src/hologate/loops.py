@@ -20,13 +20,11 @@ from enum import Enum
 from typing import NamedTuple, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
-from .exceptions import ConvergenceFailureError
-
-DEFAULT_QUADRATURE_TOLERANCE = 1e-10
+AREA_METHOD = "edge_antiderivative"
 _DEGENERATE_AREA_EPS = 1e-14
+# Rounding bound of the edge sum, in units of eps * sum(|edge terms|).
+_ROUNDING_ULPS = 4
 
 
 class PlaneId(Enum):
@@ -108,7 +106,7 @@ class LoopSpec:
 @dataclass(frozen=True)
 class AreaResult:
     sigma: float
-    method: str  # "closed_form" | "quadrature" | "line_integral"
+    method: str  # always AREA_METHOD
     abs_error_estimate: float
 
 
@@ -134,13 +132,6 @@ def weight(plane: PlaneId, point: tuple[float, float]) -> float:
     if plane in (PlaneId.I, PlaneId.II):
         return 2.0 * math.exp(-2.0 * v)
     return 2.0 * math.sinh(2.0 * u)
-
-
-def _weight_unchecked(plane: PlaneId, u, v):
-    # Smooth extension used by quadrature/contour internals; no domain check.
-    if plane in (PlaneId.I, PlaneId.II):
-        return 2.0 * np.exp(-2.0 * v)
-    return 2.0 * np.sinh(2.0 * u)
 
 
 # ---------------------------------------------------------------------------
@@ -188,213 +179,72 @@ def _ccw_vertices(shape: Shape) -> np.ndarray:
     return verts
 
 
-def _dedupe(verts: np.ndarray) -> np.ndarray:
-    keep = [verts[0]]
-    for p in verts[1:]:
-        if not np.allclose(p, keep[-1], rtol=0.0, atol=1e-15):
-            keep.append(p)
-    if len(keep) > 1 and np.allclose(keep[0], keep[-1], rtol=0.0, atol=1e-15):
-        keep.pop()
-    return np.asarray(keep)
-
-
-def _point_in_triangle(p, a, b, c) -> bool:
-    d1 = _orient(a, b, p)
-    d2 = _orient(b, c, p)
-    d3 = _orient(c, a, p)
-    return d1 >= 0 and d2 >= 0 and d3 >= 0
-
-
-def _ear_clip(verts: np.ndarray) -> list[np.ndarray]:
-    """Triangulate a simple counterclockwise polygon by ear clipping."""
-    pts = [tuple(p) for p in _dedupe(verts)]
-    # drop exactly-collinear vertices; they carry no geometry
-    changed = True
-    while changed and len(pts) > 3:
-        changed = False
-        for i in range(len(pts)):
-            if abs(_orient(pts[i - 1], pts[i], pts[(i + 1) % len(pts)])) < 1e-30:
-                pts.pop(i)
-                changed = True
-                break
-    triangles = []
-    guard = 0
-    while len(pts) > 3:
-        guard += 1
-        if guard > 10000:
-            raise ValueError("triangulation failed; polygon may be degenerate")
-        n = len(pts)
-        clipped = False
-        for i in range(n):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            if _orient(a, b, c) <= 0:
-                continue  # reflex or flat corner
-            if any(
-                _point_in_triangle(pts[j], a, b, c)
-                for j in range(n)
-                if pts[j] not in (a, b, c)
-            ):
-                continue
-            triangles.append(np.asarray([a, b, c]))
-            pts.pop(i)
-            clipped = True
-            break
-        if not clipped:
-            raise ValueError("triangulation failed; polygon may be degenerate")
-    triangles.append(np.asarray(pts))
-    return triangles
-
-
 # ---------------------------------------------------------------------------
-# Area engines
+# Area engine
 
 
-def _rect_closed_form(plane: PlaneId, rect: Rect) -> float:
-    if plane in (PlaneId.I, PlaneId.II):
-        return (rect.u_max - rect.u_min) * (
-            math.exp(-2.0 * rect.v_min) - math.exp(-2.0 * rect.v_max)
-        )
-    return (rect.v_max - rect.v_min) * (
-        math.cosh(2.0 * rect.u_max) - math.cosh(2.0 * rect.u_min)
-    )
+def _edge_integrals(plane: PlaneId, verts: np.ndarray) -> np.ndarray:
+    """Per-edge terms of the boundary integral of exp(-2v) du (I/II) or cosh(2u) dv (III).
 
-
-def _triangle_integral(plane: PlaneId, tri: np.ndarray, epsabs: float) -> tuple[float, float]:
-    a, b, c = tri
-    e1 = b - a
-    e2 = c - a
-    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    if jac < 1e-300:
-        return 0.0, 0.0
-
-    def integrand(eta, xi):
-        u = a[0] + xi * e1[0] + eta * e2[0]
-        v = a[1] + xi * e1[1] + eta * e2[1]
-        return _weight_unchecked(plane, u, v)
-
-    val, err = integrate.dblquad(
-        integrand, 0.0, 1.0, 0.0, lambda xi: 1.0 - xi, epsabs=epsabs, epsrel=1e-12
-    )
-    return jac * val, jac * err
-
-
-def area(loop: LoopSpec, quadrature_tolerance: float = DEFAULT_QUADRATURE_TOLERANCE) -> AreaResult:
-    """Signed weighted area enclosed by the loop.
-
-    Rectangles use the closed forms
-        sigma_I/II  = (u1 - u0) * (exp(-2*v0) - exp(-2*v1))
-        sigma_III   = (v1 - v0) * (cosh(2*u1) - cosh(2*u0))
-    and polylines go through adaptive 2-D quadrature over an ear-clipped
-    triangulation.  Degenerate (zero-area) polylines legally return sigma = 0.
+    Vectorized over leading axes: verts may be (..., n, 2), edges run from
+    each vertex to the next, cyclically.  Both difference quotients are
+    written so that they do not cancel on short edges.
     """
-    if isinstance(loop.shape, Rect):
-        value = _rect_closed_form(loop.plane, loop.shape)
-        return AreaResult(
-            sigma=loop.orientation * value,
-            method="closed_form",
-            abs_error_estimate=4.0 * np.finfo(float).eps * abs(value),
-        )
-    verts = _ccw_vertices(loop.shape)
-    region = abs(_shoelace(verts))
-    scale = max(1.0, float(np.max(np.abs(verts))) ** 2)
-    if region <= _DEGENERATE_AREA_EPS * scale:
-        return AreaResult(sigma=0.0, method="quadrature", abs_error_estimate=0.0)
-    triangles = _ear_clip(verts)
-    per_tri = quadrature_tolerance / (2.0 * len(triangles))
-    total = 0.0
-    err = 0.0
-    for tri in triangles:
-        val_t, err_t = _triangle_integral(loop.plane, tri, per_tri)
-        total += val_t
-        err += err_t
-    if err > quadrature_tolerance:
-        raise ConvergenceFailureError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {quadrature_tolerance:.3e}"
-        )
-    return AreaResult(
-        sigma=loop.orientation * total, method="quadrature", abs_error_estimate=err
-    )
-
-
-def _antiderivative_flux(plane: PlaneId, u, v):
-    """Integrand of the boundary form: sigma = contour integral of f du (I/II) or f dv (III)."""
-    if plane in (PlaneId.I, PlaneId.II):
-        return np.exp(-2.0 * v)
-    return np.cosh(2.0 * u)
-
-
-def area_line_integral(loop: LoopSpec, step_count: int = 64) -> AreaResult:
-    """Same signed weighted area, evaluated as a contour integral along the boundary.
-
-    The plane weights depend on a single coordinate, so the area form has an
-    exact antiderivative: exp(-2*v) du on planes I/II, cosh(2*u) dv on plane
-    III.  Each edge is integrated with composite Gauss-Legendre panels;
-    step_count panels per edge.
-    """
-    if step_count < 8:
-        raise ValueError(f"step_count must be at least 8 per edge, got {step_count}")
-
-    def contour(panels: int) -> float:
-        nodes, wts = leggauss(5)
-        # map nodes from [-1, 1] onto each panel of [0, 1]
-        edges_total = 0.0
-        verts = _ccw_vertices(loop.shape)
-        starts = verts
-        ends = np.roll(verts, -1, axis=0)
-        for (u0, v0), (u1, v1) in zip(starts, ends):
-            du = u1 - u0
-            dv = v1 - v0
-            if loop.plane in (PlaneId.I, PlaneId.II):
-                if du == 0.0:
-                    continue
-            else:
-                if dv == 0.0:
-                    continue
-            acc = 0.0
-            width = 1.0 / panels
-            for k in range(panels):
-                t = (k + 0.5 * (nodes + 1.0)) * width
-                u = u0 + t * du
-                v = v0 + t * dv
-                f = _antiderivative_flux(loop.plane, u, v)
-                acc += 0.5 * width * float(np.dot(wts, f))
-            edges_total += acc * (du if loop.plane in (PlaneId.I, PlaneId.II) else dv)
-        return edges_total
-
-    fine = contour(step_count)
-    coarse = contour(max(step_count // 2, 4))
-    return AreaResult(
-        sigma=loop.orientation * fine,
-        method="line_integral",
-        abs_error_estimate=abs(fine - coarse),
-    )
-
-
-def polygon_sigma_exact(plane: PlaneId, verts: np.ndarray) -> float:
-    """Signed weighted area of a polygon via exact per-edge antiderivatives.
-
-    Vectorized over leading axes: verts may be (..., n, 2).  The traversal
-    order of the vertices carries the sign.  Used for Monte Carlo sweeps where
-    per-sample quadrature would be wasteful.
-    """
-    verts = np.asarray(verts, dtype=float)
     u0 = verts[..., :, 0]
     v0 = verts[..., :, 1]
     u1 = np.roll(u0, -1, axis=-1)
-    v1 = np.roll(v0, -1, axis=-1)
     du = u1 - u0
-    dv = v1 - v0
-    if plane in (PlaneId.I, PlaneId.II):
-        # integral of exp(-2 v(t)) du over an edge; safe limit for dv -> 0
-        small = np.abs(dv) < 1e-300
-        ratio = np.where(small, 1.0, -np.expm1(-2.0 * np.where(small, 1.0, dv)) / (2.0 * np.where(small, 1.0, dv)))
-        contrib = du * np.exp(-2.0 * v0) * ratio
-    else:
+    dv = np.roll(v0, -1, axis=-1) - v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plane in (PlaneId.I, PlaneId.II):
+            # (exp(-2 v0) - exp(-2 v1)) / (2 dv) = exp(-2 v0) * -expm1(-2 dv) / (2 dv)
+            small = np.abs(dv) < 1e-300
+            safe = np.where(small, 1.0, dv)
+            ratio = np.where(small, 1.0, -np.expm1(-2.0 * safe) / (2.0 * safe))
+            return du * np.exp(-2.0 * v0) * ratio
+        # (sinh 2u1 - sinh 2u0) / (2 du) = cosh(u0 + u1) * sinh(du) / du
         small = np.abs(du) < 1e-300
-        denom = np.where(small, 1.0, 2.0 * du)
-        ratio = np.where(small, np.cosh(2.0 * u0), (np.sinh(2.0 * u1) - np.sinh(2.0 * u0)) / denom)
-        contrib = dv * ratio
-    return np.sum(contrib, axis=-1)
+        safe = np.where(small, 1.0, du)
+        ratio = np.where(small, 1.0, np.sinh(safe) / safe)
+        return dv * np.cosh(u0 + u1) * ratio
+
+
+def _finite_sum(terms: np.ndarray) -> np.ndarray:
+    total = np.sum(terms, axis=-1)
+    if not np.all(np.isfinite(total)):
+        raise ValueError("weighted area overflows double precision; the loop reaches too far")
+    return total
+
+
+def area(loop: LoopSpec) -> AreaResult:
+    """Signed weighted area enclosed by the loop.
+
+    Each plane weight depends on one coordinate, so the area is the boundary
+    integral of exp(-2*v) du (planes I/II) or cosh(2*u) dv (plane III), and
+    every straight edge integrates in closed form.  Rectangles and polylines
+    both go through their counterclockwise corners; the orientation sets the
+    sign.  Degenerate (zero-area) polylines legally return sigma = 0.
+    abs_error_estimate bounds the rounding of the edge sum.  A loop whose
+    area overflows double precision raises ValueError.
+    """
+    if is_degenerate(loop):
+        return AreaResult(sigma=0.0, method=AREA_METHOD, abs_error_estimate=0.0)
+    terms = _edge_integrals(loop.plane, _ccw_vertices(loop.shape))
+    value = float(_finite_sum(terms))
+    rounding = _ROUNDING_ULPS * np.finfo(float).eps * np.sum(np.abs(terms))
+    return AreaResult(
+        sigma=loop.orientation * value, method=AREA_METHOD, abs_error_estimate=float(rounding)
+    )
+
+
+def polygon_sigma_exact(plane: PlaneId, verts: np.ndarray) -> np.ndarray:
+    """Signed weighted area of polygons given as (..., n, 2) vertex arrays.
+
+    The same per-edge sums as area(), vectorized over leading axes and without
+    the plane-domain check; the traversal order of the vertices carries the
+    sign.  Used for Monte Carlo sweeps and finite-difference stencils.
+    """
+    return _finite_sum(_edge_integrals(plane, np.asarray(verts, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

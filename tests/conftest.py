@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hologate import connection, kicked
@@ -10,6 +12,21 @@ SMALL_RECTS = {
 }
 
 ORACLE_CUTOFF = {PlaneId.I: 60, PlaneId.II: 60, PlaneId.III: 14}
+
+
+def rect_sigma_closed_form(plane: PlaneId, rect: Rect) -> float:
+    """Counterclockwise weighted area of a rectangle, integrated by hand.
+
+    sigma_I/II = (u1 - u0) * (exp(-2 v0) - exp(-2 v1)) and
+    sigma_III = (v1 - v0) * (cosh(2 u1) - cosh(2 u0)).
+    """
+    if plane is PlaneId.III:
+        return (rect.v_max - rect.v_min) * (
+            math.cosh(2.0 * rect.u_max) - math.cosh(2.0 * rect.u_min)
+        )
+    return (rect.u_max - rect.u_min) * (
+        math.exp(-2.0 * rect.v_min) - math.exp(-2.0 * rect.v_max)
+    )
 
 
 @pytest.fixture(scope="session")

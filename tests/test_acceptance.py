@@ -17,7 +17,7 @@ from hologate import connection, error_model, gates, loops
 from hologate.connection import CALIBRATION_RECT
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import SMALL_RECTS
+from conftest import SMALL_RECTS, rect_sigma_closed_form
 
 SQ2 = math.sqrt(2.0)
 
@@ -73,17 +73,17 @@ def test_criterion_3_cnot_composition():
 
 
 def test_criterion_4_area_engine():
-    with criterion(4, "quadrature vs closed form on 100 random rects per plane"):
+    with criterion(4, "edge antiderivative vs closed form on 100 random rects per plane"):
         rng = np.random.default_rng(2024)
         for plane in PlaneId:
             for _ in range(100):
                 u0, v0 = rng.uniform(0.0, 1.6, size=2)
                 du, dv = rng.uniform(0.05, 0.4, size=2)
                 rect_loop = LoopSpec(plane, Rect(u0, u0 + du, v0, v0 + dv))
-                exact = loops.area(rect_loop).sigma
+                exact = rect_sigma_closed_form(plane, rect_loop.shape)
                 poly = LoopSpec(plane, Polyline(rect_loop.shape.vertices_ccw()))
-                quad = loops.area(poly, 1e-11).sigma
-                assert abs(quad - exact) < 1e-9 * abs(exact)
+                assert abs(loops.area(poly).sigma - exact) < 1e-12 * abs(exact)
+                assert abs(loops.area(rect_loop).sigma - exact) < 1e-12 * abs(exact)
         hadamard_rect = LoopSpec(PlaneId.II, Rect(0.0, math.pi / 4.0, 0.0, math.log(2.0)))
         plane3_rect = LoopSpec(PlaneId.III, Rect(0.0, math.acosh(2.0), 0.0, math.pi / 8.0))
         assert loops.area(hadamard_rect).sigma == pytest.approx(3 * math.pi / 16, abs=1e-13)

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +218,48 @@ def test_non_integer_orientation_exits_2(capsys, tmp_path):
     rect = {"u_min": 0.0, "u_max": 0.1, "v_min": 0.0, "v_max": 0.1}
     path.write_text(json.dumps({"plane": "I", "orientation": 1.7, "rect": rect}))
     assert_one_line_parse_error(capsys, ["area", str(path)])
+
+
+def test_area_overflow_exits_2(capsys, tmp_path):
+    far = write_loop(tmp_path, "far.json", LoopSpec(PlaneId.III, Rect(0.0, 1000.0, 0.0, 0.1)))
+    assert_one_line_parse_error(capsys, ["area", far])
+
+
+def test_zero_fd_step_exits_2(capsys, hadamard_loop_file):
+    argv = ["--fd-step", "0", "error", hadamard_loop_file, "--shift", "0.01,0,0,0"]
+    assert_one_line_parse_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "option,argv",
+    [
+        ("--fd-step", ["--fd-step", "nan", "error", "{loop}", "--shift", "0.01,0,0,0"]),
+        ("--shift", ["error", "{loop}", "--shift", "0.01,nan,0,0"]),
+        ("--statistical", ["error", "{loop}", "--statistical", "nan", "64"]),
+        ("--shift-magnitude", ["compile", "{circuit}", "--shift-magnitude", "inf"]),
+        ("--precision", ["--precision", "-3", "area", "{loop}"]),
+    ],
+)
+def test_bad_numeric_option_exits_2_naming_it(capsys, tmp_path, hadamard_loop_file, option, argv):
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("H q0\n")
+    argv = [a.format(loop=hadamard_loop_file, circuit=circuit) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and option in lines[0]
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, hologate.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("method", ["connection", "kicked"])

@@ -187,6 +187,12 @@ def test_matrix_exponential_matches_scipy_route():
     assert np.linalg.norm(ours - reference) < 1e-12 * np.linalg.norm(reference)
 
 
+def test_matrix_exponential_rejects_non_skew_hermitian():
+    hermitian = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        fock.matrix_exponential(TruncatedOperator(4, hermitian))
+
+
 def test_matrix_exponential_rejects_non_finite():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 0] = np.nan

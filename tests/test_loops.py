@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
+from conftest import rect_sigma_closed_form
 from hologate import loops
-from hologate.exceptions import ConvergenceFailureError
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
 HADAMARD_RECT = LoopSpec(PlaneId.II, Rect(0.0, math.pi / 4.0, 0.0, math.log(2.0)))
@@ -13,6 +16,33 @@ PLANE3_RECT = LoopSpec(PlaneId.III, Rect(0.0, math.acosh(2.0), 0.0, math.pi / 8.
 
 def rect_as_polyline(loop: LoopSpec) -> LoopSpec:
     return LoopSpec(loop.plane, Polyline(loop.shape.vertices_ccw()), loop.orientation)
+
+
+def dblquad_area(plane: PlaneId, verts) -> float:
+    """Independent reference: adaptive 2-D quadrature of the weight over a fan of triangles.
+
+    Exact for convex polygons; returns the unsigned weighted area.
+    """
+    if plane is PlaneId.III:
+        weight = lambda u, v: 2.0 * math.sinh(2.0 * u)
+    else:
+        weight = lambda u, v: 2.0 * math.exp(-2.0 * v)
+    a = np.asarray(verts[0], dtype=float)
+    total = 0.0
+    for b, c in zip(verts[1:-1], verts[2:]):
+        e1 = np.asarray(b) - a
+        e2 = np.asarray(c) - a
+        jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
+
+        def integrand(eta, xi):
+            p = a + xi * e1 + eta * e2
+            return weight(p[0], p[1])
+
+        value, _ = integrate.dblquad(
+            integrand, 0.0, 1.0, 0.0, lambda xi: 1.0 - xi, epsabs=1e-15, epsrel=1e-13
+        )
+        total += jac * value
+    return total
 
 
 def test_weight_values():
@@ -38,6 +68,8 @@ def test_zero_width_region_has_zero_area():
     # polyline; the Rect type itself requires strictly positive extent
     flat = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.0, 0.4), (0.0, 0.2))))
     assert loops.area(flat).sigma == 0.0
+    back_and_forth = LoopSpec(PlaneId.II, Polyline(((0.0, 0.1), (0.5, 0.1), (0.25, 0.1))))
+    assert loops.area(back_and_forth).sigma == 0.0
     with pytest.raises(ValueError):
         Rect(0.3, 0.3, 0.0, 1.0)
 
@@ -49,32 +81,15 @@ def test_quadrature_matches_closed_form_on_random_rects(plane):
         u0, v0 = rng.uniform(0.0, 1.5, size=2)
         du, dv = rng.uniform(0.05, 0.5, size=2)
         rect_loop = LoopSpec(plane, Rect(u0, u0 + du, v0, v0 + dv))
-        exact = loops.area(rect_loop).sigma
-        quad = loops.area(rect_as_polyline(rect_loop), 1e-11)
-        assert quad.method == "quadrature"
-        assert abs(quad.sigma - exact) < 1e-9 * max(abs(exact), 1e-3)
+        exact = rect_sigma_closed_form(plane, rect_loop.shape)
+        result = loops.area(rect_as_polyline(rect_loop))
+        assert result.method == "edge_antiderivative"
+        assert abs(result.sigma - exact) < 1e-12 * max(abs(exact), 1e-3)
+        assert result.abs_error_estimate < 1e-14 * max(abs(exact), 1.0)
 
 
 def test_line_integral_matches_closed_form():
-    fine = loops.area_line_integral(rect_as_polyline(HADAMARD_RECT), 64)
-    assert abs(fine.sigma - 3.0 * math.pi / 16.0) < 1e-9
-
-
-def test_line_integral_zero_for_back_and_forth_path():
-    flat = LoopSpec(PlaneId.II, Polyline(((0.0, 0.1), (0.5, 0.1), (0.25, 0.1))))
-    assert loops.area_line_integral(flat, 16).sigma == pytest.approx(0.0, abs=1e-15)
-
-
-def test_line_integral_orientation_antisymmetry():
-    loop = rect_as_polyline(PLANE3_RECT)
-    forward = loops.area_line_integral(loop, 32).sigma
-    backward = loops.area_line_integral(loops.reverse(loop), 32).sigma
-    assert backward == -forward
-
-
-def test_line_integral_rejects_coarse_steps():
-    with pytest.raises(ValueError):
-        loops.area_line_integral(HADAMARD_RECT, 4)
+    assert abs(loops.area(rect_as_polyline(HADAMARD_RECT)).sigma - 3.0 * math.pi / 16.0) < 1e-14
 
 
 def _random_convex_polyline(rng, plane, n_vertices):
@@ -93,20 +108,67 @@ def test_quadrature_matches_line_integral_on_convex_polylines(plane):
     rng = np.random.default_rng(7)
     for n_vertices in (4, 7, 12):
         loop = _random_convex_polyline(rng, plane, n_vertices)
-        quad = loops.area(loop, 1e-11).sigma
-        contour = loops.area_line_integral(loop, 128).sigma
-        assert abs(quad - contour) < 1e-7 * max(abs(quad), 1e-6)
+        sigma = loops.area(loop).sigma
+        reference = dblquad_area(plane, loop.shape.vertices)
+        assert abs(sigma - reference) < 1e-10 * max(abs(reference), 1e-6)
 
 
-def test_quadrature_error_budget_enforced():
-    loop = rect_as_polyline(HADAMARD_RECT)
-    with pytest.raises(ConvergenceFailureError):
-        loops.area(loop, 1e-18)
+@pytest.mark.parametrize("du", [1e-9, 1e-11, 1e-13])
+def test_plane3_near_vertical_edge_does_not_cancel(du):
+    # the direct quotient (sinh 2u1 - sinh 2u0) / (2 du) cancels here, by up to 8e-6
+    triangle = ((1.0, 0.0), (1.0 + du, 0.3), (1.3, 0.15))
+    sigma = loops.area(LoopSpec(PlaneId.III, Polyline(triangle))).sigma
+    assert abs(sigma - dblquad_area(PlaneId.III, triangle)) < 1e-13
 
 
 def test_orientation_reversal_negates_sigma_exactly():
-    sigma = loops.area(HADAMARD_RECT).sigma
-    assert loops.area(loops.reverse(HADAMARD_RECT)).sigma == -sigma
+    for loop in (HADAMARD_RECT, rect_as_polyline(PLANE3_RECT)):
+        sigma = loops.area(loop).sigma
+        assert loops.area(loops.reverse(loop)).sigma == -sigma
+
+
+ANGLES = st.lists(
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True), min_size=3, max_size=10, unique=True
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    plane=st.sampled_from(list(PlaneId)),
+    angles=ANGLES,
+    center=st.tuples(st.floats(0.7, 1.5), st.floats(0.7, 1.5)),
+    radii=st.tuples(st.floats(0.05, 0.6), st.floats(0.05, 0.6)),
+)
+def test_reversal_negates_convex_polylines_exactly(plane, angles, center, radii):
+    verts = tuple(
+        (center[0] + radii[0] * math.cos(t), center[1] + radii[1] * math.sin(t))
+        for t in sorted(angles)
+    )
+    if len(set(verts)) < len(verts):
+        return  # angles too close to give distinct vertices
+    loop = LoopSpec(plane, Polyline(verts))
+    assert loops.area(loops.reverse(loop)).sigma == -loops.area(loop).sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    plane=st.sampled_from(list(PlaneId)),
+    corner=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+    sides=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+    orientation=st.sampled_from([1, -1]),
+)
+def test_rect_area_equals_area_of_its_polyline(plane, corner, sides, orientation):
+    u0, v0 = corner
+    rect_loop = LoopSpec(plane, Rect(u0, u0 + sides[0], v0, v0 + sides[1]), orientation)
+    sigma = loops.area(rect_loop).sigma
+    polyline_sigma = loops.area(rect_as_polyline(rect_loop)).sigma
+    assert abs(polyline_sigma - sigma) <= 1e-13 * max(abs(sigma), 1.0)
+
+
+def test_area_overflow_raises_value_error():
+    far = LoopSpec(PlaneId.III, Rect(0.0, 1000.0, 0.0, 0.1))
+    with pytest.raises(ValueError, match="overflows"):
+        loops.area(far)
 
 
 def test_adjacent_rectangle_additivity():
