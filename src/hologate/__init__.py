@@ -1,17 +1,12 @@
 """Holonomic gate synthesis from closed loops in optical control-parameter space.
 
 The package builds the gates three ways and checks them against each other:
-exact weighted areas feeding exact generator exponentials (gates),
-a path-ordered transport of dressed Fock-space frames (connection), and a
-stroboscopic Kerr-dwell evolution (kicked).
+exact weighted areas feeding exact generator exponentials (gates), the
+path-ordered transport of the exact connection of dressed Fock-space frames
+(connection), and a stroboscopic Kerr-dwell evolution (kicked).
 """
 
-from .exceptions import (
-    AdiabaticityWarning,
-    ConvergenceFailureError,
-    StepCancellationError,
-    TruncationWarning,
-)
+from .exceptions import AdiabaticityWarning, TruncationWarning
 from .fock import ControlPoint, TruncatedOperator
 from .gates import SIGMA1, SIGMA2, SIGMA12, GateMatrix, Generator, gate_for_loop
 from .loops import AreaResult, LoopSpec, PlaneId, Polyline, Rect, area, weight
@@ -20,7 +15,6 @@ __all__ = [
     "AdiabaticityWarning",
     "AreaResult",
     "ControlPoint",
-    "ConvergenceFailureError",
     "GateMatrix",
     "Generator",
     "LoopSpec",
@@ -30,7 +24,6 @@ __all__ = [
     "SIGMA1",
     "SIGMA12",
     "SIGMA2",
-    "StepCancellationError",
     "TruncatedOperator",
     "TruncationWarning",
     "area",

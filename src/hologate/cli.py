@@ -5,8 +5,8 @@ as nested [re, im] pairs, the effective configuration is echoed in every
 record, and floats are rounded to the configured number of significant
 digits, so identical inputs produce bit-identical output.
 
-Exit codes: 0 success, 2 parse/validation error, 3 convergence failure,
-4 truncation-policy violation under --strict.
+Exit codes: 0 success, 2 parse/validation error, 4 truncation-policy
+violation under --strict.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 
 from . import compiler, connection, error_model, gates, kicked
 from . import loops as loops_mod
-from .exceptions import ConvergenceFailureError, TruncationWarning
+from .exceptions import TruncationWarning
 from .loops import LoopSpec, PlaneId, Rect
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_CONVERGENCE = 3
 EXIT_TRUNCATION = 4
 
 DEFAULT_SINGLE_MODE_CUTOFF = 60
@@ -34,8 +33,9 @@ DEFAULT_TWO_MODE_CUTOFF = 14
 
 
 def _round_floats(obj, digits: int):
+    """Round every float in a record to `digits` significant digits."""
     if isinstance(obj, float):
-        return round(obj, digits) + 0.0  # normalize -0.0
+        return float(f"{obj:.{digits}g}") + 0.0  # normalize -0.0
     if isinstance(obj, dict):
         return {k: _round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -54,7 +54,6 @@ def _emit(record: dict, precision: int) -> None:
 def _config_record(args, cutoff: int | None = None) -> dict:
     return {
         "cutoff": cutoff,
-        "fd_step": args.fd_step,
         "seed": args.seed,
         "output_precision": args.precision,
         "strict": bool(args.strict),
@@ -134,17 +133,13 @@ def cmd_oracle(args) -> int:
         "area": _area_record(loop),
     }
     if args.method == "connection":
-        try:
-            oracle = connection.holonomy_path_ordered(loop, cutoff, args.steps)
-        except ConvergenceFailureError as exc:
-            record["error"] = str(exc)
-            _emit(record, args.precision)
-            return EXIT_CONVERGENCE
+        oracle = connection.holonomy_path_ordered(loop, cutoff, args.steps)
         calibrated = connection.calibrated_code_matrix(loop.plane, oracle.matrix)
         record["oracle_gate"] = matrix_to_json(calibrated)
         record["oracle_gate_raw_frame"] = matrix_to_json(oracle.matrix)
         record["unitarity_defect"] = oracle.unitarity_defect
         record["convergence_estimate"] = oracle.diagnostics["convergence_estimate"]
+        record["integrator"] = oracle.diagnostics["integrator"]
         record["frobenius_distance"] = float(
             np.linalg.norm(calibrated - formula.matrix)
         )
@@ -175,7 +170,7 @@ def cmd_error(args) -> int:
     if args.shift is not None:
         shift = error_model.BorderShift(*args.shift)
         report = error_model.perturbed_area(loop, shift)
-        sens = error_model.sensitivity(loop, args.fd_step)
+        sens = error_model.sensitivity(loop)
         record.update(
             {
                 "shift": dict(zip(error_model.BORDERS, shift.as_tuple())),
@@ -257,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Holonomic gates from closed loops in optical control space",
     )
     parser.add_argument("--cutoff", type=int, default=None, help="Fock cutoff per mode")
-    parser.add_argument("--fd-step", dest="fd_step", type=_finite_float, default=1e-4)
-    parser.add_argument("--steps", type=int, default=2000, help="oracle steps / kick count")
+    parser.add_argument(
+        "--steps", type=int, default=2000,
+        help="boundary sub-intervals (connection) / kick count (kicked)",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--strict", action="store_true", help="truncation warnings become exit 4")
     parser.add_argument(
@@ -313,9 +310,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"truncation: {w.message}", file=sys.stderr)
             return EXIT_TRUNCATION
         return code
-    except ConvergenceFailureError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except (ValueError, OSError, json.JSONDecodeError, compiler.CircuitParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

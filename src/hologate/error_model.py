@@ -19,7 +19,7 @@ import numpy as np
 from . import gates
 from . import loops as loops_mod
 from .gates import GateMatrix
-from .loops import LoopSpec, Rect
+from .loops import LoopSpec, PlaneId, Rect
 
 # Printed first-order response of the Hadamard family at sigma = pi/4.
 H_PERTURBATION = np.array([[-1.0, 1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
@@ -94,28 +94,30 @@ def perturbed_area(rect_loop: LoopSpec, shift: BorderShift) -> ErrorReport:
     )
 
 
-def sensitivity(rect_loop: LoopSpec, fd_step: float = 1e-6) -> dict[str, float]:
-    """Central-difference partials of sigma with respect to each outward border shift."""
-    rect = _require_rect(rect_loop)
-    if not fd_step > 0.0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
+def sensitivity(rect_loop: LoopSpec) -> dict[str, float]:
+    """Exact partials of sigma with respect to each outward border shift.
 
-    def sigma_of(du_lo, du_hi, dv_lo, dv_hi):
-        moved = Rect(
-            rect.u_min - du_lo, rect.u_max + du_hi, rect.v_min - dv_lo, rect.v_max + dv_hi
+    Moving a border outward adds the weight integrated along it, times the
+    orientation.  Planes I/II (w = 2 exp(-2v)): exp(-2 v0) - exp(-2 v1) for
+    either u border and 2 (u1 - u0) exp(-2v) at a v border.  Plane III
+    (w = 2 sinh 2u): 2 (v1 - v0) sinh(2u) at a u border and
+    cosh 2u1 - cosh 2u0 = 2 sinh(u1 + u0) sinh(u1 - u0) for either v border.
+    The differences are written so that they do not cancel on thin rects.
+    """
+    r = _require_rect(rect_loop)
+    if rect_loop.plane is PlaneId.III:
+        across = 2.0 * math.sinh(r.u_max + r.u_min) * math.sinh(r.u_max - r.u_min)
+        side = 2.0 * (r.v_max - r.v_min)
+        values = (
+            side * math.sinh(2.0 * r.u_min), side * math.sinh(2.0 * r.u_max), across, across
         )
-        # bypass plane-domain validation: stencil points may probe r slightly < 0
-        value = loops_mod.polygon_sigma_exact(rect_loop.plane, moved.vertices_ccw())
-        return rect_loop.orientation * float(value)
-
-    out = {}
-    for i, name in enumerate(BORDERS):
-        plus = [0.0] * 4
-        minus = [0.0] * 4
-        plus[i] = fd_step
-        minus[i] = -fd_step
-        out[name] = (sigma_of(*plus) - sigma_of(*minus)) / (2.0 * fd_step)
-    return out
+    else:
+        across = -math.exp(-2.0 * r.v_min) * math.expm1(-2.0 * (r.v_max - r.v_min))
+        side = 2.0 * (r.u_max - r.u_min)
+        values = (
+            across, across, side * math.exp(-2.0 * r.v_min), side * math.exp(-2.0 * r.v_max)
+        )
+    return {name: rect_loop.orientation * value for name, value in zip(BORDERS, values)}
 
 
 def perturbed_hadamard(epsilon: float) -> tuple[GateMatrix, GateMatrix]:

@@ -8,10 +8,3 @@ class TruncationWarning(UserWarning):
 class AdiabaticityWarning(UserWarning):
     """Kicked evolution leaked more than half the code-space population."""
 
-
-class ConvergenceFailureError(RuntimeError):
-    """An iterative method did not reach the requested tolerance within its budget."""
-
-
-class StepCancellationError(RuntimeError):
-    """Finite-difference step too small: cancellation noise dominates the estimate."""

@@ -199,6 +199,52 @@ class Propagator:
         return (basis * np.exp(-1j * t * self._w)[None, :]) @ basis.conj().T
 
 
+def touched_eigenpairs(generator: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of i*G on the invariant blocks of G that the columns touch.
+
+    The blocks are the connected components of G's nonzero pattern (the
+    sectors of a number that G conserves, such as parity or n1 - n2), each
+    diagonalized on its own.  Returns (values, vectors) with vectors of shape
+    (dim, k): an orthonormal eigenbasis of the smallest G-invariant subspace
+    built from blocks that holds every column, so exp(tG) cols =
+    vectors exp(-i t values) vectors^dag cols exactly.
+    """
+    dim = generator.shape[0]
+    linked = (generator != 0) | (generator.T != 0)
+    covered = np.zeros(dim, dtype=bool)
+    values, vectors = [], []
+    for seed in np.nonzero(np.any(cols != 0, axis=1))[0]:
+        if covered[seed]:
+            continue
+        block = np.zeros(dim, dtype=bool)
+        block[seed] = True
+        frontier = block
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~block
+            block |= frontier
+        covered |= block
+        idx = np.nonzero(block)[0]
+        w, v = np.linalg.eigh(1j * generator[np.ix_(idx, idx)])
+        full = np.zeros((dim, idx.size), dtype=complex)
+        full[idx] = v
+        values.append(w)
+        vectors.append(full)
+    return np.concatenate(values), np.concatenate(vectors, axis=1)
+
+
+def expm_skew_hermitian(generators: np.ndarray) -> np.ndarray:
+    """exp(X) for a stack (..., n, n) of skew-Hermitian X, through one stacked eigh.
+
+    eigh reads one triangle of the Hermitian iX, so rounding-level departures
+    from skew-Hermiticity do not leave the unitary group.  The result is built
+    as I + V (exp(-iw) - 1) V^dag, with exp(-iw) - 1 = -2 sin^2(w/2) - i sin w,
+    so a near-identity exponential carries rounding relative to |X|, not to 1.
+    """
+    w, v = np.linalg.eigh(1j * generators)
+    shift = -2.0 * np.sin(0.5 * w) ** 2 - 1j * np.sin(w)
+    return np.eye(w.shape[-1]) + (v * shift[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def matrix_exponential(generator: TruncatedOperator) -> TruncatedOperator:
     """exp(G) of a skew-Hermitian generator; anything else raises ValueError."""
     exp_mat = Propagator(generator.matrix).matrix(1.0)

@@ -242,7 +242,7 @@ def polygon_sigma_exact(plane: PlaneId, verts: np.ndarray) -> np.ndarray:
 
     The same per-edge sums as area(), vectorized over leading axes and without
     the plane-domain check; the traversal order of the vertices carries the
-    sign.  Used for Monte Carlo sweeps and finite-difference stencils.
+    sign.  Used for Monte Carlo sweeps of jittered vertices.
     """
     return _finite_sum(_edge_integrals(plane, np.asarray(verts, dtype=float)))
 

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from hologate import connection, kicked
+from hologate import connection, kicked, loops
 from hologate.loops import LoopSpec, PlaneId, Rect
 
 SMALL_RECTS = {
@@ -29,16 +30,45 @@ def rect_sigma_closed_form(plane: PlaneId, rect: Rect) -> float:
     )
 
 
+def stepped_product(factory, points, gauge=None):
+    """Ordered product of re-unitarized frame overlaps, one per step along `points`.
+
+    The independent reference for the transport: each step multiplies the
+    unitary polar factor of F(p_{k+1})^dag F(p_k) on the left, and it
+    converges onto the path-ordered exponential as 1/steps^2.  `gauge(u, v)`
+    multiplies the frame columns by phases.
+    """
+
+    def frame_at(p):
+        cols = factory.frame(p[0], p[1])
+        return cols if gauge is None else cols * np.asarray(gauge(p[0], p[1]))[None, :]
+
+    holonomy = np.eye(factory.code_dim, dtype=complex)
+    prev = frame_at(points[0])
+    for p in points[1:]:
+        cur = frame_at(p)
+        u, _, vh = np.linalg.svd(cur.conj().T @ prev)
+        holonomy = (u @ vh) @ holonomy
+        prev = cur
+    return holonomy
+
+
+def stepped_holonomy(loop, cutoff, steps, gauge=None):
+    """The stepped reference around a loop, at discretize_boundary points."""
+    factory = connection.frame_factory(loop.plane, cutoff)
+    return stepped_product(factory, loops.discretize_boundary(loop, steps), gauge)
+
+
 @pytest.fixture(scope="session")
-def holonomy_sweeps():
-    """Path-ordered holonomies of the small rectangles at doubling step counts."""
-    out = {}
-    for plane, loop in SMALL_RECTS.items():
-        out[plane] = {
-            steps: connection.holonomy_path_ordered(loop, ORACLE_CUTOFF[plane], steps)
+def stepped_sweeps():
+    """Stepped-reference holonomies of the small rectangles at doubling step counts."""
+    return {
+        plane: {
+            steps: stepped_holonomy(loop, ORACLE_CUTOFF[plane], steps)
             for steps in (250, 500, 1000, 2000)
         }
-    return out
+        for plane, loop in SMALL_RECTS.items()
+    }
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from hologate import connection, error_model, gates, loops
 from hologate.connection import CALIBRATION_RECT
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import SMALL_RECTS, rect_sigma_closed_form
+from conftest import ORACLE_CUTOFF, SMALL_RECTS, rect_sigma_closed_form
 
 SQ2 = math.sqrt(2.0)
 
@@ -113,14 +113,15 @@ def test_criterion_5_curvature_weight_verification():
             assert abs(abs(sample.coefficient) - expected) < 8e-2, (u, v)
 
 
-def test_criterion_6_holonomy_oracle_agreement(holonomy_sweeps):
+def test_criterion_6_holonomy_oracle_agreement(stepped_sweeps):
     with criterion(6, "path-ordered holonomy matches the area-formula gates"):
         for plane, loop in SMALL_RECTS.items():
-            oracle = holonomy_sweeps[plane][2000]
+            oracle = connection.holonomy_path_ordered(loop, ORACLE_CUTOFF[plane], 2000)
             calibrated = connection.calibrated_code_matrix(plane, oracle.matrix)
             formula = gates.gate_for_loop(loop).matrix
             assert np.linalg.norm(calibrated - formula) < 1e-2, plane
-            results = [holonomy_sweeps[plane][s].matrix for s in (250, 500, 1000, 2000)]
+            # the independent stepped product converges as the step count doubles
+            results = [stepped_sweeps[plane][s] for s in (250, 500, 1000, 2000)]
             gaps = [np.linalg.norm(b - a) for a, b in zip(results, results[1:])]
             assert gaps[0] > gaps[1] > gaps[2], (plane, gaps)
 

@@ -61,7 +61,8 @@ def test_area_hadamard_rect(capsys, hadamard_loop_file):
 def test_area_plane3_rect(capsys, plane3_loop_file):
     code, record = run_cli(capsys, "area", plane3_loop_file)
     assert code == 0
-    assert record["sigma"] == pytest.approx(2.356194490192, abs=1e-12)
+    # 3*pi/4 to the default 12 significant digits
+    assert record["sigma"] == pytest.approx(2.35619449019, abs=1e-12)
     assert record["paper_stated_value"] == pytest.approx(math.pi / 4.0)
 
 
@@ -97,7 +98,10 @@ def test_oracle_connection_calibration_rect(capsys, tmp_path):
     assert code == 0
     assert record["frobenius_distance"] < 1e-2
     assert record["unitarity_defect"] < 1e-9
-    assert "convergence_estimate" in record
+    # every edge of a rect is one exact exponential, whatever --steps is
+    assert record["convergence_estimate"] == 0.0
+    assert record["integrator"] == "exact_edge"
+    assert record["method"] == "connection"
 
 
 def test_oracle_kicked_reports_leakage(capsys, tmp_path):
@@ -156,6 +160,30 @@ def test_compile_cnot_schedule(capsys, tmp_path):
     for entry in record["schedule"][0]["entries"][1:]:
         assert entry["sigma"] == pytest.approx(math.pi / 4.0, rel=1e-12)
         assert entry["loop"]["plane"] == "III"
+
+
+def test_compile_crot_border_sensitivities_are_exact(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("CROT q0 q1\n")
+    code, record = run_cli(capsys, "compile", str(path))
+    assert code == 0
+    sens = record["schedule"][0]["entries"][0]["border_sensitivities"]
+    # cosh(2 arccosh 2) - cosh 0 = 6, with no difference-stencil noise in the printed digits
+    assert sens["v_low"] == 6.0
+    assert sens["v_high"] == 6.0
+
+
+def test_precision_counts_significant_digits(capsys, tmp_path):
+    path = write_loop(
+        tmp_path, "p.json", LoopSpec(PlaneId.III, Polyline(((0.1, 0.0), (0.5, 0.1), (0.2, 0.4))))
+    )
+    code, record = run_cli(capsys, "area", path)
+    assert code == 0
+    # a rounding bound of a few ulps survives 12 significant digits
+    assert 0.0 < record["abs_error_estimate"] < 1e-14
+    code, short = run_cli(capsys, "--precision", "3", "area", path)
+    assert code == 0
+    assert short["sigma"] == float(f"{record['sigma']:.3g}")
 
 
 def test_compile_hadamard_entry(capsys, tmp_path):
@@ -225,15 +253,10 @@ def test_area_overflow_exits_2(capsys, tmp_path):
     assert_one_line_parse_error(capsys, ["area", far])
 
 
-def test_zero_fd_step_exits_2(capsys, hadamard_loop_file):
-    argv = ["--fd-step", "0", "error", hadamard_loop_file, "--shift", "0.01,0,0,0"]
-    assert_one_line_parse_error(capsys, argv)
-
-
 @pytest.mark.parametrize(
     "option,argv",
     [
-        ("--fd-step", ["--fd-step", "nan", "error", "{loop}", "--shift", "0.01,0,0,0"]),
+        ("--steps", ["--steps", "nan", "oracle", "{loop}"]),
         ("--shift", ["error", "{loop}", "--shift", "0.01,nan,0,0"]),
         ("--statistical", ["error", "{loop}", "--statistical", "nan", "64"]),
         ("--shift-magnitude", ["compile", "{circuit}", "--shift-magnitude", "inf"]),

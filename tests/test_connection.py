@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from hologate import connection, fock, gates, loops
@@ -12,10 +14,20 @@ from hologate.connection import (
     frame_factory,
     plane_point,
 )
-from hologate.exceptions import ConvergenceFailureError
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import ORACLE_CUTOFF, SMALL_RECTS
+from conftest import ORACLE_CUTOFF, SMALL_RECTS, stepped_holonomy, stepped_product
+
+J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # e^{-2r} J is A_u on plane I
+
+
+def central_difference_connection(plane, cutoff, u, v, h):
+    """Test-side (A_u, A_v): F^dag times central differences of frame()."""
+    factory = frame_factory(plane, cutoff)
+    center = factory.frame(u, v).conj().T
+    a_u = center @ (factory.frame(u + h, v) - factory.frame(u - h, v)) / (2.0 * h)
+    a_v = center @ (factory.frame(u, v + h) - factory.frame(u, v - h)) / (2.0 * h)
+    return a_u, a_v
 
 
 def test_dressed_frame_at_origin_is_bare_basis():
@@ -58,19 +70,57 @@ def test_connection_antihermitian_defect_small():
 
 
 def test_connection_central_difference_order():
-    point = plane_point(PlaneId.I, 0.25, 0.3)
-    a_coarse = connection.connection_at(point, PlaneId.I, 60, fd_step=2e-3).A_u
-    a_mid = connection.connection_at(point, PlaneId.I, 60, fd_step=1e-3).A_u
-    a_fine = connection.connection_at(point, PlaneId.I, 60, fd_step=5e-4).A_u
-    first = np.linalg.norm(a_coarse - a_mid)
-    second = np.linalg.norm(a_mid - a_fine)
-    # central differences converge at second order: each halving gains ~4x
-    assert 2.5 < first / second < 5.5
+    exact = connection.connection_at(plane_point(PlaneId.I, 0.25, 0.3), PlaneId.I, 60).A_u
+    errors = [
+        np.linalg.norm(central_difference_connection(PlaneId.I, 60, 0.25, 0.3, h)[0] - exact)
+        for h in (2e-3, 1e-3, 5e-4)
+    ]
+    # central differences converge onto the exact connection at second order
+    assert 2.5 < errors[0] / errors[1] < 5.5
+    assert 2.5 < errors[1] / errors[2] < 5.5
 
 
-def test_connection_rejects_out_of_range_step():
-    with pytest.raises(ValueError):
-        connection.connection_at(plane_point(PlaneId.I, 0.0, 0.0), PlaneId.I, 40, fd_step=1e-7)
+@pytest.mark.parametrize("r", [0.0, 0.15, 0.3])
+def test_exact_connection_plane1_closed_form(r):
+    sample = connection.connection_at(plane_point(PlaneId.I, 0.2, r), PlaneId.I, 60)
+    assert np.max(np.abs(sample.A_u - math.exp(-2.0 * r) * J)) < 1e-12
+    assert np.max(np.abs(sample.A_v)) == 0.0
+
+
+def test_exact_connection_plane2_closed_form():
+    # A_u(r1) = -i (cosh 2r1 sigma_y + sinh 2r1 sigma_x) in the raw frame basis
+    sample = connection.connection_at(plane_point(PlaneId.II, 0.1, 0.3), PlaneId.II, 80)
+    off_diagonal = -(math.cosh(0.6) + 1j * math.sinh(0.6))
+    assert off_diagonal == pytest.approx(-1.185465 - 0.636654j, abs=1e-6)
+    expected = np.array([[0.0, off_diagonal], [-np.conj(off_diagonal), 0.0]])
+    assert np.max(np.abs(sample.A_u - expected)) < 1e-12
+    assert np.max(np.abs(sample.A_v)) == 0.0
+
+
+@pytest.mark.parametrize("u", [0.0, 0.2, 0.35])
+def test_exact_connection_plane3_closed_form(u):
+    # code order |00>, |10>, |11>, |01>: the mix couples |10> <-> |01> with cosh 2u
+    # and the two-mode squeeze couples |00> <-> |11> only
+    sample = connection.connection_at(plane_point(PlaneId.III, u, 0.1), PlaneId.III, 20)
+    expected_v = np.zeros((4, 4), dtype=complex)
+    expected_v[1, 3] = math.cosh(2.0 * u)
+    expected_v[3, 1] = -math.cosh(2.0 * u)
+    assert np.max(np.abs(sample.A_v - expected_v)) < 1e-12
+    expected_u = np.zeros((4, 4), dtype=complex)
+    expected_u[0, 2], expected_u[2, 0] = -1.0, 1.0
+    assert np.max(np.abs(sample.A_u - expected_u)) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@pytest.mark.parametrize(
+    "plane,cutoff,u,v",
+    [(PlaneId.I, 60, 0.25, 0.3), (PlaneId.II, 60, -0.1, 0.2), (PlaneId.III, 14, 0.2, 0.15)],
+)
+def test_exact_connection_matches_central_differences(plane, cutoff, u, v):
+    sample = connection.connection_at(plane_point(plane, u, v), plane, cutoff)
+    fd_u, fd_v = central_difference_connection(plane, cutoff, u, v, 1e-5)
+    assert np.max(np.abs(sample.A_u - fd_u)) < 1e-8
+    assert np.max(np.abs(sample.A_v - fd_v)) < 1e-8
 
 
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
@@ -100,8 +150,8 @@ def test_holonomy_degenerate_loop_is_identity():
     assert np.linalg.norm(gate.matrix - np.eye(2)) < 1e-8
 
 
-def test_holonomy_small_plane1_rect_matches_formula(holonomy_sweeps):
-    oracle = holonomy_sweeps[PlaneId.I][2000]
+def test_holonomy_small_plane1_rect_matches_formula():
+    oracle = connection.holonomy_path_ordered(CALIBRATION_RECT, ORACLE_CUTOFF[PlaneId.I], 2000)
     calibrated = connection.calibrated_code_matrix(PlaneId.I, oracle.matrix)
     sigma = loops.area(CALIBRATION_RECT).sigma
     assert sigma == pytest.approx(0.1 * (1.0 - math.exp(-0.2)), abs=1e-15)
@@ -109,36 +159,42 @@ def test_holonomy_small_plane1_rect_matches_formula(holonomy_sweeps):
     assert np.linalg.norm(calibrated - formula) < 1e-3
 
 
-def test_holonomy_convergence_monotone_under_doubling(holonomy_sweeps):
-    for plane, sweep in holonomy_sweeps.items():
-        results = [sweep[steps].matrix for steps in (250, 500, 1000, 2000)]
+def test_holonomy_convergence_monotone_under_doubling(stepped_sweeps):
+    for plane, sweep in stepped_sweeps.items():
+        results = [sweep[steps] for steps in (250, 500, 1000, 2000)]
         gaps = [np.linalg.norm(b - a) for a, b in zip(results, results[1:])]
         assert gaps[0] > gaps[1] > gaps[2], f"plane {plane.value}: {gaps}"
 
 
-def test_holonomy_double_traversal_squares(holonomy_sweeps):
+def test_holonomy_double_traversal_squares(stepped_sweeps):
     factory = frame_factory(PlaneId.I, ORACLE_CUTOFF[PlaneId.I])
     points = loops.discretize_boundary(CALIBRATION_RECT, 1000)
     doubled = np.concatenate([points[:-1], points], axis=0)
-    twice = connection._ordered_frame_product(factory, doubled, None)
-    single = holonomy_sweeps[PlaneId.I][1000].matrix
+    twice = stepped_product(factory, doubled)
+    single = stepped_sweeps[PlaneId.I][1000]
     assert np.linalg.norm(twice - single @ single) < 2e-3
 
 
-def test_holonomy_unitarity_defect_is_reported(holonomy_sweeps):
-    oracle = holonomy_sweeps[PlaneId.I][2000]
+def test_holonomy_unitarity_defect_is_reported():
+    oracle = connection.holonomy_path_ordered(CALIBRATION_RECT, ORACLE_CUTOFF[PlaneId.I], 2000)
     assert oracle.provenance == "connection_oracle"
     assert oracle.unitarity_defect < 1e-10
+
+
+def test_rect_transport_is_exact_and_step_free():
+    loop = SMALL_RECTS[PlaneId.III]
+    coarse = connection.holonomy_path_ordered(loop, 14, 100)
+    fine = connection.holonomy_path_ordered(loop, 14, 4000)
+    assert np.array_equal(coarse.matrix, fine.matrix)
+    assert fine.diagnostics["convergence_estimate"] == 0.0
+    assert fine.diagnostics["integrator"] == "exact_edge"
+    tilted = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.1, 0.02), (0.04, 0.1))))
+    assert connection.holonomy_path_ordered(tilted, 40, 200).diagnostics["integrator"] == "magnus4"
 
 
 def test_holonomy_rejects_few_steps():
     with pytest.raises(ValueError):
         connection.holonomy_path_ordered(CALIBRATION_RECT, 40, 50)
-
-
-def test_holonomy_reports_convergence_failure():
-    with pytest.raises(ConvergenceFailureError):
-        connection.holonomy_path_ordered(CALIBRATION_RECT, 40, 128, tolerance=1e-300)
 
 
 def test_gauge_covariance_of_spectrum():
@@ -147,10 +203,10 @@ def test_gauge_covariance_of_spectrum():
     def gauge(u, v):
         return np.exp(1j * np.array([3.0 * u + v, u - 2.0 * v]))
 
-    plain = connection.holonomy_path_ordered(loop, 40, 600)
-    twisted = connection.holonomy_path_ordered(loop, 40, 600, phase_gauge=gauge)
-    ev_plain = np.linalg.eigvals(plain.matrix)
-    ev_twisted = np.linalg.eigvals(twisted.matrix)
+    plain = stepped_holonomy(loop, 40, 600)
+    twisted = stepped_holonomy(loop, 40, 600, gauge=gauge)
+    ev_plain = np.linalg.eigvals(plain)
+    ev_twisted = np.linalg.eigvals(twisted)
     # matched, not sorted: the spectrum is a conjugate pair with equal real parts, so its
     # sort_complex order is rounding noise; gauge(0, 0) = 1 fixes the gauge at the base point
     distance = np.abs(ev_plain[:, None] - ev_twisted[None, :])
@@ -158,9 +214,9 @@ def test_gauge_covariance_of_spectrum():
     assert np.max(distance[rows, cols]) < 1e-6
 
 
-def test_oracle_vs_formula_each_plane_small_rect(holonomy_sweeps):
+def test_oracle_vs_formula_each_plane_small_rect():
     for plane, loop in SMALL_RECTS.items():
-        oracle = holonomy_sweeps[plane][2000]
+        oracle = connection.holonomy_path_ordered(loop, ORACLE_CUTOFF[plane], 2000)
         calibrated = connection.calibrated_code_matrix(plane, oracle.matrix)
         formula = gates.gate_for_loop(loop).matrix
         assert np.linalg.norm(calibrated - formula) < 1e-2, plane
@@ -194,3 +250,30 @@ def test_calibration_reproduces_frozen_constants():
     for plane in PlaneId:
         assert np.allclose(cal["gauges"][plane], CALIBRATION_GAUGE[plane], atol=1e-12)
         assert cal["distances"][plane] < 1e-2
+
+
+@st.composite
+def convex_polygons(draw):
+    """Convex polygons in a small plane I/III window: angles on a circle around a center."""
+    plane = draw(st.sampled_from([PlaneId.I, PlaneId.III]))
+    center = (draw(st.floats(0.08, 0.12)), draw(st.floats(0.08, 0.12)))
+    radius = draw(st.floats(0.02, 0.07))
+    count = draw(st.integers(3, 7))
+    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=count, max_size=count))
+    angles = np.cumsum(gaps) * 2.0 * math.pi / sum(gaps)
+    verts = tuple(
+        (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)) for a in angles
+    )
+    return LoopSpec(plane, Polyline(verts))
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@settings(max_examples=20, deadline=None)
+@given(convex_polygons())
+def test_transport_is_unitary_and_reverses_to_adjoint(loop):
+    cutoff = 14 if loop.plane is PlaneId.III else 40
+    forward = connection.holonomy_path_ordered(loop, cutoff, 200).matrix
+    backward = connection.holonomy_path_ordered(loops.reverse(loop), cutoff, 200).matrix
+    identity = np.eye(loop.plane.code_dim)
+    assert np.max(np.abs(forward.conj().T @ forward - identity)) < 1e-12
+    assert np.max(np.abs(backward - forward.conj().T)) < 1e-12
