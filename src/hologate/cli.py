@@ -306,8 +306,8 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         truncated = [w for w in caught if issubclass(w.category, TruncationWarning)]
         if truncated and args.strict:
-            for w in truncated:
-                print(f"truncation: {w.message}", file=sys.stderr)
+            messages = dict.fromkeys(str(w.message) for w in truncated)
+            print(f"truncation: {'; '.join(messages)}", file=sys.stderr)
             return EXIT_TRUNCATION
         return code
     except (ValueError, OSError, json.JSONDecodeError, compiler.CircuitParseError) as exc:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,9 +85,12 @@ class FrameFactory:
     with y = exp(-i i w) * V^dag c.  V spans only the conserved-number
     sectors of G_i that hold code states (both parities on planes I/II,
     n1 - n2 in {0, +1, -1} on plane III), since I(i) c never leaves them.
+    Kicks leave those sectors through O, so they use the full inner
+    eigenbasis (kick_basis, outer_kick).
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
+        fock.check_dense_budget(cutoff, 2 if plane is PlaneId.III else 1)
         fock.check_code_below_top_quartile(cutoff)
         self.plane = plane
         self.cutoff = cutoff
@@ -103,7 +106,6 @@ class FrameFactory:
         self._inner = fock.Propagator(inner)
         self._outer = fock.Propagator(outer)
         self.code_dim = self.code.shape[1]
-        self.dim = self.code.shape[0]
         w, v = fock.touched_eigenpairs(inner, self.code)
         self._inner_values = w
         self._code_eig = v.conj().T @ self.code
@@ -111,38 +113,27 @@ class FrameFactory:
         self._outer_eig = 0.5 * (outer_eig - outer_eig.conj().T)
         self.inner_connection = self.code.conj().T @ inner @ self.code
 
-    def _split(self, u: float, v: float) -> tuple[float, float]:
+    def split(self, u: float, v: float) -> tuple[float, float]:
         """Plane coordinates as (outer, inner) control parameters."""
         return (v, u) if self.plane is PlaneId.III else (u, v)
 
     def frame(self, u: float, v: float) -> np.ndarray:
         """Columns of the dressed code basis at plane point (u, v)."""
-        outer, inner = self._split(u, v)
+        outer, inner = self.split(u, v)
         return self._outer.apply(outer, self._inner.apply(inner, self.code))
 
-    def control_apply(self, u: float, v: float, state: np.ndarray) -> np.ndarray:
-        """Apply the full control unitary C(u, v) to an arbitrary state block."""
-        outer, inner = self._split(u, v)
-        return self._outer.apply(outer, self._inner.apply(inner, state))
+    @cached_property
+    def _outer_in_inner(self) -> np.ndarray:
+        """V^dag V_o: the outer eigenvectors in the full inner eigenbasis V."""
+        return self._inner.vectors.conj().T @ self._outer.vectors
 
-    def control_apply_dagger(self, u: float, v: float, state: np.ndarray) -> np.ndarray:
-        outer, inner = self._split(u, v)
-        return self._inner.apply(-inner, self._outer.apply(-outer, state))
+    def kick_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V): every eigenpair of i G_i, so that I(i) = V diag(exp(-i i w)) V^dag."""
+        return self._inner.values, self._inner.vectors
 
-    def edge_step(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-        """C(p1)^dag C(p0) as a dense matrix, for two points that share one coordinate.
-
-        When only the inner control moves, the outer factors cancel.  When only
-        the outer one moves, the step is the outer propagator conjugated by the
-        fixed inner one.
-        """
-        outer0, inner0 = self._split(p0[0], p0[1])
-        outer1, inner1 = self._split(p1[0], p1[1])
-        if outer0 == outer1:
-            return self._inner.matrix(inner0 - inner1)
-        if inner0 != inner1:
-            raise ValueError("edge_step needs two points that share one plane coordinate")
-        return self._outer.matrix(outer0 - outer1, self._inner.apply(-inner0, self._outer.vectors))
+    def outer_kick(self, d_outer: float) -> np.ndarray:
+        """V^dag O(d_outer) V in the full inner eigenbasis V of kick_basis()."""
+        return self._outer.matrix(d_outer, self._outer_in_inner)
 
     def _sandwich(self, middle: np.ndarray, inner: np.ndarray) -> np.ndarray:
         """y^dag middle y for y = I(i) c in the inner eigenbasis, at each inner value."""
@@ -159,7 +150,7 @@ class FrameFactory:
 
     def connection(self, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
         """(A_u, A_v) at plane point (u, v)."""
-        _, inner = self._split(u, v)
+        _, inner = self.split(u, v)
         a_outer = self.outer_connection([inner])[0]
         if self.plane is PlaneId.III:
             return self.inner_connection, a_outer
@@ -171,7 +162,7 @@ class FrameFactory:
         With F_io = d_i A_o + [A_i, A_o], F_uv is F_io on plane III (u is the
         inner control) and -F_io on planes I/II.
         """
-        _, inner = self._split(u, v)
+        _, inner = self.split(u, v)
         a_outer = self.outer_connection([inner])[0]
         # V^dag [G_o, G_i] V, with V^dag G_i V = diag(-i w)
         w = self._inner_values
@@ -330,8 +321,8 @@ def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun) -> np.ndarray:
     fourth-order Magnus steps, each from X at the two Gauss-Legendre nodes of
     its sub-interval: Omega = (B1 + B2)/2 - sqrt(3)/12 [B1, B2], B = X / count.
     """
-    outer0, inner0 = factory._split(*run.start)
-    outer1, inner1 = factory._split(*run.end)
+    outer0, inner0 = factory.split(*run.start)
+    outer1, inner1 = factory.split(*run.end)
     d_outer, d_inner = outer1 - outer0, inner1 - inner0
     if run.axis_aligned:
         a_outer = factory.outer_connection([inner0])[0]

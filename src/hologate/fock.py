@@ -21,6 +21,11 @@ from .exceptions import TruncationWarning
 # application stops being trusted.
 TOP_QUARTILE_BUDGET = 1e-8
 
+# Bytes of dense complex cutoff**mode_count-square matrices that one frame
+# factory may hold (DENSE_MATRICES of them, at 16 bytes an entry).
+DENSE_BYTES_BUDGET = 2 * 1024**3
+DENSE_MATRICES = 8
+
 # Ordered two-mode code basis: {|00>, |10>, |11>, |01>}.
 TWO_MODE_CODE_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -54,10 +59,6 @@ class TruncatedOperator:
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff ** self.mode_count
-
 
 @dataclass(frozen=True)
 class ControlPoint:
@@ -84,22 +85,6 @@ class ControlPoint:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("theta1", "theta2", "theta3"):
             object.__setattr__(self, name, float(getattr(self, name)) % (2 * math.pi))
-
-    @property
-    def lam(self) -> complex:
-        return complex(self.x, self.y)
-
-    @property
-    def mu(self) -> complex:
-        return self.r1 * np.exp(1j * self.theta1)
-
-    @property
-    def zeta(self) -> complex:
-        return self.r2 * np.exp(1j * self.theta2)
-
-    @property
-    def xi(self) -> complex:
-        return self.r3 * np.exp(1j * self.theta3)
 
 
 def annihilator(cutoff: int) -> TruncatedOperator:
@@ -150,6 +135,16 @@ def check_code_below_top_quartile(cutoff: int) -> None:
         )
 
 
+def check_dense_budget(cutoff: int, mode_count: int) -> None:
+    """Reject cutoffs whose dense operators would exceed DENSE_BYTES_BUDGET, before allocating."""
+    needed = DENSE_MATRICES * cutoff ** (2 * mode_count) * 16
+    if needed > DENSE_BYTES_BUDGET:
+        raise ValueError(
+            f"cutoff {cutoff} on {mode_count} mode(s) needs about {needed:.1e} bytes of dense "
+            f"matrices, above the budget of {DENSE_BYTES_BUDGET:.1e} (fock.DENSE_BYTES_BUDGET)"
+        )
+
+
 def top_quartile_population(cols: np.ndarray, cutoff: int, mode_count: int) -> float:
     """Worst population in the top quartile of Fock levels over the columns of cols."""
     mask = _top_quartile_mask(cutoff, mode_count)
@@ -186,17 +181,17 @@ class Propagator:
         if np.linalg.norm(generator + generator.conj().T) > 1e-12 * np.linalg.norm(generator):
             raise ValueError("generator is not skew-Hermitian")
         w, v = np.linalg.eigh(1j * generator)
-        self._w = w
+        self.values = w
         self.vectors = v
         self._vh = v.conj().T
 
     def apply(self, t: float, cols: np.ndarray) -> np.ndarray:
-        return self.vectors @ (np.exp(-1j * t * self._w)[:, None] * (self._vh @ cols))
+        return self.vectors @ (np.exp(-1j * t * self.values)[:, None] * (self._vh @ cols))
 
     def matrix(self, t: float, basis: np.ndarray | None = None) -> np.ndarray:
         """exp(t * G) as a dense matrix; with basis = W @ vectors, W exp(t * G) W^dag."""
         basis = self.vectors if basis is None else basis
-        return (basis * np.exp(-1j * t * self._w)[None, :]) @ basis.conj().T
+        return (basis * np.exp(-1j * t * self.values)[None, :]) @ basis.conj().T
 
 
 def touched_eigenpairs(generator: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,30 +301,27 @@ def two_mode_squeeze(zeta: complex, cutoff: int) -> TruncatedOperator:
     return op
 
 
+def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:
+    """Diagonal of the Kerr Hamiltonian chi*n(n-1) per mode, in product-basis order."""
+    if chi <= 0:
+        raise ValueError(f"chi must be positive, got {chi}")
+    if mode_count not in (1, 2):
+        raise ValueError(f"mode_count must be 1 or 2, got {mode_count}")
+    n = np.arange(cutoff, dtype=float)
+    single = chi * n * (n - 1.0)
+    return single if mode_count == 1 else np.add.outer(single, single).reshape(-1)
+
+
 def kerr_hamiltonian(chi: float, cutoff: int, mode_count: int = 1) -> TruncatedOperator:
     """Kerr Hamiltonian chi*n(n-1) per mode; zero exactly on levels 0 and 1.
 
     There is no cross term between the modes: the four states |00>, |01>,
     |10>, |11> must stay exactly degenerate at eigenvalue 0.
     """
-    if chi <= 0:
-        raise ValueError(f"chi must be positive, got {chi}")
-    n = np.arange(cutoff, dtype=float)
-    single = chi * n * (n - 1.0)
-    if mode_count == 1:
-        return TruncatedOperator(cutoff, np.diag(single.astype(complex)))
-    if mode_count != 2:
-        raise ValueError(f"mode_count must be 1 or 2, got {mode_count}")
-    diag = np.add.outer(single, single).reshape(-1)
-    return TruncatedOperator(cutoff, np.diag(diag.astype(complex)), mode_count=2)
+    energies = _kerr_energies(chi, cutoff, mode_count).astype(complex)
+    return TruncatedOperator(cutoff, np.diag(energies), mode_count)
 
 
 def kerr_phases(chi: float, delta_t: float, cutoff: int, mode_count: int = 1) -> np.ndarray:
     """Diagonal of exp(-i*H_kerr*delta_t) as a vector, for fast dwell application."""
-    n = np.arange(cutoff, dtype=float)
-    single = chi * n * (n - 1.0)
-    if mode_count == 1:
-        energies = single
-    else:
-        energies = np.add.outer(single, single).reshape(-1)
-    return np.exp(-1j * delta_t * energies)
+    return np.exp(-1j * delta_t * _kerr_energies(chi, cutoff, mode_count))

@@ -11,14 +11,18 @@ Everything is computed in the frame pulled back by the instantaneous control
 unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
 at the current point is simply the population outside the bare code levels.
+The state is held in the eigenbasis of the inner control generator, where the
+inner control factor of every kick is a diagonal phase.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -74,65 +78,53 @@ def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
     return runs
 
 
-def _stepped_kicks(
-    factory: connection.FrameFactory,
-    dwell: np.ndarray,
-    points: np.ndarray,
-    state: np.ndarray,
-    after_kick: Callable[[np.ndarray], None],
-) -> np.ndarray:
-    """One kick per step along `points`: two control applies and a dwell each."""
-    for (u_prev, v_prev), (u_cur, v_cur) in zip(points[:-1], points[1:]):
-        state = factory.control_apply(u_prev, v_prev, state)
-        state = factory.control_apply_dagger(u_cur, v_cur, state)
-        state = dwell[:, None] * state
-        after_kick(state)
-    return state
+def _kicks(schedule: KickSchedule) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The code columns and the state after each kick, both in the inner eigenbasis V.
 
-
-def _edge_power_kicks(
-    factory: connection.FrameFactory,
-    dwell: np.ndarray,
-    run: loops_mod.EdgeRun,
-    state: np.ndarray,
-    after_kick: Callable[[np.ndarray], None],
-) -> np.ndarray:
-    """The kicks of an axis-aligned run: one constant step matrix, applied count times.
-
-    Only one control factor moves along the run, so C(p+h)^dag C(p) does not
-    depend on p and every kick of the run is dwell * C(p0+h)^dag C(p0).
+    A kick from p to p' is C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and
+    I(i) = V diag(exp(-i i w)) V^dag, so in V a kick is V^dag O V between two
+    diagonal phases, then the dwell V^dag D V.  O's step is constant along an
+    edge; on an axis-aligned edge the whole kick is, so it is built once.
     """
-    kick = dwell[:, None] * factory.edge_step(run.start, run.first_step())
-    for _ in range(run.count):
-        state = kick @ state
-        after_kick(state)
-    return state
-
-
-def _evolve(schedule: KickSchedule, record_profile: bool):
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
     mode_count = 2 if schedule.loop.plane is PlaneId.III else 1
     dwell = fock.kerr_phases(schedule.chi, schedule.delta_t, schedule.cutoff, mode_count)
-    code = factory.code
-    code_idx = np.nonzero(np.sum(np.abs(code) ** 2, axis=1))[0]
+    w, vectors = factory.kick_basis()
+    dwell_eig = (vectors.conj().T * dwell) @ vectors
+    code_eig = vectors.conj().T @ factory.code
 
-    profile = []
+    def states() -> Iterator[np.ndarray]:
+        state = code_eig  # all code columns evolved together
+        for run in runs:
+            outer0, inner0 = factory.split(*run.start)
+            outer1, inner1 = factory.split(*run.end)
+            outer_step = (outer0 - outer1) / run.count
+            inners = inner0 + (inner1 - inner0) * np.arange(run.count + 1) / run.count
+            phase = np.exp(-1j * inners[0] * w)[:, None]
+            if run.axis_aligned:
+                if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
+                    kick = dwell_eig * np.exp(1j * (inners[1] - inners[0]) * w)
+                else:
+                    kick = dwell_eig @ (phase.conj() * factory.outer_kick(outer_step) * phase.T)
+                for _ in range(run.count):
+                    state = kick @ state
+                    yield state
+            else:
+                step = factory.outer_kick(outer_step)
+                for inner in inners[1:]:
+                    following = np.exp(-1j * inner * w)[:, None]
+                    state = dwell_eig @ (following.conj() * (step @ (phase * state)))
+                    phase = following
+                    yield state
 
-    def after_kick(state: np.ndarray) -> None:
-        if record_profile:
-            inside = np.sum(np.abs(state[code_idx, :]) ** 2, axis=0)
-            profile.append(float(np.max(1.0 - inside)))
+    return code_eig, states()
 
-    state = code.copy()  # all code columns evolved together
-    for run in runs:
-        if run.axis_aligned:
-            state = _edge_power_kicks(factory, dwell, run, state, after_kick)
-        else:
-            state = _stepped_kicks(factory, dwell, run.points(), state, after_kick)
-    overlap = code.conj().T @ state
-    return overlap, profile
+
+def _leakage(overlap: np.ndarray) -> float:
+    """Worst population deficit of the code columns, from their code-space overlaps."""
+    return float(np.max(1.0 - np.sum(np.abs(overlap) ** 2, axis=0)))
 
 
 def run_kicked(schedule: KickSchedule) -> KickedResult:
@@ -143,8 +135,9 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
     |tr(M^dag P)| / dim against the area-formula gate, compared through the
     frozen frame calibration.
     """
-    overlap, _ = _evolve(schedule, record_profile=False)
-    leakage = float(np.max(1.0 - np.sum(np.abs(overlap) ** 2, axis=0)))
+    code_eig, states = _kicks(schedule)
+    overlap = code_eig.conj().T @ deque(states, maxlen=1)[0]
+    leakage = _leakage(overlap)
     code_map = connection.polar_unitary(overlap)
     prediction = connection.formula_gate_in_frame(schedule.loop)
     dim = code_map.shape[0]
@@ -170,5 +163,5 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
 
 def leakage_profile(schedule: KickSchedule) -> list[tuple[int, float]]:
     """Per-kick code-subspace population deficit, worst case over code states."""
-    _, profile = _evolve(schedule, record_profile=True)
-    return list(enumerate(profile))
+    code_eig, states = _kicks(schedule)
+    return [(k, _leakage(code_eig.conj().T @ state)) for k, state in enumerate(states)]

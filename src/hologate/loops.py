@@ -340,10 +340,6 @@ class EdgeRun(NamedTuple):
         inner = self.start[None, :] + ts[:, None] * (self.end - self.start)[None, :]
         return np.concatenate([inner, self.end[None, :]], axis=0)
 
-    def first_step(self) -> np.ndarray:
-        """The point one step along the run from `start`."""
-        return self.start + (1.0 / self.count) * (self.end - self.start)
-
 
 def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
     """The boundary in traversal order as per-edge runs; `steps` split by edge length."""
@@ -405,7 +401,7 @@ def loop_from_dict(data: dict) -> LoopSpec:
             shape = Polyline(tuple((float(u), float(v)) for u, v in data["polyline"]))
         else:
             raise ValueError("loop must have a 'rect' or 'polyline' entry")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed loop record: {exc}") from exc
     return LoopSpec(plane, shape, orientation)
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from hologate import connection, kicked, loops
+from hologate import connection, fock, kicked, loops
 from hologate.loops import LoopSpec, PlaneId, Rect
 
 SMALL_RECTS = {
@@ -57,6 +58,44 @@ def stepped_holonomy(loop, cutoff, steps, gauge=None):
     """The stepped reference around a loop, at discretize_boundary points."""
     factory = connection.frame_factory(loop.plane, cutoff)
     return stepped_product(factory, loops.discretize_boundary(loop, steps), gauge)
+
+
+def stepped_kicks(loop, cutoff, kick_count):
+    """The kicked route kick by kick, from scipy expm of the fock generators.
+
+    The independent reference for kicked.run_kicked: each kick applies the
+    dense control C = exp(o G_o) exp(i G_i) of the previous kick point, then
+    C^dag of the next one, then the Kerr dwell expm(-i H dt), at the default
+    chi and dt.  Along an edge the controls at the kick points are
+    exp(o_0 G) exp(do G)^k.  Returns the re-unitarized code map and the
+    leakage, the worst code-population deficit.
+    """
+    if loop.plane is PlaneId.III:
+        mode_count = 2
+        inner = fock.two_mode_squeeze_generator(1.0, cutoff).matrix
+        outer = fock.two_mode_mix_generator(1.0, cutoff).matrix
+    else:
+        mode_count = 1
+        inner = fock.squeeze_generator(1.0 if loop.plane is PlaneId.I else 1.0j, cutoff).matrix
+        outer = fock.displacement_generator(1.0, cutoff).matrix
+    kerr = fock.kerr_hamiltonian(kicked.DEFAULT_CHI, cutoff, mode_count).matrix
+    dwell = expm(-1j * kicked.DEFAULT_DELTA_T * kerr)
+    code = fock.code_states(cutoff, mode_count)
+    state = code
+    for run in loops.boundary_runs(loop, kick_count):
+        # (outer, inner) control values at the two ends of the edge
+        ends = [p[::-1] if loop.plane is PlaneId.III else p for p in (run.start, run.end)]
+        (o0, i0), (o1, i1) = ends
+        outer_k, inner_k = expm(o0 * outer), expm(i0 * inner)
+        outer_step = expm((o1 - o0) / run.count * outer)
+        inner_step = expm((i1 - i0) / run.count * inner)
+        for _ in range(run.count):
+            state = outer_k @ (inner_k @ state)
+            outer_k, inner_k = outer_k @ outer_step, inner_k @ inner_step
+            state = dwell @ (inner_k.conj().T @ (outer_k.conj().T @ state))
+    overlap = code.conj().T @ state
+    leakage = float(np.max(1.0 - np.sum(np.abs(overlap) ** 2, axis=0)))
+    return connection.polar_unitary(overlap), leakage
 
 
 @pytest.fixture(scope="session")

@@ -294,6 +294,14 @@ def test_cutoff_below_code_levels_exits_2(capsys, tmp_path, method):
         )
 
 
+@pytest.mark.parametrize("method", ["connection", "kicked"])
+def test_cutoff_over_dense_budget_exits_2(capsys, tmp_path, method):
+    loop_file = write_loop(tmp_path, "small.json", LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1)))
+    assert_one_line_parse_error(
+        capsys, ["--cutoff", "10000000", "--steps", "128", "oracle", loop_file, "--method", method]
+    )
+
+
 def test_strict_truncation_exit_code(capsys, tmp_path):
     # displacement amplitude far beyond what cutoff 8 can carry
     loop_file = write_loop(
@@ -305,6 +313,7 @@ def test_strict_truncation_exit_code(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 4
     assert "truncation" in captured.err
+    assert len(captured.err.splitlines()) == 1
     # without --strict the same run succeeds
     assert cli.main(["--cutoff", "8", "--steps", "128", "oracle", loop_file]) == 0
 

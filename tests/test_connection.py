@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from hologate import connection, fock, gates, loops
+from hologate import connection, fock, gates, kicked, loops
 from hologate.connection import (
     CALIBRATION_GAUGE,
     CALIBRATION_RECT,
@@ -142,6 +142,27 @@ def test_curvature_plane3_zero_at_origin_edge():
 def test_curvature_plane2_origin():
     sample = connection.curvature_at(plane_point(PlaneId.II, 0.0, 0.0), PlaneId.II, 60)
     assert sample.coefficient == pytest.approx(2.0, abs=5e-2)
+
+
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock operator was built")
+
+    for name in (
+        "code_states", "annihilator", "mode_operators", "squeeze_generator",
+        "displacement_generator", "two_mode_squeeze_generator", "two_mode_mix_generator",
+        "Propagator", "touched_eigenpairs",
+    ):
+        monkeypatch.setattr(fock, name, refuse)
+    loop = LoopSpec(plane, Rect(0.0, 0.1, 0.0, 0.1))
+    for build in (
+        lambda: connection.FrameFactory(plane, 10**7),
+        lambda: connection.holonomy_path_ordered(loop, 10**7, 200),
+        lambda: kicked.run_kicked(kicked.KickSchedule(loop, 128, cutoff=10**7)),
+    ):
+        with pytest.raises(ValueError, match="DENSE_BYTES_BUDGET"):
+            build()
 
 
 def test_holonomy_degenerate_loop_is_identity():

@@ -4,8 +4,8 @@ The transport takes one exact exponential per axis-aligned edge and Magnus
 steps on tilted ones; the stepped product of re-unitarized frame overlaps
 (conftest.stepped_holonomy) converges onto it as 1/steps^2.  On an
 axis-aligned edge every kick is the same matrix, so the kicked route applies
-that one matrix count times; here the per-step kicks are rebuilt from
-discretize_boundary points and compared with it.
+that one matrix count times; here it is compared with dense per-kick controls
+(conftest.stepped_kicks).
 """
 
 import math
@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hologate import connection, fock, kicked, loops
+from hologate import connection, kicked
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import stepped_holonomy
+from conftest import stepped_holonomy, stepped_kicks
 
 STEPS = 400
 KICKS = 256
@@ -30,6 +30,8 @@ SHAPES = {
     "rect-III": (PlaneId.III, Rect(0.02, 0.14, 0.01, 0.12)),
     # one axis-aligned edge, two tilted ones
     "polyline-I": (PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.0), (0.05, 0.1)))),
+    # no axis-aligned edge
+    "polyline-III": (PlaneId.III, Polyline(((0.02, 0.01), (0.13, 0.04), (0.08, 0.12)))),
 }
 
 CASES = [
@@ -65,17 +67,6 @@ def exact_reference(loop):
     return connection.formula_gate_in_frame(loop)
 
 
-def stepped_kicked(loop, cutoff, kick_count):
-    factory = connection.frame_factory(loop.plane, cutoff)
-    mode_count = 2 if loop.plane is PlaneId.III else 1
-    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
-    points = loops.discretize_boundary(loop, kick_count)
-    state = kicked._stepped_kicks(factory, dwell, points, factory.code.copy(), lambda s: None)
-    overlap = factory.code.conj().T @ state
-    leakage = float(np.max(1.0 - np.sum(np.abs(overlap) ** 2, axis=0)))
-    return connection.polar_unitary(overlap), leakage
-
-
 @pytest.mark.parametrize("loop", CASES)
 def test_connection_edge_powers_match_stepped_product(loop):
     cutoff = CUTOFF[loop.plane]
@@ -92,24 +83,12 @@ def test_kicked_edge_powers_match_stepped_kicks(loop):
     cutoff = CUTOFF[loop.plane]
     schedule = KickSchedule(loop, KICKS, cutoff=cutoff)
     result = kicked.run_kicked(schedule)
-    code_map, leakage = stepped_kicked(loop, cutoff, KICKS)
+    code_map, leakage = stepped_kicks(loop, cutoff, KICKS)
     assert np.max(np.abs(result.code_map - code_map)) < 1e-10
     assert abs(result.leakage - leakage) < 1e-10
     profile = kicked.leakage_profile(schedule)
     assert len(profile) == KICKS
     assert abs(profile[-1][1] - result.leakage) < 1e-12
-
-
-@pytest.mark.parametrize("plane", [PlaneId.I, PlaneId.III])
-def test_edge_step_equals_control_product(plane):
-    factory = connection.frame_factory(plane, CUTOFF[plane])
-    identity = np.eye(factory.dim, dtype=complex)
-    p0 = np.array([0.11, 0.07])
-    for p1 in (np.array([0.11, 0.0703]), np.array([0.1097, 0.07])):
-        applied = factory.control_apply_dagger(*p1, factory.control_apply(*p0, identity))
-        assert np.max(np.abs(factory.edge_step(p0, p1) - applied)) < 1e-12
-    with pytest.raises(ValueError):
-        factory.edge_step(p0, np.array([0.12, 0.08]))
 
 
 def test_rect_transport_builds_frames_per_edge_not_per_step(monkeypatch):

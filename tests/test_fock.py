@@ -158,6 +158,28 @@ def test_kerr_rejects_nonpositive_chi():
         fock.kerr_hamiltonian(0.0, 8)
 
 
+@pytest.mark.parametrize("mode_count", [1, 2])
+def test_kerr_phases_are_the_dwell_of_the_hamiltonian(mode_count):
+    chi, delta_t, cutoff = 0.7, 0.3, 6
+    energies = np.diag(fock.kerr_hamiltonian(chi, cutoff, mode_count).matrix)
+    phases = fock.kerr_phases(chi, delta_t, cutoff, mode_count)
+    assert np.max(np.abs(phases - np.exp(-1j * delta_t * energies))) < 1e-15
+    for bad_chi, bad_modes in ((0.0, mode_count), (-1.0, mode_count), (chi, 3)):
+        with pytest.raises(ValueError):
+            fock.kerr_phases(bad_chi, delta_t, cutoff, bad_modes)
+        with pytest.raises(ValueError):
+            fock.kerr_hamiltonian(bad_chi, cutoff, bad_modes)
+
+
+@pytest.mark.parametrize("mode_count", [1, 2])
+def test_dense_budget_rejects_the_first_cutoff_past_it(mode_count):
+    entries = fock.DENSE_BYTES_BUDGET // (16 * fock.DENSE_MATRICES)
+    largest = math.isqrt(entries) if mode_count == 1 else math.isqrt(math.isqrt(entries))
+    fock.check_dense_budget(largest, mode_count)
+    with pytest.raises(ValueError, match="DENSE_BYTES_BUDGET"):
+        fock.check_dense_budget(largest + 1, mode_count)
+
+
 def test_matrix_exponential_of_zero():
     out = fock.matrix_exponential(TruncatedOperator(6, np.zeros((6, 6))))
     assert np.allclose(out.matrix, np.eye(6), atol=1e-15)
