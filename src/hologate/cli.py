@@ -145,10 +145,17 @@ def cmd_oracle(args) -> int:
         )
     else:
         schedule = kicked.KickSchedule(loop, kick_count=args.steps, cutoff=cutoff)
+        half_schedule = kicked.KickSchedule(loop, max(args.steps // 2, 16), cutoff=cutoff)
+        half_runs = loops_mod.boundary_runs(loop, half_schedule.kick_count)
+        half_step = kicked.largest_control_step(half_runs)
+        if half_step > kicked.MAX_CONTROL_STEP:
+            raise ValueError(
+                f"--steps {args.steps} is too few kicks: the convergence estimate reruns the "
+                f"loop at steps/2 = {half_schedule.kick_count} kicks, whose largest control "
+                f"increment {half_step:.4f} exceeds {kicked.MAX_CONTROL_STEP}; raise --steps"
+            )
         result = kicked.run_kicked(schedule)
-        half = kicked.run_kicked(
-            kicked.KickSchedule(loop, kick_count=max(args.steps // 2, 16), cutoff=cutoff)
-        )
+        half = kicked.run_kicked(half_schedule)
         calibrated = connection.calibrated_code_matrix(loop.plane, result.code_map)
         record["oracle_gate"] = matrix_to_json(calibrated)
         record["oracle_gate_raw_frame"] = matrix_to_json(result.code_map)
@@ -305,10 +312,11 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always", TruncationWarning)
             code = args.func(args)
         truncated = [w for w in caught if issubclass(w.category, TruncationWarning)]
-        if truncated and args.strict:
+        if truncated:
             messages = dict.fromkeys(str(w.message) for w in truncated)
             print(f"truncation: {'; '.join(messages)}", file=sys.stderr)
-            return EXIT_TRUNCATION
+            if args.strict:
+                return EXIT_TRUNCATION
         return code
     except (ValueError, OSError, json.JSONDecodeError, compiler.CircuitParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,6 +76,31 @@ class CurvatureSample:
     residual: float  # off-generator remainder of the calibrated curvature
 
 
+class ControlBlock:
+    """One invariant block of the control generators G_i and G_o that holds code states.
+
+    `index` lists the block's Fock basis states, `columns` the code columns
+    it holds and `code` those columns on the block; `inner` and `outer` are
+    the propagators of the two generators restricted to the block.
+    """
+
+    def __init__(self, index: np.ndarray, inner: np.ndarray, outer: np.ndarray, code: np.ndarray):
+        self.index = index
+        self.columns = np.nonzero(np.any(code[index] != 0, axis=0))[0]
+        self.code = code[np.ix_(index, self.columns)]
+        self.inner = fock.Propagator(inner[np.ix_(index, index)])
+        self.outer = fock.Propagator(outer[np.ix_(index, index)])
+
+    @cached_property
+    def _outer_in_inner(self) -> np.ndarray:
+        """V^dag V_o: the outer eigenvectors in the inner eigenbasis V of the block."""
+        return self.inner.vectors.conj().T @ self.outer.vectors
+
+    def outer_kick(self, d_outer: float) -> np.ndarray:
+        """V^dag O(d_outer) V on the block, in its inner eigenbasis V."""
+        return self.outer.matrix(d_outer, self._outer_in_inner)
+
+
 class FrameFactory:
     """Dressed code frames and their exact connection on one plane.
 
@@ -85,8 +110,11 @@ class FrameFactory:
     with y = exp(-i i w) * V^dag c.  V spans only the conserved-number
     sectors of G_i that hold code states (both parities on planes I/II,
     n1 - n2 in {0, +1, -1} on plane III), since I(i) c never leaves them.
-    Kicks leave those sectors through O, so they use the full inner
-    eigenbasis (kick_basis, outer_kick).
+    Kicks leave those sectors through O, but no control leaves an invariant
+    block of G_i and G_o together: `blocks` holds one ControlBlock per such
+    block that holds code states (the whole space on planes I/II, the two
+    parity blocks of (-1)^(n1 + n2) on plane III), and frames and kicks run
+    block by block.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -103,8 +131,11 @@ class FrameFactory:
             phase = 1.0 if plane is PlaneId.I else 1.0j
             inner = fock.squeeze_generator(phase, cutoff).matrix
             outer = fock.displacement_generator(1.0, cutoff).matrix
-        self._inner = fock.Propagator(inner)
-        self._outer = fock.Propagator(outer)
+        pattern = (inner != 0) | (outer != 0)
+        self.blocks = [
+            ControlBlock(index, inner, outer, self.code)
+            for index in fock.invariant_blocks(pattern, self.code)
+        ]
         self.code_dim = self.code.shape[1]
         w, v = fock.touched_eigenpairs(inner, self.code)
         self._inner_values = w
@@ -120,20 +151,12 @@ class FrameFactory:
     def frame(self, u: float, v: float) -> np.ndarray:
         """Columns of the dressed code basis at plane point (u, v)."""
         outer, inner = self.split(u, v)
-        return self._outer.apply(outer, self._inner.apply(inner, self.code))
-
-    @cached_property
-    def _outer_in_inner(self) -> np.ndarray:
-        """V^dag V_o: the outer eigenvectors in the full inner eigenbasis V."""
-        return self._inner.vectors.conj().T @ self._outer.vectors
-
-    def kick_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V): every eigenpair of i G_i, so that I(i) = V diag(exp(-i i w)) V^dag."""
-        return self._inner.values, self._inner.vectors
-
-    def outer_kick(self, d_outer: float) -> np.ndarray:
-        """V^dag O(d_outer) V in the full inner eigenbasis V of kick_basis()."""
-        return self._outer.matrix(d_outer, self._outer_in_inner)
+        cols = np.zeros(self.code.shape, dtype=complex)
+        for block in self.blocks:
+            cols[np.ix_(block.index, block.columns)] = block.outer.apply(
+                outer, block.inner.apply(inner, block.code)
+            )
+        return cols
 
     def _sandwich(self, middle: np.ndarray, inner: np.ndarray) -> np.ndarray:
         """y^dag middle y for y = I(i) c in the inner eigenbasis, at each inner value."""

@@ -194,20 +194,18 @@ class Propagator:
         return (basis * np.exp(-1j * t * self.values)[None, :]) @ basis.conj().T
 
 
-def touched_eigenpairs(generator: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of i*G on the invariant blocks of G that the columns touch.
+def invariant_blocks(pattern: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Basis indices of the invariant blocks of a nonzero pattern that the columns touch.
 
-    The blocks are the connected components of G's nonzero pattern (the
-    sectors of a number that G conserves, such as parity or n1 - n2), each
-    diagonalized on its own.  Returns (values, vectors) with vectors of shape
-    (dim, k): an orthonormal eigenbasis of the smallest G-invariant subspace
-    built from blocks that holds every column, so exp(tG) cols =
-    vectors exp(-i t values) vectors^dag cols exactly.
+    The blocks are the connected components of the pattern read as an
+    undirected graph: the sectors of a number that every matrix with that
+    pattern conserves, such as parity or n1 - n2.  Ordered by their first
+    index that a column touches.
     """
-    dim = generator.shape[0]
-    linked = (generator != 0) | (generator.T != 0)
+    dim = pattern.shape[0]
+    linked = pattern | pattern.T
     covered = np.zeros(dim, dtype=bool)
-    values, vectors = [], []
+    blocks = []
     for seed in np.nonzero(np.any(cols != 0, axis=1))[0]:
         if covered[seed]:
             continue
@@ -218,7 +216,22 @@ def touched_eigenpairs(generator: np.ndarray, cols: np.ndarray) -> tuple[np.ndar
             frontier = linked[frontier].any(axis=0) & ~block
             block |= frontier
         covered |= block
-        idx = np.nonzero(block)[0]
+        blocks.append(np.nonzero(block)[0])
+    return blocks
+
+
+def touched_eigenpairs(generator: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of i*G on the invariant blocks of G that the columns touch.
+
+    Each block (invariant_blocks of G's pattern) is diagonalized on its own.
+    Returns (values, vectors) with vectors of shape (dim, k): an orthonormal
+    eigenbasis of the smallest G-invariant subspace built from blocks that
+    holds every column, so exp(tG) cols = vectors exp(-i t values)
+    vectors^dag cols exactly.
+    """
+    dim = generator.shape[0]
+    values, vectors = [], []
+    for idx in invariant_blocks(generator != 0, cols):
         w, v = np.linalg.eigh(1j * generator[np.ix_(idx, idx)])
         full = np.zeros((dim, idx.size), dtype=complex)
         full[idx] = v

@@ -11,8 +11,10 @@ Everything is computed in the frame pulled back by the instantaneous control
 unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
 at the current point is simply the population outside the bare code levels.
-The state is held in the eigenbasis of the inner control generator, where the
-inner control factor of every kick is a diagonal phase.
+The state is held block by block (the invariant blocks of the two control
+generators, two parity blocks on plane III), each in the eigenbasis of the
+inner control generator, where the inner control factor of every kick is a
+diagonal phase.
 """
 
 from __future__ import annotations
@@ -67,9 +69,14 @@ class KickedResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
+def largest_control_step(runs: list[loops_mod.EdgeRun]) -> float:
+    """Largest control-plane distance between consecutive kicks along the runs."""
+    return max(float(np.linalg.norm(run.end - run.start)) / run.count for run in runs)
+
+
 def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
     runs = loops_mod.boundary_runs(schedule.loop, schedule.kick_count)
-    max_step = max(float(np.linalg.norm(run.end - run.start)) / run.count for run in runs)
+    max_step = largest_control_step(runs)
     if max_step > MAX_CONTROL_STEP:
         raise ValueError(
             f"largest control increment {max_step:.4f} exceeds {MAX_CONTROL_STEP}; "
@@ -78,25 +85,27 @@ def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
     return runs
 
 
-def _kicks(schedule: KickSchedule) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """The code columns and the state after each kick, both in the inner eigenbasis V.
+def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]]:
+    """Per control block: its code columns, their code states and the states after each kick.
 
-    A kick from p to p' is C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and
-    I(i) = V diag(exp(-i i w)) V^dag, so in V a kick is V^dag O V between two
-    diagonal phases, then the dwell V^dag D V.  O's step is constant along an
-    edge; on an axis-aligned edge the whole kick is, so it is built once.
+    No control leaves an invariant block of the two control generators
+    (FrameFactory.blocks), so each block evolves its own code columns, held in
+    the block's inner eigenbasis V.  A kick from p to p' is
+    C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and I(i) = V diag(exp(-i i w)) V^dag,
+    so in V a kick is V^dag O V between two diagonal phases, then the dwell
+    V^dag D V.  O's step is constant along an edge; on an axis-aligned edge
+    the whole kick is, so it is built once.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
     mode_count = 2 if schedule.loop.plane is PlaneId.III else 1
     dwell = fock.kerr_phases(schedule.chi, schedule.delta_t, schedule.cutoff, mode_count)
-    w, vectors = factory.kick_basis()
-    dwell_eig = (vectors.conj().T * dwell) @ vectors
-    code_eig = vectors.conj().T @ factory.code
 
-    def states() -> Iterator[np.ndarray]:
-        state = code_eig  # all code columns evolved together
+    def states(
+        block: connection.ControlBlock, dwell_eig: np.ndarray, state: np.ndarray
+    ) -> Iterator[np.ndarray]:
+        w = block.inner.values
         for run in runs:
             outer0, inner0 = factory.split(*run.start)
             outer1, inner1 = factory.split(*run.end)
@@ -107,19 +116,25 @@ def _kicks(schedule: KickSchedule) -> tuple[np.ndarray, Iterator[np.ndarray]]:
                 if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
                     kick = dwell_eig * np.exp(1j * (inners[1] - inners[0]) * w)
                 else:
-                    kick = dwell_eig @ (phase.conj() * factory.outer_kick(outer_step) * phase.T)
+                    kick = dwell_eig @ (phase.conj() * block.outer_kick(outer_step) * phase.T)
                 for _ in range(run.count):
                     state = kick @ state
                     yield state
             else:
-                step = factory.outer_kick(outer_step)
+                step = block.outer_kick(outer_step)
                 for inner in inners[1:]:
                     following = np.exp(-1j * inner * w)[:, None]
                     state = dwell_eig @ (following.conj() * (step @ (phase * state)))
                     phase = following
                     yield state
 
-    return code_eig, states()
+    kicks = []
+    for block in factory.blocks:
+        vectors = block.inner.vectors
+        dwell_eig = (vectors.conj().T * dwell[block.index]) @ vectors
+        code_eig = vectors.conj().T @ block.code
+        kicks.append((block.columns, code_eig, states(block, dwell_eig, code_eig)))
+    return kicks
 
 
 def _leakage(overlap: np.ndarray) -> float:
@@ -135,12 +150,15 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
     |tr(M^dag P)| / dim against the area-formula gate, compared through the
     frozen frame calibration.
     """
-    code_eig, states = _kicks(schedule)
-    overlap = code_eig.conj().T @ deque(states, maxlen=1)[0]
-    leakage = _leakage(overlap)
-    code_map = connection.polar_unitary(overlap)
+    dim = schedule.loop.plane.code_dim
+    code_map = np.zeros((dim, dim), dtype=complex)  # exactly zero between blocks
+    leakages = []
+    for columns, code_eig, states in _kicks(schedule):
+        overlap = code_eig.conj().T @ deque(states, maxlen=1)[0]
+        code_map[np.ix_(columns, columns)] = connection.polar_unitary(overlap)
+        leakages.append(_leakage(overlap))
+    leakage = max(leakages)
     prediction = connection.formula_gate_in_frame(schedule.loop)
-    dim = code_map.shape[0]
     fidelity = float(np.abs(np.trace(code_map.conj().T @ prediction)) / dim)
     if leakage > LEAKAGE_FAILURE_THRESHOLD:
         warnings.warn(
@@ -163,5 +181,8 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
 
 def leakage_profile(schedule: KickSchedule) -> list[tuple[int, float]]:
     """Per-kick code-subspace population deficit, worst case over code states."""
-    code_eig, states = _kicks(schedule)
-    return [(k, _leakage(code_eig.conj().T @ state)) for k, state in enumerate(states)]
+    per_block = [
+        [_leakage(code_eig.conj().T @ state) for state in states]
+        for _, code_eig, states in _kicks(schedule)
+    ]
+    return [(k, max(worst)) for k, worst in enumerate(zip(*per_block))]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hologate import cli, compiler
+from hologate import cli, compiler, kicked, loops
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect, loop_to_dict
 
 
@@ -316,6 +316,34 @@ def test_strict_truncation_exit_code(capsys, tmp_path):
     assert len(captured.err.splitlines()) == 1
     # without --strict the same run succeeds
     assert cli.main(["--cutoff", "8", "--steps", "128", "oracle", loop_file]) == 0
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_truncation_is_reported_on_stderr_in_both_modes(capsys, tmp_path, strict):
+    loop_file = write_loop(
+        tmp_path, "wild.json", LoopSpec(PlaneId.I, Rect(0.0, 2.6, 0.0, 0.05))
+    )
+    argv = ["--cutoff", "8", "--steps", "128"] + ["--strict"] * strict + ["oracle", loop_file]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == (4 if strict else 0)
+    # one line naming the three corners past the budget; the record still prints
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("truncation: ")
+    assert captured.err.count("top-quartile population") == 3
+    assert json.loads(captured.out)["config"]["strict"] is strict
+
+
+def test_kicked_steps_too_few_for_the_half_run_exits_2(capsys, tmp_path):
+    loop = LoopSpec(PlaneId.I, Rect(0.0, 1.2, 0.0, 0.6))
+    loop_file = write_loop(tmp_path, "long.json", loop)
+    # 100 kicks keep every increment below the limit; the steps/2 rerun does not
+    assert kicked.largest_control_step(loops.boundary_runs(loop, 100)) < kicked.MAX_CONTROL_STEP
+    assert cli.main(["--steps", "100", "oracle", loop_file, "--method", "kicked"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "--steps 100" in captured.err and "steps/2 = 50 kicks" in captured.err
 
 
 def test_loop_file_round_trip(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from hologate import connection, fock, gates, kicked, loops
@@ -144,6 +145,55 @@ def test_curvature_plane2_origin():
     assert sample.coefficient == pytest.approx(2.0, abs=5e-2)
 
 
+def plane_generators(plane, cutoff):
+    """(G_o, G_i, code columns) of a plane, built from the fock generators."""
+    if plane is PlaneId.III:
+        return (
+            fock.two_mode_mix_generator(1.0, cutoff).matrix,
+            fock.two_mode_squeeze_generator(1.0, cutoff).matrix,
+            fock.code_states(cutoff, mode_count=2),
+        )
+    phase = 1.0 if plane is PlaneId.I else 1.0j
+    return (
+        fock.displacement_generator(1.0, cutoff).matrix,
+        fock.squeeze_generator(phase, cutoff).matrix,
+        fock.code_states(cutoff),
+    )
+
+
+@pytest.mark.parametrize("cutoff,sizes", [(13, [85, 84]), (14, [98, 98])])
+def test_plane3_control_blocks_are_the_two_parity_blocks(cutoff, sizes):
+    factory = connection.FrameFactory(PlaneId.III, cutoff)
+    outer, inner, code = plane_generators(PlaneId.III, cutoff)
+    indices = [block.index for block in factory.blocks]
+    assert [idx.size for idx in indices] == sizes
+    # a partition of the Fock space, each block of one parity of n1 + n2
+    assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(cutoff * cutoff))
+    for parity, idx in enumerate(indices):
+        assert np.all((idx // cutoff + idx % cutoff) % 2 == parity)
+    # neither control generator couples the blocks
+    between = np.ix_(indices[0], indices[1])
+    assert not np.any(inner[between]) and not np.any(outer[between])
+    # each code column lies in exactly one block: {|00>, |11>} even, {|10>, |01>} odd
+    assert [block.columns.tolist() for block in factory.blocks] == [[0, 2], [1, 3]]
+    for block in factory.blocks:
+        outside = np.setdiff1d(np.arange(cutoff * cutoff), block.index)
+        assert not np.any(code[np.ix_(outside, block.columns)])
+
+
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_frame_matches_expm_of_the_generators(plane):
+    cutoff = 13 if plane is PlaneId.III else 30
+    outer, inner, code = plane_generators(plane, cutoff)
+    factory = connection.FrameFactory(plane, cutoff)
+    for u, v in [(0.0, 0.0), (0.21, 0.13), (-0.17, 0.3)]:
+        if plane is PlaneId.III:
+            u = abs(u)
+        o, i = factory.split(u, v)
+        reference = expm(o * outer) @ expm(i * inner) @ code
+        assert np.max(np.abs(factory.frame(u, v) - reference)) < 1e-12
+
+
 @pytest.mark.parametrize("plane", list(PlaneId))
 def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
     def refuse(*args, **kwargs):
@@ -152,7 +202,7 @@ def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
     for name in (
         "code_states", "annihilator", "mode_operators", "squeeze_generator",
         "displacement_generator", "two_mode_squeeze_generator", "two_mode_mix_generator",
-        "Propagator", "touched_eigenpairs",
+        "Propagator", "touched_eigenpairs", "invariant_blocks",
     ):
         monkeypatch.setattr(fock, name, refuse)
     loop = LoopSpec(plane, Rect(0.0, 0.1, 0.0, 0.1))

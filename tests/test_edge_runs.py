@@ -78,9 +78,19 @@ def test_connection_edge_powers_match_stepped_product(loop):
     assert np.linalg.norm(exact - exact_reference(loop)) < 1e-11
 
 
-@pytest.mark.parametrize("loop", CASES)
-def test_kicked_edge_powers_match_stepped_kicks(loop):
-    cutoff = CUTOFF[loop.plane]
+# at the odd cutoff 13 the two plane III parity blocks are unequal: 85 and 84 states
+KICK_CASES = [
+    pytest.param(case.values[0], CUTOFF[case.values[0].plane], id=case.id) for case in CASES
+] + [
+    pytest.param(LoopSpec(PlaneId.III, SHAPES[name][1], orientation), 13,
+                 id=f"{name}-cutoff13-{orientation:+d}")
+    for name in ("rect-III", "polyline-III")
+    for orientation in (1, -1)
+]
+
+
+@pytest.mark.parametrize("loop,cutoff", KICK_CASES)
+def test_kicked_edge_powers_match_stepped_kicks(loop, cutoff):
     schedule = KickSchedule(loop, KICKS, cutoff=cutoff)
     result = kicked.run_kicked(schedule)
     code_map, leakage = stepped_kicks(loop, cutoff, KICKS)

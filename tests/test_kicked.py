@@ -56,6 +56,16 @@ def test_plane3_schedule_runs():
     assert result.fidelity_to_prediction > 0.999
 
 
+@pytest.mark.parametrize("cutoff", [12, 13])
+def test_plane3_code_map_is_zero_between_parity_blocks(cutoff):
+    loop = LoopSpec(PlaneId.III, Polyline(((0.02, 0.01), (0.13, 0.04), (0.08, 0.12))))
+    code_map = kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff)).code_map
+    even, odd = [0, 2], [1, 3]  # {|00>, |11>} and {|10>, |01>}
+    assert np.all(code_map[np.ix_(even, odd)] == 0)
+    assert np.all(code_map[np.ix_(odd, even)] == 0)
+    assert np.linalg.norm(code_map[np.ix_(even, even)]) > 1.0
+
+
 def test_leakage_profile_shape_and_zero_case():
     profile = kicked.leakage_profile(KickSchedule(ZERO_CONTROL_LOOP, 32, cutoff=16))
     assert len(profile) == 32

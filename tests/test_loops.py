@@ -174,6 +174,61 @@ def test_rect_area_equals_area_of_its_polyline(plane, corner, sides, orientation
     assert abs(polyline_sigma - sigma) <= 1e-13 * max(abs(sigma), 1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    plane=st.sampled_from(list(PlaneId)),
+    corner=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+    sides=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+    cut=st.floats(0.05, 0.95),
+    along_u=st.booleans(),
+    orientation=st.sampled_from([1, -1]),
+)
+def test_adjacent_rects_are_additive(plane, corner, sides, cut, along_u, orientation):
+    u0, v0 = corner
+    u1, v1 = u0 + sides[0], v0 + sides[1]
+    if along_u:
+        split = u0 + cut * sides[0]
+        parts = (Rect(u0, split, v0, v1), Rect(split, u1, v0, v1))
+    else:
+        split = v0 + cut * sides[1]
+        parts = (Rect(u0, u1, v0, split), Rect(u0, u1, split, v1))
+    whole, *pieces = [
+        loops.area(LoopSpec(plane, rect, orientation))
+        for rect in (Rect(u0, u1, v0, v1), *parts)
+    ]
+    # opposite edges cancel in the edge sum (cosh 2u1 - cosh 2u0 on a thin plane III
+    # rect near u = 0), so the rounding area() reports adds to the relative bound
+    rounding = whole.abs_error_estimate + sum(p.abs_error_estimate for p in pieces)
+    gap = abs(sum(p.sigma for p in pieces) - whole.sigma)
+    assert gap <= 1e-12 * abs(whole.sigma) + rounding
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    plane=st.sampled_from(list(PlaneId)),
+    corner=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    sides=st.tuples(st.floats(1e-6, 2.0), st.floats(1e-6, 2.0)),
+    angles=ANGLES,
+    as_rect=st.booleans(),
+    orientation=st.sampled_from([1, -1]),
+)
+def test_loop_json_round_trips_exactly(plane, corner, sides, angles, as_rect, orientation):
+    u0, v0 = corner
+    if as_rect:
+        shape = Rect(u0, u0 + sides[0], v0, v0 + sides[1])
+    else:
+        # convex: vertices at increasing angles on the ellipse inscribed in the rect
+        verts = tuple(
+            (u0 + sides[0] * (1.0 + math.cos(t)), v0 + sides[1] * (1.0 + math.sin(t)))
+            for t in sorted(angles)
+        )
+        if len(set(verts)) < len(verts):
+            return  # angles too close to give distinct vertices
+        shape = Polyline(verts)
+    loop = LoopSpec(plane, shape, orientation)
+    assert loops.loop_from_json(loops.loop_to_json(loop)) == loop
+
+
 def test_area_overflow_raises_value_error():
     far = LoopSpec(PlaneId.III, Rect(0.0, 1000.0, 0.0, 0.1))
     with pytest.raises(ValueError, match="overflows"):
