@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ CALIBRATION_RECT = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
 
 # Magnus sub-intervals per batch (two connection nodes each): bounds the work
 # arrays of a tilted edge at a few hundred kB whatever its sub-interval count.
-MAGNUS_BATCH = 32
+MAGNUS_BATCH = 256
 
 # Two-node Gauss-Legendre points on [0, 1] for the fourth-order Magnus step.
 _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
@@ -76,19 +77,34 @@ class CurvatureSample:
     residual: float  # off-generator remainder of the calibrated curvature
 
 
-class ControlBlock:
-    """One invariant block of the control generators G_i and G_o that holds code states.
+class CodeBlock:
+    """Fock basis states closed under the inner generator G_i that hold code states.
 
     `index` lists the block's Fock basis states, `columns` the code columns
-    it holds and `code` those columns on the block; `inner` and `outer` are
-    the propagators of the two generators restricted to the block.
+    it holds and `code` those columns on the block; `inner` is the
+    propagator of G_i restricted to the block.
     """
 
-    def __init__(self, index: np.ndarray, inner: np.ndarray, outer: np.ndarray, code: np.ndarray):
+    def __init__(self, index: np.ndarray, inner: np.ndarray, code: np.ndarray):
         self.index = index
         self.columns = np.nonzero(np.any(code[index] != 0, axis=0))[0]
         self.code = code[np.ix_(index, self.columns)]
         self.inner = fock.Propagator(inner[np.ix_(index, index)])
+
+    @cached_property
+    def code_eig(self) -> np.ndarray:
+        """The block's code columns in its inner eigenbasis V."""
+        return self.inner.vectors.conj().T @ self.code
+
+
+class ControlBlock(CodeBlock):
+    """One invariant block of the control generators G_i and G_o that holds code states.
+
+    `outer` is the propagator of G_o restricted to the block.
+    """
+
+    def __init__(self, index: np.ndarray, inner: np.ndarray, outer: np.ndarray, code: np.ndarray):
+        super().__init__(index, inner, code)
         self.outer = fock.Propagator(outer[np.ix_(index, index)])
 
     @cached_property
@@ -101,20 +117,32 @@ class ControlBlock:
         return self.outer.matrix(d_outer, self._outer_in_inner)
 
 
+class SectorPair(NamedTuple):
+    """The block of V^dag G_o V between two sectors of G_i, in their inner eigenbases."""
+
+    first: CodeBlock
+    second: CodeBlock
+    outer: np.ndarray  # V_a^dag G_o[a, b] V_b
+    weight: np.ndarray  # i (w_a - w_b): the same block of V^dag [G_o, G_i] V is weight * outer
+
+
 class FrameFactory:
     """Dressed code frames and their exact connection on one plane.
 
     Frames go through cached eigendecompositions of the two control
-    generators.  The connection is evaluated in the inner eigenbasis V, where
-    I(i) is the diagonal phase exp(-i i w):  A_o(i) = y^dag (V^dag G_o V) y
-    with y = exp(-i i w) * V^dag c.  V spans only the conserved-number
-    sectors of G_i that hold code states (both parities on planes I/II,
-    n1 - n2 in {0, +1, -1} on plane III), since I(i) c never leaves them.
-    Kicks leave those sectors through O, but no control leaves an invariant
-    block of G_i and G_o together: `blocks` holds one ControlBlock per such
-    block that holds code states (the whole space on planes I/II, the two
-    parity blocks of (-1)^(n1 + n2) on plane III), and frames and kicks run
-    block by block.
+    generators.  The connection is evaluated sector by sector: each sector
+    of G_i that holds code states (a CodeBlock: the two parities on planes
+    I/II, n1 - n2 in {0, +1, -1} on plane III) has its own eigenbasis V_a,
+    in which I(i) is the diagonal phase exp(-i i w_a), and I(i) c never
+    leaves it.  With y_a = exp(-i i w_a) V_a^dag c_a, the block of A_o(i)
+    between the code columns of sectors a and b is y_a^dag (V_a^dag G_o V_b) y_b.
+    `pairs` holds the sector pairs a <= b where G_o is nonzero: one on every
+    plane (the two parities on planes I/II, n1 - n2 = +1 and -1 on plane
+    III), and A_o is exactly zero elsewhere.  Kicks leave the sectors
+    through O, but no control leaves an invariant block of G_i and G_o
+    together: `blocks` holds one ControlBlock per such block that holds code
+    states (the whole space on planes I/II, the two parity blocks of
+    (-1)^(n1 + n2) on plane III), and frames and kicks run block by block.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -137,11 +165,18 @@ class FrameFactory:
             for index in fock.invariant_blocks(pattern, self.code)
         ]
         self.code_dim = self.code.shape[1]
-        w, v = fock.touched_eigenpairs(inner, self.code)
-        self._inner_values = w
-        self._code_eig = v.conj().T @ self.code
-        outer_eig = v.conj().T @ outer @ v
-        self._outer_eig = 0.5 * (outer_eig - outer_eig.conj().T)
+        sectors = [
+            CodeBlock(index, inner, self.code)
+            for index in fock.invariant_blocks(inner != 0, self.code)
+        ]
+        self.pairs = []
+        for a, first in enumerate(sectors):
+            for second in sectors[a:]:
+                outer_ab = outer[np.ix_(first.index, second.index)]
+                if np.any(outer_ab):
+                    middle = first.inner.vectors.conj().T @ outer_ab @ second.inner.vectors
+                    weight = 1j * np.subtract.outer(first.inner.values, second.inner.values)
+                    self.pairs.append(SectorPair(first, second, middle, weight))
         self.inner_connection = self.code.conj().T @ inner @ self.code
 
     def split(self, u: float, v: float) -> tuple[float, float]:
@@ -158,18 +193,31 @@ class FrameFactory:
             )
         return cols
 
-    def _sandwich(self, middle: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        """y^dag middle y for y = I(i) c in the inner eigenbasis, at each inner value."""
+    def _sandwich(self, middles: list[np.ndarray], inner: np.ndarray) -> np.ndarray:
+        """c^dag I(i)^dag M I(i) c at each inner value i, from M's blocks on `pairs`.
+
+        middles[p] is the block of M between the sectors of pairs[p]; M is
+        anti-Hermitian and zero off those blocks, so each mirror block is
+        minus the adjoint and every other entry is exactly 0.
+        """
         inner = np.asarray(inner, dtype=float).reshape(-1)
-        # y is (k, nodes, code_dim), so that one (k, k) x (k, nodes * code_dim) product serves all
-        phases = np.exp(-1j * np.outer(self._inner_values, inner))
-        y = phases[:, :, None] * self._code_eig[:, None, :]
-        my = (middle @ y.reshape(y.shape[0], -1)).reshape(y.shape)
-        return y.transpose(1, 2, 0).conj() @ my.transpose(1, 0, 2)
+        out = np.zeros((inner.size, self.code_dim, self.code_dim), dtype=complex)
+        for pair, middle in zip(self.pairs, middles):
+            # y is (k, nodes, columns): one (k_a, k_b) x (k_b, nodes * columns) product serves all
+            y_a, y_b = (
+                np.exp(-1j * np.outer(s.inner.values, inner))[:, :, None] * s.code_eig[:, None, :]
+                for s in (pair.first, pair.second)
+            )
+            my = (middle @ y_b.reshape(y_b.shape[0], -1)).reshape(middle.shape[0], inner.size, -1)
+            block = y_a.transpose(1, 2, 0).conj() @ my.transpose(1, 0, 2)
+            rows, cols = pair.first.columns, pair.second.columns
+            out[:, rows[:, None], cols] = block
+            out[:, cols[:, None], rows] = -block.conj().swapaxes(1, 2)
+        return out
 
     def outer_connection(self, inner: np.ndarray) -> np.ndarray:
         """A_o at each inner control value, shape (len(inner), code_dim, code_dim)."""
-        return self._sandwich(self._outer_eig, inner)
+        return self._sandwich([pair.outer for pair in self.pairs], inner)
 
     def connection(self, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
         """(A_u, A_v) at plane point (u, v)."""
@@ -187,9 +235,7 @@ class FrameFactory:
         """
         _, inner = self.split(u, v)
         a_outer = self.outer_connection([inner])[0]
-        # V^dag [G_o, G_i] V, with V^dag G_i V = diag(-i w)
-        w = self._inner_values
-        d_inner = self._sandwich(1j * (w[:, None] - w[None, :]) * self._outer_eig, [inner])[0]
+        d_inner = self._sandwich([pair.weight * pair.outer for pair in self.pairs], [inner])[0]
         a_inner = self.inner_connection
         f_io = d_inner + a_inner @ a_outer - a_outer @ a_inner
         return f_io if self.plane is PlaneId.III else -f_io

@@ -220,26 +220,6 @@ def invariant_blocks(pattern: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def touched_eigenpairs(generator: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of i*G on the invariant blocks of G that the columns touch.
-
-    Each block (invariant_blocks of G's pattern) is diagonalized on its own.
-    Returns (values, vectors) with vectors of shape (dim, k): an orthonormal
-    eigenbasis of the smallest G-invariant subspace built from blocks that
-    holds every column, so exp(tG) cols = vectors exp(-i t values)
-    vectors^dag cols exactly.
-    """
-    dim = generator.shape[0]
-    values, vectors = [], []
-    for idx in invariant_blocks(generator != 0, cols):
-        w, v = np.linalg.eigh(1j * generator[np.ix_(idx, idx)])
-        full = np.zeros((dim, idx.size), dtype=complex)
-        full[idx] = v
-        values.append(w)
-        vectors.append(full)
-    return np.concatenate(values), np.concatenate(vectors, axis=1)
-
-
 def expm_skew_hermitian(generators: np.ndarray) -> np.ndarray:
     """exp(X) for a stack (..., n, n) of skew-Hermitian X, through one stacked eigh.
 

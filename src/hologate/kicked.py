@@ -132,8 +132,7 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, Iterato
     for block in factory.blocks:
         vectors = block.inner.vectors
         dwell_eig = (vectors.conj().T * dwell[block.index]) @ vectors
-        code_eig = vectors.conj().T @ block.code
-        kicks.append((block.columns, code_eig, states(block, dwell_eig, code_eig)))
+        kicks.append((block.columns, block.code_eig, states(block, dwell_eig, block.code_eig)))
     return kicks
 
 

@@ -183,30 +183,42 @@ def _ccw_vertices(shape: Shape) -> np.ndarray:
 # Area engine
 
 
+def _sinhc_minus_one(x: np.ndarray) -> np.ndarray:
+    """sinh(x)/x - 1, by its Taylor series below |x| = 0.1, where the difference cancels."""
+    y = x * x
+    series = y * (1 / 6 + y * (1 / 120 + y * (1 / 5040 + y * (1 / 362880 + y / 39916800))))
+    return np.where(np.abs(x) < 0.1, series, np.sinh(x) / x - 1.0)
+
+
 def _edge_integrals(plane: PlaneId, verts: np.ndarray) -> np.ndarray:
     """Per-edge terms of the boundary integral of exp(-2v) du (I/II) or cosh(2u) dv (III).
 
-    Vectorized over leading axes: verts may be (..., n, 2), edges run from
-    each vertex to the next, cyclically.  Both difference quotients are
-    written so that they do not cancel on short edges.
+    The boundary integrals of du and dv vanish around a closed loop, so each
+    integrand is taken less its value at the loop's lowest coordinate r:
+    (exp(-2v) - exp(-2r)) du or (cosh(2u) - cosh(2r)) dv.  Without that
+    constant, the terms of opposite edges of a thin loop do not cancel.
+    Along an edge they are du exp(-2r) (exp(-(v0 + v1 - 2r)) s(dv) - 1) and
+    dv (cosh(2m) s(du) - cosh(2r)) with m = (u0 + u1)/2 and s(x) = sinh(x)/x,
+    written through expm1, cosh(2m) - cosh(2r) = 2 sinh(m + r) sinh(m - r)
+    and _sinhc_minus_one so that no difference cancels.  Vectorized over
+    leading axes: verts may be (..., n, 2), edges run from each vertex to the
+    next, cyclically.
     """
     u0 = verts[..., :, 0]
     v0 = verts[..., :, 1]
     u1 = np.roll(u0, -1, axis=-1)
-    du = u1 - u0
-    dv = np.roll(v0, -1, axis=-1) - v0
-    with np.errstate(over="ignore", invalid="ignore"):
+    v1 = np.roll(v0, -1, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if plane in (PlaneId.I, PlaneId.II):
-            # (exp(-2 v0) - exp(-2 v1)) / (2 dv) = exp(-2 v0) * -expm1(-2 dv) / (2 dv)
-            small = np.abs(dv) < 1e-300
-            safe = np.where(small, 1.0, dv)
-            ratio = np.where(small, 1.0, -np.expm1(-2.0 * safe) / (2.0 * safe))
-            return du * np.exp(-2.0 * v0) * ratio
-        # (sinh 2u1 - sinh 2u0) / (2 du) = cosh(u0 + u1) * sinh(du) / du
-        small = np.abs(du) < 1e-300
-        safe = np.where(small, 1.0, du)
-        ratio = np.where(small, 1.0, np.sinh(safe) / safe)
-        return dv * np.cosh(u0 + u1) * ratio
+            r = np.min(v0, axis=-1, keepdims=True)
+            s1 = _sinhc_minus_one(v1 - v0)
+            excess = np.expm1(-((v0 - r) + (v1 - r))) * (1.0 + s1) + s1
+            return (u1 - u0) * np.exp(-2.0 * r) * excess
+        r = np.min(u0, axis=-1, keepdims=True)
+        s1 = _sinhc_minus_one(u1 - u0)
+        half = 0.5 * ((u0 - r) + (u1 - r))  # m - r
+        excess = 2.0 * np.sinh(half + 2.0 * r) * np.sinh(half) * (1.0 + s1) + np.cosh(2.0 * r) * s1
+        return (v1 - v0) * excess
 
 
 def _finite_sum(terms: np.ndarray) -> np.ndarray:

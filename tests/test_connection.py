@@ -194,6 +194,53 @@ def test_frame_matches_expm_of_the_generators(plane):
         assert np.max(np.abs(factory.frame(u, v) - reference)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "plane,cutoff,sizes,columns",
+    [
+        (PlaneId.I, 60, (30, 30), [0, 1]),
+        (PlaneId.II, 60, (30, 30), [0, 1]),
+        (PlaneId.III, 14, (13, 13), [1, 3]),
+    ],
+    ids=["I", "II", "III"],
+)
+def test_outer_connection_lives_on_one_sector_pair(plane, cutoff, sizes, columns):
+    # G_o links only the two parity chains on planes I/II, and only n1 - n2 = +1
+    # with -1 on plane III (|10> and |01>); |00> and |11> see no A_o at all
+    factory = connection.FrameFactory(plane, cutoff)
+    [pair] = factory.pairs
+    assert (pair.first.index.size, pair.second.index.size) == sizes
+    assert sorted(pair.first.columns.tolist() + pair.second.columns.tolist()) == columns
+    linked = np.zeros((factory.code_dim, factory.code_dim), dtype=bool)
+    linked[np.ix_(columns, columns)] = True
+    np.fill_diagonal(linked, False)
+    a_outer = factory.outer_connection(np.linspace(-0.3, 0.3, 7))
+    assert not np.any(a_outer[:, ~linked])
+    assert np.all(a_outer[:, linked] != 0)
+    sample = connection.connection_at(plane_point(plane, 0.1, 0.2), plane, cutoff)
+    assert sample.antihermitian_defect == 0.0
+
+
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_connection_and_curvature_match_expm_of_the_generators(plane):
+    cutoff = 12 if plane is PlaneId.III else 30
+    outer, inner, code = plane_generators(plane, cutoff)
+    factory = connection.FrameFactory(plane, cutoff)
+    a_inner = code.conj().T @ inner @ code
+    for u, v in [(0.0, 0.0), (0.21, 0.13), (-0.17, 0.3), (0.3, -0.2)]:
+        _, i = factory.split(u, v)
+        dressed = expm(i * inner) @ code
+        a_outer = dressed.conj().T @ outer @ dressed
+        d_inner = dressed.conj().T @ (outer @ inner - inner @ outer) @ dressed
+        f_io = d_inner + a_inner @ a_outer - a_outer @ a_inner
+        if plane is PlaneId.III:
+            expected, f_uv = (a_inner, a_outer), f_io
+        else:
+            expected, f_uv = (a_outer, a_inner), -f_io
+        for got, want in zip(factory.connection(u, v), expected):
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(factory.curvature(u, v) - f_uv)) < 1e-12
+
+
 @pytest.mark.parametrize("plane", list(PlaneId))
 def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
     def refuse(*args, **kwargs):
@@ -202,7 +249,7 @@ def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
     for name in (
         "code_states", "annihilator", "mode_operators", "squeeze_generator",
         "displacement_generator", "two_mode_squeeze_generator", "two_mode_mix_generator",
-        "Propagator", "touched_eigenpairs", "invariant_blocks",
+        "Propagator", "invariant_blocks",
     ):
         monkeypatch.setattr(fock, name, refuse)
     loop = LoopSpec(plane, Rect(0.0, 0.1, 0.0, 0.1))
@@ -261,6 +308,20 @@ def test_rect_transport_is_exact_and_step_free():
     assert fine.diagnostics["integrator"] == "exact_edge"
     tilted = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.1, 0.02), (0.04, 0.1))))
     assert connection.holonomy_path_ordered(tilted, 40, 200).diagnostics["integrator"] == "magnus4"
+
+
+def test_transport_does_not_depend_on_the_magnus_batch(monkeypatch):
+    loop = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.03), (0.05, 0.1))))
+    steps = 2000
+    batch = connection.MAGNUS_BATCH
+    counts = [run.count for run in loops.boundary_runs(loop, steps)]
+    assert any(count > batch and count % batch for count in counts)
+    transports = []
+    for size in (1, 7, batch):
+        monkeypatch.setattr(connection, "MAGNUS_BATCH", size)
+        transports.append(connection.holonomy_path_ordered(loop, 40, steps).matrix)
+    for other in transports[:-1]:
+        assert np.max(np.abs(other - transports[-1])) <= 1e-13
 
 
 def test_holonomy_rejects_few_steps():

@@ -91,6 +91,22 @@ def test_quadrature_matches_closed_form_on_random_rects(plane):
         assert result.abs_error_estimate < 1e-14 * max(abs(exact), 1.0)
 
 
+@pytest.mark.parametrize("plane", [PlaneId.I, PlaneId.III])
+def test_thin_rects_keep_full_relative_accuracy(plane):
+    # the long edges of a thin rect carry nearly equal terms; without the constant
+    # part of the weight's antiderivative they do not cancel
+    thin = 1e-3
+    for length in np.linspace(1e-3, 5.0, 200):
+        length = float(length)
+        if plane is PlaneId.III:
+            loop = LoopSpec(plane, Rect(0.0, thin, 0.0, length))
+            exact = 2.0 * length * math.sinh(thin) ** 2
+        else:
+            loop = LoopSpec(plane, Rect(0.0, length, 0.0, thin))
+            exact = -length * math.expm1(-2.0 * thin)
+        assert abs(loops.area(loop).sigma - exact) <= 1e-15 * exact
+
+
 def test_line_integral_matches_closed_form():
     assert abs(loops.area(rect_as_polyline(HADAMARD_RECT)).sigma - 3.0 * math.pi / 16.0) < 1e-14
 
@@ -196,8 +212,7 @@ def test_adjacent_rects_are_additive(plane, corner, sides, cut, along_u, orienta
         loops.area(LoopSpec(plane, rect, orientation))
         for rect in (Rect(u0, u1, v0, v1), *parts)
     ]
-    # opposite edges cancel in the edge sum (cosh 2u1 - cosh 2u0 on a thin plane III
-    # rect near u = 0), so the rounding area() reports adds to the relative bound
+    # the rounding area() reports for each of the three loops adds to the relative bound
     rounding = whole.abs_error_estimate + sum(p.abs_error_estimate for p in pieces)
     gap = abs(sum(p.sigma for p in pieces) - whole.sigma)
     assert gap <= 1e-12 * abs(whole.sigma) + rounding
