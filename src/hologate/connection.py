@@ -100,21 +100,34 @@ class CodeBlock:
 class ControlBlock(CodeBlock):
     """One invariant block of the control generators G_i and G_o that holds code states.
 
-    `outer` is the propagator of G_o restricted to the block.
+    G_o restricted to the block is V_o diag(w_o) V_o^dag times -i; the block
+    keeps `outer_values` w_o and `outer_vectors` W = V^dag V_o, the outer
+    eigenvectors in the inner eigenbasis V, so that its only dense matrices
+    are V and W.
     """
 
     def __init__(self, index: np.ndarray, inner: np.ndarray, outer: np.ndarray, code: np.ndarray):
         super().__init__(index, inner, code)
-        self.outer = fock.Propagator(outer[np.ix_(index, index)])
-
-    @cached_property
-    def _outer_in_inner(self) -> np.ndarray:
-        """V^dag V_o: the outer eigenvectors in the inner eigenbasis V of the block."""
-        return self.inner.vectors.conj().T @ self.outer.vectors
+        outer = fock.Propagator(outer[np.ix_(index, index)])
+        self.outer_values = outer.values
+        self.outer_vectors = self.inner.vectors.conj().T @ outer.vectors
 
     def outer_kick(self, d_outer: float) -> np.ndarray:
-        """V^dag O(d_outer) V on the block, in its inner eigenbasis V."""
-        return self.outer.matrix(d_outer, self._outer_in_inner)
+        """V^dag O(d_outer) V = W exp(-i d_outer w_o) W^dag on the block."""
+        w = self.outer_vectors
+        return (w * np.exp(-1j * d_outer * self.outer_values)[None, :]) @ w.conj().T
+
+    def frame(self, outer: float, inner: float) -> np.ndarray:
+        """O(outer) I(inner) c on the block.
+
+        In the inner eigenbasis that is V W exp(-i outer w_o) W^dag exp(-i inner w) V^dag c,
+        and V^dag c is code_eig.
+        """
+        w = self.outer_vectors
+        cols = np.exp(-1j * inner * self.inner.values)[:, None] * self.code_eig
+        # W^dag cols as conj(W^T conj(cols)): a transposed view, no W-sized copy
+        cols = np.exp(-1j * outer * self.outer_values)[:, None] * (w.T @ cols.conj()).conj()
+        return self.inner.vectors @ (w @ cols)
 
 
 class SectorPair(NamedTuple):
@@ -188,9 +201,7 @@ class FrameFactory:
         outer, inner = self.split(u, v)
         cols = np.zeros(self.code.shape, dtype=complex)
         for block in self.blocks:
-            cols[np.ix_(block.index, block.columns)] = block.outer.apply(
-                outer, block.inner.apply(inner, block.code)
-            )
+            cols[np.ix_(block.index, block.columns)] = block.frame(outer, inner)
         return cols
 
     def _sandwich(self, middles: list[np.ndarray], inner: np.ndarray) -> np.ndarray:

@@ -180,18 +180,11 @@ class Propagator:
             raise ValueError("generator has non-finite entries")
         if np.linalg.norm(generator + generator.conj().T) > 1e-12 * np.linalg.norm(generator):
             raise ValueError("generator is not skew-Hermitian")
-        w, v = np.linalg.eigh(1j * generator)
-        self.values = w
-        self.vectors = v
-        self._vh = v.conj().T
+        self.values, self.vectors = np.linalg.eigh(1j * generator)
 
-    def apply(self, t: float, cols: np.ndarray) -> np.ndarray:
-        return self.vectors @ (np.exp(-1j * t * self.values)[:, None] * (self._vh @ cols))
-
-    def matrix(self, t: float, basis: np.ndarray | None = None) -> np.ndarray:
-        """exp(t * G) as a dense matrix; with basis = W @ vectors, W exp(t * G) W^dag."""
-        basis = self.vectors if basis is None else basis
-        return (basis * np.exp(-1j * t * self.values)[None, :]) @ basis.conj().T
+    def matrix(self, t: float) -> np.ndarray:
+        """exp(t * G) as a dense matrix."""
+        return (self.vectors * np.exp(-1j * t * self.values)[None, :]) @ self.vectors.conj().T
 
 
 def invariant_blocks(pattern: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:

@@ -14,15 +14,15 @@ at the current point is simply the population outside the bare code levels.
 The state is held block by block (the invariant blocks of the two control
 generators, two parity blocks on plane III), each in the eigenbasis of the
 inner control generator, where the inner control factor of every kick is a
-diagonal phase.
+diagonal phase.  Only the state after the whole loop is kept: on an
+axis-aligned edge every kick is the same matrix, which is raised to the
+edge's kick count by repeated squaring instead of being applied kick by kick.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -85,16 +85,29 @@ def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
     return runs
 
 
-def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]]:
-    """Per control block: its code columns, their code states and the states after each kick.
+def _power_apply(kick: np.ndarray, count: int, state: np.ndarray) -> np.ndarray:
+    """kick^count @ state by binary powering: kick is squared, and applied on each set bit."""
+    while True:
+        if count & 1:
+            state = kick @ state
+        count >>= 1
+        if not count:
+            return state
+        kick = kick @ kick
+
+
+def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per control block: its code columns, their code states and their states after the loop.
 
     No control leaves an invariant block of the two control generators
     (FrameFactory.blocks), so each block evolves its own code columns, held in
     the block's inner eigenbasis V.  A kick from p to p' is
     C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and I(i) = V diag(exp(-i i w)) V^dag,
     so in V a kick is V^dag O V between two diagonal phases, then the dwell
-    V^dag D V.  O's step is constant along an edge; on an axis-aligned edge
-    the whole kick is, so it is built once.
+    V^dag D V.  O's step is constant along an edge, so a tilted edge costs two
+    dense products per kick.  On an axis-aligned edge the whole kick K is
+    constant, and K^count is applied by binary powering, in about
+    2 log2(count) products.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
@@ -102,10 +115,9 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, Iterato
     mode_count = 2 if schedule.loop.plane is PlaneId.III else 1
     dwell = fock.kerr_phases(schedule.chi, schedule.delta_t, schedule.cutoff, mode_count)
 
-    def states(
-        block: connection.ControlBlock, dwell_eig: np.ndarray, state: np.ndarray
-    ) -> Iterator[np.ndarray]:
+    def evolve(block: connection.ControlBlock, dwell_eig: np.ndarray) -> np.ndarray:
         w = block.inner.values
+        state = block.code_eig
         for run in runs:
             outer0, inner0 = factory.split(*run.start)
             outer1, inner1 = factory.split(*run.end)
@@ -117,22 +129,20 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, Iterato
                     kick = dwell_eig * np.exp(1j * (inners[1] - inners[0]) * w)
                 else:
                     kick = dwell_eig @ (phase.conj() * block.outer_kick(outer_step) * phase.T)
-                for _ in range(run.count):
-                    state = kick @ state
-                    yield state
+                state = _power_apply(kick, run.count, state)
             else:
                 step = block.outer_kick(outer_step)
                 for inner in inners[1:]:
                     following = np.exp(-1j * inner * w)[:, None]
                     state = dwell_eig @ (following.conj() * (step @ (phase * state)))
                     phase = following
-                    yield state
+        return state
 
     kicks = []
     for block in factory.blocks:
         vectors = block.inner.vectors
         dwell_eig = (vectors.conj().T * dwell[block.index]) @ vectors
-        kicks.append((block.columns, block.code_eig, states(block, dwell_eig, block.code_eig)))
+        kicks.append((block.columns, block.code_eig, evolve(block, dwell_eig)))
     return kicks
 
 
@@ -152,8 +162,8 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
     dim = schedule.loop.plane.code_dim
     code_map = np.zeros((dim, dim), dtype=complex)  # exactly zero between blocks
     leakages = []
-    for columns, code_eig, states in _kicks(schedule):
-        overlap = code_eig.conj().T @ deque(states, maxlen=1)[0]
+    for columns, code_eig, state in _kicks(schedule):
+        overlap = code_eig.conj().T @ state
         code_map[np.ix_(columns, columns)] = connection.polar_unitary(overlap)
         leakages.append(_leakage(overlap))
     leakage = max(leakages)
@@ -176,12 +186,3 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
             "adiabaticity_failure": leakage > LEAKAGE_FAILURE_THRESHOLD,
         },
     )
-
-
-def leakage_profile(schedule: KickSchedule) -> list[tuple[int, float]]:
-    """Per-kick code-subspace population deficit, worst case over code states."""
-    per_block = [
-        [_leakage(code_eig.conj().T @ state) for state in states]
-        for _, code_eig, states in _kicks(schedule)
-    ]
-    return [(k, max(worst)) for k, worst in enumerate(zip(*per_block))]

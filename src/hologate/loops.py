@@ -37,7 +37,7 @@ class PlaneId(Enum):
         return 4 if self is PlaneId.III else 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rect:
     u_min: float
     u_max: float
@@ -62,7 +62,7 @@ class Rect:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polyline:
     """Closed polygonal path; the first vertex is not repeated at the end.
 
@@ -88,7 +88,7 @@ class Polyline:
 Shape = Union[Rect, Polyline]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopSpec:
     plane: PlaneId
     shape: Shape

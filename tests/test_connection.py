@@ -181,6 +181,29 @@ def test_plane3_control_blocks_are_the_two_parity_blocks(cutoff, sizes):
         assert not np.any(code[np.ix_(outside, block.columns)])
 
 
+def held_arrays(owner):
+    """The arrays an object holds, through its attributes and theirs."""
+    for value in vars(owner).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif hasattr(value, "__dict__"):
+            yield from held_arrays(value)
+
+
+def test_control_blocks_hold_two_dense_matrices():
+    # each plane III parity block (98 states at cutoff 14) keeps its inner
+    # eigenvectors V and W = V^dag V_o; everything else it holds is a few columns
+    factory = connection.frame_factory(PlaneId.III, 14)
+    for block in factory.blocks:
+        block.code_eig  # built on first use; count it too
+        block.outer_kick(0.01)
+        size = block.index.size
+        arrays = list(held_arrays(block))
+        dense = [a for a in arrays if a.shape == (size, size)]
+        assert size == 98 and len(dense) == 2
+        assert sum(a.nbytes for a in arrays) <= 2 * size**2 * 16 + 8 * size * 16
+
+
 @pytest.mark.parametrize("plane", list(PlaneId))
 def test_frame_matches_expm_of_the_generators(plane):
     cutoff = 13 if plane is PlaneId.III else 30

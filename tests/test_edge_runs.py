@@ -3,9 +3,9 @@
 The transport takes one exact exponential per axis-aligned edge and Magnus
 steps on tilted ones; the stepped product of re-unitarized frame overlaps
 (conftest.stepped_holonomy) converges onto it as 1/steps^2.  On an
-axis-aligned edge every kick is the same matrix, so the kicked route applies
-that one matrix count times; here it is compared with dense per-kick controls
-(conftest.stepped_kicks).
+axis-aligned edge every kick is the same matrix, so the kicked route raises
+it to the edge's kick count by repeated squaring; here it is compared with
+dense per-kick controls (conftest.stepped_kicks).
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hologate import connection, kicked
+from hologate import connection, kicked, loops
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
@@ -96,9 +96,34 @@ def test_kicked_edge_powers_match_stepped_kicks(loop, cutoff):
     code_map, leakage = stepped_kicks(loop, cutoff, KICKS)
     assert np.max(np.abs(result.code_map - code_map)) < 1e-10
     assert abs(result.leakage - leakage) < 1e-10
-    profile = kicked.leakage_profile(schedule)
-    assert len(profile) == KICKS
-    assert abs(profile[-1][1] - result.leakage) < 1e-12
+
+
+# Rects whose axis-aligned edges take 1 and 64 kicks (thin) or 31 and 16 (wide):
+# one matrix product, a pure power of two, and every bit of 2^5 - 1
+POWER_SHAPES = {
+    "thin-I": (PlaneId.I, Rect(0.0, 0.002, 0.0, 0.128), 130),
+    "wide-I": (PlaneId.I, Rect(-0.05, 0.105, 0.02, 0.1), 94),
+    "thin-III": (PlaneId.III, Rect(0.02, 0.022, 0.01, 0.138), 130),
+    "wide-III": (PlaneId.III, Rect(0.02, 0.175, 0.01, 0.09), 94),
+}
+
+POWER_CASES = [
+    pytest.param(LoopSpec(plane, rect, orientation), kicks, cutoff,
+                 id=f"{name}-cutoff{cutoff}-{orientation:+d}")
+    for name, (plane, rect, kicks) in POWER_SHAPES.items()
+    for cutoff in ((12, 13) if plane is PlaneId.III else (CUTOFF[plane],))
+    for orientation in (1, -1)
+]
+
+
+@pytest.mark.parametrize("loop,kicks,cutoff", POWER_CASES)
+def test_kicked_edge_power_counts_match_stepped_kicks(loop, kicks, cutoff):
+    counts = sorted({run.count for run in loops.boundary_runs(loop, kicks)})
+    assert counts in ([1, 64], [16, 31])
+    result = kicked.run_kicked(KickSchedule(loop, kicks, cutoff=cutoff))
+    code_map, leakage = stepped_kicks(loop, cutoff, kicks)
+    assert np.max(np.abs(result.code_map - code_map)) < 1e-10
+    assert abs(result.leakage - leakage) < 1e-12
 
 
 def test_rect_transport_builds_frames_per_edge_not_per_step(monkeypatch):

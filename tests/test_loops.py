@@ -325,6 +325,13 @@ def test_loop_serialization_round_trip():
         assert loops.loop_from_json(loops.loop_to_json(loop)) == loop
 
 
+def test_loop_values_are_slotted():
+    # requests hold many loops: slots keep each without a per-instance __dict__
+    polyline = Polyline(((0.0, 0.0), (0.5, 0.1), (0.2, 0.6)))
+    for value in (HADAMARD_RECT.shape, polyline, HADAMARD_RECT, LoopSpec(PlaneId.I, polyline)):
+        assert not hasattr(value, "__dict__")
+
+
 def test_loop_from_dict_rejects_malformed_records():
     with pytest.raises(ValueError):
         loops.loop_from_dict({"plane": "I"})
