@@ -14,6 +14,14 @@ differences.  The loop holonomy is the path-ordered exponential of -A along
 the boundary: one exact exponential per axis-aligned edge, fourth-order
 Magnus steps on tilted ones.
 
+A_o couples exactly one pair of code columns (|0>, |1> on planes I/II;
+|10>, |01> on plane III) through one entry a(i), and A_i is exactly 0 on
+that pair.  So the transport on the pair is an SU(2) matrix
+[[p, q], [-conj q, conj p]], carried as its Cayley-Klein pair (p, q): each
+Magnus step and each product is a closed form in p and q.  The rest of the
+code space (plane III's |00>, |11>) sees only the constant A_i, whose
+exponential is the same closed form.
+
 Raw holonomies come out in the dressed-frame code basis.  That basis differs
 from the gate convention (Sigma1/Sigma2/Sigma12 per plane) by a constant
 change of code basis which carries no physics; the frozen CALIBRATION maps one
@@ -37,28 +45,15 @@ from .loops import LoopSpec, PlaneId, Rect
 # Loop used to pin the frame calibration and the oracle convergence checks.
 CALIBRATION_RECT = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
 
-# Magnus sub-intervals per batch (two connection nodes each): bounds the work
-# arrays of a tilted edge at a few hundred kB whatever its sub-interval count.
+# Magnus sub-intervals per batch: bounds the work arrays of a tilted edge (one
+# sector's size x MAGNUS_BATCH phases each) whatever its sub-interval count.
 MAGNUS_BATCH = 256
 
 # Two-node Gauss-Legendre points on [0, 1] for the fourth-order Magnus step.
 _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
-
-
-@dataclass(frozen=True)
-class DressedFrame:
-    """Orthonormal code basis dressed by the control operators at one point."""
-
-    point: ControlPoint
-    plane: PlaneId
-    cutoff: int
-    basis_vectors: np.ndarray  # (dim, code_dim) columns in code order
-
-    @property
-    def orthonormality_defect(self) -> float:
-        gram = self.basis_vectors.conj().T @ self.basis_vectors
-        return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
+# -sqrt(3)/12 [B1, B2] for B_j = [[0, x_j], [-conj x_j, 0]] is diag(i g, -i g),
+# g = -(sqrt(3)/6) Im(conj(x1) x2)
+_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 6.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +91,20 @@ class CodeBlock:
         """The block's code columns in its inner eigenbasis V."""
         return self.inner.vectors.conj().T @ self.code
 
+    def phases(self, start: float, step: float, count: int) -> np.ndarray:
+        """exp(-i w (start + step k)) for k < count, shape (block size, count): I's phases.
+
+        The table is the outer product of a coarse one, at every m-th k, and a
+        fine one, at the first m, with m about sqrt(count): 2 sqrt(count)
+        exponentials per eigenvalue w instead of count.
+        """
+        fine = math.isqrt(count - 1) + 1
+        w = self.inner.values[:, None]
+        table = np.exp(-1j * (w * (start + step * fine * np.arange(-(-count // fine)))))
+        if fine > 1:
+            table = table[:, :, None] * np.exp(-1j * (w * (step * np.arange(fine))))[:, None, :]
+        return table.reshape(w.size, -1)[:, :count]
+
 
 class ControlBlock(CodeBlock):
     """One invariant block of the control generators G_i and G_o that holds code states.
@@ -131,11 +140,16 @@ class ControlBlock(CodeBlock):
 
 
 class SectorPair(NamedTuple):
-    """The block of V^dag G_o V between two sectors of G_i, in their inner eigenbases."""
+    """The two sectors of G_i that G_o links, one code column each.
+
+    With t_a = first.phases(...) and t_b = second.phases(...), the one entry
+    of A_o on the pair, at row first.columns and column second.columns, is
+    sum(conj(t_a) * (outer @ t_b)).
+    """
 
     first: CodeBlock
     second: CodeBlock
-    outer: np.ndarray  # V_a^dag G_o[a, b] V_b
+    outer: np.ndarray  # conj(c_a) * (V_a^dag G_o[a, b] V_b) * c_b, c the code columns in V
     weight: np.ndarray  # i (w_a - w_b): the same block of V^dag [G_o, G_i] V is weight * outer
 
 
@@ -149,9 +163,12 @@ class FrameFactory:
     in which I(i) is the diagonal phase exp(-i i w_a), and I(i) c never
     leaves it.  With y_a = exp(-i i w_a) V_a^dag c_a, the block of A_o(i)
     between the code columns of sectors a and b is y_a^dag (V_a^dag G_o V_b) y_b.
-    `pairs` holds the sector pairs a <= b where G_o is nonzero: one on every
-    plane (the two parities on planes I/II, n1 - n2 = +1 and -1 on plane
-    III), and A_o is exactly zero elsewhere.  Kicks leave the sectors
+    G_o links exactly one sector pair, `pair` (the two parities on planes
+    I/II, n1 - n2 = +1 and -1 on plane III), each sector with one code
+    column, so A_o is one entry at `pair_columns` and its mirror, and
+    exactly zero elsewhere.  A_i is exactly zero on the pair; on the `rest`
+    of the code columns (none on planes I/II, |00> and |11> on plane III)
+    it is the one entry `rest_entry` and its mirror.  Kicks leave the sectors
     through O, but no control leaves an invariant block of G_i and G_o
     together: `blocks` holds one ControlBlock per such block that holds code
     states (the whole space on planes I/II, the two parity blocks of
@@ -182,15 +199,22 @@ class FrameFactory:
             CodeBlock(index, inner, self.code)
             for index in fock.invariant_blocks(inner != 0, self.code)
         ]
-        self.pairs = []
-        for a, first in enumerate(sectors):
-            for second in sectors[a:]:
-                outer_ab = outer[np.ix_(first.index, second.index)]
-                if np.any(outer_ab):
-                    middle = first.inner.vectors.conj().T @ outer_ab @ second.inner.vectors
-                    weight = 1j * np.subtract.outer(first.inner.values, second.inner.values)
-                    self.pairs.append(SectorPair(first, second, middle, weight))
+        [(first, second)] = [
+            (a, b)
+            for k, a in enumerate(sectors)
+            for b in sectors[k:]
+            if np.any(outer[np.ix_(a.index, b.index)])
+        ]
+        middle = first.inner.vectors.conj().T @ outer[np.ix_(first.index, second.index)]
+        middle = first.code_eig.conj() * (middle @ second.inner.vectors) * second.code_eig.T
+        weight = 1j * np.subtract.outer(first.inner.values, second.inner.values)
+        self.pair = SectorPair(first, second, middle, weight)
+        [row], [col] = first.columns, second.columns
+        self.pair_columns = np.array([row, col])
+        self.rest = np.delete(np.arange(self.code_dim), self.pair_columns)
         self.inner_connection = self.code.conj().T @ inner @ self.code
+        rest = self.rest
+        self.rest_entry = self.inner_connection[rest[0], rest[-1]] if rest.size else 0.0
 
     def split(self, u: float, v: float) -> tuple[float, float]:
         """Plane coordinates as (outer, inner) control parameters."""
@@ -204,36 +228,35 @@ class FrameFactory:
             cols[np.ix_(block.index, block.columns)] = block.frame(outer, inner)
         return cols
 
-    def _sandwich(self, middles: list[np.ndarray], inner: np.ndarray) -> np.ndarray:
-        """c^dag I(i)^dag M I(i) c at each inner value i, from M's blocks on `pairs`.
+    def pair_entries(
+        self, middle: np.ndarray, start: float, step: float = 0.0, count: int = 1
+    ) -> np.ndarray:
+        """The entry of c^dag I(i)^dag M I(i) c at pair_columns, at i = start + step k, k < count.
 
-        middles[p] is the block of M between the sectors of pairs[p]; M is
-        anti-Hermitian and zero off those blocks, so each mirror block is
-        minus the adjoint and every other entry is exactly 0.
+        `middle` is M's block between the pair's sectors in the form of
+        SectorPair.outer (pair.outer gives a(i), the entry of A_o); M is
+        anti-Hermitian and zero off that block.
         """
-        inner = np.asarray(inner, dtype=float).reshape(-1)
-        out = np.zeros((inner.size, self.code_dim, self.code_dim), dtype=complex)
-        for pair, middle in zip(self.pairs, middles):
-            # y is (k, nodes, columns): one (k_a, k_b) x (k_b, nodes * columns) product serves all
-            y_a, y_b = (
-                np.exp(-1j * np.outer(s.inner.values, inner))[:, :, None] * s.code_eig[:, None, :]
-                for s in (pair.first, pair.second)
-            )
-            my = (middle @ y_b.reshape(y_b.shape[0], -1)).reshape(middle.shape[0], inner.size, -1)
-            block = y_a.transpose(1, 2, 0).conj() @ my.transpose(1, 0, 2)
-            rows, cols = pair.first.columns, pair.second.columns
-            out[:, rows[:, None], cols] = block
-            out[:, cols[:, None], rows] = -block.conj().swapaxes(1, 2)
+        t_a = self.pair.first.phases(start, step, count)
+        t_b = self.pair.second.phases(start, step, count)
+        return np.sum(t_a.conj() * (middle @ t_b), axis=0)
+
+    def _on_pair(self, entries: np.ndarray) -> np.ndarray:
+        """One code-space matrix per entry: the entry at pair_columns, its mirror -conj."""
+        out = np.zeros((entries.size, self.code_dim, self.code_dim), dtype=complex)
+        row, col = self.pair_columns
+        out[:, row, col] = entries
+        out[:, col, row] = -entries.conj()
         return out
 
-    def outer_connection(self, inner: np.ndarray) -> np.ndarray:
-        """A_o at each inner control value, shape (len(inner), code_dim, code_dim)."""
-        return self._sandwich([pair.outer for pair in self.pairs], inner)
+    def outer_connection(self, start: float, step: float = 0.0, count: int = 1) -> np.ndarray:
+        """A_o at i = start + step k, k < count, shape (count, code_dim, code_dim)."""
+        return self._on_pair(self.pair_entries(self.pair.outer, start, step, count))
 
     def connection(self, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
         """(A_u, A_v) at plane point (u, v)."""
         _, inner = self.split(u, v)
-        a_outer = self.outer_connection([inner])[0]
+        a_outer = self.outer_connection(inner)[0]
         if self.plane is PlaneId.III:
             return self.inner_connection, a_outer
         return a_outer, self.inner_connection
@@ -245,8 +268,8 @@ class FrameFactory:
         inner control) and -F_io on planes I/II.
         """
         _, inner = self.split(u, v)
-        a_outer = self.outer_connection([inner])[0]
-        d_inner = self._sandwich([pair.weight * pair.outer for pair in self.pairs], [inner])[0]
+        a_outer = self.outer_connection(inner)[0]
+        d_inner = self._on_pair(self.pair_entries(self.pair.weight * self.pair.outer, inner))[0]
         a_inner = self.inner_connection
         f_io = d_inner + a_inner @ a_outer - a_outer @ a_inner
         return f_io if self.plane is PlaneId.III else -f_io
@@ -319,15 +342,6 @@ def plane_coordinates(point: ControlPoint, plane: PlaneId) -> tuple[float, float
     return point.r2, point.r3
 
 
-def dressed_frame(point: ControlPoint, plane: PlaneId, cutoff: int) -> DressedFrame:
-    """Dressed code basis D(lambda)S(mu)|a> (planes I/II) or N(xi)M(zeta)|ab> (plane III)."""
-    u, v = plane_coordinates(point, plane)
-    factory = frame_factory(plane, cutoff)
-    vectors = factory.frame(u, v)
-    _warn_on_frame_truncation(vectors, cutoff, plane)
-    return DressedFrame(point=point, plane=plane, cutoff=cutoff, basis_vectors=vectors)
-
-
 def _warn_on_frame_truncation(vectors: np.ndarray, cutoff: int, plane: PlaneId) -> None:
     mode_count = 2 if plane is PlaneId.III else 1
     population = fock.top_quartile_population(vectors, cutoff, mode_count)
@@ -380,50 +394,82 @@ def polar_unitary(mat: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0] for a (n, d, d) stack.
+def _magnus_step(x1, x2):
+    """(p, q) of exp(Omega), the fourth-order Magnus step of B_j = [[0, x_j], [-conj x_j, 0]].
 
-    Pairwise halving: log2(n) batched products, and rounding that grows with
-    log n rather than n.
+    Omega = (B1 + B2)/2 - sqrt(3)/12 [B1, B2] = [[i g, a], [-conj a, -i g]]
+    with a = (x1 + x2)/2 and g = -(sqrt(3)/6) Im(conj(x1) x2).  It squares to
+    -theta^2, theta = sqrt(g^2 + |a|^2), so exp(Omega) = cos theta + sinc theta * Omega.
+    x1 = x2 = x gives the exact exp(B).  Broadcasts over arrays of steps.
     """
-    while len(mats) > 1:
-        paired = mats[1::2] @ mats[0 : len(mats) - 1 : 2]
-        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
-    return mats[0]
+    alpha = 0.5 * (x1 + x2)
+    gamma = -_MAGNUS_COMMUTATOR * np.imag(np.conj(x1) * x2)
+    theta = np.hypot(gamma, np.abs(alpha))
+    sinc = np.sinc(theta / math.pi)
+    return np.cos(theta) + 1j * gamma * sinc, alpha * sinc
 
 
-def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun) -> np.ndarray:
-    """Transport along one boundary edge: the path-ordered exponential of -A.
+def _compose(later, earlier):
+    """(p, q) of U_later U_earlier, U = [[p, q], [-conj q, conj p]]."""
+    (p2, q2), (p1, q1) = later, earlier
+    return p2 * p1 - q2 * np.conj(q1), p2 * q1 + q2 * np.conj(p1)
+
+
+def _tree_product(p: np.ndarray, q: np.ndarray):
+    """(p, q) of U[-1] ... U[0] for arrays of steps.
+
+    Pairwise halving: log2(n) batched compositions, and rounding that grows
+    with log n rather than n.
+    """
+    while p.size > 1:
+        last = p.size - 1
+        paired = _compose((p[1::2], q[1::2]), (p[0:last:2], q[0:last:2]))
+        if p.size % 2:
+            paired = tuple(np.append(half, whole[-1]) for half, whole in zip(paired, (p, q)))
+        p, q = paired
+    return p[0], q[0]
+
+
+def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun):
+    """Transport along one boundary edge, as (p, q) on the code pair and on the rest.
 
     With t in [0, 1] along the run, dU/dt = X(t) U for
-    X = -(d_outer * A_o(i(t)) + d_inner * A_i).  On an axis-aligned run X is
-    constant and the transport is exp(X).  A tilted run takes `count`
-    fourth-order Magnus steps, each from X at the two Gauss-Legendre nodes of
-    its sub-interval: Omega = (B1 + B2)/2 - sqrt(3)/12 [B1, B2], B = X / count.
+    X = -(d_outer * A_o(i(t)) + d_inner * A_i).  On the pair X is
+    [[0, x], [-conj x, 0]] with x = -d_outer * a(i(t)); on the rest it is the
+    constant x = -d_inner * rest_entry, which is exponentiated exactly.  On an
+    axis-aligned run x is constant on the pair too.  A tilted run takes
+    `count` fourth-order Magnus steps on the pair, each from x at the two
+    Gauss-Legendre nodes of its sub-interval.
     """
     outer0, inner0 = factory.split(*run.start)
     outer1, inner1 = factory.split(*run.end)
     d_outer, d_inner = outer1 - outer0, inner1 - inner0
+    x = -d_inner * factory.rest_entry
+    rest = _magnus_step(x, x)
     if run.axis_aligned:
-        a_outer = factory.outer_connection([inner0])[0]
-        return fock.expm_skew_hermitian(-(d_outer * a_outer + d_inner * factory.inner_connection))
-    dim = factory.code_dim
-    transport = np.eye(dim, dtype=complex)
+        x = -d_outer * factory.pair_entries(factory.pair.outer, inner0)[0]
+        return _magnus_step(x, x), rest
+    transport = (1.0, 0.0)
+    outer, step, scale = factory.pair.outer, d_inner / run.count, -d_outer / run.count
     for start in range(0, run.count, MAGNUS_BATCH):
-        steps = np.arange(start, min(start + MAGNUS_BATCH, run.count))
-        nodes = (steps[:, None] + _GAUSS_NODES[None, :]) / run.count
-        a_outer = factory.outer_connection(inner0 + d_inner * nodes)
-        b = -(d_outer * a_outer + d_inner * factory.inner_connection) / run.count
-        b1, b2 = b.reshape(steps.size, 2, dim, dim).swapaxes(0, 1)
-        omega = 0.5 * (b1 + b2) - _MAGNUS_COMMUTATOR * (b1 @ b2 - b2 @ b1)
-        transport = _ordered_product(fock.expm_skew_hermitian(omega)) @ transport
-    return transport
+        size = min(MAGNUS_BATCH, run.count - start)
+        x1, x2 = (
+            scale * factory.pair_entries(outer, inner0 + step * (start + node), step, size)
+            for node in _GAUSS_NODES
+        )
+        transport = _compose(_tree_product(*_magnus_step(x1, x2)), transport)
+    return transport, rest
 
 
 def _transport(factory: FrameFactory, runs: list[loops_mod.EdgeRun]) -> np.ndarray:
-    holonomy = np.eye(factory.code_dim, dtype=complex)
+    pair = rest = (1.0, 0.0)
     for run in runs:
-        holonomy = _run_transport(factory, run) @ holonomy
+        edge_pair, edge_rest = _run_transport(factory, run)
+        pair, rest = _compose(edge_pair, pair), _compose(edge_rest, rest)
+    holonomy = np.zeros((factory.code_dim, factory.code_dim), dtype=complex)
+    for columns, (p, q) in ((factory.pair_columns, pair), (factory.rest, rest)):
+        if columns.size:
+            holonomy[np.ix_(columns, columns)] = [[p, q], [-np.conj(q), np.conj(p)]]
     return holonomy
 
 
@@ -460,20 +506,6 @@ def holonomy_path_ordered(loop: LoopSpec, cutoff: int, steps: int) -> gates.Gate
             "integrator": integrator,
         },
     )
-
-
-def oracle_vs_formula(loop: LoopSpec, cutoff: int, steps: int) -> dict:
-    """Path-ordered oracle against the area-formula gate, in the gate basis."""
-    oracle = holonomy_path_ordered(loop, cutoff, steps)
-    formula = gates.gate_for_loop(loop)
-    calibrated = calibrated_code_matrix(loop.plane, oracle.matrix)
-    distance = float(np.linalg.norm(calibrated - formula.matrix))
-    return {
-        "oracle": oracle,
-        "oracle_calibrated": calibrated,
-        "formula": formula,
-        "frobenius_distance": distance,
-    }
 
 
 def calibrate(cutoff: int = 40, steps: int = 800) -> dict:

@@ -213,19 +213,6 @@ def invariant_blocks(pattern: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def expm_skew_hermitian(generators: np.ndarray) -> np.ndarray:
-    """exp(X) for a stack (..., n, n) of skew-Hermitian X, through one stacked eigh.
-
-    eigh reads one triangle of the Hermitian iX, so rounding-level departures
-    from skew-Hermiticity do not leave the unitary group.  The result is built
-    as I + V (exp(-iw) - 1) V^dag, with exp(-iw) - 1 = -2 sin^2(w/2) - i sin w,
-    so a near-identity exponential carries rounding relative to |X|, not to 1.
-    """
-    w, v = np.linalg.eigh(1j * generators)
-    shift = -2.0 * np.sin(0.5 * w) ** 2 - 1j * np.sin(w)
-    return np.eye(w.shape[-1]) + (v * shift[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def matrix_exponential(generator: TruncatedOperator) -> TruncatedOperator:
     """exp(G) of a skew-Hermitian generator; anything else raises ValueError."""
     exp_mat = Propagator(generator.matrix).matrix(1.0)

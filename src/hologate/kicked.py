@@ -104,8 +104,10 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     the block's inner eigenbasis V.  A kick from p to p' is
     C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and I(i) = V diag(exp(-i i w)) V^dag,
     so in V a kick is V^dag O V between two diagonal phases, then the dwell
-    V^dag D V.  O's step is constant along an edge, so a tilted edge costs two
-    dense products per kick.  On an axis-aligned edge the whole kick K is
+    V^dag D V.  O's step is constant along an edge, and the inner phases at
+    the edge's kick points come from one CodeBlock.phases table, so a tilted
+    edge costs two dense products and two row scalings per kick.  On an
+    axis-aligned edge the whole kick K is
     constant, and K^count is applied by binary powering, in about
     2 log2(count) products.
     """
@@ -122,9 +124,9 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
             outer0, inner0 = factory.split(*run.start)
             outer1, inner1 = factory.split(*run.end)
             outer_step = (outer0 - outer1) / run.count
-            inners = inner0 + (inner1 - inner0) * np.arange(run.count + 1) / run.count
-            phase = np.exp(-1j * inners[0] * w)[:, None]
             if run.axis_aligned:
+                inners = inner0 + (inner1 - inner0) * np.arange(2) / run.count
+                phase = np.exp(-1j * inners[0] * w)[:, None]
                 if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
                     kick = dwell_eig * np.exp(1j * (inners[1] - inners[0]) * w)
                 else:
@@ -132,10 +134,10 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
                 state = _power_apply(kick, run.count, state)
             else:
                 step = block.outer_kick(outer_step)
-                for inner in inners[1:]:
-                    following = np.exp(-1j * inner * w)[:, None]
+                # row k holds I's phases at the k-th kick point of the edge
+                phases = block.phases(inner0, (inner1 - inner0) / run.count, run.count + 1).T
+                for phase, following in zip(phases[:-1, :, None], phases[1:, :, None]):
                     state = dwell_eig @ (following.conj() * (step @ (phase * state)))
-                    phase = following
         return state
 
     kicks = []

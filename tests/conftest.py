@@ -60,6 +60,54 @@ def stepped_holonomy(loop, cutoff, steps, gauge=None):
     return stepped_product(factory, loops.discretize_boundary(loop, steps), gauge)
 
 
+def expm_skew_hermitian(generators):
+    """exp(X) for a stack (..., n, n) of skew-Hermitian X, through one stacked eigh.
+
+    Built as I + V (exp(-iw) - 1) V^dag, with exp(-iw) - 1 = -2 sin^2(w/2) - i sin w,
+    so a near-identity exponential carries rounding relative to |X|, not to 1.
+    """
+    w, v = np.linalg.eigh(1j * generators)
+    shift = -2.0 * np.sin(0.5 * w) ** 2 - 1j * np.sin(w)
+    return np.eye(w.shape[-1]) + (v * shift[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def ordered_product(mats):
+    """mats[-1] @ ... @ mats[0] for a (n, d, d) stack, by pairwise halving."""
+    while len(mats) > 1:
+        paired = mats[1::2] @ mats[0 : len(mats) - 1 : 2]
+        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
+    return mats[0]
+
+
+def matrix_magnus_transport(loop, cutoff, steps):
+    """The transport as a generic code_dim x code_dim matrix ODE.
+
+    The reference for connection.holonomy_path_ordered's closed-form SU(2)
+    algebra: X = -(d_outer A_o + d_inner A_i) as full matrices, one eigh
+    exponential per axis-aligned edge, and on a tilted edge one fourth-order
+    Magnus step Omega = (B1 + B2)/2 - sqrt(3)/12 [B1, B2], B = X / count, per
+    sub-interval, each exponentiated by eigh and multiplied in order.
+    """
+    factory = connection.frame_factory(loop.plane, cutoff)
+    holonomy = np.eye(factory.code_dim, dtype=complex)
+    for run in loops.boundary_runs(loop, steps):
+        (o0, i0), (o1, i1) = factory.split(*run.start), factory.split(*run.end)
+        d_outer, d_inner = o1 - o0, i1 - i0
+        if run.axis_aligned:
+            x = -(d_outer * factory.outer_connection(i0)[0] + d_inner * factory.inner_connection)
+            holonomy = expm_skew_hermitian(x) @ holonomy
+            continue
+        b1, b2 = (
+            -(d_outer * factory.outer_connection(i0 + d_inner * node / run.count,
+                                                 d_inner / run.count, run.count)
+              + d_inner * factory.inner_connection) / run.count
+            for node in (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+        )
+        omega = 0.5 * (b1 + b2) - math.sqrt(3.0) / 12.0 * (b1 @ b2 - b2 @ b1)
+        holonomy = ordered_product(expm_skew_hermitian(omega)) @ holonomy
+    return holonomy
+
+
 def stepped_kicks(loop, cutoff, kick_count):
     """The kicked route kick by kick, from scipy expm of the fock generators.
 

@@ -17,7 +17,13 @@ from hologate.connection import (
 )
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import ORACLE_CUTOFF, SMALL_RECTS, stepped_holonomy, stepped_product
+from conftest import (
+    ORACLE_CUTOFF,
+    SMALL_RECTS,
+    matrix_magnus_transport,
+    stepped_holonomy,
+    stepped_product,
+)
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # e^{-2r} J is A_u on plane I
 
@@ -32,18 +38,18 @@ def central_difference_connection(plane, cutoff, u, v, h):
 
 
 def test_dressed_frame_at_origin_is_bare_basis():
-    frame = connection.dressed_frame(plane_point(PlaneId.I, 0.0, 0.0), PlaneId.I, 30)
-    assert np.allclose(frame.basis_vectors, fock.code_states(30), atol=1e-14)
+    frame = frame_factory(PlaneId.I, 30).frame(0.0, 0.0)
+    assert np.allclose(frame, fock.code_states(30), atol=1e-14)
 
 
 def test_dressed_frame_orthonormality():
-    frame = connection.dressed_frame(plane_point(PlaneId.I, 0.3, 0.2), PlaneId.I, 60)
-    assert frame.orthonormality_defect < 1e-8
+    frame = frame_factory(PlaneId.I, 60).frame(0.3, 0.2)
+    assert np.linalg.norm(frame.conj().T @ frame - np.eye(2)) < 1e-8
 
 
 def test_dressed_frame_two_mode_origin_order():
-    frame = connection.dressed_frame(plane_point(PlaneId.III, 0.0, 0.0), PlaneId.III, 6)
-    assert np.allclose(frame.basis_vectors, fock.code_states(6, mode_count=2), atol=1e-14)
+    frame = frame_factory(PlaneId.III, 6).frame(0.0, 0.0)
+    assert np.allclose(frame, fock.code_states(6, mode_count=2), atol=1e-14)
 
 
 def test_plane_coordinate_validation():
@@ -218,27 +224,35 @@ def test_frame_matches_expm_of_the_generators(plane):
 
 
 @pytest.mark.parametrize(
-    "plane,cutoff,sizes,columns",
+    "plane,cutoff,sizes,columns,rest",
     [
-        (PlaneId.I, 60, (30, 30), [0, 1]),
-        (PlaneId.II, 60, (30, 30), [0, 1]),
-        (PlaneId.III, 14, (13, 13), [1, 3]),
+        (PlaneId.I, 60, (30, 30), [0, 1], []),
+        (PlaneId.II, 60, (30, 30), [0, 1], []),
+        (PlaneId.III, 13, (12, 12), [1, 3], [0, 2]),
+        (PlaneId.III, 14, (13, 13), [1, 3], [0, 2]),
     ],
-    ids=["I", "II", "III"],
+    ids=["I", "II", "III-13", "III"],
 )
-def test_outer_connection_lives_on_one_sector_pair(plane, cutoff, sizes, columns):
+def test_outer_connection_lives_on_one_sector_pair(plane, cutoff, sizes, columns, rest):
     # G_o links only the two parity chains on planes I/II, and only n1 - n2 = +1
     # with -1 on plane III (|10> and |01>); |00> and |11> see no A_o at all
     factory = connection.FrameFactory(plane, cutoff)
-    [pair] = factory.pairs
+    pair = factory.pair
     assert (pair.first.index.size, pair.second.index.size) == sizes
     assert sorted(pair.first.columns.tolist() + pair.second.columns.tolist()) == columns
+    assert sorted(factory.pair_columns.tolist()) == columns
+    assert factory.rest.tolist() == rest
     linked = np.zeros((factory.code_dim, factory.code_dim), dtype=bool)
     linked[np.ix_(columns, columns)] = True
     np.fill_diagonal(linked, False)
-    a_outer = factory.outer_connection(np.linspace(-0.3, 0.3, 7))
+    a_outer = factory.outer_connection(-0.3, 0.1, 7)
     assert not np.any(a_outer[:, ~linked])
     assert np.all(a_outer[:, linked] != 0)
+    # the SU(2) transport rests on this: A_i is exactly 0 on the pair's rows and
+    # columns, and has a zero diagonal, so the rest only sees its one entry
+    a_inner = factory.inner_connection
+    assert not np.any(a_inner[columns, :]) and not np.any(a_inner[:, columns])
+    assert not np.any(np.diag(a_inner))
     sample = connection.connection_at(plane_point(plane, 0.1, 0.2), plane, cutoff)
     assert sample.antihermitian_defect == 0.0
 
@@ -369,12 +383,16 @@ def test_gauge_covariance_of_spectrum():
     assert np.max(distance[rows, cols]) < 1e-6
 
 
+def formula_distance(loop, cutoff, steps):
+    """Frobenius distance from the calibrated transport to the area-formula gate."""
+    oracle = connection.holonomy_path_ordered(loop, cutoff, steps)
+    calibrated = connection.calibrated_code_matrix(loop.plane, oracle.matrix)
+    return np.linalg.norm(calibrated - gates.gate_for_loop(loop).matrix)
+
+
 def test_oracle_vs_formula_each_plane_small_rect():
     for plane, loop in SMALL_RECTS.items():
-        oracle = connection.holonomy_path_ordered(loop, ORACLE_CUTOFF[plane], 2000)
-        calibrated = connection.calibrated_code_matrix(plane, oracle.matrix)
-        formula = gates.gate_for_loop(loop).matrix
-        assert np.linalg.norm(calibrated - formula) < 1e-2, plane
+        assert formula_distance(loop, ORACLE_CUTOFF[plane], 2000) < 1e-2, plane
 
 
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
@@ -385,18 +403,14 @@ def test_oracle_vs_formula_larger_rects_planes_1_and_3():
         (LoopSpec(PlaneId.I, Rect(0.0, 0.4, 0.0, 0.45)), 60),
         (LoopSpec(PlaneId.III, Rect(0.0, 0.35, 0.0, 0.4)), 14),
     ):
-        result = connection.oracle_vs_formula(loop, cutoff, 1000)
-        assert result["frobenius_distance"] < 1e-2
+        assert formula_distance(loop, cutoff, 1000) < 1e-2
 
 
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 def test_plane2_weight_only_holds_near_zero_squeeze():
     # documented discrepancy: away from r1 ~ 0 the dressed-frame holonomy on
     # plane II departs from the nominal exp(-2 r1) weight; guard the finding
-    result = connection.oracle_vs_formula(
-        LoopSpec(PlaneId.II, Rect(0.0, 0.45, 0.0, 0.5)), 60, 800
-    )
-    assert result["frobenius_distance"] > 0.1
+    assert formula_distance(LoopSpec(PlaneId.II, Rect(0.0, 0.45, 0.0, 0.5)), 60, 800) > 0.1
 
 
 def test_calibration_reproduces_frozen_constants():
@@ -408,9 +422,9 @@ def test_calibration_reproduces_frozen_constants():
 
 
 @st.composite
-def convex_polygons(draw):
-    """Convex polygons in a small plane I/III window: angles on a circle around a center."""
-    plane = draw(st.sampled_from([PlaneId.I, PlaneId.III]))
+def convex_polygons(draw, planes=(PlaneId.I, PlaneId.III)):
+    """Convex polygons in a small window: angles on a circle around a center."""
+    plane = draw(st.sampled_from(planes))
     center = (draw(st.floats(0.08, 0.12)), draw(st.floats(0.08, 0.12)))
     radius = draw(st.floats(0.02, 0.07))
     count = draw(st.integers(3, 7))
@@ -432,3 +446,78 @@ def test_transport_is_unitary_and_reverses_to_adjoint(loop):
     identity = np.eye(loop.plane.code_dim)
     assert np.max(np.abs(forward.conj().T @ forward - identity)) < 1e-12
     assert np.max(np.abs(backward - forward.conj().T)) < 1e-12
+
+
+def pair_matrix(p, q):
+    return np.array([[p, q], [-np.conj(q), np.conj(p)]])
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@settings(max_examples=15, deadline=None)
+@given(convex_polygons(planes=tuple(PlaneId)), st.sampled_from([1, -1]))
+def test_transport_matches_the_matrix_magnus_reference(loop, orientation):
+    loop = LoopSpec(loop.plane, loop.shape, orientation)
+    cutoff = ORACLE_CUTOFF[loop.plane]
+    got = connection.holonomy_path_ordered(loop, cutoff, 2000).matrix
+    assert np.max(np.abs(got - matrix_magnus_transport(loop, cutoff, 2000))) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_rect_transport_matches_the_matrix_magnus_reference(plane):
+    cutoff = ORACLE_CUTOFF[plane]
+    for rect in (Rect(0.0, 0.1, 0.0, 0.1), Rect(0.02, 0.2, 0.03, 0.31), Rect(0.1, 0.102, 0.0, 0.3)):
+        for orientation in (1, -1):
+            loop = LoopSpec(plane, rect, orientation)
+            got = connection.holonomy_path_ordered(loop, cutoff, 2000).matrix
+            assert np.max(np.abs(got - matrix_magnus_transport(loop, cutoff, 2000))) < 1e-12
+
+
+def magnus_omega(x1, x2):
+    """Omega = (B1 + B2)/2 - sqrt(3)/12 [B1, B2] for B_j = [[0, x_j], [-conj x_j, 0]]."""
+    b1, b2 = pair_matrix(0.0, x1), pair_matrix(0.0, x2)
+    return 0.5 * (b1 + b2) - math.sqrt(3.0) / 12.0 * (b1 @ b2 - b2 @ b1)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-6, 1.0, math.pi - 1e-9, 40.0])
+def test_closed_form_magnus_step_matches_expm(theta):
+    # x1 = x2 has no commutator term; the other two have both parts of Omega
+    for x1, x2 in [(0.3 + 0.4j, 0.3 + 0.4j), (0.7 - 0.2j, -0.1 + 0.5j), (1.0, -1j)]:
+        omega = magnus_omega(x1, x2)
+        a2, g2 = abs(omega[0, 1]) ** 2, abs(omega[0, 0]) ** 2
+        # scaling x by s scales Omega's off-diagonal by s and its diagonal by s^2,
+        # and Omega^2 = -theta^2: solve s^2 a2 + s^4 g2 = theta^2
+        s2 = 2.0 * theta**2 / (math.sqrt(a2**2 + 4.0 * g2 * theta**2) + a2)
+        x1, x2 = math.sqrt(s2) * x1, math.sqrt(s2) * x2
+        omega = magnus_omega(x1, x2)
+        assert np.allclose(omega @ omega, -(theta**2) * np.eye(2), rtol=0, atol=1e-12 * theta**2)
+        got = pair_matrix(*connection._magnus_step(x1, x2))
+        assert np.max(np.abs(got - expm(omega))) < 1e-14 * max(1.0, theta)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257])
+def test_pair_tree_product_is_the_ordered_product(length):
+    rng = np.random.default_rng(length)
+    x1, x2 = (rng.normal(size=(length, 2)) @ np.array([1.0, 1j]) * 0.3 for _ in range(2))
+    p, q = connection._magnus_step(x1, x2)
+    product = np.eye(2, dtype=complex)
+    for step in zip(p, q):
+        product = pair_matrix(*step) @ product
+    assert np.max(np.abs(pair_matrix(*connection._tree_product(p, q)) - product)) < 1e-14
+
+
+@pytest.mark.parametrize("count", [1, 2, 17, 256, 1025])
+def test_sector_phases_match_a_direct_exp(count):
+    # the phase of exp(-i w t) carries the rounding of its argument w t, so the
+    # bound is a few units in the last place of the largest argument: 1e-14
+    # while |w t| < 8, which holds for |t| < 0.08 at cutoff 60 (|w| < 101)
+    factory = frame_factory(PlaneId.I, 60)
+    for block in (factory.pair.first, factory.blocks[0]):
+        for start, end in [(0.0, 0.08), (-0.08, 0.05), (0.3, -0.3), (0.0, 0.5)]:
+            step = (end - start) / count
+            arguments = np.outer(block.inner.values, start + step * np.arange(count))
+            error = np.max(np.abs(block.phases(start, step, count) - np.exp(-1j * arguments)))
+            largest = np.max(np.abs(arguments))
+            assert error <= 6 * np.spacing(largest)
+            if largest < 8.0:
+                assert error < 1e-14
