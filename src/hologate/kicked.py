@@ -17,6 +17,10 @@ inner control generator, where the inner control factor of every kick is a
 diagonal phase.  Only the state after the whole loop is kept: on an
 axis-aligned edge every kick is the same matrix, which is raised to the
 edge's kick count by repeated squaring instead of being applied kick by kick.
+On a tilted edge the kicks differ and are applied one by one, to the code
+columns held as rows, through the real forms of the edge's outer step and of
+the dwell (real_form): on two rows a real product of twice the size runs
+faster than the complex one, and every kick writes into the same two buffers.
 """
 
 from __future__ import annotations
@@ -96,6 +100,21 @@ def _power_apply(kick: np.ndarray, count: int, state: np.ndarray) -> np.ndarray:
         kick = kick @ kick
 
 
+def real_form(matrix: np.ndarray) -> np.ndarray:
+    """R(M), the float64 form of x -> x @ M on complex rows x.
+
+    (x.view(float64) @ R(M)).view(complex128) == x @ M: the float64 view of x
+    interleaves real and imaginary parts, so each entry m of M becomes the
+    2x2 block [[Re m, Im m], [-Im m, Re m]].
+    """
+    rows, cols = matrix.shape
+    form = np.empty((rows, 2, cols, 2))
+    form[:, 0, :, 0] = form[:, 1, :, 1] = matrix.real
+    form[:, 0, :, 1] = matrix.imag
+    np.negative(matrix.imag, out=form[:, 1, :, 0])
+    return form.reshape(2 * rows, 2 * cols)
+
+
 def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per control block: its code columns, their code states and their states after the loop.
 
@@ -103,23 +122,39 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     (FrameFactory.blocks), so each block evolves its own code columns, held in
     the block's inner eigenbasis V.  A kick from p to p' is
     C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and I(i) = V diag(exp(-i i w)) V^dag,
-    so in V a kick is V^dag O V between two diagonal phases, then the dwell
-    V^dag D V.  O's step is constant along an edge, and the inner phases at
-    the edge's kick points come from one CodeBlock.phases table, so a tilted
-    edge costs two dense products and two row scalings per kick.  On an
-    axis-aligned edge the whole kick K is
-    constant, and K^count is applied by binary powering, in about
-    2 log2(count) products.
+    so in V a kick is the step S = V^dag O V between two diagonal phases, then
+    the dwell D = V^dag exp(-i H0 dt) V.
+
+    On an axis-aligned edge the whole kick K is constant, and K^count is
+    applied to the columns by binary powering, in about 2 log2(count) complex
+    products.  A real form would double the cost of each squaring, so these
+    edges stay complex, and a loop of them builds no real form.
+
+    On a tilted edge S is constant and the inner phases at the edge's kick
+    points come from one CodeBlock.phases table, so each kick is two row
+    scalings and two products.  The columns are held as rows x (code columns
+    x block size), so the products are x S^T and x D^T, and they go through
+    real_form(S^T) and real_form(D^T): on two rows this real product runs
+    about 1.5 times faster than the complex one (OpenBLAS, one thread, block
+    size 98).  Each kick writes into the same two buffers, and the complex S
+    is dropped once its real form exists.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
     mode_count = 2 if schedule.loop.plane is PlaneId.III else 1
     dwell = fock.kerr_phases(schedule.chi, schedule.delta_t, schedule.cutoff, mode_count)
+    tilted = not all(run.axis_aligned for run in runs)
 
     def evolve(block: connection.ControlBlock, dwell_eig: np.ndarray) -> np.ndarray:
         w = block.inner.values
         state = block.code_eig
+        if tilted:
+            dwell_re = real_form(dwell_eig.T)
+            rows = np.empty(state.T.shape, dtype=complex)
+            scaled = np.empty_like(rows)
+            rows_re, scaled_re = rows.view(np.float64), scaled.view(np.float64)
+            following = np.empty(w.size, dtype=complex)
         for run in runs:
             outer0, inner0 = factory.split(*run.start)
             outer1, inner1 = factory.split(*run.end)
@@ -133,11 +168,17 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
                     kick = dwell_eig @ (phase.conj() * block.outer_kick(outer_step) * phase.T)
                 state = _power_apply(kick, run.count, state)
             else:
-                step = block.outer_kick(outer_step)
-                # row k holds I's phases at the k-th kick point of the edge
-                phases = block.phases(inner0, (inner1 - inner0) / run.count, run.count + 1).T
-                for phase, following in zip(phases[:-1, :, None], phases[1:, :, None]):
-                    state = dwell_eig @ (following.conj() * (step @ (phase * state)))
+                step_re = real_form(block.outer_kick(outer_step).T)
+                # column k holds I's phases at the k-th kick point of the edge
+                phases = block.phases(inner0, (inner1 - inner0) / run.count, run.count + 1)
+                rows[...] = state.T
+                for k in range(run.count):
+                    np.multiply(rows, phases[:, k], out=scaled)
+                    np.matmul(scaled_re, step_re, out=rows_re)
+                    np.conjugate(phases[:, k + 1], out=following)
+                    np.multiply(rows, following, out=scaled)
+                    np.matmul(scaled_re, dwell_re, out=rows_re)
+                state = rows.T
         return state
 
     kicks = []

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hologate import connection, fock, kicked, loops
-from hologate.loops import LoopSpec, PlaneId, Rect
+from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
 SMALL_RECTS = {
     PlaneId.I: connection.CALIBRATION_RECT,
@@ -106,6 +107,21 @@ def matrix_magnus_transport(loop, cutoff, steps):
         omega = 0.5 * (b1 + b2) - math.sqrt(3.0) / 12.0 * (b1 @ b2 - b2 @ b1)
         holonomy = ordered_product(expm_skew_hermitian(omega)) @ holonomy
     return holonomy
+
+
+@st.composite
+def convex_polygons(draw, planes=(PlaneId.I, PlaneId.III)):
+    """Convex polygons in a small window: angles on a circle around a center."""
+    plane = draw(st.sampled_from(planes))
+    center = (draw(st.floats(0.08, 0.12)), draw(st.floats(0.08, 0.12)))
+    radius = draw(st.floats(0.02, 0.07))
+    count = draw(st.integers(3, 7))
+    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=count, max_size=count))
+    angles = np.cumsum(gaps) * 2.0 * math.pi / sum(gaps)
+    verts = tuple(
+        (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)) for a in angles
+    )
+    return LoopSpec(plane, Polyline(verts))
 
 
 def stepped_kicks(loop, cutoff, kick_count):

@@ -20,6 +20,7 @@ from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 from conftest import (
     ORACLE_CUTOFF,
     SMALL_RECTS,
+    convex_polygons,
     matrix_magnus_transport,
     stepped_holonomy,
     stepped_product,
@@ -419,21 +420,6 @@ def test_calibration_reproduces_frozen_constants():
     for plane in PlaneId:
         assert np.allclose(cal["gauges"][plane], CALIBRATION_GAUGE[plane], atol=1e-12)
         assert cal["distances"][plane] < 1e-2
-
-
-@st.composite
-def convex_polygons(draw, planes=(PlaneId.I, PlaneId.III)):
-    """Convex polygons in a small window: angles on a circle around a center."""
-    plane = draw(st.sampled_from(planes))
-    center = (draw(st.floats(0.08, 0.12)), draw(st.floats(0.08, 0.12)))
-    radius = draw(st.floats(0.02, 0.07))
-    count = draw(st.integers(3, 7))
-    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=count, max_size=count))
-    angles = np.cumsum(gaps) * 2.0 * math.pi / sum(gaps)
-    verts = tuple(
-        (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)) for a in angles
-    )
-    return LoopSpec(plane, Polyline(verts))
 
 
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")

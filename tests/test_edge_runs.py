@@ -4,7 +4,8 @@ The transport takes one exact exponential per axis-aligned edge and Magnus
 steps on tilted ones; the stepped product of re-unitarized frame overlaps
 (conftest.stepped_holonomy) converges onto it as 1/steps^2.  On an
 axis-aligned edge every kick is the same matrix, so the kicked route raises
-it to the edge's kick count by repeated squaring; here it is compared with
+it to the edge's kick count by repeated squaring, and on a tilted edge the
+kicks go one by one through real-form products; both are compared here with
 dense per-kick controls (conftest.stepped_kicks).
 """
 
@@ -12,13 +13,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hologate import connection, kicked, loops
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import stepped_holonomy, stepped_kicks
+from conftest import convex_polygons, stepped_holonomy, stepped_kicks
 
 STEPS = 400
 KICKS = 256
@@ -78,9 +81,17 @@ def test_connection_edge_powers_match_stepped_product(loop):
     assert np.linalg.norm(exact - exact_reference(loop)) < 1e-11
 
 
+# no axis-aligned edge, under plane II's complex squeeze generator; there is no
+# closed-form transport to check it against, so it is a kicked case only
+POLYLINE_II = Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08)))
+
 # at the odd cutoff 13 the two plane III parity blocks are unequal: 85 and 84 states
 KICK_CASES = [
     pytest.param(case.values[0], CUTOFF[case.values[0].plane], id=case.id) for case in CASES
+] + [
+    pytest.param(LoopSpec(PlaneId.II, POLYLINE_II, orientation), CUTOFF[PlaneId.II],
+                 id=f"polyline-II-{orientation:+d}")
+    for orientation in (1, -1)
 ] + [
     pytest.param(LoopSpec(PlaneId.III, SHAPES[name][1], orientation), 13,
                  id=f"{name}-cutoff13-{orientation:+d}")
@@ -94,6 +105,18 @@ def test_kicked_edge_powers_match_stepped_kicks(loop, cutoff):
     schedule = KickSchedule(loop, KICKS, cutoff=cutoff)
     result = kicked.run_kicked(schedule)
     code_map, leakage = stepped_kicks(loop, cutoff, KICKS)
+    assert np.max(np.abs(result.code_map - code_map)) < 1e-10
+    assert abs(result.leakage - leakage) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@settings(max_examples=20, deadline=None)
+@given(convex_polygons(), st.integers(64, 128), st.sampled_from([1, -1]))
+def test_kicked_polygons_match_stepped_kicks(loop, kicks, orientation):
+    loop = LoopSpec(loop.plane, loop.shape, orientation)
+    cutoff = 10 if loop.plane is PlaneId.III else 24
+    result = kicked.run_kicked(KickSchedule(loop, kicks, cutoff=cutoff))
+    code_map, leakage = stepped_kicks(loop, cutoff, kicks)
     assert np.max(np.abs(result.code_map - code_map)) < 1e-10
     assert abs(result.leakage - leakage) < 1e-10
 

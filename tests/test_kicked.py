@@ -95,3 +95,37 @@ def test_adiabaticity_warning_on_resonant_dwell():
         result = kicked.run_kicked(schedule)
     assert result.leakage > 0.5
     assert result.diagnostics["adiabaticity_failure"]
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("size", [1, 7, 98])
+def test_real_form_is_the_complex_product_on_rows(size, rows):
+    rng = np.random.default_rng(10 * size + rows)
+    matrix = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    x = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
+    # the kicked route passes transposed views
+    for m in (matrix, matrix.T):
+        got = (x.view(np.float64) @ kicked.real_form(m)).view(np.complex128)
+        expected = x @ m
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
+    shapes = []
+    original = kicked.real_form
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(kicked, "real_form", counted)
+    for loop, cutoff in [(connection.CALIBRATION_RECT, 24),
+                         (LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)), 12)]:
+        kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
+    assert shapes == []
+    # one axis-aligned edge and two tilted ones, on plane I's one block:
+    # the dwell's real form, then one per tilted edge for its outer step
+    triangle = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.0), (0.05, 0.1))))
+    kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
+    assert shapes == [(24, 24)] * 3
