@@ -6,7 +6,9 @@ record, and floats are rounded to the configured number of significant
 digits, so identical inputs produce bit-identical output.
 
 Exit codes: 0 success, 2 parse/validation error, 4 truncation-policy
-violation under --strict.
+violation under --strict.  Truncation and adiabaticity warnings are reported
+on stderr, one line per kind; an adiabaticity warning leaves the exit code
+alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import compiler, connection, error_model, gates, kicked
 from . import loops as loops_mod
-from .exceptions import TruncationWarning
+from .exceptions import AdiabaticityWarning, TruncationWarning
 from .loops import LoopSpec, PlaneId, Rect
 
 EXIT_OK = 0
@@ -310,13 +312,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
+            warnings.simplefilter("always", AdiabaticityWarning)
             code = args.func(args)
-        truncated = [w for w in caught if issubclass(w.category, TruncationWarning)]
-        if truncated:
-            messages = dict.fromkeys(str(w.message) for w in truncated)
-            print(f"truncation: {'; '.join(messages)}", file=sys.stderr)
-            if args.strict:
-                return EXIT_TRUNCATION
+        for label, category in (
+            ("truncation", TruncationWarning), ("adiabaticity", AdiabaticityWarning)
+        ):
+            messages = dict.fromkeys(str(w.message) for w in caught if w.category is category)
+            if messages:
+                print(f"{label}: {'; '.join(messages)}", file=sys.stderr)
+        if args.strict and any(w.category is TruncationWarning for w in caught):
+            return EXIT_TRUNCATION
         return code
     except (ValueError, OSError, json.JSONDecodeError, compiler.CircuitParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,13 @@ Magnus step and each product is a closed form in p and q.  The rest of the
 code space (plane III's |00>, |11>) sees only the constant A_i, whose
 exponential is the same closed form.
 
+Everything runs in the eigenbasis V of G_i, and G_i never leaves one of its
+sectors (the parity chains of the squeeze, the n1 - n2 chains of the
+two-mode squeeze).  So V is built sector by sector, one small eigh each, as
+the direct sum of the sector bases; the transport's code pair is two of these
+sectors, and a diagonal operator such as the kicked route's Kerr dwell is
+block-diagonal by sector in V.
+
 Raw holonomies come out in the dressed-frame code basis.  That basis differs
 from the gate convention (Sigma1/Sigma2/Sigma12 per plane) by a constant
 change of code basis which carries no physics; the frozen CALIBRATION maps one
@@ -73,23 +80,27 @@ class CurvatureSample:
 
 
 class CodeBlock:
-    """Fock basis states closed under the inner generator G_i that hold code states.
+    """Fock basis states closed under the inner generator G_i, in its eigenbasis there.
 
     `index` lists the block's Fock basis states, `columns` the code columns
-    it holds and `code` those columns on the block; `inner` is the
-    propagator of G_i restricted to the block.
+    it holds (possibly none) and `code` those columns on the block; `values`
+    w and the columns of `vectors` V are the eigenpairs of i G_i on the block,
+    so that I(i) = V diag(exp(-i i w)) V^dag there.
     """
 
-    def __init__(self, index: np.ndarray, inner: np.ndarray, code: np.ndarray):
+    def __init__(
+        self, index: np.ndarray, values: np.ndarray, vectors: np.ndarray, code: np.ndarray
+    ):
         self.index = index
+        self.values = values
+        self.vectors = vectors
         self.columns = np.nonzero(np.any(code[index] != 0, axis=0))[0]
         self.code = code[np.ix_(index, self.columns)]
-        self.inner = fock.Propagator(inner[np.ix_(index, index)])
 
     @cached_property
     def code_eig(self) -> np.ndarray:
         """The block's code columns in its inner eigenbasis V."""
-        return self.inner.vectors.conj().T @ self.code
+        return self.vectors.conj().T @ self.code
 
     def phases(self, start: float, step: float, count: int) -> np.ndarray:
         """exp(-i w (start + step k)) for k < count, shape (block size, count): I's phases.
@@ -99,27 +110,51 @@ class CodeBlock:
         exponentials per eigenvalue w instead of count.
         """
         fine = math.isqrt(count - 1) + 1
-        w = self.inner.values[:, None]
+        w = self.values[:, None]
         table = np.exp(-1j * (w * (start + step * fine * np.arange(-(-count // fine)))))
         if fine > 1:
             table = table[:, :, None] * np.exp(-1j * (w * (step * np.arange(fine))))[:, None, :]
         return table.reshape(w.size, -1)[:, :count]
 
 
+def _sector(index: np.ndarray, inner: np.ndarray, code: np.ndarray) -> CodeBlock:
+    """One sector of G_i (a chain that G_i does not leave), with its own eigh."""
+    basis = fock.Propagator(inner[np.ix_(index, index)])
+    return CodeBlock(index, basis.values, basis.vectors, code)
+
+
 class ControlBlock(CodeBlock):
     """One invariant block of the control generators G_i and G_o that holds code states.
 
-    G_o restricted to the block is V_o diag(w_o) V_o^dag times -i; the block
-    keeps `outer_values` w_o and `outer_vectors` W = V^dag V_o, the outer
-    eigenvectors in the inner eigenbasis V, so that its only dense matrices
-    are V and W.
+    The block is the union of `sectors`, the sectors of G_i inside it, each a
+    CodeBlock with its own eigenbasis; `index` lists them one after another,
+    and V is their direct sum, so V is block-diagonal and `values` is the
+    sectors' eigenvalues in the same order.  `sector_mask` (sectors x largest
+    sector size) is True at the places a sector fills: a vector in V, written
+    into the True places in row-major order, lands sector by sector.  G_o
+    restricted to the block is V_o diag(w_o) V_o^dag times -i; the block keeps
+    `outer_values` w_o and `outer_vectors` W = V^dag V_o, the outer
+    eigenvectors in V, so that its only dense matrices are V and W.
     """
 
     def __init__(self, index: np.ndarray, inner: np.ndarray, outer: np.ndarray, code: np.ndarray):
-        super().__init__(index, inner, code)
+        linked = inner[np.ix_(index, index)] != 0
+        self.sectors = [
+            _sector(index[part], inner, code)
+            for part in fock.invariant_blocks(linked, np.ones((index.size, 1)))
+        ]
+        sizes = np.array([sector.index.size for sector in self.sectors])
+        self.sector_mask = np.arange(sizes.max()) < sizes[:, None]
+        index = np.concatenate([sector.index for sector in self.sectors])
+        vectors = np.zeros((index.size, index.size), dtype=complex)
+        ends = np.cumsum(sizes)
+        for sector, start, end in zip(self.sectors, ends - sizes, ends):
+            vectors[start:end, start:end] = sector.vectors
+        values = np.concatenate([sector.values for sector in self.sectors])
+        super().__init__(index, values, vectors, code)
         outer = fock.Propagator(outer[np.ix_(index, index)])
         self.outer_values = outer.values
-        self.outer_vectors = self.inner.vectors.conj().T @ outer.vectors
+        self.outer_vectors = vectors.conj().T @ outer.vectors
 
     def outer_kick(self, d_outer: float) -> np.ndarray:
         """V^dag O(d_outer) V = W exp(-i d_outer w_o) W^dag on the block."""
@@ -133,10 +168,10 @@ class ControlBlock(CodeBlock):
         and V^dag c is code_eig.
         """
         w = self.outer_vectors
-        cols = np.exp(-1j * inner * self.inner.values)[:, None] * self.code_eig
+        cols = np.exp(-1j * inner * self.values)[:, None] * self.code_eig
         # W^dag cols as conj(W^T conj(cols)): a transposed view, no W-sized copy
         cols = np.exp(-1j * outer * self.outer_values)[:, None] * (w.T @ cols.conj()).conj()
-        return self.inner.vectors @ (w @ cols)
+        return self.vectors @ (w @ cols)
 
 
 class SectorPair(NamedTuple):
@@ -156,23 +191,23 @@ class SectorPair(NamedTuple):
 class FrameFactory:
     """Dressed code frames and their exact connection on one plane.
 
-    Frames go through cached eigendecompositions of the two control
-    generators.  The connection is evaluated sector by sector: each sector
-    of G_i that holds code states (a CodeBlock: the two parities on planes
-    I/II, n1 - n2 in {0, +1, -1} on plane III) has its own eigenbasis V_a,
-    in which I(i) is the diagonal phase exp(-i i w_a), and I(i) c never
-    leaves it.  With y_a = exp(-i i w_a) V_a^dag c_a, the block of A_o(i)
-    between the code columns of sectors a and b is y_a^dag (V_a^dag G_o V_b) y_b.
-    G_o links exactly one sector pair, `pair` (the two parities on planes
-    I/II, n1 - n2 = +1 and -1 on plane III), each sector with one code
-    column, so A_o is one entry at `pair_columns` and its mirror, and
-    exactly zero elsewhere.  A_i is exactly zero on the pair; on the `rest`
-    of the code columns (none on planes I/II, |00> and |11> on plane III)
-    it is the one entry `rest_entry` and its mirror.  Kicks leave the sectors
-    through O, but no control leaves an invariant block of G_i and G_o
-    together: `blocks` holds one ControlBlock per such block that holds code
-    states (the whole space on planes I/II, the two parity blocks of
-    (-1)^(n1 + n2) on plane III), and frames and kicks run block by block.
+    No control leaves an invariant block of G_i and G_o together: `blocks`
+    holds one ControlBlock per such block that holds code states (the whole
+    space on planes I/II, the two parity blocks of (-1)^(n1 + n2) on plane
+    III), and frames and kicks run block by block.  Each block is built from
+    the sectors of G_i inside it, one eigh per sector: the two parity chains
+    of the squeeze on planes I/II, the n1 - n2 chains of the two-mode squeeze
+    on plane III (13 and 14 of them in the two parity blocks at cutoff 14).
+    In a sector's eigenbasis V_a, I(i) is the diagonal phase exp(-i i w_a),
+    and I(i) c never leaves the sector.  With y_a = exp(-i i w_a) V_a^dag c_a,
+    the block of A_o(i) between the code columns of sectors a and b is
+    y_a^dag (V_a^dag G_o V_b) y_b.  G_o links exactly one pair of sectors that
+    hold code states, `pair` (the two parities on planes I/II, n1 - n2 = +1
+    and -1 on plane III), each sector with one code column, so A_o is one
+    entry at `pair_columns` and its mirror, and exactly zero elsewhere.  A_i
+    is exactly zero on the pair; on the `rest` of the code columns (none on
+    planes I/II, |00> and |11> on plane III) it is the one entry `rest_entry`
+    and its mirror.  The pair's sectors are the blocks' own sector objects.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -195,19 +230,16 @@ class FrameFactory:
             for index in fock.invariant_blocks(pattern, self.code)
         ]
         self.code_dim = self.code.shape[1]
-        sectors = [
-            CodeBlock(index, inner, self.code)
-            for index in fock.invariant_blocks(inner != 0, self.code)
-        ]
+        coded = [sector for block in self.blocks for sector in block.sectors if sector.columns.size]
         [(first, second)] = [
             (a, b)
-            for k, a in enumerate(sectors)
-            for b in sectors[k:]
+            for k, a in enumerate(coded)
+            for b in coded[k:]
             if np.any(outer[np.ix_(a.index, b.index)])
         ]
-        middle = first.inner.vectors.conj().T @ outer[np.ix_(first.index, second.index)]
-        middle = first.code_eig.conj() * (middle @ second.inner.vectors) * second.code_eig.T
-        weight = 1j * np.subtract.outer(first.inner.values, second.inner.values)
+        middle = first.vectors.conj().T @ outer[np.ix_(first.index, second.index)]
+        middle = first.code_eig.conj() * (middle @ second.vectors) * second.code_eig.T
+        weight = 1j * np.subtract.outer(first.values, second.values)
         self.pair = SectorPair(first, second, middle, weight)
         [row], [col] = first.columns, second.columns
         self.pair_columns = np.array([row, col])

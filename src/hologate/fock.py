@@ -1,9 +1,10 @@
-"""Truncated Fock-space representation of bosonic operators and their exponentials.
+"""Truncated Fock-space representation of the bosonic control generators.
 
 Single-mode operators live on the levels 0..N-1; two-mode operators on the
-N^2-dimensional product space with basis index n1*N + n2.  All unitaries are
-built by exponentiating skew-Hermitian generators, so they are exact unitaries
-of the *truncated* generator; how faithfully they represent the untruncated
+N^2-dimensional product space with basis index n1*N + n2.  Unitaries are
+never built here: the routes exponentiate the skew-Hermitian generators
+through their eigenpairs (Propagator), so they are exact unitaries of the
+*truncated* generator; how faithfully they represent the untruncated
 operator is monitored through the top-quartile population budget.
 """
 
@@ -151,12 +152,6 @@ def top_quartile_population(cols: np.ndarray, cutoff: int, mode_count: int) -> f
     return float(np.max(np.sum(np.abs(cols[mask, :]) ** 2, axis=0)))
 
 
-def truncation_defect(op: TruncatedOperator) -> float:
-    """Worst top-quartile population over the code states after applying op."""
-    out = op.matrix @ code_states(op.cutoff, op.mode_count)
-    return top_quartile_population(out, op.cutoff, op.mode_count)
-
-
 def warn_if_truncated(population: float, label: str) -> None:
     """TruncationWarning when a top-quartile population exceeds the trust budget."""
     if population > TOP_QUARTILE_BUDGET:
@@ -169,10 +164,10 @@ def warn_if_truncated(population: float, label: str) -> None:
 
 
 class Propagator:
-    """exp(t * G) for a fixed skew-Hermitian G, through one cached eigh.
+    """exp(t * G) for a fixed skew-Hermitian G, as the eigenpairs of one eigh.
 
-    G = -iH with H Hermitian, so exp(t * G) = V exp(-i t w) V^dag is unitary to
-    machine precision for every t.
+    G = -iH with H Hermitian, so exp(t * G) = V exp(-i t w) V^dag, with w the
+    `values` and V the `vectors`, is unitary to machine precision for every t.
     """
 
     def __init__(self, generator: np.ndarray):
@@ -182,54 +177,36 @@ class Propagator:
             raise ValueError("generator is not skew-Hermitian")
         self.values, self.vectors = np.linalg.eigh(1j * generator)
 
-    def matrix(self, t: float) -> np.ndarray:
-        """exp(t * G) as a dense matrix."""
-        return (self.vectors * np.exp(-1j * t * self.values)[None, :]) @ self.vectors.conj().T
-
 
 def invariant_blocks(pattern: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     """Basis indices of the invariant blocks of a nonzero pattern that the columns touch.
 
     The blocks are the connected components of the pattern read as an
     undirected graph: the sectors of a number that every matrix with that
-    pattern conserves, such as parity or n1 - n2.  Ordered by their first
-    index that a column touches.
+    pattern conserves, such as parity or n1 - n2.  Every index starts as its
+    own label and repeatedly takes the lowest label among its links, until
+    no label changes: then each block carries its lowest index.  Ordered by
+    their first index that a column touches.
     """
-    dim = pattern.shape[0]
-    linked = pattern | pattern.T
-    covered = np.zeros(dim, dtype=bool)
-    blocks = []
+    rows, links = np.nonzero(pattern | pattern.T)
+    labels = np.arange(pattern.shape[0])
+    while True:
+        lowest = labels.copy()
+        np.minimum.at(lowest, rows, labels[links])
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    blocks = {}
     for seed in np.nonzero(np.any(cols != 0, axis=1))[0]:
-        if covered[seed]:
-            continue
-        block = np.zeros(dim, dtype=bool)
-        block[seed] = True
-        frontier = block
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~block
-            block |= frontier
-        covered |= block
-        blocks.append(np.nonzero(block)[0])
-    return blocks
-
-
-def matrix_exponential(generator: TruncatedOperator) -> TruncatedOperator:
-    """exp(G) of a skew-Hermitian generator; anything else raises ValueError."""
-    exp_mat = Propagator(generator.matrix).matrix(1.0)
-    return TruncatedOperator(generator.cutoff, exp_mat, generator.mode_count)
+        if labels[seed] not in blocks:
+            blocks[labels[seed]] = np.nonzero(labels == labels[seed])[0]
+    return list(blocks.values())
 
 
 def displacement_generator(lam: complex, cutoff: int) -> TruncatedOperator:
     """lam*a^dag - conj(lam)*a."""
     a = annihilator(cutoff).matrix
     return TruncatedOperator(cutoff, lam * a.conj().T - np.conj(lam) * a)
-
-
-def displacement(lam: complex, cutoff: int) -> TruncatedOperator:
-    """D(lam) = exp(lam*a^dag - conj(lam)*a)."""
-    op = matrix_exponential(displacement_generator(lam, cutoff))
-    warn_if_truncated(truncation_defect(op), f"displacement(lam={lam})")
-    return op
 
 
 def squeeze_generator(mu: complex, cutoff: int) -> TruncatedOperator:
@@ -239,13 +216,6 @@ def squeeze_generator(mu: complex, cutoff: int) -> TruncatedOperator:
     return TruncatedOperator(cutoff, mu * (adag @ adag) - np.conj(mu) * (a @ a))
 
 
-def squeeze(mu: complex, cutoff: int) -> TruncatedOperator:
-    """S(mu) = exp(mu*(a^dag)^2 - conj(mu)*a^2)."""
-    op = matrix_exponential(squeeze_generator(mu, cutoff))
-    warn_if_truncated(truncation_defect(op), f"squeeze(mu={mu})")
-    return op
-
-
 def two_mode_mix_generator(xi: complex, cutoff: int) -> TruncatedOperator:
     """xi*a1^dag*a2 - conj(xi)*a1*a2^dag; commutes with n1+n2."""
     a1, a2 = mode_operators(cutoff)
@@ -253,25 +223,11 @@ def two_mode_mix_generator(xi: complex, cutoff: int) -> TruncatedOperator:
     return TruncatedOperator(cutoff, mat, mode_count=2)
 
 
-def two_mode_mix(xi: complex, cutoff: int) -> TruncatedOperator:
-    """N(xi) = exp(xi*a1^dag*a2 - conj(xi)*a1*a2^dag), a beam-splitter-like coupling."""
-    op = matrix_exponential(two_mode_mix_generator(xi, cutoff))
-    warn_if_truncated(truncation_defect(op), f"two_mode_mix(xi={xi})")
-    return op
-
-
 def two_mode_squeeze_generator(zeta: complex, cutoff: int) -> TruncatedOperator:
     """zeta*a1^dag*a2^dag - conj(zeta)*a1*a2; commutes with n1-n2."""
     a1, a2 = mode_operators(cutoff)
     mat = zeta * (a1.conj().T @ a2.conj().T) - np.conj(zeta) * (a1 @ a2)
     return TruncatedOperator(cutoff, mat, mode_count=2)
-
-
-def two_mode_squeeze(zeta: complex, cutoff: int) -> TruncatedOperator:
-    """M(zeta) = exp(zeta*a1^dag*a2^dag - conj(zeta)*a1*a2)."""
-    op = matrix_exponential(two_mode_squeeze_generator(zeta, cutoff))
-    warn_if_truncated(truncation_defect(op), f"two_mode_squeeze(zeta={zeta})")
-    return op
 
 
 def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:
@@ -283,16 +239,6 @@ def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:
     n = np.arange(cutoff, dtype=float)
     single = chi * n * (n - 1.0)
     return single if mode_count == 1 else np.add.outer(single, single).reshape(-1)
-
-
-def kerr_hamiltonian(chi: float, cutoff: int, mode_count: int = 1) -> TruncatedOperator:
-    """Kerr Hamiltonian chi*n(n-1) per mode; zero exactly on levels 0 and 1.
-
-    There is no cross term between the modes: the four states |00>, |01>,
-    |10>, |11> must stay exactly degenerate at eigenvalue 0.
-    """
-    energies = _kerr_energies(chi, cutoff, mode_count).astype(complex)
-    return TruncatedOperator(cutoff, np.diag(energies), mode_count)
 
 
 def kerr_phases(chi: float, delta_t: float, cutoff: int, mode_count: int = 1) -> np.ndarray:

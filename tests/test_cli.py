@@ -334,6 +334,21 @@ def test_truncation_is_reported_on_stderr_in_both_modes(capsys, tmp_path, strict
     assert json.loads(captured.out)["config"]["strict"] is strict
 
 
+def test_adiabaticity_warning_is_reported_on_stderr(capsys, tmp_path):
+    loop = LoopSpec(PlaneId.I, Rect(0.0, 2.0, 0.0, 2.0))
+    loop_file = write_loop(tmp_path, "wide.json", loop)
+    code = cli.main(["--steps", "400", "oracle", loop_file, "--method", "kicked"])
+    captured = capsys.readouterr()
+    # the record still prints and the exit code stays 0: leakage is data
+    assert code == 0
+    assert json.loads(captured.out)["leakage"] > kicked.LEAKAGE_FAILURE_THRESHOLD
+    # one line per kind; both kicked runs (400 and 200 kicks) leak past the threshold
+    lines = captured.err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["truncation", "adiabaticity"]
+    assert lines[1].count("the evolution is not adiabatic") == 2
+    assert "leakage 0.965 exceeds 0.5" in lines[1]
+
+
 def test_kicked_steps_too_few_for_the_half_run_exits_2(capsys, tmp_path):
     loop = LoopSpec(PlaneId.I, Rect(0.0, 1.2, 0.0, 0.6))
     loop_file = write_loop(tmp_path, "long.json", loop)

@@ -211,6 +211,74 @@ def test_control_blocks_hold_two_dense_matrices():
         assert sum(a.nbytes for a in arrays) <= 2 * size**2 * 16 + 8 * size * 16
 
 
+SECTOR_CASES = [
+    pytest.param(PlaneId.I, 60, [[30, 30]], id="I"),
+    pytest.param(PlaneId.II, 60, [[30, 30]], id="II"),
+    # n1 - n2 = d holds cutoff - |d| states; even d in the even parity block
+    pytest.param(PlaneId.III, 13, [[13, 11, 11, 9, 9, 7, 7, 5, 5, 3, 3, 1, 1],
+                                   [12, 12, 10, 10, 8, 8, 6, 6, 4, 4, 2, 2]], id="III-13"),
+    pytest.param(PlaneId.III, 14, [[14, 12, 12, 10, 10, 8, 8, 6, 6, 4, 4, 2, 2],
+                                   [13, 13, 11, 11, 9, 9, 7, 7, 5, 5, 3, 3, 1, 1]], id="III"),
+]
+
+
+@pytest.mark.parametrize("plane,cutoff,sizes", SECTOR_CASES)
+def test_control_block_bases_are_direct_sums_of_sector_bases(plane, cutoff, sizes):
+    factory = connection.FrameFactory(plane, cutoff)
+    _, inner, _ = plane_generators(plane, cutoff)
+    mode_count = 2 if plane is PlaneId.III else 1
+    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
+    for block, block_sizes in zip(factory.blocks, sizes):
+        # the sectors, laid out one after another, partition the block
+        assert sorted(sector.index.size for sector in block.sectors) == sorted(block_sizes)
+        assert np.array_equal(block.index, np.concatenate([s.index for s in block.sectors]))
+        assert block.sector_mask.sum(axis=1).tolist() == [s.index.size for s in block.sectors]
+        lengths = np.array([s.index.size for s in block.sectors])
+        ends = np.cumsum(lengths)
+        between = np.ones((block.index.size,) * 2, dtype=bool)
+        for start, end in zip(ends - lengths, ends):
+            between[start:end, start:end] = False
+        generator = 1j * inner[np.ix_(block.index, block.index)]
+        assert not np.any(generator[between])
+        # V is unitary, exactly zero between sectors, and diagonalizes G_i
+        v = block.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) < 1e-14
+        assert not np.any(v[between])
+        eigen = v.conj().T @ generator @ v
+        assert np.max(np.abs(eigen - np.diag(block.values))) < 1e-14 * np.max(np.abs(block.values))
+        # the dwell in V is exactly zero between sectors, and its stack pads with I
+        stack, dense = kicked.sector_dwell(block, dwell)
+        assert not np.any(dense[between])
+        reference = (v.conj().T * dwell[block.index]) @ v
+        assert np.max(np.abs(dense - reference)) < 1e-14
+        for part, sector in zip(stack, block.sectors):
+            size = sector.index.size
+            padding = part.copy()
+            padding[:size, :size] = np.eye(size)
+            assert np.array_equal(padding, np.eye(part.shape[0]))
+
+
+@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.II, 60), (PlaneId.III, 14)])
+def test_pair_sectors_are_the_blocks_own_with_one_eigh_each(monkeypatch, plane, cutoff):
+    sizes = []
+    original = fock.Propagator
+
+    def counted(generator):
+        sizes.append(generator.shape[0])
+        return original(generator)
+
+    monkeypatch.setattr(fock, "Propagator", counted)
+    factory = connection.FrameFactory(plane, cutoff)
+    sectors = [sector for block in factory.blocks for sector in block.sectors]
+    assert any(factory.pair.first is sector for sector in sectors)
+    assert any(factory.pair.second is sector for sector in sectors)
+    # one eigh per sector of G_i and one of G_o per block: no block-sized eigh
+    # of G_i and no second eigh of the pair's sectors
+    assert sorted(sizes) == sorted(
+        [s.index.size for s in sectors] + [block.index.size for block in factory.blocks]
+    )
+
+
 @pytest.mark.parametrize("plane", list(PlaneId))
 def test_frame_matches_expm_of_the_generators(plane):
     cutoff = 13 if plane is PlaneId.III else 30
@@ -501,7 +569,7 @@ def test_sector_phases_match_a_direct_exp(count):
     for block in (factory.pair.first, factory.blocks[0]):
         for start, end in [(0.0, 0.08), (-0.08, 0.05), (0.3, -0.3), (0.0, 0.5)]:
             step = (end - start) / count
-            arguments = np.outer(block.inner.values, start + step * np.arange(count))
+            arguments = np.outer(block.values, start + step * np.arange(count))
             error = np.max(np.abs(block.phases(start, step, count) - np.exp(-1j * arguments)))
             largest = np.max(np.abs(arguments))
             assert error <= 6 * np.spacing(largest)

@@ -146,7 +146,7 @@ def test_kicked_edge_power_counts_match_stepped_kicks(loop, kicks, cutoff):
     result = kicked.run_kicked(KickSchedule(loop, kicks, cutoff=cutoff))
     code_map, leakage = stepped_kicks(loop, cutoff, kicks)
     assert np.max(np.abs(result.code_map - code_map)) < 1e-10
-    assert abs(result.leakage - leakage) < 1e-12
+    assert abs(result.leakage - leakage) < 1e-13
 
 
 def test_rect_transport_builds_frames_per_edge_not_per_step(monkeypatch):

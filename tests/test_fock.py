@@ -2,11 +2,29 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg import expm
 
 from hologate import fock
 from hologate.exceptions import TruncationWarning
 from hologate.fock import ControlPoint, TruncatedOperator
+
+from conftest import kerr_hamiltonian
+
+
+def displacement(lam, cutoff):
+    return expm(fock.displacement_generator(lam, cutoff).matrix)
+
+
+def squeeze(mu, cutoff):
+    return expm(fock.squeeze_generator(mu, cutoff).matrix)
+
+
+def two_mode_mix(xi, cutoff):
+    return expm(fock.two_mode_mix_generator(xi, cutoff).matrix)
+
+
+def two_mode_squeeze(zeta, cutoff):
+    return expm(fock.two_mode_squeeze_generator(zeta, cutoff).matrix)
 
 
 def test_annihilator_smallest_cutoffs():
@@ -30,19 +48,17 @@ def test_number_operator_from_ladder_product():
 
 
 def test_displacement_identity_at_zero():
-    d = fock.displacement(0.0, 20)
-    assert np.allclose(d.matrix, np.eye(20), atol=1e-14)
+    assert np.allclose(displacement(0.0, 20), np.eye(20), atol=1e-14)
 
 
 def test_displacement_vacuum_overlap():
     # <0|D(lam)|0> = exp(-|lam|^2 / 2)
-    d = fock.displacement(0.3, 40)
-    assert abs(d.matrix[0, 0] - math.exp(-0.045)) < 1e-8
+    assert abs(displacement(0.3, 40)[0, 0] - math.exp(-0.045)) < 1e-8
 
 
 def test_displacement_group_inverse():
-    d_plus = fock.displacement(0.3, 40).matrix
-    d_minus = fock.displacement(-0.3, 40).matrix
+    d_plus = displacement(0.3, 40)
+    d_minus = displacement(-0.3, 40)
     low = (d_plus @ d_minus)[:10, :10]
     assert np.linalg.norm(low - np.eye(10)) < 1e-10
 
@@ -54,43 +70,40 @@ def test_displacement_group_inverse():
 def test_displacement_composition_up_to_phase(lam1, lam2):
     # D(a) D(b) = exp(i Im(a * conj(b))) D(a + b)
     cutoff = 40
-    lhs = fock.displacement(lam1, cutoff).matrix @ fock.displacement(lam2, cutoff).matrix
+    lhs = displacement(lam1, cutoff) @ displacement(lam2, cutoff)
     phase = np.exp(1j * (lam1 * np.conj(lam2)).imag)
-    rhs = phase * fock.displacement(lam1 + lam2, cutoff).matrix
+    rhs = phase * displacement(lam1 + lam2, cutoff)
     block = cutoff // 4
     assert np.linalg.norm(lhs[:block, :block] - rhs[:block, :block]) < 1e-6
 
 
 def test_squeeze_identity_at_zero():
-    s = fock.squeeze(0.0, 20)
-    assert np.allclose(s.matrix, np.eye(20), atol=1e-14)
+    assert np.allclose(squeeze(0.0, 20), np.eye(20), atol=1e-14)
 
 
 def test_squeeze_vacuum_overlap():
     # <0|S(r)|0> = (cosh 2r)^(-1/2) in the no-half convention
-    s = fock.squeeze(0.2, 60)
     expected = 1.0 / math.sqrt(math.cosh(0.4))
-    assert abs(s.matrix[0, 0] - expected) < 1e-6
+    assert abs(squeeze(0.2, 60)[0, 0] - expected) < 1e-6
 
 
 def test_squeeze_group_inverse():
-    s_plus = fock.squeeze(0.2, 60).matrix
-    s_minus = fock.squeeze(-0.2, 60).matrix
+    s_plus = squeeze(0.2, 60)
+    s_minus = squeeze(-0.2, 60)
     low = (s_plus @ s_minus)[:10, :10]
     assert np.linalg.norm(low - np.eye(10)) < 1e-8
 
 
 def test_two_mode_mix_identity_at_zero():
-    n = fock.two_mode_mix(0.0, 8)
-    assert np.allclose(n.matrix, np.eye(64), atol=1e-14)
+    assert np.allclose(two_mode_mix(0.0, 8), np.eye(64), atol=1e-14)
 
 
 def test_two_mode_mix_is_balanced_beam_splitter_at_quarter_pi():
     cutoff = 20
-    n = fock.two_mode_mix(math.pi / 4.0, cutoff)
+    n = two_mode_mix(math.pi / 4.0, cutoff)
     i10 = 1 * cutoff + 0
     i01 = 0 * cutoff + 1
-    assert abs(abs(n.matrix[i01, i10]) - math.sin(math.pi / 4.0)) < 1e-8
+    assert abs(abs(n[i01, i10]) - math.sin(math.pi / 4.0)) < 1e-8
 
 
 def test_two_mode_mix_conserves_total_photon_number():
@@ -102,13 +115,11 @@ def test_two_mode_mix_conserves_total_photon_number():
 
 
 def test_two_mode_squeeze_identity_at_zero():
-    m = fock.two_mode_squeeze(0.0, 8)
-    assert np.allclose(m.matrix, np.eye(64), atol=1e-14)
+    assert np.allclose(two_mode_squeeze(0.0, 8), np.eye(64), atol=1e-14)
 
 
 def test_two_mode_squeeze_vacuum_overlap():
-    m = fock.two_mode_squeeze(0.2, 30)
-    assert abs(m.matrix[0, 0] - 1.0 / math.cosh(0.2)) < 1e-6
+    assert abs(two_mode_squeeze(0.2, 30)[0, 0] - 1.0 / math.cosh(0.2)) < 1e-6
 
 
 def test_two_mode_squeeze_conserves_photon_number_difference():
@@ -134,41 +145,39 @@ def test_generators_are_skew_hermitian(builder, arg):
 
 
 def test_kerr_hamiltonian_single_mode():
-    h = fock.kerr_hamiltonian(1.0, 4).matrix
+    h = kerr_hamiltonian(1.0, 4)
     assert np.allclose(np.diag(h).real, [0.0, 0.0, 2.0, 6.0], atol=1e-15)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
 def test_kerr_degenerate_subspace_single_mode():
-    h = fock.kerr_hamiltonian(0.7, 10).matrix
-    zero_levels = np.where(np.abs(np.diag(h)) == 0.0)[0]
-    assert list(zero_levels) == [0, 1]
+    # the dwell leaves exactly the code levels 0 and 1 untouched
+    phases = fock.kerr_phases(0.7, 0.3, 10)
+    assert list(np.nonzero(phases == 1.0)[0]) == [0, 1]
 
 
 def test_kerr_degenerate_subspace_two_modes():
     cutoff = 3
-    h = fock.kerr_hamiltonian(1.0, cutoff, mode_count=2).matrix
-    zero_idx = set(np.where(np.abs(np.diag(h)) == 0.0)[0])
+    phases = fock.kerr_phases(1.0, 0.3, cutoff, mode_count=2)
+    zero_idx = set(np.nonzero(phases == 1.0)[0])
     code_idx = {n1 * cutoff + n2 for n1 in (0, 1) for n2 in (0, 1)}
     assert zero_idx == code_idx
 
 
 def test_kerr_rejects_nonpositive_chi():
     with pytest.raises(ValueError):
-        fock.kerr_hamiltonian(0.0, 8)
+        fock.kerr_phases(0.0, 0.3, 8)
 
 
 @pytest.mark.parametrize("mode_count", [1, 2])
 def test_kerr_phases_are_the_dwell_of_the_hamiltonian(mode_count):
     chi, delta_t, cutoff = 0.7, 0.3, 6
-    energies = np.diag(fock.kerr_hamiltonian(chi, cutoff, mode_count).matrix)
+    energies = np.diag(kerr_hamiltonian(chi, cutoff, mode_count)).real
     phases = fock.kerr_phases(chi, delta_t, cutoff, mode_count)
     assert np.max(np.abs(phases - np.exp(-1j * delta_t * energies))) < 1e-15
     for bad_chi, bad_modes in ((0.0, mode_count), (-1.0, mode_count), (chi, 3)):
         with pytest.raises(ValueError):
             fock.kerr_phases(bad_chi, delta_t, cutoff, bad_modes)
-        with pytest.raises(ValueError):
-            fock.kerr_hamiltonian(bad_chi, cutoff, bad_modes)
 
 
 @pytest.mark.parametrize("mode_count", [1, 2])
@@ -180,60 +189,35 @@ def test_dense_budget_rejects_the_first_cutoff_past_it(mode_count):
         fock.check_dense_budget(largest + 1, mode_count)
 
 
-def test_matrix_exponential_of_zero():
-    out = fock.matrix_exponential(TruncatedOperator(6, np.zeros((6, 6))))
-    assert np.allclose(out.matrix, np.eye(6), atol=1e-15)
-
-
-def test_matrix_exponential_scalar_phases():
-    gen = TruncatedOperator(4, 1j * math.pi * np.eye(4))
-    out = fock.matrix_exponential(gen).matrix
-    assert np.allclose(out, -np.eye(4), atol=1e-12)
-
-
-def test_matrix_exponential_unitary_for_skew_hermitian():
-    rng = np.random.default_rng(11)
-    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    gen = raw - raw.conj().T
-    out = fock.matrix_exponential(TruncatedOperator(16, gen)).matrix
-    assert np.linalg.norm(out.conj().T @ out - np.eye(16)) < 1e-11
-
-
-def test_matrix_exponential_matches_scipy_route():
-    # independent algorithm cross-check at moderate norm
-    rng = np.random.default_rng(3)
-    raw = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    gen = 2.0 * (raw - raw.conj().T)
-    ours = fock.matrix_exponential(TruncatedOperator(12, gen)).matrix
-    reference = scipy.linalg.expm(gen)
-    assert np.linalg.norm(ours - reference) < 1e-12 * np.linalg.norm(reference)
-
-
-def test_matrix_exponential_rejects_non_skew_hermitian():
+def test_propagator_rejects_non_skew_hermitian():
     hermitian = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     with pytest.raises(ValueError, match="skew-Hermitian"):
-        fock.matrix_exponential(TruncatedOperator(4, hermitian))
+        fock.Propagator(hermitian)
 
 
-def test_matrix_exponential_rejects_non_finite():
+def test_propagator_rejects_non_finite():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        fock.matrix_exponential(TruncatedOperator(4, bad))
+        fock.Propagator(bad)
 
 
 @pytest.mark.parametrize("lam,mu", [(0.3, 0.0), (0.0, 0.25), (0.4, 0.2)])
 def test_control_unitaries_on_lower_ladder(lam, mu):
     cutoff = 60
-    u = fock.displacement(lam, cutoff).matrix @ fock.squeeze(mu, cutoff).matrix
+    u = displacement(lam, cutoff) @ squeeze(mu, cutoff)
     half = cutoff // 2
     defect = (u.conj().T @ u - np.eye(cutoff))[:half, :half]
     assert np.linalg.norm(defect) < 1e-8
 
 
 def test_truncation_warning_fires_when_cutoff_too_small():
+    # a displaced vacuum |2.5> puts about 0.4 of its population on levels 6, 7
+    cols = displacement(2.5, 8) @ fock.code_states(8)
+    population = fock.top_quartile_population(cols, 8, 1)
+    assert population > 0.1
     with pytest.warns(TruncationWarning):
-        fock.displacement(2.5, 8)
+        fock.warn_if_truncated(population, "displacement(lam=2.5)")
 
 
 def test_control_point_rejects_negative_amplitude():

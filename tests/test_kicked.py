@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hologate import connection, kicked
+from hologate import connection, fock, kicked
 from hologate.exceptions import AdiabaticityWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
@@ -129,3 +129,45 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     triangle = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.0), (0.05, 0.1))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert shapes == [(24, 24)] * 3
+
+
+@pytest.mark.parametrize("count", [1, 2, 31, 64, 256])
+@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 40), (PlaneId.II, 40), (PlaneId.III, 14)])
+def test_stacked_inner_power_is_the_dense_power(plane, cutoff, count):
+    factory = connection.frame_factory(plane, cutoff)
+    mode_count = 2 if plane is PlaneId.III else 1
+    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
+    for block in factory.blocks:
+        stack, dense = kicked.sector_dwell(block, dwell)
+        mask = block.sector_mask
+        w_stack = np.zeros(mask.shape)
+        w_stack[mask] = block.values
+        # the kick of an inner-direction edge: I's phase step, then the dwell
+        stacked = stack * np.exp(0.004j * w_stack)[:, None, :]
+        kick = dense * np.exp(0.004j * block.values)
+        got = kicked.power_sectors(stacked, count, block.code_eig, mask)
+        expected = kicked._power_apply(kick, count, block.code_eig)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
+    shapes = []
+    original = kicked._power_apply
+
+    def counted(kick, count, state):
+        shapes.append(kick.shape)
+        return original(kick, count, state)
+
+    monkeypatch.setattr(kicked, "_power_apply", counted)
+    loop = LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1))
+    kicked.run_kicked(KickSchedule(loop, 128, cutoff=12))
+    factory = connection.frame_factory(PlaneId.III, 12)
+    # per parity block, in the order of the edges: along r2 (the inner control),
+    # along r3, back along r2, back along r3
+    expected = []
+    for block in factory.blocks:
+        size = block.index.size
+        stacked = (len(block.sectors),) + (block.sector_mask.shape[1],) * 2
+        expected += [stacked, (size, size), stacked, (size, size)]
+    assert shapes == expected
+    assert all(len(shape) == 3 and shape[1] <= 12 for shape in shapes[::2])
