@@ -7,7 +7,7 @@ path-ordered transport of the exact connection of dressed Fock-space frames
 """
 
 from .exceptions import AdiabaticityWarning, TruncationWarning
-from .fock import ControlPoint, TruncatedOperator
+from .fock import ControlPoint
 from .gates import SIGMA1, SIGMA2, SIGMA12, GateMatrix, Generator, gate_for_loop
 from .loops import AreaResult, LoopSpec, PlaneId, Polyline, Rect, area, weight
 
@@ -24,7 +24,6 @@ __all__ = [
     "SIGMA1",
     "SIGMA12",
     "SIGMA2",
-    "TruncatedOperator",
     "TruncationWarning",
     "area",
     "gate_for_loop",

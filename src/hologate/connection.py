@@ -52,8 +52,9 @@ from .loops import LoopSpec, PlaneId, Rect
 # Loop used to pin the frame calibration and the oracle convergence checks.
 CALIBRATION_RECT = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
 
-# Magnus sub-intervals per batch: bounds the work arrays of a tilted edge (one
-# sector's size x MAGNUS_BATCH phases each) whatever its sub-interval count.
+# Sub-intervals per batch on a tilted edge, in both dynamical routes: bounds the
+# transport's work arrays (one sector's size x MAGNUS_BATCH phases each) and the
+# kicked route's phase table (block size x MAGNUS_BATCH + 1) whatever the count.
 MAGNUS_BATCH = 256
 
 # Two-node Gauss-Legendre points on [0, 1] for the fourth-order Magnus step.
@@ -217,13 +218,13 @@ class FrameFactory:
         self.cutoff = cutoff
         if plane is PlaneId.III:
             self.code = fock.code_states(cutoff, mode_count=2)
-            inner = fock.two_mode_squeeze_generator(1.0, cutoff).matrix
-            outer = fock.two_mode_mix_generator(1.0, cutoff).matrix
+            inner = fock.two_mode_squeeze_generator(1.0, cutoff)
+            outer = fock.two_mode_mix_generator(1.0, cutoff)
         else:
             self.code = fock.code_states(cutoff, mode_count=1)
             phase = 1.0 if plane is PlaneId.I else 1.0j
-            inner = fock.squeeze_generator(phase, cutoff).matrix
-            outer = fock.displacement_generator(1.0, cutoff).matrix
+            inner = fock.squeeze_generator(phase, cutoff)
+            outer = fock.displacement_generator(1.0, cutoff)
         pattern = (inner != 0) | (outer != 0)
         self.blocks = [
             ControlBlock(index, inner, outer, self.code)

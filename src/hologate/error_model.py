@@ -54,9 +54,6 @@ class ErrorReport:
     sigma_nominal: float
     sigma_perturbed: float
     epsilon: float
-    sensitivity: dict[str, float] | None = None
-    first_order_gate: GateMatrix | None = None
-    exact_gate: GateMatrix | None = None
     flags: dict[str, Any] = field(default_factory=dict)
 
 

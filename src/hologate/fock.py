@@ -1,11 +1,13 @@
 """Truncated Fock-space representation of the bosonic control generators.
 
-Single-mode operators live on the levels 0..N-1; two-mode operators on the
-N^2-dimensional product space with basis index n1*N + n2.  Unitaries are
-never built here: the routes exponentiate the skew-Hermitian generators
-through their eigenpairs (Propagator), so they are exact unitaries of the
-*truncated* generator; how faithfully they represent the untruncated
-operator is monitored through the top-quartile population budget.
+Operators are dense complex ndarrays.  Single-mode operators live on the
+levels 0..N-1; two-mode operators on the N^2-dimensional product space with
+basis index n1*N + n2, built as Kronecker products of the single-mode
+ladders.  Unitaries are never built here: the routes exponentiate the
+skew-Hermitian generators through their eigenpairs (Propagator), so they are
+exact unitaries of the *truncated* generator; how faithfully they represent
+the untruncated operator is monitored through the top-quartile population
+budget.
 """
 
 from __future__ import annotations
@@ -29,36 +31,6 @@ DENSE_MATRICES = 8
 
 # Ordered two-mode code basis: {|00>, |10>, |11>, |01>}.
 TWO_MODE_CODE_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense complex matrix acting on a truncated Fock space.
-
-    Parameters
-    ----------
-    cutoff : int
-        Number of retained Fock levels per mode (levels 0..cutoff-1).
-    matrix : ndarray
-        Dense complex matrix of shape (cutoff**mode_count,)*2.
-    mode_count : int
-        1 for a single mode, 2 for the product of two modes.
-    """
-
-    cutoff: int
-    matrix: np.ndarray
-    mode_count: int = 1
-
-    def __post_init__(self):
-        if self.cutoff < 2:
-            raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
-        if self.mode_count not in (1, 2):
-            raise ValueError(f"mode_count must be 1 or 2, got {self.mode_count}")
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = self.cutoff ** self.mode_count
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -88,19 +60,11 @@ class ControlPoint:
             object.__setattr__(self, name, float(getattr(self, name)) % (2 * math.pi))
 
 
-def annihilator(cutoff: int) -> TruncatedOperator:
+def annihilator(cutoff: int) -> np.ndarray:
     """Single-mode annihilation operator a with a[n-1, n] = sqrt(n)."""
     if cutoff < 2:
         raise ValueError(f"cutoff must be at least 2, got {cutoff}")
-    mat = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
-    return TruncatedOperator(cutoff, mat)
-
-
-def mode_operators(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-mode annihilators (a1, a2) on the N^2 product space, index n1*N + n2."""
-    a = annihilator(cutoff).matrix
-    eye = np.eye(cutoff, dtype=complex)
-    return np.kron(a, eye), np.kron(eye, a)
+    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
 def code_states(cutoff: int, mode_count: int = 1) -> np.ndarray:
@@ -203,31 +167,35 @@ def invariant_blocks(pattern: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     return list(blocks.values())
 
 
-def displacement_generator(lam: complex, cutoff: int) -> TruncatedOperator:
+def displacement_generator(lam: complex, cutoff: int) -> np.ndarray:
     """lam*a^dag - conj(lam)*a."""
-    a = annihilator(cutoff).matrix
-    return TruncatedOperator(cutoff, lam * a.conj().T - np.conj(lam) * a)
+    a = annihilator(cutoff)
+    return lam * a.conj().T - np.conj(lam) * a
 
 
-def squeeze_generator(mu: complex, cutoff: int) -> TruncatedOperator:
+def squeeze_generator(mu: complex, cutoff: int) -> np.ndarray:
     """mu*(a^dag)^2 - conj(mu)*a^2 (no 1/2 factor in this convention)."""
-    a = annihilator(cutoff).matrix
+    a = annihilator(cutoff)
     adag = a.conj().T
-    return TruncatedOperator(cutoff, mu * (adag @ adag) - np.conj(mu) * (a @ a))
+    return mu * (adag @ adag) - np.conj(mu) * (a @ a)
 
 
-def two_mode_mix_generator(xi: complex, cutoff: int) -> TruncatedOperator:
-    """xi*a1^dag*a2 - conj(xi)*a1*a2^dag; commutes with n1+n2."""
-    a1, a2 = mode_operators(cutoff)
-    mat = xi * (a1.conj().T @ a2) - np.conj(xi) * (a1 @ a2.conj().T)
-    return TruncatedOperator(cutoff, mat, mode_count=2)
+def two_mode_mix_generator(xi: complex, cutoff: int) -> np.ndarray:
+    """xi*a1^dag*a2 - conj(xi)*a1*a2^dag; commutes with n1+n2.
+
+    a1 = a (x) 1 and a2 = 1 (x) a, so a1^dag a2 = a^dag (x) a: a Kronecker
+    product of the single-mode ladders, with no N^2-square matrix product.
+    """
+    a = annihilator(cutoff)
+    adag = a.conj().T
+    return xi * np.kron(adag, a) - np.conj(xi) * np.kron(a, adag)
 
 
-def two_mode_squeeze_generator(zeta: complex, cutoff: int) -> TruncatedOperator:
+def two_mode_squeeze_generator(zeta: complex, cutoff: int) -> np.ndarray:
     """zeta*a1^dag*a2^dag - conj(zeta)*a1*a2; commutes with n1-n2."""
-    a1, a2 = mode_operators(cutoff)
-    mat = zeta * (a1.conj().T @ a2.conj().T) - np.conj(zeta) * (a1 @ a2)
-    return TruncatedOperator(cutoff, mat, mode_count=2)
+    a = annihilator(cutoff)
+    adag = a.conj().T
+    return zeta * np.kron(adag, adag) - np.conj(zeta) * np.kron(a, a)
 
 
 def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:

@@ -177,13 +177,14 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     loop of them builds no real form.
 
     On a tilted edge S is constant and the inner phases at the edge's kick
-    points come from one CodeBlock.phases table, so each kick is two row
-    scalings and two products.  The columns are held as rows x (code columns
-    x block size), so the products are x S^T and x D^T, and they go through
-    real_form(S^T) and real_form(D^T): on two rows this real product runs
-    about 1.5 times faster than the complex one (OpenBLAS, one thread, block
-    size 98).  Each kick writes into the same two buffers, and the complex S
-    is dropped once its real form exists.
+    points come from CodeBlock.phases tables of connection.MAGNUS_BATCH kicks
+    each, so memory stays flat whatever the kick count, and each kick is two
+    row scalings and two products.  The columns are held as rows x (code
+    columns x block size), so the products are x S^T and x D^T, and they go
+    through real_form(S^T) and real_form(D^T): on two rows this real product
+    runs about 1.5 times faster than the complex one (OpenBLAS, one thread,
+    block size 98).  Each kick writes into the same two buffers, and the
+    complex S is dropped once its real form exists.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
@@ -220,15 +221,18 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
                     state = _power_apply(kick, run.count, state)
             else:
                 step_re = real_form(block.outer_kick(outer_step).T)
-                # column k holds I's phases at the k-th kick point of the edge
-                phases = block.phases(inner0, (inner1 - inner0) / run.count, run.count + 1)
+                inner_step = (inner1 - inner0) / run.count
                 rows[...] = state.T
-                for k in range(run.count):
-                    np.multiply(rows, phases[:, k], out=scaled)
-                    np.matmul(scaled_re, step_re, out=rows_re)
-                    np.conjugate(phases[:, k + 1], out=following)
-                    np.multiply(rows, following, out=scaled)
-                    np.matmul(scaled_re, dwell_re, out=rows_re)
+                for start in range(0, run.count, connection.MAGNUS_BATCH):
+                    size = min(connection.MAGNUS_BATCH, run.count - start)
+                    # column k holds I's phases at kick point start + k of the edge
+                    phases = block.phases(inner0 + inner_step * start, inner_step, size + 1)
+                    for k in range(size):
+                        np.multiply(rows, phases[:, k], out=scaled)
+                        np.matmul(scaled_re, step_re, out=rows_re)
+                        np.conjugate(phases[:, k + 1], out=following)
+                        np.multiply(rows, following, out=scaled)
+                        np.matmul(scaled_re, dwell_re, out=rows_re)
                 state = rows.T
         return state
 

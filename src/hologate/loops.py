@@ -259,67 +259,12 @@ def polygon_sigma_exact(plane: PlaneId, verts: np.ndarray) -> np.ndarray:
     return _finite_sum(_edge_integrals(plane, np.asarray(verts, dtype=float)))
 
 
-# ---------------------------------------------------------------------------
-# Loop algebra
-
-
-def reverse(loop: LoopSpec) -> LoopSpec:
-    """Same loop traversed the other way; negates sigma exactly."""
-    return LoopSpec(loop.plane, loop.shape, -loop.orientation)
-
-
 def is_degenerate(loop: LoopSpec) -> bool:
     if isinstance(loop.shape, Rect):
         return False
     verts = np.asarray(loop.shape.vertices, dtype=float)
     scale = max(1.0, float(np.max(np.abs(verts))) ** 2)
     return abs(_shoelace(verts)) <= _DEGENERATE_AREA_EPS * scale
-
-
-def _degenerate_at(plane: PlaneId, anchor: tuple[float, float]) -> LoopSpec:
-    u, v = anchor
-    d = 1e-3
-    return LoopSpec(plane, Polyline(((u, v), (u + d, v), (u + d / 2, v))), orientation=1)
-
-
-def concatenate(a: LoopSpec, b: LoopSpec) -> LoopSpec:
-    """Merge two loops into one whose signed area is area(a) + area(b).
-
-    Supported combinations: a degenerate loop with anything, a loop with its
-    exact reversal (cancels to a degenerate loop), and two equally oriented
-    rectangles sharing a full edge (merged into the union rectangle).
-    """
-    if a.plane is not b.plane:
-        raise ValueError(f"cannot concatenate loops in planes {a.plane.value} and {b.plane.value}")
-    if is_degenerate(a):
-        return b
-    if is_degenerate(b):
-        return a
-    if a.shape == b.shape and a.orientation == -b.orientation:
-        return _degenerate_at(a.plane, _shape_vertices(a.shape)[0])
-    if isinstance(a.shape, Rect) and isinstance(b.shape, Rect) and a.orientation == b.orientation:
-        merged = _merge_rects(a.shape, b.shape)
-        if merged is not None:
-            return LoopSpec(a.plane, merged, a.orientation)
-    raise ValueError(
-        "unsupported concatenation: loops must share a full rectangle edge, "
-        "cancel exactly, or include a degenerate loop"
-    )
-
-
-def _merge_rects(r1: Rect, r2: Rect) -> Rect | None:
-    close = lambda x, y: math.isclose(x, y, rel_tol=0.0, abs_tol=1e-12)
-    same_v = close(r1.v_min, r2.v_min) and close(r1.v_max, r2.v_max)
-    same_u = close(r1.u_min, r2.u_min) and close(r1.u_max, r2.u_max)
-    if same_v and close(r1.u_max, r2.u_min):
-        return Rect(r1.u_min, r2.u_max, r1.v_min, r1.v_max)
-    if same_v and close(r2.u_max, r1.u_min):
-        return Rect(r2.u_min, r1.u_max, r1.v_min, r1.v_max)
-    if same_u and close(r1.v_max, r2.v_min):
-        return Rect(r1.u_min, r1.u_max, r1.v_min, r2.v_max)
-    if same_u and close(r2.v_max, r1.v_min):
-        return Rect(r1.u_min, r1.u_max, r2.v_min, r1.v_max)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +291,6 @@ class EdgeRun(NamedTuple):
         """Only one plane coordinate moves, so every step of the run is the same map."""
         return bool(self.start[0] == self.end[0] or self.start[1] == self.end[1])
 
-    def points(self) -> np.ndarray:
-        """(count+1, 2) step points, `start` and `end` included."""
-        ts = np.linspace(0.0, 1.0, self.count, endpoint=False)
-        inner = self.start[None, :] + ts[:, None] * (self.end - self.start)[None, :]
-        return np.concatenate([inner, self.end[None, :]], axis=0)
-
 
 def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
     """The boundary in traversal order as per-edge runs; `steps` split by edge length."""
@@ -370,12 +309,6 @@ def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
         reducible = np.where(counts > 1)[0]
         counts[reducible[int(np.argmin((lengths / counts)[reducible]))]] -= 1
     return [EdgeRun(verts[i], verts[(i + 1) % n], int(counts[i])) for i in range(n)]
-
-
-def discretize_boundary(loop: LoopSpec, steps: int) -> np.ndarray:
-    """(steps+1, 2) points along the boundary, closed, allocated by edge length."""
-    runs = boundary_runs(loop, steps)
-    return np.concatenate([run.points()[:-1] for run in runs] + [runs[-1].end[None, :]])
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,20 @@ def stepped_product(factory, points, gauge=None):
     return holonomy
 
 
+def boundary_points(loop, steps):
+    """(steps+1, 2) points along the boundary, closed: the equal steps of each boundary run."""
+    runs = loops.boundary_runs(loop, steps)
+    points = [
+        run.start + np.linspace(0.0, 1.0, run.count, endpoint=False)[:, None] * (run.end - run.start)
+        for run in runs
+    ]
+    return np.concatenate(points + [runs[-1].end[None, :]])
+
+
 def stepped_holonomy(loop, cutoff, steps, gauge=None):
-    """The stepped reference around a loop, at discretize_boundary points."""
+    """The stepped reference around a loop, at boundary_points."""
     factory = connection.frame_factory(loop.plane, cutoff)
-    return stepped_product(factory, loops.discretize_boundary(loop, steps), gauge)
+    return stepped_product(factory, boundary_points(loop, steps), gauge)
 
 
 def expm_skew_hermitian(generators):
@@ -151,12 +161,12 @@ def stepped_kicks(loop, cutoff, kick_count):
     """
     if loop.plane is PlaneId.III:
         mode_count = 2
-        inner = fock.two_mode_squeeze_generator(1.0, cutoff).matrix
-        outer = fock.two_mode_mix_generator(1.0, cutoff).matrix
+        inner = fock.two_mode_squeeze_generator(1.0, cutoff)
+        outer = fock.two_mode_mix_generator(1.0, cutoff)
     else:
         mode_count = 1
-        inner = fock.squeeze_generator(1.0 if loop.plane is PlaneId.I else 1.0j, cutoff).matrix
-        outer = fock.displacement_generator(1.0, cutoff).matrix
+        inner = fock.squeeze_generator(1.0 if loop.plane is PlaneId.I else 1.0j, cutoff)
+        outer = fock.displacement_generator(1.0, cutoff)
     kerr = kerr_hamiltonian(kicked.DEFAULT_CHI, cutoff, mode_count)
     dwell = expm(-1j * kicked.DEFAULT_DELTA_T * kerr)
     code = fock.code_states(cutoff, mode_count)

@@ -20,6 +20,7 @@ from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 from conftest import (
     ORACLE_CUTOFF,
     SMALL_RECTS,
+    boundary_points,
     convex_polygons,
     matrix_magnus_transport,
     stepped_holonomy,
@@ -156,14 +157,14 @@ def plane_generators(plane, cutoff):
     """(G_o, G_i, code columns) of a plane, built from the fock generators."""
     if plane is PlaneId.III:
         return (
-            fock.two_mode_mix_generator(1.0, cutoff).matrix,
-            fock.two_mode_squeeze_generator(1.0, cutoff).matrix,
+            fock.two_mode_mix_generator(1.0, cutoff),
+            fock.two_mode_squeeze_generator(1.0, cutoff),
             fock.code_states(cutoff, mode_count=2),
         )
     phase = 1.0 if plane is PlaneId.I else 1.0j
     return (
-        fock.displacement_generator(1.0, cutoff).matrix,
-        fock.squeeze_generator(phase, cutoff).matrix,
+        fock.displacement_generator(1.0, cutoff),
+        fock.squeeze_generator(phase, cutoff),
         fock.code_states(cutoff),
     )
 
@@ -353,7 +354,7 @@ def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
         raise AssertionError("a Fock operator was built")
 
     for name in (
-        "code_states", "annihilator", "mode_operators", "squeeze_generator",
+        "code_states", "annihilator", "squeeze_generator",
         "displacement_generator", "two_mode_squeeze_generator", "two_mode_mix_generator",
         "Propagator", "invariant_blocks",
     ):
@@ -392,7 +393,7 @@ def test_holonomy_convergence_monotone_under_doubling(stepped_sweeps):
 
 def test_holonomy_double_traversal_squares(stepped_sweeps):
     factory = frame_factory(PlaneId.I, ORACLE_CUTOFF[PlaneId.I])
-    points = loops.discretize_boundary(CALIBRATION_RECT, 1000)
+    points = boundary_points(CALIBRATION_RECT, 1000)
     doubled = np.concatenate([points[:-1], points], axis=0)
     twice = stepped_product(factory, doubled)
     single = stepped_sweeps[PlaneId.I][1000]
@@ -495,8 +496,9 @@ def test_calibration_reproduces_frozen_constants():
 @given(convex_polygons())
 def test_transport_is_unitary_and_reverses_to_adjoint(loop):
     cutoff = 14 if loop.plane is PlaneId.III else 40
+    reversed_loop = LoopSpec(loop.plane, loop.shape, -loop.orientation)
     forward = connection.holonomy_path_ordered(loop, cutoff, 200).matrix
-    backward = connection.holonomy_path_ordered(loops.reverse(loop), cutoff, 200).matrix
+    backward = connection.holonomy_path_ordered(reversed_loop, cutoff, 200).matrix
     identity = np.eye(loop.plane.code_dim)
     assert np.max(np.abs(forward.conj().T @ forward - identity)) < 1e-12
     assert np.max(np.abs(backward - forward.conj().T)) < 1e-12

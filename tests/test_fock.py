@@ -6,31 +6,31 @@ from scipy.linalg import expm
 
 from hologate import fock
 from hologate.exceptions import TruncationWarning
-from hologate.fock import ControlPoint, TruncatedOperator
+from hologate.fock import ControlPoint
 
 from conftest import kerr_hamiltonian
 
 
 def displacement(lam, cutoff):
-    return expm(fock.displacement_generator(lam, cutoff).matrix)
+    return expm(fock.displacement_generator(lam, cutoff))
 
 
 def squeeze(mu, cutoff):
-    return expm(fock.squeeze_generator(mu, cutoff).matrix)
+    return expm(fock.squeeze_generator(mu, cutoff))
 
 
 def two_mode_mix(xi, cutoff):
-    return expm(fock.two_mode_mix_generator(xi, cutoff).matrix)
+    return expm(fock.two_mode_mix_generator(xi, cutoff))
 
 
 def two_mode_squeeze(zeta, cutoff):
-    return expm(fock.two_mode_squeeze_generator(zeta, cutoff).matrix)
+    return expm(fock.two_mode_squeeze_generator(zeta, cutoff))
 
 
 def test_annihilator_smallest_cutoffs():
-    a2 = fock.annihilator(2).matrix
+    a2 = fock.annihilator(2)
     assert np.array_equal(a2, np.array([[0, 1], [0, 0]], dtype=complex))
-    a3 = fock.annihilator(3).matrix
+    a3 = fock.annihilator(3)
     assert a3[0, 1] == 1.0
     assert a3[1, 2] == pytest.approx(math.sqrt(2))
     assert np.count_nonzero(a3) == 2
@@ -42,7 +42,7 @@ def test_annihilator_rejects_tiny_cutoff():
 
 
 def test_number_operator_from_ladder_product():
-    a = fock.annihilator(16).matrix
+    a = fock.annihilator(16)
     n_diag = np.diag(a.conj().T @ a).real
     assert np.allclose(n_diag, np.arange(16), atol=1e-14)
 
@@ -106,11 +106,17 @@ def test_two_mode_mix_is_balanced_beam_splitter_at_quarter_pi():
     assert abs(abs(n[i01, i10]) - math.sin(math.pi / 4.0)) < 1e-8
 
 
+def mode_numbers(cutoff):
+    """(n1, n2) of each two-mode basis state, index n1*N + n2."""
+    n = np.arange(cutoff, dtype=float)
+    return np.repeat(n, cutoff), np.tile(n, cutoff)
+
+
 def test_two_mode_mix_conserves_total_photon_number():
     cutoff = 12
-    gen = fock.two_mode_mix_generator(0.7 + 0.2j, cutoff).matrix
-    a1, a2 = fock.mode_operators(cutoff)
-    total = a1.conj().T @ a1 + a2.conj().T @ a2
+    gen = fock.two_mode_mix_generator(0.7 + 0.2j, cutoff)
+    n1, n2 = mode_numbers(cutoff)
+    total = np.diag(n1 + n2)
     assert np.linalg.norm(gen @ total - total @ gen) < 1e-12
 
 
@@ -124,10 +130,24 @@ def test_two_mode_squeeze_vacuum_overlap():
 
 def test_two_mode_squeeze_conserves_photon_number_difference():
     cutoff = 12
-    gen = fock.two_mode_squeeze_generator(0.4 - 0.3j, cutoff).matrix
-    a1, a2 = fock.mode_operators(cutoff)
-    diff = a1.conj().T @ a1 - a2.conj().T @ a2
+    gen = fock.two_mode_squeeze_generator(0.4 - 0.3j, cutoff)
+    n1, n2 = mode_numbers(cutoff)
+    diff = np.diag(n1 - n2)
     assert np.linalg.norm(gen @ diff - diff @ gen) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [3, 14])
+def test_two_mode_generators_equal_their_ladder_products(cutoff):
+    # built as Kronecker products; pinned bit for bit to a1 = a (x) 1, a2 = 1 (x) a
+    a = fock.annihilator(cutoff)
+    eye = np.eye(cutoff, dtype=complex)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    d1, d2 = a1.conj().T, a2.conj().T
+    for z in (1.0, 0.7 + 0.2j, -0.4 - 0.3j):
+        mix = z * (d1 @ a2) - np.conj(z) * (a1 @ d2)
+        squeeze = z * (d1 @ d2) - np.conj(z) * (a1 @ a2)
+        assert np.array_equal(fock.two_mode_mix_generator(z, cutoff), mix)
+        assert np.array_equal(fock.two_mode_squeeze_generator(z, cutoff), squeeze)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +160,7 @@ def test_two_mode_squeeze_conserves_photon_number_difference():
     ],
 )
 def test_generators_are_skew_hermitian(builder, arg):
-    gen = builder(arg, 12).matrix
+    gen = builder(arg, 12)
     assert np.linalg.norm(gen + gen.conj().T) < 1e-12 * np.linalg.norm(gen)
 
 
@@ -228,10 +248,3 @@ def test_control_point_rejects_negative_amplitude():
 def test_control_point_wraps_angles():
     pt = ControlPoint(theta1=2.0 * math.pi + 0.3)
     assert pt.theta1 == pytest.approx(0.3)
-
-
-def test_truncated_operator_shape_validation():
-    with pytest.raises(ValueError):
-        TruncatedOperator(4, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        TruncatedOperator(4, np.zeros((4, 4)), mode_count=3)

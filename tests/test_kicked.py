@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hologate import connection, fock, kicked
+from hologate import connection, fock, kicked, loops
 from hologate.exceptions import AdiabaticityWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
@@ -40,11 +40,10 @@ def test_kicked_matches_connection_oracle(kicked_sweep, connection_oracle_cutoff
 
 
 def test_reversed_schedule_is_dagger(kicked_sweep):
-    from hologate import loops
-
+    rect = connection.CALIBRATION_RECT
     forward = kicked_sweep[1024].code_map
     backward = kicked.run_kicked(
-        KickSchedule(loops.reverse(connection.CALIBRATION_RECT), 1024, cutoff=40)
+        KickSchedule(LoopSpec(rect.plane, rect.shape, -rect.orientation), 1024, cutoff=40)
     ).code_map
     assert np.linalg.norm(backward - forward.conj().T) < 5e-3
 
@@ -171,3 +170,19 @@ def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
         expected += [stacked, (size, size), stacked, (size, size)]
     assert shapes == expected
     assert all(len(shape) == 3 and shape[1] <= 12 for shape in shapes[::2])
+
+
+def test_kicks_do_not_depend_on_the_phase_batch(monkeypatch):
+    # tilted edges read I's phases in tables of connection.MAGNUS_BATCH kicks
+    loop = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.03), (0.05, 0.1))))
+    kicks = 2000
+    batch = connection.MAGNUS_BATCH
+    counts = [run.count for run in loops.boundary_runs(loop, kicks)]
+    assert any(count > batch and count % batch for count in counts)
+    results = []
+    for size in (1, 7, batch):
+        monkeypatch.setattr(connection, "MAGNUS_BATCH", size)
+        results.append(kicked.run_kicked(KickSchedule(loop, kicks, cutoff=40)))
+    for other in results[:-1]:
+        assert np.max(np.abs(other.code_map - results[-1].code_map)) <= 1e-13
+        assert abs(other.leakage - results[-1].leakage) <= 1e-13

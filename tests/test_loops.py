@@ -141,14 +141,15 @@ def test_plane3_near_vertical_edge_does_not_cancel(du):
 
 
 def test_orientation_reversal_negates_sigma_exactly():
-    sigma = loops.area(HADAMARD_RECT).sigma
-    assert loops.area(loops.reverse(HADAMARD_RECT)).sigma == -sigma
+    rect = HADAMARD_RECT
+    sigma = loops.area(rect).sigma
+    assert loops.area(LoopSpec(rect.plane, rect.shape, -rect.orientation)).sigma == -sigma
 
 
 def test_line_integral_orientation_antisymmetry():
     loop = rect_as_polyline(PLANE3_RECT)
     forward = loops.area(loop).sigma
-    backward = loops.area(loops.reverse(loop)).sigma
+    backward = loops.area(LoopSpec(loop.plane, loop.shape, -loop.orientation)).sigma
     assert backward == -forward
 
 
@@ -171,8 +172,8 @@ def test_reversal_negates_convex_polylines_exactly(plane, angles, center, radii)
     )
     if len(set(verts)) < len(verts):
         return  # angles too close to give distinct vertices
-    loop = LoopSpec(plane, Polyline(verts))
-    assert loops.area(loops.reverse(loop)).sigma == -loops.area(loop).sigma
+    forward = loops.area(LoopSpec(plane, Polyline(verts))).sigma
+    assert loops.area(LoopSpec(plane, Polyline(verts), -1)).sigma == -forward
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,41 +251,6 @@ def test_area_overflow_raises_value_error():
         loops.area(far)
 
 
-def test_adjacent_rectangle_additivity():
-    a = LoopSpec(PlaneId.I, Rect(0.0, 1.0, 0.0, 1.0))
-    b = LoopSpec(PlaneId.I, Rect(1.0, 2.0, 0.0, 1.0))
-    merged = loops.concatenate(a, b)
-    total = loops.area(merged).sigma
-    assert abs(total - loops.area(a).sigma - loops.area(b).sigma) < 1e-9
-
-
-def test_concatenate_with_reversal_cancels():
-    a = LoopSpec(PlaneId.I, Rect(0.2, 0.8, 0.1, 0.9))
-    cancelled = loops.concatenate(a, loops.reverse(a))
-    assert loops.area(cancelled).sigma == pytest.approx(0.0, abs=1e-15)
-
-
-def test_concatenate_with_degenerate_is_identity():
-    a = LoopSpec(PlaneId.I, Rect(0.0, 1.0, 0.0, 1.0))
-    point = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (1e-3, 0.0), (5e-4, 0.0))))
-    assert loops.concatenate(a, point) == a
-    assert loops.concatenate(point, a) == a
-
-
-def test_concatenate_rejects_plane_mismatch():
-    a = LoopSpec(PlaneId.I, Rect(0.0, 1.0, 0.0, 1.0))
-    b = LoopSpec(PlaneId.II, Rect(0.0, 1.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        loops.concatenate(a, b)
-
-
-def test_vertical_rect_merge():
-    a = LoopSpec(PlaneId.III, Rect(0.0, 1.0, 0.0, 0.5))
-    b = LoopSpec(PlaneId.III, Rect(0.0, 1.0, 0.5, 1.0))
-    merged = loops.concatenate(a, b)
-    assert merged.shape == Rect(0.0, 1.0, 0.0, 1.0)
-
-
 def test_exponential_ceiling_on_upward_growth():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -337,16 +303,6 @@ def test_loop_from_dict_rejects_malformed_records():
         loops.loop_from_dict({"plane": "I"})
     with pytest.raises(ValueError):
         loops.loop_from_dict({"plane": "IV", "rect": {}})
-
-
-def test_discretize_boundary_closes_and_allocates():
-    loop = LoopSpec(PlaneId.I, Rect(0.0, 0.3, 0.0, 0.1))
-    pts = loops.discretize_boundary(loop, 40)
-    assert pts.shape == (41, 2)
-    assert np.allclose(pts[0], pts[-1])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    # near-uniform steps: long edges get proportionally more points
-    assert seg.max() < 3.0 * seg.min()
 
 
 def test_boundary_runs_split_steps_per_edge():
