@@ -134,6 +134,14 @@ def cmd_oracle(args) -> int:
         "formula_gate": matrix_to_json(formula.matrix),
         "area": _area_record(loop),
     }
+    # the convergence estimate reruns the loop at steps/2, which needs a step per edge
+    half_steps = max(args.steps // 2, 16 if args.method == "kicked" else 4)
+    edges = len(loops_mod.boundary_vertices(loop))
+    if half_steps < edges:
+        raise ValueError(
+            f"--steps {args.steps} is too few for a loop of {edges} edges: the convergence "
+            f"estimate reruns it at steps/2 = {half_steps}, fewer than its edges; raise --steps"
+        )
     if args.method == "connection":
         oracle = connection.holonomy_path_ordered(loop, cutoff, args.steps)
         calibrated = connection.calibrated_code_matrix(loop.plane, oracle.matrix)
@@ -147,7 +155,7 @@ def cmd_oracle(args) -> int:
         )
     else:
         schedule = kicked.KickSchedule(loop, kick_count=args.steps, cutoff=cutoff)
-        half_schedule = kicked.KickSchedule(loop, max(args.steps // 2, 16), cutoff=cutoff)
+        half_schedule = kicked.KickSchedule(loop, half_steps, cutoff=cutoff)
         half_runs = loops_mod.boundary_runs(loop, half_schedule.kick_count)
         half_step = kicked.largest_control_step(half_runs)
         if half_step > kicked.MAX_CONTROL_STEP:
@@ -162,7 +170,6 @@ def cmd_oracle(args) -> int:
         record["oracle_gate"] = matrix_to_json(calibrated)
         record["oracle_gate_raw_frame"] = matrix_to_json(result.code_map)
         record["leakage"] = result.leakage
-        record["fidelity_to_prediction"] = result.fidelity_to_prediction
         record["convergence_estimate"] = float(
             np.linalg.norm(result.code_map - half.code_map)
         )

@@ -119,16 +119,17 @@ class CodeBlock:
 
 
 def _sector(index: np.ndarray, inner: np.ndarray, code: np.ndarray) -> CodeBlock:
-    """One sector of G_i (a chain that G_i does not leave), with its own eigh."""
-    basis = fock.Propagator(inner[np.ix_(index, index)])
+    """One sector of G_i (a chain that G_i does not leave), with its own eigh of `inner` on it."""
+    basis = fock.Propagator(inner)
     return CodeBlock(index, basis.values, basis.vectors, code)
 
 
 class ControlBlock(CodeBlock):
     """One invariant block of the control generators G_i and G_o that holds code states.
 
-    The block is the union of `sectors`, the sectors of G_i inside it, each a
-    CodeBlock with its own eigenbasis; `index` lists them one after another,
+    The block is the union of `sectors`, the sectors of G_i inside it, built
+    from their (Fock indices, G_i on them) chains from fock.inner_sectors, each
+    a CodeBlock with its own eigenbasis; `index` lists them one after another,
     and V is their direct sum, so V is block-diagonal and `values` is the
     sectors' eigenvalues in the same order.  `sector_mask` (sectors x largest
     sector size) is True at the places a sector fills: a vector in V, written
@@ -138,12 +139,10 @@ class ControlBlock(CodeBlock):
     eigenvectors in V, so that its only dense matrices are V and W.
     """
 
-    def __init__(self, index: np.ndarray, inner: np.ndarray, outer: np.ndarray, code: np.ndarray):
-        linked = inner[np.ix_(index, index)] != 0
-        self.sectors = [
-            _sector(index[part], inner, code)
-            for part in fock.invariant_blocks(linked, np.ones((index.size, 1)))
-        ]
+    def __init__(
+        self, sectors: list[tuple[np.ndarray, np.ndarray]], outer: np.ndarray, code: np.ndarray
+    ):
+        self.sectors = [_sector(index, inner, code) for index, inner in sectors]
         sizes = np.array([sector.index.size for sector in self.sectors])
         self.sector_mask = np.arange(sizes.max()) < sizes[:, None]
         index = np.concatenate([sector.index for sector in self.sectors])
@@ -199,45 +198,40 @@ class FrameFactory:
     the sectors of G_i inside it, one eigh per sector: the two parity chains
     of the squeeze on planes I/II, the n1 - n2 chains of the two-mode squeeze
     on plane III (13 and 14 of them in the two parity blocks at cutoff 14).
+    fock.inner_sectors builds G_i chain by chain, so G_i is never dense, and
+    A_i = c^dag G_i c is summed from the chains; G_o is dense.
     In a sector's eigenbasis V_a, I(i) is the diagonal phase exp(-i i w_a),
     and I(i) c never leaves the sector.  With y_a = exp(-i i w_a) V_a^dag c_a,
     the block of A_o(i) between the code columns of sectors a and b is
-    y_a^dag (V_a^dag G_o V_b) y_b.  G_o links exactly one pair of sectors that
-    hold code states, `pair` (the two parities on planes I/II, n1 - n2 = +1
-    and -1 on plane III), each sector with one code column, so A_o is one
-    entry at `pair_columns` and its mirror, and exactly zero elsewhere.  A_i
-    is exactly zero on the pair; on the `rest` of the code columns (none on
-    planes I/II, |00> and |11> on plane III) it is the one entry `rest_entry`
-    and its mirror.  The pair's sectors are the blocks' own sector objects.
+    y_a^dag (V_a^dag G_o V_b) y_b.  `pair` is the two sectors that hold one
+    code column each (the two parities on planes I/II, n1 - n2 = -1 and +1 on
+    plane III), the only two that G_o links among those that hold code
+    states, so A_o is one entry at `pair_columns` and its mirror, and exactly
+    zero elsewhere.  A_i is exactly zero on the pair; on the `rest` of the
+    code columns (none on planes I/II, |00> and |11> on plane III) it is the
+    one entry `rest_entry` and its mirror.  The pair's sectors are the
+    blocks' own sector objects.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
-        fock.check_dense_budget(cutoff, 2 if plane is PlaneId.III else 1)
+        mode_count = 2 if plane is PlaneId.III else 1
+        fock.check_dense_budget(cutoff, mode_count)
         fock.check_code_below_top_quartile(cutoff)
         self.plane = plane
         self.cutoff = cutoff
+        self.code = fock.code_states(cutoff, mode_count)
         if plane is PlaneId.III:
-            self.code = fock.code_states(cutoff, mode_count=2)
-            inner = fock.two_mode_squeeze_generator(1.0, cutoff)
             outer = fock.two_mode_mix_generator(1.0, cutoff)
         else:
-            self.code = fock.code_states(cutoff, mode_count=1)
-            phase = 1.0 if plane is PlaneId.I else 1.0j
-            inner = fock.squeeze_generator(phase, cutoff)
             outer = fock.displacement_generator(1.0, cutoff)
-        pattern = (inner != 0) | (outer != 0)
-        self.blocks = [
-            ControlBlock(index, inner, outer, self.code)
-            for index in fock.invariant_blocks(pattern, self.code)
-        ]
+        layout = fock.inner_sectors(cutoff, mode_count, 1.0j if plane is PlaneId.II else 1.0)
+        self.blocks = [ControlBlock(sectors, outer, self.code) for sectors in layout]
         self.code_dim = self.code.shape[1]
-        coded = [sector for block in self.blocks for sector in block.sectors if sector.columns.size]
-        [(first, second)] = [
-            (a, b)
-            for k, a in enumerate(coded)
-            for b in coded[k:]
-            if np.any(outer[np.ix_(a.index, b.index)])
-        ]
+        self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
+        for index, inner in (sector for sectors in layout for sector in sectors):
+            self.inner_connection += self.code[index].conj().T @ inner @ self.code[index]
+        sectors = [sector for block in self.blocks for sector in block.sectors]
+        first, second = [sector for sector in sectors if sector.columns.size == 1]
         middle = first.vectors.conj().T @ outer[np.ix_(first.index, second.index)]
         middle = first.code_eig.conj() * (middle @ second.vectors) * second.code_eig.T
         weight = 1j * np.subtract.outer(first.values, second.values)
@@ -245,7 +239,6 @@ class FrameFactory:
         [row], [col] = first.columns, second.columns
         self.pair_columns = np.array([row, col])
         self.rest = np.delete(np.arange(self.code_dim), self.pair_columns)
-        self.inner_connection = self.code.conj().T @ inner @ self.code
         rest = self.rest
         self.rest_entry = self.inner_connection[rest[0], rest[-1]] if rest.size else 0.0
 
@@ -336,12 +329,6 @@ def calibrated_code_matrix(plane: PlaneId, raw: np.ndarray) -> np.ndarray:
     """Map a raw dressed-frame code matrix into the gate-convention basis."""
     v = CALIBRATION_GAUGE[plane]
     return v @ raw @ v.conj().T
-
-
-def formula_gate_in_frame(loop: LoopSpec) -> np.ndarray:
-    """The area-formula gate expressed in the raw dressed-frame basis."""
-    v = CALIBRATION_GAUGE[loop.plane]
-    return v.conj().T @ gates.gate_for_loop(loop).matrix @ v
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Truncated Fock-space representation of the bosonic control generators.
 
-Operators are dense complex ndarrays.  Single-mode operators live on the
-levels 0..N-1; two-mode operators on the N^2-dimensional product space with
-basis index n1*N + n2, built as Kronecker products of the single-mode
-ladders.  Unitaries are never built here: the routes exponentiate the
-skew-Hermitian generators through their eigenpairs (Propagator), so they are
-exact unitaries of the *truncated* generator; how faithfully they represent
-the untruncated operator is monitored through the top-quartile population
-budget.
+Operators are complex ndarrays.  Single-mode operators live on the levels
+0..N-1; two-mode operators on the N^2-dimensional product space with basis
+index n1*N + n2.  The outer generators (displacement, two-mode mix) are
+dense, the mix built as Kronecker products of the single-mode ladders.  The
+inner ones (squeeze, two-mode squeeze) are built only sector by sector, as
+the tridiagonal chains of inner_sectors.  Unitaries are never built here:
+the routes exponentiate the skew-Hermitian generators through their
+eigenpairs (Propagator), so they are exact unitaries of the *truncated*
+generator; how faithfully they represent the untruncated operator is
+monitored through the top-quartile population budget.
 """
 
 from __future__ import annotations
@@ -142,42 +144,10 @@ class Propagator:
         self.values, self.vectors = np.linalg.eigh(1j * generator)
 
 
-def invariant_blocks(pattern: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """Basis indices of the invariant blocks of a nonzero pattern that the columns touch.
-
-    The blocks are the connected components of the pattern read as an
-    undirected graph: the sectors of a number that every matrix with that
-    pattern conserves, such as parity or n1 - n2.  Every index starts as its
-    own label and repeatedly takes the lowest label among its links, until
-    no label changes: then each block carries its lowest index.  Ordered by
-    their first index that a column touches.
-    """
-    rows, links = np.nonzero(pattern | pattern.T)
-    labels = np.arange(pattern.shape[0])
-    while True:
-        lowest = labels.copy()
-        np.minimum.at(lowest, rows, labels[links])
-        if np.array_equal(lowest, labels):
-            break
-        labels = lowest
-    blocks = {}
-    for seed in np.nonzero(np.any(cols != 0, axis=1))[0]:
-        if labels[seed] not in blocks:
-            blocks[labels[seed]] = np.nonzero(labels == labels[seed])[0]
-    return list(blocks.values())
-
-
 def displacement_generator(lam: complex, cutoff: int) -> np.ndarray:
     """lam*a^dag - conj(lam)*a."""
     a = annihilator(cutoff)
     return lam * a.conj().T - np.conj(lam) * a
-
-
-def squeeze_generator(mu: complex, cutoff: int) -> np.ndarray:
-    """mu*(a^dag)^2 - conj(mu)*a^2 (no 1/2 factor in this convention)."""
-    a = annihilator(cutoff)
-    adag = a.conj().T
-    return mu * (adag @ adag) - np.conj(mu) * (a @ a)
 
 
 def two_mode_mix_generator(xi: complex, cutoff: int) -> np.ndarray:
@@ -191,11 +161,45 @@ def two_mode_mix_generator(xi: complex, cutoff: int) -> np.ndarray:
     return xi * np.kron(adag, a) - np.conj(xi) * np.kron(a, adag)
 
 
-def two_mode_squeeze_generator(zeta: complex, cutoff: int) -> np.ndarray:
-    """zeta*a1^dag*a2^dag - conj(zeta)*a1*a2; commutes with n1-n2."""
-    a = annihilator(cutoff)
-    adag = a.conj().T
-    return zeta * np.kron(adag, adag) - np.conj(zeta) * np.kron(a, a)
+def _level_sets(key: np.ndarray, index: np.ndarray) -> list[np.ndarray]:
+    """`index` split by `key`, each part in index order, the parts by their lowest index."""
+    values, first = np.unique(key, return_index=True)
+    return [index[key == value] for value in values[np.argsort(first)]]
+
+
+def inner_sectors(
+    cutoff: int, mode_count: int, phase: complex
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """The sectors of the inner generator G_i, block by block, as (Fock indices, G_i on them).
+
+    G_i = phase K^dag - conj(phase) K, with K^dag = (a^dag)^2 on one mode (the
+    squeeze) and a1^dag a2^dag on two (the two-mode squeeze).  The blocks are
+    the level sets of what both controls conserve: the whole space on one
+    mode, the parity of n1 + n2 on two (even block first); each holds code
+    states.  A block's sectors are the level sets of G_i's own number, the
+    parity of n or n1 - n2, ordered by their lowest index.  Each sector is a
+    chain that K^dag climbs, an su(1,1) ladder on which G_i is tridiagonal:
+    below the diagonal K^dag has sqrt(m1 + 1) sqrt(m2 + 1) at the lower state,
+    (m1, m2) = (n, n + 1) on one mode and (n1, n2) on two.  As a product of
+    two roots, the way a^dag a^dag and the Kronecker products form it, every
+    entry is bit-equal to the dense generator's; no dense G_i is built.
+    """
+    n = np.arange(cutoff)
+    if mode_count == 1:
+        first, second, block, chain = n, n + 1, np.zeros(cutoff, dtype=int), n % 2
+    else:
+        first, second = np.repeat(n, cutoff), np.tile(n, cutoff)
+        block, chain = (first + second) % 2, first - second
+    layout = []
+    for part in _level_sets(block, np.arange(block.size)):
+        sectors = []
+        for index in _level_sets(chain[part], part):
+            lower = index[:-1]
+            climb = np.diag(np.sqrt(first[lower] + 1.0) * np.sqrt(second[lower] + 1.0), -1)
+            climb = climb.astype(complex)
+            sectors.append((index, phase * climb - np.conj(phase) * climb.T))
+        layout.append(sectors)
+    return layout
 
 
 def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:

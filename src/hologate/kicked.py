@@ -75,7 +75,6 @@ class KickSchedule:
 class KickedResult:
     code_map: np.ndarray  # re-unitarized code-space map, raw dressed-frame basis
     leakage: float
-    fidelity_to_prediction: float
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
@@ -254,9 +253,7 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
     """Evolve each code basis state around the loop and project back onto the frame.
 
     Returns the re-unitarized code-space map (raw dressed-frame basis, like the
-    path-ordered oracle), the worst population outside the code space, and the fidelity
-    |tr(M^dag P)| / dim against the area-formula gate, compared through the
-    frozen frame calibration.
+    path-ordered oracle) and the worst population outside the code space.
     """
     dim = schedule.loop.plane.code_dim
     code_map = np.zeros((dim, dim), dtype=complex)  # exactly zero between blocks
@@ -266,8 +263,6 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
         code_map[np.ix_(columns, columns)] = connection.polar_unitary(overlap)
         leakages.append(_leakage(state, overlap))
     leakage = max(leakages)
-    prediction = connection.formula_gate_in_frame(schedule.loop)
-    fidelity = float(np.abs(np.trace(code_map.conj().T @ prediction)) / dim)
     if leakage > LEAKAGE_FAILURE_THRESHOLD:
         warnings.warn(
             f"leakage {leakage:.3f} exceeds {LEAKAGE_FAILURE_THRESHOLD}; "
@@ -278,10 +273,8 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
     return KickedResult(
         code_map=code_map,
         leakage=leakage,
-        fidelity_to_prediction=fidelity,
         diagnostics={
             "kick_count": schedule.kick_count,
             "chi_delta_t": schedule.chi * schedule.delta_t,
-            "adiabaticity_failure": leakage > LEAKAGE_FAILURE_THRESHOLD,
         },
     )

@@ -302,6 +302,8 @@ def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
     total = float(np.sum(lengths))
     if total == 0.0:
         return [EdgeRun(verts[0], verts[0], steps)]
+    if steps < n:
+        raise ValueError(f"{steps} steps are fewer than the loop's {n} edges, which need one each")
     counts = np.maximum(1, np.floor(steps * lengths / total).astype(int))
     while int(np.sum(counts)) < steps:
         counts[int(np.argmax(lengths / counts))] += 1

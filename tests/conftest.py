@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hologate import connection, fock, kicked, loops
+from hologate import connection, fock, gates, kicked, loops
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
 SMALL_RECTS = {
@@ -119,6 +119,13 @@ def matrix_magnus_transport(loop, cutoff, steps):
     return holonomy
 
 
+def regular_polygon(plane, count, center=(0.2, 0.12), radius=0.05):
+    """A counterclockwise regular polygon with `count` edges."""
+    angles = 2.0 * math.pi * np.arange(count) / count
+    verts = zip(center[0] + radius * np.cos(angles), center[1] + radius * np.sin(angles))
+    return LoopSpec(plane, Polyline(tuple(verts)))
+
+
 @st.composite
 def convex_polygons(draw, planes=(PlaneId.I, PlaneId.III)):
     """Convex polygons in a small window: angles on a circle around a center."""
@@ -132,6 +139,87 @@ def convex_polygons(draw, planes=(PlaneId.I, PlaneId.III)):
         (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)) for a in angles
     )
     return LoopSpec(plane, Polyline(verts))
+
+
+def squeeze_generator(mu, cutoff):
+    """Dense mu (a^dag)^2 - conj(mu) a^2 (no 1/2 factor): the squeeze's inner generator."""
+    a = fock.annihilator(cutoff)
+    adag = a.conj().T
+    return mu * (adag @ adag) - np.conj(mu) * (a @ a)
+
+
+def two_mode_squeeze_generator(zeta, cutoff):
+    """Dense zeta a1^dag a2^dag - conj(zeta) a1 a2, as Kronecker products; keeps n1 - n2."""
+    a = fock.annihilator(cutoff)
+    adag = a.conj().T
+    return zeta * np.kron(adag, adag) - np.conj(zeta) * np.kron(a, a)
+
+
+def plane_generators(plane, cutoff):
+    """Dense (G_o, G_i, code columns) of a plane: the references for fock's chains."""
+    if plane is PlaneId.III:
+        return (
+            fock.two_mode_mix_generator(1.0, cutoff),
+            two_mode_squeeze_generator(1.0, cutoff),
+            fock.code_states(cutoff, mode_count=2),
+        )
+    phase = 1.0 if plane is PlaneId.I else 1.0j
+    return (
+        fock.displacement_generator(1.0, cutoff),
+        squeeze_generator(phase, cutoff),
+        fock.code_states(cutoff),
+    )
+
+
+def component_blocks(pattern, cols):
+    """Basis indices of the connected components of a nonzero pattern that the columns touch.
+
+    The pattern is read as an undirected graph.  Every index starts as its
+    own label and repeatedly takes the lowest label among its links, until no
+    label changes: then each component carries its lowest index.  Ordered by
+    their first index that a column touches.
+    """
+    rows, links = np.nonzero(pattern | pattern.T)
+    labels = np.arange(pattern.shape[0])
+    while True:
+        lowest = labels.copy()
+        np.minimum.at(lowest, rows, labels[links])
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    blocks = {}
+    for seed in np.nonzero(np.any(cols != 0, axis=1))[0]:
+        if labels[seed] not in blocks:
+            blocks[labels[seed]] = np.nonzero(labels == labels[seed])[0]
+    return list(blocks.values())
+
+
+def component_layout(plane, cutoff):
+    """The sector layout found by component search in the dense generators.
+
+    The reference for fock.inner_sectors: the blocks are the components of
+    the pattern of G_i | G_o that hold code states, and each block's sectors
+    are the components of G_i's pattern on it, by lowest index.  Returns the
+    sectors' Fock indices per block, and the dense G_i.
+    """
+    outer, inner, code = plane_generators(plane, cutoff)
+    layout = []
+    for block in component_blocks((inner != 0) | (outer != 0), code):
+        linked = inner[np.ix_(block, block)] != 0
+        layout.append([block[part] for part in component_blocks(linked, np.ones((block.size, 1)))])
+    return layout, inner
+
+
+def formula_gate_in_frame(loop):
+    """The area-formula gate in the raw dressed-frame basis."""
+    v = connection.CALIBRATION_GAUGE[loop.plane]
+    return v.conj().T @ gates.gate_for_loop(loop).matrix @ v
+
+
+def infidelity(code_map, prediction):
+    """1 - |tr(M^dag P)| / dim: how far a code map M is from a predicted gate P."""
+    dim = code_map.shape[0]
+    return 1.0 - float(np.abs(np.trace(code_map.conj().T @ prediction)) / dim)
 
 
 def kerr_hamiltonian(chi, cutoff, mode_count=1):
@@ -149,7 +237,7 @@ def kerr_hamiltonian(chi, cutoff, mode_count=1):
 
 
 def stepped_kicks(loop, cutoff, kick_count):
-    """The kicked route kick by kick, from scipy expm of the fock generators.
+    """The kicked route kick by kick, from scipy expm of the dense generators.
 
     The independent reference for kicked.run_kicked: each kick applies the
     dense control C = exp(o G_o) exp(i G_i) of the previous kick point, then
@@ -159,17 +247,10 @@ def stepped_kicks(loop, cutoff, kick_count):
     leakage, the worst population outside the code space: per code column
     |state|^2 - |overlap|^2, so the norm drift of the dense products cancels.
     """
-    if loop.plane is PlaneId.III:
-        mode_count = 2
-        inner = fock.two_mode_squeeze_generator(1.0, cutoff)
-        outer = fock.two_mode_mix_generator(1.0, cutoff)
-    else:
-        mode_count = 1
-        inner = fock.squeeze_generator(1.0 if loop.plane is PlaneId.I else 1.0j, cutoff)
-        outer = fock.displacement_generator(1.0, cutoff)
+    outer, inner, code = plane_generators(loop.plane, cutoff)
+    mode_count = 2 if loop.plane is PlaneId.III else 1
     kerr = kerr_hamiltonian(kicked.DEFAULT_CHI, cutoff, mode_count)
     dwell = expm(-1j * kicked.DEFAULT_DELTA_T * kerr)
-    code = fock.code_states(cutoff, mode_count)
     state = code
     for run in loops.boundary_runs(loop, kick_count):
         # (outer, inner) control values at the two ends of the edge

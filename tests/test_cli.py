@@ -9,6 +9,8 @@ import pytest
 from hologate import cli, compiler, kicked, loops
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect, loop_to_dict
 
+from conftest import infidelity, regular_polygon
+
 
 def write_loop(tmp_path, name, loop):
     path = tmp_path / name
@@ -114,7 +116,8 @@ def test_oracle_kicked_reports_leakage(capsys, tmp_path):
     )
     assert code == 0
     assert record["leakage"] < 1e-6
-    assert record["fidelity_to_prediction"] > 0.999
+    oracle, formula = as_matrix(record["oracle_gate"]), as_matrix(record["formula_gate"])
+    assert 1.0 - infidelity(oracle, formula) > 0.999
 
 
 def test_error_shift_command(capsys, hadamard_loop_file):
@@ -359,6 +362,17 @@ def test_kicked_steps_too_few_for_the_half_run_exits_2(capsys, tmp_path):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "--steps 100" in captured.err and "steps/2 = 50 kicks" in captured.err
+
+
+@pytest.mark.parametrize("method,steps", [("connection", "100"), ("kicked", "110")])
+def test_steps_too_few_for_the_edges_of_the_half_run_exits_2(capsys, tmp_path, method, steps):
+    # a 60-gon: the steps/2 rerun has 50 or 55 steps, fewer than its edges
+    loop_file = write_loop(tmp_path, "gon.json", regular_polygon(PlaneId.I, 60))
+    assert cli.main(["--steps", steps, "oracle", loop_file, "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert f"--steps {steps}" in line and "60 edges" in line
 
 
 def test_loop_file_round_trip(tmp_path, capsys):

@@ -23,6 +23,7 @@ from conftest import (
     boundary_points,
     convex_polygons,
     matrix_magnus_transport,
+    plane_generators,
     stepped_holonomy,
     stepped_product,
 )
@@ -151,22 +152,6 @@ def test_curvature_plane3_zero_at_origin_edge():
 def test_curvature_plane2_origin():
     sample = connection.curvature_at(plane_point(PlaneId.II, 0.0, 0.0), PlaneId.II, 60)
     assert sample.coefficient == pytest.approx(2.0, abs=5e-2)
-
-
-def plane_generators(plane, cutoff):
-    """(G_o, G_i, code columns) of a plane, built from the fock generators."""
-    if plane is PlaneId.III:
-        return (
-            fock.two_mode_mix_generator(1.0, cutoff),
-            fock.two_mode_squeeze_generator(1.0, cutoff),
-            fock.code_states(cutoff, mode_count=2),
-        )
-    phase = 1.0 if plane is PlaneId.I else 1.0j
-    return (
-        fock.displacement_generator(1.0, cutoff),
-        fock.squeeze_generator(phase, cutoff),
-        fock.code_states(cutoff),
-    )
 
 
 @pytest.mark.parametrize("cutoff,sizes", [(13, [85, 84]), (14, [98, 98])])
@@ -354,9 +339,8 @@ def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
         raise AssertionError("a Fock operator was built")
 
     for name in (
-        "code_states", "annihilator", "squeeze_generator",
-        "displacement_generator", "two_mode_squeeze_generator", "two_mode_mix_generator",
-        "Propagator", "invariant_blocks",
+        "code_states", "annihilator", "displacement_generator", "two_mode_mix_generator",
+        "Propagator", "inner_sectors",
     ):
         monkeypatch.setattr(fock, name, refuse)
     loop = LoopSpec(plane, Rect(0.0, 0.1, 0.0, 0.1))
@@ -367,6 +351,22 @@ def test_dense_budget_is_checked_before_any_allocation(monkeypatch, plane):
     ):
         with pytest.raises(ValueError, match="DENSE_BYTES_BUDGET"):
             build()
+
+
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_frame_factory_builds_no_dense_inner_generator(monkeypatch, plane):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense inner generator was built")
+
+    # the squeezes' generators now live only in the tests, as dense references
+    for name in ("squeeze_generator", "two_mode_squeeze_generator"):
+        assert not hasattr(fock, name)
+        monkeypatch.setattr(fock, name, refuse, raising=False)
+    cutoff = 13 if plane is PlaneId.III else 30
+    factory = connection.FrameFactory(plane, cutoff)
+    # A_i, summed from the chains, is the dense c^dag G_i c entry for entry
+    _, inner, code = plane_generators(plane, cutoff)
+    assert np.array_equal(factory.inner_connection, code.conj().T @ inner @ code)
 
 
 def test_holonomy_degenerate_loop_is_identity():

@@ -21,7 +21,13 @@ from hologate import connection, kicked, loops
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import convex_polygons, stepped_holonomy, stepped_kicks
+from conftest import (
+    convex_polygons,
+    formula_gate_in_frame,
+    regular_polygon,
+    stepped_holonomy,
+    stepped_kicks,
+)
 
 STEPS = 400
 KICKS = 256
@@ -67,7 +73,7 @@ def exact_reference(loop):
     """The closed-form transport in the raw frame basis."""
     if loop.plane is PlaneId.II:
         return plane2_rect_transport(loop)
-    return connection.formula_gate_in_frame(loop)
+    return formula_gate_in_frame(loop)
 
 
 @pytest.mark.parametrize("loop", CASES)
@@ -163,3 +169,12 @@ def test_rect_transport_builds_frames_per_edge_not_per_step(monkeypatch):
     connection.holonomy_path_ordered(loop, factory.cutoff, 2000)
     # the transport needs no frames: only the 4 corner truncation checks build one
     assert len(calls) == 4
+
+
+def test_both_routes_refuse_fewer_steps_than_edges():
+    # the transport's steps/2 rerun has 50 steps for 60 edges; the kicked run has 40 kicks
+    gon = regular_polygon(PlaneId.I, 60)
+    with pytest.raises(ValueError, match="60 edges"):
+        connection.holonomy_path_ordered(gon, CUTOFF[PlaneId.I], 100)
+    with pytest.raises(ValueError, match="60 edges"):
+        kicked.run_kicked(KickSchedule(gon, 40, cutoff=CUTOFF[PlaneId.I]))

@@ -7,8 +7,14 @@ from scipy.linalg import expm
 from hologate import fock
 from hologate.exceptions import TruncationWarning
 from hologate.fock import ControlPoint
+from hologate.loops import PlaneId
 
-from conftest import kerr_hamiltonian
+from conftest import (
+    component_layout,
+    kerr_hamiltonian,
+    squeeze_generator,
+    two_mode_squeeze_generator,
+)
 
 
 def displacement(lam, cutoff):
@@ -16,7 +22,7 @@ def displacement(lam, cutoff):
 
 
 def squeeze(mu, cutoff):
-    return expm(fock.squeeze_generator(mu, cutoff))
+    return expm(squeeze_generator(mu, cutoff))
 
 
 def two_mode_mix(xi, cutoff):
@@ -24,7 +30,7 @@ def two_mode_mix(xi, cutoff):
 
 
 def two_mode_squeeze(zeta, cutoff):
-    return expm(fock.two_mode_squeeze_generator(zeta, cutoff))
+    return expm(two_mode_squeeze_generator(zeta, cutoff))
 
 
 def test_annihilator_smallest_cutoffs():
@@ -130,7 +136,7 @@ def test_two_mode_squeeze_vacuum_overlap():
 
 def test_two_mode_squeeze_conserves_photon_number_difference():
     cutoff = 12
-    gen = fock.two_mode_squeeze_generator(0.4 - 0.3j, cutoff)
+    gen = two_mode_squeeze_generator(0.4 - 0.3j, cutoff)
     n1, n2 = mode_numbers(cutoff)
     diff = np.diag(n1 - n2)
     assert np.linalg.norm(gen @ diff - diff @ gen) < 1e-12
@@ -147,21 +153,45 @@ def test_two_mode_generators_equal_their_ladder_products(cutoff):
         mix = z * (d1 @ a2) - np.conj(z) * (a1 @ d2)
         squeeze = z * (d1 @ d2) - np.conj(z) * (a1 @ a2)
         assert np.array_equal(fock.two_mode_mix_generator(z, cutoff), mix)
-        assert np.array_equal(fock.two_mode_squeeze_generator(z, cutoff), squeeze)
+        assert np.array_equal(two_mode_squeeze_generator(z, cutoff), squeeze)
 
 
 @pytest.mark.parametrize(
     "builder,arg",
     [
         (fock.displacement_generator, 0.4 + 0.2j),
-        (fock.squeeze_generator, 0.3 - 0.1j),
+        (squeeze_generator, 0.3 - 0.1j),
         (fock.two_mode_mix_generator, 0.5 + 0.4j),
-        (fock.two_mode_squeeze_generator, -0.2 + 0.3j),
+        (two_mode_squeeze_generator, -0.2 + 0.3j),
     ],
 )
 def test_generators_are_skew_hermitian(builder, arg):
     gen = builder(arg, 12)
     assert np.linalg.norm(gen + gen.conj().T) < 1e-12 * np.linalg.norm(gen)
+
+
+LAYOUT_CASES = [(plane, cutoff) for plane in (PlaneId.I, PlaneId.II) for cutoff in (3, 30, 60)]
+LAYOUT_CASES += [(PlaneId.III, cutoff) for cutoff in (3, 13, 14)]
+
+
+@pytest.mark.parametrize("plane,cutoff", LAYOUT_CASES)
+def test_inner_sectors_are_the_component_search_layout(plane, cutoff):
+    # the blocks and their sectors, in the order the component search over the
+    # dense patterns finds them, and each chain bit-equal to its dense slice
+    reference, inner = component_layout(plane, cutoff)
+    mode_count = 2 if plane is PlaneId.III else 1
+    layout = fock.inner_sectors(cutoff, mode_count, 1.0j if plane is PlaneId.II else 1.0)
+    assert [[index.tolist() for index, _ in sectors] for sectors in layout] == [
+        [index.tolist() for index in sectors] for sectors in reference
+    ]
+    for index, chain in (sector for sectors in layout for sector in sectors):
+        assert np.array_equal(chain, inner[np.ix_(index, index)])
+    # at any phase, too
+    phase = 0.3 - 0.7j
+    dense = (two_mode_squeeze_generator if mode_count == 2 else squeeze_generator)(phase, cutoff)
+    for sectors in fock.inner_sectors(cutoff, mode_count, phase):
+        for index, chain in sectors:
+            assert np.array_equal(chain, dense[np.ix_(index, index)])
 
 
 def test_kerr_hamiltonian_single_mode():

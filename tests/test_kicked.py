@@ -8,6 +8,8 @@ from hologate.exceptions import AdiabaticityWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
+from conftest import formula_gate_in_frame, infidelity
+
 # extent small enough that finite-kick effects sit below 1e-12
 ZERO_CONTROL_LOOP = LoopSpec(
     PlaneId.I, Polyline(((0.0, 0.0), (1e-9, 0.0), (5e-10, 0.0)))
@@ -24,7 +26,8 @@ def test_zero_control_schedule_is_exact_identity(kick_count, chi, delta_t):
 
 
 def test_fidelity_trend_over_kick_doubling(kicked_sweep):
-    infidelities = [1.0 - kicked_sweep[k].fidelity_to_prediction for k in (256, 512, 1024)]
+    prediction = formula_gate_in_frame(connection.CALIBRATION_RECT)
+    infidelities = [infidelity(kicked_sweep[k].code_map, prediction) for k in (256, 512, 1024)]
     assert infidelities[0] >= infidelities[1] >= infidelities[2]
 
 
@@ -52,7 +55,7 @@ def test_plane3_schedule_runs():
     loop = LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1))
     result = kicked.run_kicked(KickSchedule(loop, 128, cutoff=12))
     assert result.code_map.shape == (4, 4)
-    assert result.fidelity_to_prediction > 0.999
+    assert 1.0 - infidelity(result.code_map, formula_gate_in_frame(loop)) > 0.999
 
 
 @pytest.mark.parametrize("cutoff", [12, 13])
@@ -93,7 +96,6 @@ def test_adiabaticity_warning_on_resonant_dwell():
     with pytest.warns(AdiabaticityWarning):
         result = kicked.run_kicked(schedule)
     assert result.leakage > 0.5
-    assert result.diagnostics["adiabaticity_failure"]
 
 
 @pytest.mark.parametrize("rows", [1, 2])

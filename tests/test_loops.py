@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import rect_sigma_closed_form
+from conftest import rect_sigma_closed_form, regular_polygon
 from hologate import loops
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
@@ -315,6 +315,13 @@ def test_boundary_runs_split_steps_per_edge():
         assert np.array_equal(run.end, following.start)
     tilted = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.2, 0.05), (0.1, 0.2))))
     assert not any(run.axis_aligned for run in loops.boundary_runs(tilted, 40))
+
+
+def test_boundary_runs_need_a_step_per_edge():
+    gon = regular_polygon(PlaneId.I, 60)
+    assert [run.count for run in loops.boundary_runs(gon, 60)] == [1] * 60
+    with pytest.raises(ValueError, match="60 edges"):
+        loops.boundary_runs(gon, 59)
 
 
 def test_shapes_reject_non_finite_coordinates():
