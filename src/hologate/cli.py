@@ -134,7 +134,7 @@ def cmd_oracle(args) -> int:
         "formula_gate": matrix_to_json(formula.matrix),
         "area": _area_record(loop),
     }
-    # the convergence estimate reruns the loop at steps/2, which needs a step per edge
+    # steps/2, where the convergence estimate reruns the loop, needs a step per edge on either route
     half_steps = max(args.steps // 2, 16 if args.method == "kicked" else 4)
     edges = len(loops_mod.boundary_vertices(loop))
     if half_steps < edges:

@@ -11,8 +11,13 @@ connection A_mu = F^dag d_mu F is exact:
 
 and the curvature needs d_i A_o = c^dag I^dag [G_o, G_i] I c, not nested
 differences.  The loop holonomy is the path-ordered exponential of -A along
-the boundary: one exact exponential per axis-aligned edge, fourth-order
-Magnus steps on tilted ones.
+the boundary.  On planes I and III every control generator is real, so a(i)
+below is real, the pair connection along any path is a real multiple of one
+fixed generator and commutes with itself: the holonomy is the exponential of
+the line integral of a, the line-integral side of the area formula by
+Stokes, and each edge is one exact exponential of its closed-form integral.
+Plane II's a(i) is complex, so there only an axis-aligned edge is one exact
+exponential, and a tilted edge takes fourth-order Magnus steps.
 
 A_o couples exactly one pair of code columns (|0>, |1> on planes I/II;
 |10>, |01> on plane III) through one entry a(i), and A_i is exactly 0 on
@@ -53,8 +58,9 @@ from .loops import LoopSpec, PlaneId, Rect
 CALIBRATION_RECT = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
 
 # Sub-intervals per batch on a tilted edge, in both dynamical routes: bounds the
-# transport's work arrays (one sector's size x MAGNUS_BATCH phases each) and the
-# kicked route's phase table (block size x MAGNUS_BATCH + 1) whatever the count.
+# transport's work arrays (one sector's size x MAGNUS_BATCH phases each; only
+# tilted plane II edges take Magnus steps) and the kicked route's phase table
+# (block size x MAGNUS_BATCH + 1) whatever the count.
 MAGNUS_BATCH = 256
 
 # Two-node Gauss-Legendre points on [0, 1] for the fourth-order Magnus step.
@@ -210,7 +216,8 @@ class FrameFactory:
     zero elsewhere.  A_i is exactly zero on the pair; on the `rest` of the
     code columns (none on planes I/II, |00> and |11> on plane III) it is the
     one entry `rest_entry` and its mirror.  The pair's sectors are the
-    blocks' own sector objects.
+    blocks' own sector objects.  `real_controls` says that G_o and G_i have
+    no imaginary part (planes I and III), so that a(i) is real.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -226,6 +233,8 @@ class FrameFactory:
             outer = fock.displacement_generator(1.0, cutoff)
         layout = fock.inner_sectors(cutoff, mode_count, 1.0j if plane is PlaneId.II else 1.0)
         self.blocks = [ControlBlock(sectors, outer, self.code) for sectors in layout]
+        chains = [inner for sectors in layout for _, inner in sectors]
+        self.real_controls = not any(np.any(g.imag) for g in [outer, *chains])
         self.code_dim = self.code.shape[1]
         self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
         for index, inner in (sector for sectors in layout for sector in sectors):
@@ -456,18 +465,27 @@ def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun):
     With t in [0, 1] along the run, dU/dt = X(t) U for
     X = -(d_outer * A_o(i(t)) + d_inner * A_i).  On the pair X is
     [[0, x], [-conj x, 0]] with x = -d_outer * a(i(t)); on the rest it is the
-    constant x = -d_inner * rest_entry, which is exponentiated exactly.  On an
-    axis-aligned run x is constant on the pair too.  A tilted run takes
-    `count` fourth-order Magnus steps on the pair, each from x at the two
-    Gauss-Legendre nodes of its sub-interval.
+    constant x = -d_inner * rest_entry, which is exponentiated exactly.  With
+    real controls (or on an axis-aligned run) x(t) is a real multiple of one
+    generator, so the run is exactly exp of its integral, x = -d_outer times
+    the mean of a over [inner0, inner1]: with a(i) = sum(outer * exp(i Omega i)),
+    Omega = weight.imag, that is the entry at the midpoint with `outer` scaled
+    by sinc(Omega d_inner / 2).  d_inner = 0 gives a(inner0) itself.  A tilted
+    run on plane II takes `count` fourth-order Magnus steps on the pair, each
+    from x at the two Gauss-Legendre nodes of its sub-interval.
     """
     outer0, inner0 = factory.split(*run.start)
     outer1, inner1 = factory.split(*run.end)
     d_outer, d_inner = outer1 - outer0, inner1 - inner0
     x = -d_inner * factory.rest_entry
     rest = _magnus_step(x, x)
-    if run.axis_aligned:
-        x = -d_outer * factory.pair_entries(factory.pair.outer, inner0)[0]
+    if run.axis_aligned or factory.real_controls:
+        x = 0.0
+        if d_outer:
+            # mean of exp(i Omega i) over [inner0, inner1]: the midpoint phase times a sinc
+            pair = factory.pair
+            middle = pair.outer * np.sinc(pair.weight.imag * (d_inner / (2.0 * math.pi)))
+            x = -d_outer * factory.pair_entries(middle, inner0 + 0.5 * d_inner)[0]
         return _magnus_step(x, x), rest
     transport = (1.0, 0.0)
     outer, step, scale = factory.pair.outer, d_inner / run.count, -d_outer / run.count
@@ -497,24 +515,31 @@ def holonomy_path_ordered(loop: LoopSpec, cutoff: int, steps: int) -> gates.Gate
     """Path-ordered holonomy of the exact Wilczek-Zee connection around the loop.
 
     The boundary is split into `steps` sub-intervals by edge length
-    (loops.boundary_runs).  An axis-aligned edge is one exact exponential,
-    whatever its sub-interval count; a tilted edge takes one fourth-order
-    Magnus step per sub-interval.  diagnostics["integrator"] is "exact_edge"
-    when every edge is axis-aligned and "magnus4" otherwise.  The result
+    (loops.boundary_runs); that split and the one at steps/2 are validated
+    before any frame is built.  On planes I and III every edge is one exact
+    exponential of the line integral of the (abelian) pair connection, so
+    `steps` is only validated there.  On plane II an axis-aligned edge is one
+    exact exponential and a tilted edge takes one fourth-order Magnus step per
+    sub-interval.  diagnostics["integrator"] is "magnus4" when some edge takes
+    Magnus steps (a tilted plane II edge) and "exact_edge" otherwise.  Only
+    then is the same transport run at steps/2, and the distance to it is the
+    convergence estimate; it is 0.0 when every edge is exact.  The result
     lives in the raw dressed-frame basis; use calibrated_code_matrix() to
-    compare with the area-formula gates.  The same transport at steps/2
-    gives the convergence estimate, which is exactly 0 on rectangles.
+    compare with the area-formula gates.
     """
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
+    runs = loops_mod.boundary_runs(loop, steps)
+    coarse_runs = loops_mod.boundary_runs(loop, max(steps // 2, 4))
     check_loop_truncation(loop, cutoff)
     factory = frame_factory(loop.plane, cutoff)
-    runs = loops_mod.boundary_runs(loop, steps)
     holonomy = _transport(factory, runs)
-    coarse = _transport(factory, loops_mod.boundary_runs(loop, max(steps // 2, 4)))
-    convergence = float(np.linalg.norm(holonomy - coarse))
+    stepped = not factory.real_controls and not all(run.axis_aligned for run in runs)
+    convergence = 0.0
+    if stepped:
+        convergence = float(np.linalg.norm(holonomy - _transport(factory, coarse_runs)))
     defect = float(np.linalg.norm(holonomy.conj().T @ holonomy - np.eye(factory.code_dim)))
-    integrator = "exact_edge" if all(run.axis_aligned for run in runs) else "magnus4"
+    integrator = "magnus4" if stepped else "exact_edge"
     return gates.GateMatrix(
         factory.code_dim,
         holonomy,

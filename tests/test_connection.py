@@ -413,12 +413,56 @@ def test_rect_transport_is_exact_and_step_free():
     assert np.array_equal(coarse.matrix, fine.matrix)
     assert fine.diagnostics["convergence_estimate"] == 0.0
     assert fine.diagnostics["integrator"] == "exact_edge"
-    tilted = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.1, 0.02), (0.04, 0.1))))
+    tilted = LoopSpec(PlaneId.II, Polyline(((0.0, 0.0), (0.1, 0.02), (0.04, 0.1))))
     assert connection.holonomy_path_ordered(tilted, 40, 200).diagnostics["integrator"] == "magnus4"
 
 
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_real_pair_connection_on_exactly_planes_1_and_3(plane):
+    # a(i) over the inner range of the oracle domain: [0, 0.25] on planes I/II, [0, 0.15] on III
+    factory = frame_factory(plane, ORACLE_CUTOFF[plane])
+    end = 0.15 if plane is PlaneId.III else 0.25
+    a = factory.pair_entries(factory.pair.outer, 0.0, end / 200, 201)
+    real = np.max(np.abs(a.imag)) <= 1e-15 * np.max(np.abs(a))
+    assert real == (plane is not PlaneId.II) == factory.real_controls
+
+
+@pytest.mark.parametrize("plane", [PlaneId.I, PlaneId.III])
+def test_tilted_transport_is_exact_on_real_control_planes(plane):
+    loop = LoopSpec(plane, Polyline(((0.02, 0.01), (0.13, 0.04), (0.09, 0.12), (0.03, 0.1))))
+    assert not any(run.axis_aligned for run in loops.boundary_runs(loop, 100))
+    coarse = connection.holonomy_path_ordered(loop, ORACLE_CUTOFF[plane], 100)
+    fine = connection.holonomy_path_ordered(loop, ORACLE_CUTOFF[plane], 4000)
+    assert np.array_equal(coarse.matrix, fine.matrix)
+    for gate in (coarse, fine):
+        assert gate.diagnostics["convergence_estimate"] == 0.0
+        assert gate.diagnostics["integrator"] == "exact_edge"
+
+
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_axis_aligned_edges_are_one_exponential_of_the_vertex_entry(plane):
+    # the line-integral form at zero inner increment is bit for bit the constant-entry edge
+    factory = frame_factory(plane, ORACLE_CUTOFF[plane])
+    loop = LoopSpec(plane, Rect(0.02, 0.2, 0.03, 0.31))
+    for run in loops.boundary_runs(loop, 2000):
+        (outer0, inner0), (outer1, _) = factory.split(*run.start), factory.split(*run.end)
+        x = -(outer1 - outer0) * factory.pair_entries(factory.pair.outer, inner0)[0]
+        got = connection._run_transport(factory, run)[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got, connection._magnus_step(x, x)))
+
+
+def test_magnus_error_falls_16_fold_per_doubling():
+    # plane II's complex a(i) leaves the commutator term, so its tilted edges take Magnus steps
+    loop = LoopSpec(PlaneId.II, Polyline(((0.05, 0.08), (0.35, 0.15), (0.17, 0.33))))
+    estimates = [
+        connection.holonomy_path_ordered(loop, 60, steps).diagnostics["convergence_estimate"]
+        for steps in (100, 200, 400)
+    ]
+    assert estimates[0] >= 10.0 * estimates[1] and estimates[1] >= 10.0 * estimates[2], estimates
+
+
 def test_transport_does_not_depend_on_the_magnus_batch(monkeypatch):
-    loop = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.03), (0.05, 0.1))))
+    loop = LoopSpec(PlaneId.II, Polyline(((0.0, 0.0), (0.12, 0.03), (0.05, 0.1))))
     steps = 2000
     batch = connection.MAGNUS_BATCH
     counts = [run.count for run in loops.boundary_runs(loop, steps)]

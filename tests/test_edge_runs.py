@@ -1,7 +1,8 @@
 """Per-edge transport and kicks against the per-step products.
 
-The transport takes one exact exponential per axis-aligned edge and Magnus
-steps on tilted ones; the stepped product of re-unitarized frame overlaps
+The transport takes one exact exponential per axis-aligned edge and per
+tilted edge on planes I and III, and Magnus steps on tilted plane II edges;
+the stepped product of re-unitarized frame overlaps
 (conftest.stepped_holonomy) converges onto it as 1/steps^2.  On an
 axis-aligned edge every kick is the same matrix, so the kicked route raises
 it to the edge's kick count by repeated squaring, and on a tilted edge the
@@ -10,6 +11,7 @@ dense per-kick controls (conftest.stepped_kicks).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hologate import connection, kicked, loops
+from hologate.exceptions import TruncationWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
@@ -178,3 +181,23 @@ def test_both_routes_refuse_fewer_steps_than_edges():
         connection.holonomy_path_ordered(gon, CUTOFF[PlaneId.I], 100)
     with pytest.raises(ValueError, match="60 edges"):
         kicked.run_kicked(KickSchedule(gon, 40, cutoff=CUTOFF[PlaneId.I]))
+
+
+def test_refused_steps_build_no_frame_and_warn_nothing(monkeypatch):
+    # this 60-gon stresses the plane III cutoff 14 at every vertex; the steps/2 split is
+    # refused before the truncation check would build a frame there
+    gon = regular_polygon(PlaneId.III, 60, center=(0.3, 0.2), radius=0.1)
+    calls = []
+    original = connection.FrameFactory.frame
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return original(self, u, v)
+
+    monkeypatch.setattr(connection.FrameFactory, "frame", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="60 edges"):
+            connection.holonomy_path_ordered(gon, 14, 100)
+    assert not [w for w in caught if issubclass(w.category, TruncationWarning)]
+    assert calls == []
