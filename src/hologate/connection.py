@@ -17,7 +17,8 @@ fixed generator and commutes with itself: the holonomy is the exponential of
 the line integral of a, the line-integral side of the area formula by
 Stokes, and each edge is one exact exponential of its closed-form integral.
 Plane II's a(i) is complex, so there only an axis-aligned edge is one exact
-exponential, and a tilted edge takes fourth-order Magnus steps.
+exponential, and a tilted edge takes fourth-order Magnus steps.  The exact
+edges of a loop are all taken in one vectorized pass (_exact_edges).
 
 A_o couples exactly one pair of code columns (|0>, |1> on planes I/II;
 |10>, |01> on plane III) through one entry a(i), and A_i is exactly 0 on
@@ -109,19 +110,22 @@ class CodeBlock:
         """The block's code columns in its inner eigenbasis V."""
         return self.vectors.conj().T @ self.code
 
+    def phases_at(self, inner: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """exp(-i w i) at each inner control value i, shape (rows, values): I's phases."""
+        return np.exp(-1j * (self.values[rows, None] * inner))
+
     def phases(self, start: float, step: float, count: int) -> np.ndarray:
-        """exp(-i w (start + step k)) for k < count, shape (block size, count): I's phases.
+        """I's phases at start + step k for k < count, shape (block size, count).
 
         The table is the outer product of a coarse one, at every m-th k, and a
         fine one, at the first m, with m about sqrt(count): 2 sqrt(count)
         exponentials per eigenvalue w instead of count.
         """
         fine = math.isqrt(count - 1) + 1
-        w = self.values[:, None]
-        table = np.exp(-1j * (w * (start + step * fine * np.arange(-(-count // fine)))))
+        table = self.phases_at(start + step * fine * np.arange(-(-count // fine)))
         if fine > 1:
-            table = table[:, :, None] * np.exp(-1j * (w * (step * np.arange(fine))))[:, None, :]
-        return table.reshape(w.size, -1)[:, :count]
+            table = table[:, :, None] * self.phases_at(step * np.arange(fine))[:, None, :]
+        return table.reshape(self.values.size, -1)[:, :count]
 
 
 def _sector(index: np.ndarray, inner: np.ndarray, code: np.ndarray) -> CodeBlock:
@@ -167,17 +171,30 @@ class ControlBlock(CodeBlock):
         w = self.outer_vectors
         return (w * np.exp(-1j * d_outer * self.outer_values)[None, :]) @ w.conj().T
 
-    def frame(self, outer: float, inner: float) -> np.ndarray:
-        """O(outer) I(inner) c on the block.
+    @cached_property
+    def code_rows(self) -> np.ndarray:
+        """The places where code_eig is not zero: the sectors that hold code columns."""
+        return np.flatnonzero(np.any(self.code_eig != 0, axis=1))
+
+    def frames(self, outer: np.ndarray, inner: np.ndarray, left=None) -> np.ndarray:
+        """O(outer_k) I(inner_k) c on the block at each point k, shape (rows, points, columns).
 
         In the inner eigenbasis that is V W exp(-i outer w_o) W^dag exp(-i inner w) V^dag c,
-        and V^dag c is code_eig.
+        and V^dag c is code_eig, zero off its code_rows: only those take I's
+        phases and W^dag.  Every point goes through each product at once, as
+        points x code columns columns.  `left` holds the wanted rows of V W,
+        the outer eigenvectors in the Fock basis; None forms every row.
         """
-        w = self.outer_vectors
-        cols = np.exp(-1j * inner * self.values)[:, None] * self.code_eig
-        # W^dag cols as conj(W^T conj(cols)): a transposed view, no W-sized copy
-        cols = np.exp(-1j * outer * self.outer_values)[:, None] * (w.T @ cols.conj()).conj()
-        return self.vectors @ (w @ cols)
+        w, rows = self.outer_vectors, self.code_rows
+        code = self.code_eig[rows]
+        cols = self.phases_at(inner, rows)[:, :, None] * code[:, None, :]
+        shape = (w.shape[0],) + cols.shape[1:]
+        # W^dag cols as conj(W[rows]^T conj(cols)): only W's code rows are copied
+        cols = (w[rows].T @ cols.reshape(rows.size, -1).conj()).conj().reshape(shape)
+        cols *= np.exp(-1j * np.multiply.outer(self.outer_values, outer))[:, :, None]
+        cols = cols.reshape(shape[0], -1)
+        cols = self.vectors @ (w @ cols) if left is None else left @ cols
+        return cols.reshape(-1, *shape[1:])
 
 
 class SectorPair(NamedTuple):
@@ -218,6 +235,9 @@ class FrameFactory:
     one entry `rest_entry` and its mirror.  The pair's sectors are the
     blocks' own sector objects.  `real_controls` says that G_o and G_i have
     no imaginary part (planes I and III), so that a(i) is real.
+    `top_outer_vectors` holds, per block, the rows of V W (the outer
+    eigenvectors in the Fock basis) at its top-quartile Fock levels, for the
+    truncation check.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -250,18 +270,36 @@ class FrameFactory:
         self.rest = np.delete(np.arange(self.code_dim), self.pair_columns)
         rest = self.rest
         self.rest_entry = self.inner_connection[rest[0], rest[-1]] if rest.size else 0.0
+        top = fock.top_quartile_mask(cutoff, mode_count)
+        self.top_outer_vectors = [
+            block.vectors[top[block.index]] @ block.outer_vectors for block in self.blocks
+        ]
 
     def split(self, u: float, v: float) -> tuple[float, float]:
         """Plane coordinates as (outer, inner) control parameters."""
         return (v, u) if self.plane is PlaneId.III else (u, v)
 
     def frame(self, u: float, v: float) -> np.ndarray:
-        """Columns of the dressed code basis at plane point (u, v)."""
-        outer, inner = self.split(u, v)
+        """The dressed code basis at plane point (u, v): ControlBlock.frames at that one point."""
+        outer, inner = self.split(np.array([u], dtype=float), np.array([v], dtype=float))
         cols = np.zeros(self.code.shape, dtype=complex)
         for block in self.blocks:
-            cols[np.ix_(block.index, block.columns)] = block.frame(outer, inner)
+            cols[np.ix_(block.index, block.columns)] = block.frames(outer, inner)[:, 0]
         return cols
+
+    def top_quartile_populations(self, points) -> np.ndarray:
+        """Worst population in the top quartile of Fock levels over the code columns, per point.
+
+        Every code column lives in one block, so each block forms only the
+        top-quartile rows of its frames (top_outer_vectors), at all the (u, v)
+        points at once.
+        """
+        outer, inner = self.split(*np.asarray(points, dtype=float).T)
+        worst = np.zeros(outer.shape)
+        for block, left in zip(self.blocks, self.top_outer_vectors):
+            population = np.sum(np.abs(block.frames(outer, inner, left)) ** 2, axis=0)
+            worst = np.maximum(worst, np.max(population, axis=1))
+        return worst
 
     def pair_entries(
         self, middle: np.ndarray, start: float, step: float = 0.0, count: int = 1
@@ -371,24 +409,32 @@ def plane_coordinates(point: ControlPoint, plane: PlaneId) -> tuple[float, float
     return point.r2, point.r3
 
 
-def _warn_on_frame_truncation(vectors: np.ndarray, cutoff: int, plane: PlaneId) -> None:
-    mode_count = 2 if plane is PlaneId.III else 1
-    population = fock.top_quartile_population(vectors, cutoff, mode_count)
-    fock.warn_if_truncated(population, f"dressed frame on plane {plane.value}")
+def _warn_on_frame_truncation(populations, plane: PlaneId) -> None:
+    for population in populations:
+        fock.warn_if_truncated(float(population), f"dressed frame on plane {plane.value}")
+
+
+@lru_cache(maxsize=8)
+def _corner_populations(loop: LoopSpec, cutoff: int) -> tuple[float, ...]:
+    """Top-quartile populations of the dressed frames at the loop corners.
+
+    Cached: both dynamical routes check a loop they share, and the kicked
+    oracle reruns its loop at half the kicks.
+    """
+    factory = frame_factory(loop.plane, cutoff)
+    return tuple(factory.top_quartile_populations(loops_mod.boundary_vertices(loop)).tolist())
 
 
 def check_loop_truncation(loop: LoopSpec, cutoff: int) -> None:
-    """Warn when the dressed frames at the loop corners stress the cutoff."""
-    factory = frame_factory(loop.plane, cutoff)
-    for u, v in loops_mod.boundary_vertices(loop):
-        _warn_on_frame_truncation(factory.frame(u, v), cutoff, loop.plane)
+    """Warn when the dressed frames at the loop corners stress the cutoff, once per corner."""
+    _warn_on_frame_truncation(_corner_populations(loop, cutoff), loop.plane)
 
 
 def connection_at(point: ControlPoint, plane: PlaneId, cutoff: int) -> ConnectionSample:
     """Exact connection components along the two plane directions."""
     u, v = plane_coordinates(point, plane)
     factory = frame_factory(plane, cutoff)
-    _warn_on_frame_truncation(factory.frame(u, v), cutoff, plane)
+    _warn_on_frame_truncation(factory.top_quartile_populations([(u, v)]), plane)
     a_u, a_v = factory.connection(u, v)
     defect = max(
         float(np.linalg.norm(a_u + a_u.conj().T)), float(np.linalg.norm(a_v + a_v.conj().T))
@@ -405,7 +451,7 @@ def curvature_at(point: ControlPoint, plane: PlaneId, cutoff: int) -> CurvatureS
     """
     u, v = plane_coordinates(point, plane)
     factory = frame_factory(plane, cutoff)
-    _warn_on_frame_truncation(factory.frame(u, v), cutoff, plane)
+    _warn_on_frame_truncation(factory.top_quartile_populations([(u, v)]), plane)
     f_uv = factory.curvature(u, v)
     gen = gates.PLANE_GENERATOR[plane].matrix
     calibrated = calibrated_code_matrix(plane, f_uv)
@@ -459,34 +505,50 @@ def _tree_product(p: np.ndarray, q: np.ndarray):
     return p[0], q[0]
 
 
-def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun):
-    """Transport along one boundary edge, as (p, q) on the code pair and on the rest.
+def _stepped(factory: FrameFactory, run: loops_mod.EdgeRun) -> bool:
+    """A tilted plane II edge: the one kind whose pair connection does not commute with itself."""
+    return not (factory.real_controls or run.axis_aligned)
+
+
+def _exact_edges(factory: FrameFactory, runs: list[loops_mod.EdgeRun]):
+    """Each edge as one exact exponential, as (p, q) arrays over the runs, on the pair and the rest.
 
     With t in [0, 1] along the run, dU/dt = X(t) U for
     X = -(d_outer * A_o(i(t)) + d_inner * A_i).  On the pair X is
     [[0, x], [-conj x, 0]] with x = -d_outer * a(i(t)); on the rest it is the
-    constant x = -d_inner * rest_entry, which is exponentiated exactly.  With
-    real controls (or on an axis-aligned run) x(t) is a real multiple of one
-    generator, so the run is exactly exp of its integral, x = -d_outer times
-    the mean of a over [inner0, inner1]: with a(i) = sum(outer * exp(i Omega i)),
-    Omega = weight.imag, that is the entry at the midpoint with `outer` scaled
-    by sinc(Omega d_inner / 2).  d_inner = 0 gives a(inner0) itself.  A tilted
-    run on plane II takes `count` fourth-order Magnus steps on the pair, each
-    from x at the two Gauss-Legendre nodes of its sub-interval.
+    constant x = -d_inner * rest_entry.  Unless the run is _stepped, x(t) is a
+    real multiple of one generator, so the run is exactly exp of its
+    integral, x = -d_outer times the mean of a over [inner0, inner1]: with
+    a(i) = sum(outer * exp(i Omega i)), Omega = weight.imag, that is the entry
+    at the midpoint with `outer` scaled by sinc(Omega d_inner / 2), and
+    d_inner = 0 gives a(inner0) itself.  All runs go through one pass: one
+    phase table at the midpoints, one stacked product with each run's
+    scaled `outer`, one closed-form exponential of pair and rest together.
+    """
+    starts = np.array([factory.split(*run.start) for run in runs])
+    d_outer, d_inner = (np.array([factory.split(*run.end) for run in runs]) - starts).T
+    inner0 = starts[:, 1]
+    pair = factory.pair
+    # mean of exp(i Omega i) over [inner0, inner1]: the midpoint phase times a sinc
+    middle = pair.outer * np.sinc(np.multiply.outer(d_inner / (2.0 * math.pi), pair.weight.imag))
+    midpoint = inner0 + 0.5 * d_inner
+    t_a, t_b = pair.first.phases_at(midpoint), pair.second.phases_at(midpoint)
+    entries = np.sum(t_a.T.conj() * (middle @ t_b.T[:, :, None])[:, :, 0], axis=1)
+    x = np.stack([-d_outer * entries, -d_inner * factory.rest_entry + 0j])
+    p, q = _magnus_step(x, x)
+    return (p[0], q[0]), (p[1], q[1])
+
+
+def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun):
+    """(p, q) on the code pair of a _stepped run: `count` fourth-order Magnus steps.
+
+    Each step takes x = -d_outer * a / count at the two Gauss-Legendre nodes
+    of its sub-interval; the steps multiply by pairwise halving, in batches
+    of MAGNUS_BATCH.
     """
     outer0, inner0 = factory.split(*run.start)
     outer1, inner1 = factory.split(*run.end)
     d_outer, d_inner = outer1 - outer0, inner1 - inner0
-    x = -d_inner * factory.rest_entry
-    rest = _magnus_step(x, x)
-    if run.axis_aligned or factory.real_controls:
-        x = 0.0
-        if d_outer:
-            # mean of exp(i Omega i) over [inner0, inner1]: the midpoint phase times a sinc
-            pair = factory.pair
-            middle = pair.outer * np.sinc(pair.weight.imag * (d_inner / (2.0 * math.pi)))
-            x = -d_outer * factory.pair_entries(middle, inner0 + 0.5 * d_inner)[0]
-        return _magnus_step(x, x), rest
     transport = (1.0, 0.0)
     outer, step, scale = factory.pair.outer, d_inner / run.count, -d_outer / run.count
     for start in range(0, run.count, MAGNUS_BATCH):
@@ -496,17 +558,26 @@ def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun):
             for node in _GAUSS_NODES
         )
         transport = _compose(_tree_product(*_magnus_step(x1, x2)), transport)
-    return transport, rest
+    return transport
 
 
 def _transport(factory: FrameFactory, runs: list[loops_mod.EdgeRun]) -> np.ndarray:
-    pair = rest = (1.0, 0.0)
-    for run in runs:
-        edge_pair, edge_rest = _run_transport(factory, run)
-        pair, rest = _compose(edge_pair, pair), _compose(edge_rest, rest)
+    """The loop's holonomy: every edge from _exact_edges, a _stepped one from its Magnus steps.
+
+    The edges multiply on one at a time, in traversal order: with a handful
+    of edges a pairwise product saves nothing, and this order keeps a loop
+    of Magnus edges bit for bit what it was when each edge was taken alone.
+    """
+    pair, rest = _exact_edges(factory, runs)
+    for k, run in enumerate(runs):
+        if _stepped(factory, run):
+            pair[0][k], pair[1][k] = _run_transport(factory, run)
     holonomy = np.zeros((factory.code_dim, factory.code_dim), dtype=complex)
-    for columns, (p, q) in ((factory.pair_columns, pair), (factory.rest, rest)):
+    for columns, edges in ((factory.pair_columns, pair), (factory.rest, rest)):
         if columns.size:
+            p, q = 1.0, 0.0
+            for edge in zip(*edges):
+                p, q = _compose(edge, (p, q))
             holonomy[np.ix_(columns, columns)] = [[p, q], [-np.conj(q), np.conj(p)]]
     return holonomy
 
@@ -515,29 +586,33 @@ def holonomy_path_ordered(loop: LoopSpec, cutoff: int, steps: int) -> gates.Gate
     """Path-ordered holonomy of the exact Wilczek-Zee connection around the loop.
 
     The boundary is split into `steps` sub-intervals by edge length
-    (loops.boundary_runs); that split and the one at steps/2 are validated
-    before any frame is built.  On planes I and III every edge is one exact
-    exponential of the line integral of the (abelian) pair connection, so
-    `steps` is only validated there.  On plane II an axis-aligned edge is one
-    exact exponential and a tilted edge takes one fourth-order Magnus step per
+    (loops.boundary_runs).  Before any frame is built, that split is
+    validated, and so is steps/2 (at least 4) against the loop's edge count,
+    with boundary_runs' own message, since a rerun at steps/2 needs a step
+    per edge too.  On planes I and III every edge is one exact exponential of
+    the line integral of the (abelian) pair connection, so `steps` is only
+    validated there.  On plane II an axis-aligned edge is one exact
+    exponential and a tilted edge takes one fourth-order Magnus step per
     sub-interval.  diagnostics["integrator"] is "magnus4" when some edge takes
     Magnus steps (a tilted plane II edge) and "exact_edge" otherwise.  Only
-    then is the same transport run at steps/2, and the distance to it is the
-    convergence estimate; it is 0.0 when every edge is exact.  The result
-    lives in the raw dressed-frame basis; use calibrated_code_matrix() to
-    compare with the area-formula gates.
+    then is the steps/2 split built and the transport rerun on it, and the
+    distance to that rerun is the convergence estimate; it is 0.0 when every
+    edge is exact.  The result lives in the raw dressed-frame basis; use
+    calibrated_code_matrix() to compare with the area-formula gates.
     """
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
     runs = loops_mod.boundary_runs(loop, steps)
-    coarse_runs = loops_mod.boundary_runs(loop, max(steps // 2, 4))
+    half = max(steps // 2, 4)
+    loops_mod.check_steps_cover_edges(half, len(runs))
     check_loop_truncation(loop, cutoff)
     factory = frame_factory(loop.plane, cutoff)
     holonomy = _transport(factory, runs)
-    stepped = not factory.real_controls and not all(run.axis_aligned for run in runs)
+    stepped = any(_stepped(factory, run) for run in runs)
     convergence = 0.0
     if stepped:
-        convergence = float(np.linalg.norm(holonomy - _transport(factory, coarse_runs)))
+        coarse = _transport(factory, loops_mod.boundary_runs(loop, half))
+        convergence = float(np.linalg.norm(holonomy - coarse))
     defect = float(np.linalg.norm(holonomy.conj().T @ holonomy - np.eye(factory.code_dim)))
     integrator = "magnus4" if stepped else "exact_edge"
     return gates.GateMatrix(

@@ -35,6 +35,11 @@ PAPER_STATED_DELTA_COEFFICIENTS = (1.7, 1.0)
 
 BORDERS = ("u_low", "u_high", "v_low", "v_high")
 
+# Bytes that the (samples, vertices, 2) float arrays of one statistical_loop_noise
+# run may take together: the noise shapes (half the samples), their antithetic
+# jitter and the jittered vertices.  A rect's 4 vertices allow about 1.6e6 samples.
+NOISE_BYTES_BUDGET = 256 * 1024**2
+
 
 @dataclass(frozen=True)
 class BorderShift:
@@ -202,9 +207,16 @@ def statistical_loop_noise(
         )
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    half = (samples + 1) // 2
+    needed = 5 * half * len(verts) * 2 * 8  # shapes: half rows; jitter and sampled: 2 half each
+    if needed > NOISE_BYTES_BUDGET:
+        raise ValueError(
+            f"{samples} samples of {len(verts)} vertices need about {needed:.1e} bytes of noise "
+            f"arrays, above the budget of {NOISE_BYTES_BUDGET:.1e} "
+            "(error_model.NOISE_BYTES_BUDGET)"
+        )
     # boundary_vertices runs in traversal order, so the exact sums carry the orientation
     nominal = float(loops_mod.polygon_sigma_exact(loop.plane, verts))
-    half = (samples + 1) // 2
     rng = np.random.default_rng(seed)
     shapes = rng.standard_normal(size=(half, len(verts), 2))
     jitter = np.concatenate([shapes, -shapes], axis=0)

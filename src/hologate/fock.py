@@ -83,7 +83,7 @@ def code_states(cutoff: int, mode_count: int = 1) -> np.ndarray:
     return cols
 
 
-def _top_quartile_mask(cutoff: int, mode_count: int) -> np.ndarray:
+def top_quartile_mask(cutoff: int, mode_count: int) -> np.ndarray:
     """Boolean mask selecting basis states with any mode in its top quartile."""
     lo = (3 * cutoff) // 4
     if mode_count == 1:
@@ -110,12 +110,6 @@ def check_dense_budget(cutoff: int, mode_count: int) -> None:
             f"cutoff {cutoff} on {mode_count} mode(s) needs about {needed:.1e} bytes of dense "
             f"matrices, above the budget of {DENSE_BYTES_BUDGET:.1e} (fock.DENSE_BYTES_BUDGET)"
         )
-
-
-def top_quartile_population(cols: np.ndarray, cutoff: int, mode_count: int) -> float:
-    """Worst population in the top quartile of Fock levels over the columns of cols."""
-    mask = _top_quartile_mask(cutoff, mode_count)
-    return float(np.max(np.sum(np.abs(cols[mask, :]) ** 2, axis=0)))
 
 
 def warn_if_truncated(population: float, label: str) -> None:

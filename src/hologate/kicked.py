@@ -18,11 +18,14 @@ diagonal phase.  That eigenbasis is the direct sum of the bases of the
 sectors of the inner generator (FrameFactory), and the Kerr dwell, diagonal
 in the Fock basis, is block-diagonal by sector in it.  Only the state after
 the whole loop is kept: on an axis-aligned edge every kick is the same
-matrix, which is raised to the edge's kick count by repeated squaring
-instead of being applied kick by kick.  Along the inner control that kick is
+matrix, which is raised to the edge's kick count by squaring while the
+count is large and then applied to the columns (_power_apply) instead of
+being applied kick by kick.  Along the inner control that kick is
 block-diagonal by sector too, so it is powered as a stack of small sector
 blocks (two parity chains of 30 states on planes I/II at cutoff 60, 13 and
-14 chains of at most 14 states per parity block on plane III at cutoff 14).
+14 chains of at most 14 states per parity block on plane III at cutoff 14);
+along the outer control it is dense, but its dwell factor is applied
+sector by sector.
 On a tilted edge the kicks differ and are applied one by one, to the code
 columns held as rows, through the real forms of the edge's outer step and of
 the dwell (real_form): on two rows a real product of twice the size runs
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -95,14 +99,27 @@ def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
 
 
 def _power_apply(kick: np.ndarray, count: int, state: np.ndarray) -> np.ndarray:
-    """kick^count @ state by binary powering: kick is squared, and applied on each set bit."""
-    while True:
+    """kick^count @ state: binary powering while the count is large, then kick by kick.
+
+    Squaring an n x n kick costs about n^3 and applying it to the state's
+    columns about n^2 columns, and a squaring halves the applications left,
+    so by flops it pays while count > 2 n / columns.  A product on a few
+    columns runs about 4 times slower per flop than a square one (OpenBLAS,
+    one thread, n = 60 and 98 on 2 columns), so squaring stops once the
+    count falls below n / (2 columns), and the kick, squared so far, is then
+    applied that many times.  At the smallest limit, 2, this is plain
+    binary powering.  Broadcasts over a stack of kicks, n then being the
+    stack's block size.
+    """
+    limit = max(2, kick.shape[-1] // (2 * state.shape[-1]))
+    while count >= limit:
         if count & 1:
             state = kick @ state
         count >>= 1
-        if not count:
-            return state
         kick = kick @ kick
+    for _ in range(count):
+        state = kick @ state
+    return state
 
 
 def real_form(matrix: np.ndarray) -> np.ndarray:
@@ -120,15 +137,20 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
     return form.reshape(2 * rows, 2 * cols)
 
 
-def sector_dwell(block: connection.ControlBlock, dwell: np.ndarray):
-    """The dwell D = V^dag diag(dwell) V on a block, as a sector stack and as one matrix.
+@lru_cache(maxsize=8)
+def sector_dwell(
+    block: connection.ControlBlock, chi: float, delta_t: float, cutoff: int, mode_count: int
+):
+    """The dwell D = V^dag exp(-i H0 delta_t) V on a block, as a sector stack and as one matrix.
 
-    `dwell` is diagonal in the Fock basis and V maps each sector of G_i onto
-    itself, so D is block-diagonal by sector: it is built one sector at a
-    time, and the matrix is exactly zero between sectors.  The stack, of
+    The Kerr dwell is diagonal in the Fock basis and V maps each sector of
+    G_i onto itself, so D is block-diagonal by sector: it is built one sector
+    at a time, and the matrix is exactly zero between sectors.  The stack, of
     shape (sectors, s, s) for the largest sector size s, holds each sector's
-    block padded with the identity.
+    block padded with the identity.  Both are cached per block and dwell,
+    read-only.
     """
+    dwell = fock.kerr_phases(chi, delta_t, cutoff, mode_count)
     mask = block.sector_mask
     stack = np.tile(np.eye(mask.shape[1], dtype=complex), (mask.shape[0], 1, 1))
     dense = np.zeros((block.index.size,) * 2, dtype=complex)
@@ -139,7 +161,16 @@ def sector_dwell(block: connection.ControlBlock, dwell: np.ndarray):
         part[:size, :size] = (vectors.conj().T * dwell[sector.index]) @ vectors
         dense[start : start + size, start : start + size] = part[:size, :size]
         start += size
+    stack.setflags(write=False)
+    dense.setflags(write=False)
     return stack, dense
+
+
+def _stacked(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """`rows` laid out sector by sector, shape mask.shape + rows.shape[1:], zero in the padding."""
+    stacked = np.zeros(mask.shape + rows.shape[1:], dtype=complex)
+    stacked[mask] = rows
+    return stacked
 
 
 def power_sectors(kick: np.ndarray, count: int, state: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -149,9 +180,7 @@ def power_sectors(kick: np.ndarray, count: int, state: np.ndarray, mask: np.ndar
     padding, which the identity there keeps at zero) and powered through
     _power_apply, which broadcasts over the sectors; then scattered back.
     """
-    stacked = np.zeros(mask.shape + state.shape[1:], dtype=complex)
-    stacked[mask] = state
-    return _power_apply(kick, count, stacked)[mask]
+    return _power_apply(kick, count, _stacked(state, mask))[mask]
 
 
 def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -166,14 +195,18 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     G_i (sector_dwell).
 
     On an axis-aligned edge the whole kick K is constant, and K^count is
-    applied to the columns by binary powering, in about 2 log2(count)
-    complex products.  Along the inner control (o = o') S is the identity,
-    so K = D diag(exp(i (i' - i) w)) is block-diagonal by sector too, and it
-    is powered as one stack of sector blocks (power_sectors): on plane III
-    at cutoff 14 a squaring then costs 14 products of 14 x 14 blocks instead
-    of one 98 x 98 product.  Along the outer control K is dense.  A real form would
-    double the cost of each squaring, so these edges stay complex, and a
-    loop of them builds no real form.
+    applied to the columns by _power_apply: squarings while the count is
+    large, then the squared kick applied to the columns.  Along the inner control
+    (o = o') S is the identity, so K = D diag(exp(i (i' - i) w)) is
+    block-diagonal by sector too, and it is powered as one stack of sector
+    blocks (power_sectors): on plane III at cutoff 14 a squaring then costs
+    14 products of 14 x 14 blocks instead of one 98 x 98 product.  Along the
+    outer control K is dense, and D is multiplied onto the phased step
+    through its sector stack: 14 products of 14 x 14 blocks by 14 x 98 rows
+    instead of one 98 x 98 product.  A real form would double the cost of
+    each squaring, so these edges stay complex, and a loop of them builds no
+    real form.  The dwell comes from sector_dwell's cache, built once per
+    block and dwell.
 
     On a tilted edge S is constant and the inner phases at the edge's kick
     points come from CodeBlock.phases tables of connection.MAGNUS_BATCH kicks
@@ -189,7 +222,6 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
     mode_count = 2 if schedule.loop.plane is PlaneId.III else 1
-    dwell = fock.kerr_phases(schedule.chi, schedule.delta_t, schedule.cutoff, mode_count)
     tilted = not all(run.axis_aligned for run in runs)
 
     def evolve(block: connection.ControlBlock) -> np.ndarray:
@@ -197,7 +229,9 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
         mask = block.sector_mask
         w_stack = np.zeros(mask.shape)
         w_stack[mask] = w
-        dwell_stack, dwell_eig = sector_dwell(block, dwell)
+        dwell_stack, dwell_eig = sector_dwell(
+            block, schedule.chi, schedule.delta_t, schedule.cutoff, mode_count
+        )
         state = block.code_eig
         if tilted:
             dwell_re = real_form(dwell_eig.T)
@@ -214,9 +248,10 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
                 if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
                     kick = dwell_stack * np.exp(1j * (inners[1] - inners[0]) * w_stack)[:, None, :]
                     state = power_sectors(kick, run.count, state, mask)
-                else:
+                else:  # the dwell after the phased outer step, sector by sector
                     phase = np.exp(-1j * inners[0] * w)[:, None]
-                    kick = dwell_eig @ (phase.conj() * block.outer_kick(outer_step) * phase.T)
+                    step = phase.conj() * block.outer_kick(outer_step) * phase.T
+                    kick = (dwell_stack @ _stacked(step, mask))[mask]
                     state = _power_apply(kick, run.count, state)
             else:
                 step_re = real_form(block.outer_kick(outer_step).T)

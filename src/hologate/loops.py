@@ -292,6 +292,14 @@ class EdgeRun(NamedTuple):
         return bool(self.start[0] == self.end[0] or self.start[1] == self.end[1])
 
 
+def check_steps_cover_edges(steps: int, edges: int) -> None:
+    """Reject a split of `steps` over more edges than steps: every edge needs a step."""
+    if steps < edges:
+        raise ValueError(
+            f"{steps} steps are fewer than the loop's {edges} edges, which need one each"
+        )
+
+
 def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
     """The boundary in traversal order as per-edge runs; `steps` split by edge length."""
     verts = boundary_vertices(loop)
@@ -302,8 +310,7 @@ def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
     total = float(np.sum(lengths))
     if total == 0.0:
         return [EdgeRun(verts[0], verts[0], steps)]
-    if steps < n:
-        raise ValueError(f"{steps} steps are fewer than the loop's {n} edges, which need one each")
+    check_steps_cover_edges(steps, n)
     counts = np.maximum(1, np.floor(steps * lengths / total).astype(int))
     while int(np.sum(counts)) < steps:
         counts[int(np.argmax(lengths / counts))] += 1

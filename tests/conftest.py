@@ -122,6 +122,86 @@ def matrix_magnus_transport(loop, cutoff, steps):
     return holonomy
 
 
+def exact_edge(factory, run):
+    """One run as one exponential of its closed-form integral, run by run, as (pair, rest) (p, q).
+
+    The reference for connection._exact_edges, which takes all runs in one
+    pass: one pair_entries call at the run's midpoint with `outer` scaled by
+    sinc(Omega d_inner / 2), and no call when d_outer = 0.
+    """
+    (outer0, inner0), (outer1, inner1) = factory.split(*run.start), factory.split(*run.end)
+    d_outer, d_inner = outer1 - outer0, inner1 - inner0
+    x = -d_inner * factory.rest_entry
+    rest = connection._magnus_step(x, x)
+    x = 0.0
+    if d_outer:
+        pair = factory.pair
+        middle = pair.outer * np.sinc(pair.weight.imag * (d_inner / (2.0 * math.pi)))
+        x = -d_outer * factory.pair_entries(middle, inner0 + 0.5 * d_inner)[0]
+    return connection._magnus_step(x, x), rest
+
+
+def per_edge_transport(factory, runs):
+    """The transport taken edge by edge: the reference for connection._transport.
+
+    Exact edges come from exact_edge, and a tilted plane II edge from its
+    Magnus steps (connection._run_transport); each edge multiplies on as it
+    comes.
+    """
+    pair = rest = (1.0, 0.0)
+    for run in runs:
+        edge_pair, edge_rest = exact_edge(factory, run)
+        if connection._stepped(factory, run):
+            edge_pair = connection._run_transport(factory, run)
+        pair = connection._compose(edge_pair, pair)
+        rest = connection._compose(edge_rest, rest)
+    holonomy = np.zeros((factory.code_dim, factory.code_dim), dtype=complex)
+    for columns, (p, q) in ((factory.pair_columns, pair), (factory.rest, rest)):
+        if columns.size:
+            holonomy[np.ix_(columns, columns)] = [[p, q], [-np.conj(q), np.conj(p)]]
+    return holonomy
+
+
+def top_quartile_population(cols, cutoff, mode_count):
+    """Worst population over the columns of cols on states with a mode at level >= 3 cutoff / 4."""
+    top = np.arange(cutoff) >= (3 * cutoff) // 4
+    if mode_count == 2:
+        top = np.logical_or.outer(top, top).reshape(-1)  # index n1 * cutoff + n2
+    return float(np.max(np.sum(np.abs(cols[top, :]) ** 2, axis=0)))
+
+
+def corner_populations(loop, cutoff):
+    """The truncation check corner by corner, warning as it goes; returns the populations.
+
+    The reference for connection.check_loop_truncation, which forms only the
+    top-quartile rows of the frames, at every corner at once: here each
+    corner takes one full frame (FrameFactory.frame) and its worst
+    top-quartile population over the code columns.
+    """
+    factory = connection.frame_factory(loop.plane, cutoff)
+    mode_count = 2 if loop.plane is PlaneId.III else 1
+    populations = []
+    for u, v in loops.boundary_vertices(loop):
+        population = top_quartile_population(factory.frame(u, v), cutoff, mode_count)
+        fock.warn_if_truncated(population, f"dressed frame on plane {loop.plane.value}")
+        populations.append(population)
+    return populations
+
+
+def binary_power(kick, count, state):
+    """kick^count @ state by plain binary powering, squaring up to the count's top bit.
+
+    The reference for kicked._power_apply, which stops squaring early.
+    """
+    while True:
+        if count & 1:
+            state = kick @ state
+        count >>= 1
+        if not count:
+            return state
+        kick = kick @ kick
+
+
 def regular_polygon(plane, count, center=(0.2, 0.12), radius=0.05):
     """A counterclockwise regular polygon with `count` edges."""
     angles = 2.0 * math.pi * np.arange(count) / count

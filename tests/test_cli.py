@@ -238,6 +238,16 @@ def assert_one_line_parse_error(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_statistical_samples_over_the_noise_budget_exit_2(capsys, monkeypatch, hadamard_loop_file):
+    def refused(*args, **kwargs):
+        raise AssertionError("noise generator reached")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)  # nothing large is allocated
+    assert_one_line_parse_error(
+        capsys, ["error", hadamard_loop_file, "--statistical", "0.01", "1e15"]
+    )
+
+
 def test_non_finite_vertex_exits_2(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"plane": "I", "polyline": [[0.0, 0.0], [NaN, 0.1], [0.2, 0.3]]}')

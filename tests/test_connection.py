@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hologate.connection import (
     frame_factory,
     plane_point,
 )
+from hologate.exceptions import TruncationWarning
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
 from conftest import (
@@ -22,8 +24,11 @@ from conftest import (
     SMALL_RECTS,
     boundary_points,
     convex_polygons,
+    corner_populations,
     matrix_magnus_transport,
+    per_edge_transport,
     plane_generators,
+    regular_polygon,
     stepped_holonomy,
     stepped_product,
 )
@@ -233,7 +238,9 @@ def test_control_block_bases_are_direct_sums_of_sector_bases(plane, cutoff, size
         eigen = v.conj().T @ generator @ v
         assert np.max(np.abs(eigen - np.diag(block.values))) < 1e-14 * np.max(np.abs(block.values))
         # the dwell in V is exactly zero between sectors, and its stack pads with I
-        stack, dense = kicked.sector_dwell(block, dwell)
+        stack, dense = kicked.sector_dwell(
+            block, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count
+        )
         assert not np.any(dense[between])
         reference = (v.conj().T * dwell[block.index]) @ v
         assert np.max(np.abs(dense - reference)) < 1e-14
@@ -276,6 +283,42 @@ def test_frame_matches_expm_of_the_generators(plane):
         o, i = factory.split(u, v)
         reference = expm(o * outer) @ expm(i * inner) @ code
         assert np.max(np.abs(factory.frame(u, v) - reference)) < 1e-12
+
+
+CORNER_CASES = [
+    pytest.param(PlaneId.I, Rect(0.02, 0.2, 0.03, 0.31), 60, False, id="I-rect"),
+    pytest.param(PlaneId.I, Rect(0.0, 2.6, 0.0, 0.05), 8, True, id="I-rect-warns"),
+    pytest.param(PlaneId.II, Rect(0.0, 0.3, 0.0, 0.25), 60, False, id="II-rect"),
+    pytest.param(PlaneId.II, Rect(0.0, 2.6, 0.0, 0.05), 8, True, id="II-rect-warns"),
+    pytest.param(PlaneId.III, Rect(0.0, 0.15, 0.0, 0.15), 14, False, id="III-rect"),
+    pytest.param(PlaneId.III, Rect(0.05, 0.25, 0.0, 0.2), 14, True, id="III-rect-warns"),
+    pytest.param(PlaneId.I, regular_polygon(PlaneId.I, 7).shape, 60, False, id="I-polygon"),
+    pytest.param(PlaneId.II, regular_polygon(PlaneId.II, 5).shape, 60, False, id="II-polygon"),
+    pytest.param(PlaneId.III, regular_polygon(PlaneId.III, 6, (0.08, 0.08)).shape, 14, False,
+                 id="III-polygon"),
+    pytest.param(PlaneId.III, regular_polygon(PlaneId.III, 8, (0.3, 0.2), 0.1).shape, 14, True,
+                 id="III-polygon-warns"),
+]
+
+
+@pytest.mark.parametrize("plane,shape,cutoff,warns", CORNER_CASES)
+def test_corner_check_matches_the_per_corner_reference(plane, shape, cutoff, warns):
+    for orientation in (1, -1):
+        loop = LoopSpec(plane, shape, orientation)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            populations = corner_populations(loop, cutoff)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            connection.check_loop_truncation(loop, cutoff)
+            connection.check_loop_truncation(loop, cutoff)  # from the cache, warning again
+        expected *= 2
+        factory = frame_factory(plane, cutoff)
+        got = factory.top_quartile_populations(loops.boundary_vertices(loop))
+        assert np.max(np.abs(got - populations)) <= 1e-15
+        assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+        assert all(w.category is TruncationWarning for w in caught)
+        assert bool(caught) == warns
 
 
 @pytest.mark.parametrize(
@@ -441,14 +484,47 @@ def test_tilted_transport_is_exact_on_real_control_planes(plane):
 
 @pytest.mark.parametrize("plane", list(PlaneId))
 def test_axis_aligned_edges_are_one_exponential_of_the_vertex_entry(plane):
-    # the line-integral form at zero inner increment is bit for bit the constant-entry edge
+    # the line-integral form at zero inner increment is the constant-entry edge, to the
+    # last place of the entry: the batched pass sums its products in another order
     factory = frame_factory(plane, ORACLE_CUTOFF[plane])
     loop = LoopSpec(plane, Rect(0.02, 0.2, 0.03, 0.31))
-    for run in loops.boundary_runs(loop, 2000):
+    runs = loops.boundary_runs(loop, 2000)
+    (p, q), _ = connection._exact_edges(factory, runs)
+    for k, run in enumerate(runs):
         (outer0, inner0), (outer1, _) = factory.split(*run.start), factory.split(*run.end)
         x = -(outer1 - outer0) * factory.pair_entries(factory.pair.outer, inner0)[0]
-        got = connection._run_transport(factory, run)[0]
-        assert all(np.array_equal(a, b) for a, b in zip(got, connection._magnus_step(x, x)))
+        expected = connection._magnus_step(x, x)
+        assert max(abs(p[k] - expected[0]), abs(q[k] - expected[1])) <= 1e-16
+
+
+TRANSPORT_LOOPS = [
+    pytest.param(Rect(0.02, 0.2, 0.03, 0.31), id="rect"),
+    pytest.param(Rect(0.1, 0.102, 0.0, 0.3), id="thin-rect"),
+    pytest.param(Polyline(((0.02, 0.01), (0.13, 0.04), (0.09, 0.12), (0.03, 0.1))), id="quad"),
+    # one axis-aligned edge among tilted ones
+    pytest.param(Polyline(((0.0, 0.0), (0.12, 0.0), (0.1, 0.08), (0.05, 0.1))), id="mixed"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@pytest.mark.parametrize("shape", TRANSPORT_LOOPS)
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_batched_transport_matches_the_per_edge_reference(plane, shape):
+    factory = frame_factory(plane, ORACLE_CUTOFF[plane])
+    for orientation in (1, -1):
+        runs = loops.boundary_runs(LoopSpec(plane, shape, orientation), 2000)
+        got = connection._transport(factory, runs)
+        assert np.max(np.abs(got - per_edge_transport(factory, runs))) <= 1e-14
+
+
+@settings(max_examples=10, deadline=None)
+@given(convex_polygons(planes=(PlaneId.II,)), st.sampled_from([1, -1]))
+def test_tilted_plane2_transport_is_its_magnus_edges_bit_for_bit(loop, orientation):
+    # every edge takes the unchanged Magnus path, and the batched pass only routes them
+    runs = loops.boundary_runs(LoopSpec(loop.plane, loop.shape, orientation), 400)
+    factory = frame_factory(PlaneId.II, 40)
+    assert all(connection._stepped(factory, run) for run in runs)
+    assert np.array_equal(connection._transport(factory, runs), per_edge_transport(factory, runs))
 
 
 def test_magnus_error_falls_16_fold_per_doubling():

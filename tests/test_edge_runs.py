@@ -158,20 +158,41 @@ def test_kicked_edge_power_counts_match_stepped_kicks(loop, kicks, cutoff):
     assert abs(result.leakage - leakage) < 1e-13
 
 
+def counted_frames(monkeypatch):
+    """Points of every ControlBlock.frames call, one list per call; FrameFactory.frame calls.
+
+    The corner check's cache is emptied first, so that its frames are counted.
+    """
+    connection._corner_populations.cache_clear()
+    points, frame_calls = [], []
+    frames, frame = connection.ControlBlock.frames, connection.FrameFactory.frame
+
+    def counted(self, outer, inner, *rows):
+        points.append(list(zip(outer, inner)))
+        return frames(self, outer, inner, *rows)
+
+    def counted_frame(self, u, v):
+        frame_calls.append((u, v))
+        return frame(self, u, v)
+
+    monkeypatch.setattr(connection.ControlBlock, "frames", counted)
+    monkeypatch.setattr(connection.FrameFactory, "frame", counted_frame)
+    return points, frame_calls
+
+
 def test_rect_transport_builds_frames_per_edge_not_per_step(monkeypatch):
     loop = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
     factory = connection.frame_factory(PlaneId.I, CUTOFF[PlaneId.I])
-    calls = []
-    original = connection.FrameFactory.frame
-
-    def counted(self, u, v):
-        calls.append((u, v))
-        return original(self, u, v)
-
-    monkeypatch.setattr(connection.FrameFactory, "frame", counted)
+    points, frame_calls = counted_frames(monkeypatch)
     connection.holonomy_path_ordered(loop, factory.cutoff, 2000)
-    # the transport needs no frames: only the 4 corner truncation checks build one
-    assert len(calls) == 4
+    # the transport needs no frames: only the truncation check evaluates them, at
+    # the 4 corners at once, in the one block of plane I, and no full frame is built
+    corners = [factory.split(u, v) for u, v in loops.boundary_vertices(loop)]
+    assert points == [corners]
+    assert frame_calls == []
+    # the kicked route checks the same corners again, from the cache
+    kicked.run_kicked(KickSchedule(loop, 64, cutoff=factory.cutoff))
+    assert points == [corners]
 
 
 def test_both_routes_refuse_fewer_steps_than_edges():
@@ -187,17 +208,10 @@ def test_refused_steps_build_no_frame_and_warn_nothing(monkeypatch):
     # this 60-gon stresses the plane III cutoff 14 at every vertex; the steps/2 split is
     # refused before the truncation check would build a frame there
     gon = regular_polygon(PlaneId.III, 60, center=(0.3, 0.2), radius=0.1)
-    calls = []
-    original = connection.FrameFactory.frame
-
-    def counted(self, u, v):
-        calls.append((u, v))
-        return original(self, u, v)
-
-    monkeypatch.setattr(connection.FrameFactory, "frame", counted)
+    points, frame_calls = counted_frames(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="60 edges"):
             connection.holonomy_path_ordered(gon, 14, 100)
     assert not [w for w in caught if issubclass(w.category, TruncationWarning)]
-    assert calls == []
+    assert points == [] and frame_calls == []

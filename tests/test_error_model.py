@@ -186,6 +186,25 @@ def test_statistical_noise_amplitude_cap():
         error_model.statistical_loop_noise(HADAMARD_RECT, 0.5, seed=0, samples=10)
 
 
+def refuse_noise_draws(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("noise generator reached")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+
+
+def test_statistical_noise_checks_its_sample_budget_before_drawing(monkeypatch):
+    refuse_noise_draws(monkeypatch)  # so neither call below allocates a noise array
+    with pytest.raises(ValueError, match="NOISE_BYTES_BUDGET"):
+        error_model.statistical_loop_noise(HADAMARD_RECT, 0.01, seed=0, samples=10**15)
+    # a rect's 4 vertices: 5 half-sample rows of 4 x 2 float64 each per antithetic pair
+    largest = 2 * (error_model.NOISE_BYTES_BUDGET // (5 * 4 * 2 * 8))
+    with pytest.raises(AssertionError, match="noise generator reached"):
+        error_model.statistical_loop_noise(HADAMARD_RECT, 0.01, seed=0, samples=largest)
+    with pytest.raises(ValueError, match="NOISE_BYTES_BUDGET"):
+        error_model.statistical_loop_noise(HADAMARD_RECT, 0.01, seed=0, samples=largest + 1)
+
+
 def test_statistical_noise_requires_rectangle_or_polyline_vertices():
     # rect loops are jittered through their corner polyline
     summary = error_model.statistical_loop_noise(PLANE3_RECT, 0.01, seed=1, samples=200)

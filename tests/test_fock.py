@@ -13,6 +13,7 @@ from conftest import (
     component_layout,
     kerr_hamiltonian,
     squeeze_generator,
+    top_quartile_population,
     two_mode_squeeze_generator,
 )
 
@@ -264,7 +265,7 @@ def test_control_unitaries_on_lower_ladder(lam, mu):
 def test_truncation_warning_fires_when_cutoff_too_small():
     # a displaced vacuum |2.5> puts about 0.4 of its population on levels 6, 7
     cols = displacement(2.5, 8) @ fock.code_states(8)
-    population = fock.top_quartile_population(cols, 8, 1)
+    population = top_quartile_population(cols, 8, 1)
     assert population > 0.1
     with pytest.warns(TruncationWarning):
         fock.warn_if_truncated(population, "displacement(lam=2.5)")

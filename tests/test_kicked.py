@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hologate import connection, fock, kicked, loops
+from hologate import connection, kicked, loops
 from hologate.exceptions import AdiabaticityWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import formula_gate_in_frame, infidelity
+from conftest import binary_power, formula_gate_in_frame, infidelity
 
 # extent small enough that finite-kick effects sit below 1e-12
 ZERO_CONTROL_LOOP = LoopSpec(
@@ -137,9 +137,10 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
 def test_stacked_inner_power_is_the_dense_power(plane, cutoff, count):
     factory = connection.frame_factory(plane, cutoff)
     mode_count = 2 if plane is PlaneId.III else 1
-    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
     for block in factory.blocks:
-        stack, dense = kicked.sector_dwell(block, dwell)
+        stack, dense = kicked.sector_dwell(
+            block, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count
+        )
         mask = block.sector_mask
         w_stack = np.zeros(mask.shape)
         w_stack[mask] = block.values
@@ -149,6 +150,55 @@ def test_stacked_inner_power_is_the_dense_power(plane, cutoff, count):
         got = kicked.power_sectors(stacked, count, block.code_eig, mask)
         expected = kicked._power_apply(kick, count, block.code_eig)
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def random_unitaries(rng, shape):
+    """A stack of Haar-like unitaries: the Q factors of complex Gaussian matrices."""
+    q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return q
+
+
+# (kick shape, state shape) of the oracle kicks: plane III's 98-state parity blocks and
+# their sector stacks at cutoff 14, plane I's one 60-state block and its two sectors at 60
+POWER_SHAPES = [((98, 98), (98, 2)), ((60, 60), (60, 2)), ((14, 14, 14), (14, 14, 2)),
+                ((2, 30, 30), (2, 30, 2))]
+
+
+@pytest.mark.parametrize("kick_shape,state_shape", POWER_SHAPES)
+def test_power_apply_matches_binary_powering(kick_shape, state_shape):
+    rng = np.random.default_rng(kick_shape[-1])
+    kick = random_unitaries(rng, kick_shape)
+    state = random_unitaries(rng, state_shape[:-1] + state_shape[-2:-1])[..., : state_shape[-1]]
+    limit = max(2, kick_shape[-1] // (2 * state_shape[-1]))
+    counts = {1, limit - 1, limit, limit + 1, 2 * limit + 1, 255, 333, 2, 16, 64, 256, 512}
+    for count in sorted(c for c in counts if c >= 1):
+        got = kicked._power_apply(kick, count, state)
+        assert np.max(np.abs(got - binary_power(kick, count, state))) <= 1e-13, count
+
+
+def test_power_apply_at_a_limit_of_two_is_binary_powering():
+    rng = np.random.default_rng(5)
+    kick, state = random_unitaries(rng, (7, 7)), random_unitaries(rng, (7, 7))[:, :4]
+    for count in (1, 2, 3, 64, 333):
+        expected = binary_power(kick, count, state)
+        assert np.array_equal(kicked._power_apply(kick, count, state), expected)
+
+
+@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.III, 14)])
+def test_sector_dwell_is_cached_and_acts_sector_by_sector(plane, cutoff):
+    factory = connection.frame_factory(plane, cutoff)
+    mode_count = 2 if plane is PlaneId.III else 1
+    rng = np.random.default_rng(cutoff)
+    for block in factory.blocks:
+        args = (block, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
+        stack, dense = kicked.sector_dwell(*args)
+        assert kicked.sector_dwell(*args)[0] is stack
+        assert not stack.flags.writeable and not dense.flags.writeable
+        # an outer-direction kick: the dwell after a dense step, through the stack
+        step = random_unitaries(rng, dense.shape)
+        mask = block.sector_mask
+        got = (stack @ kicked._stacked(step, mask))[mask]
+        assert np.max(np.abs(got - dense @ step)) <= 1e-15
 
 
 def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
