@@ -176,14 +176,14 @@ class ControlBlock(CodeBlock):
         """The places where code_eig is not zero: the sectors that hold code columns."""
         return np.flatnonzero(np.any(self.code_eig != 0, axis=1))
 
-    def frames(self, outer: np.ndarray, inner: np.ndarray, left=None) -> np.ndarray:
-        """O(outer_k) I(inner_k) c on the block at each point k, shape (rows, points, columns).
+    def frames(self, outer: np.ndarray, inner: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """Rows of O(outer_k) I(inner_k) c on the block at point k, shape (rows, points, columns).
 
         In the inner eigenbasis that is V W exp(-i outer w_o) W^dag exp(-i inner w) V^dag c,
         and V^dag c is code_eig, zero off its code_rows: only those take I's
         phases and W^dag.  Every point goes through each product at once, as
         points x code columns columns.  `left` holds the wanted rows of V W,
-        the outer eigenvectors in the Fock basis; None forms every row.
+        the outer eigenvectors in the Fock basis.
         """
         w, rows = self.outer_vectors, self.code_rows
         code = self.code_eig[rows]
@@ -192,9 +192,7 @@ class ControlBlock(CodeBlock):
         # W^dag cols as conj(W[rows]^T conj(cols)): only W's code rows are copied
         cols = (w[rows].T @ cols.reshape(rows.size, -1).conj()).conj().reshape(shape)
         cols *= np.exp(-1j * np.multiply.outer(self.outer_values, outer))[:, :, None]
-        cols = cols.reshape(shape[0], -1)
-        cols = self.vectors @ (w @ cols) if left is None else left @ cols
-        return cols.reshape(-1, *shape[1:])
+        return (left @ cols.reshape(shape[0], -1)).reshape(-1, *shape[1:])
 
 
 class SectorPair(NamedTuple):
@@ -237,7 +235,9 @@ class FrameFactory:
     no imaginary part (planes I and III), so that a(i) is real.
     `top_outer_vectors` holds, per block, the rows of V W (the outer
     eigenvectors in the Fock basis) at its top-quartile Fock levels, for the
-    truncation check.
+    truncation check.  `dwells` holds the kicked route's Kerr dwell per block
+    (kicked.sector_dwells) for one (chi, delta_t): one more block-sized
+    matrix per block beside V and W, inside the dense budget.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -246,6 +246,7 @@ class FrameFactory:
         fock.check_code_below_top_quartile(cutoff)
         self.plane = plane
         self.cutoff = cutoff
+        self.mode_count = mode_count
         self.code = fock.code_states(cutoff, mode_count)
         if plane is PlaneId.III:
             outer = fock.two_mode_mix_generator(1.0, cutoff)
@@ -274,6 +275,7 @@ class FrameFactory:
         self.top_outer_vectors = [
             block.vectors[top[block.index]] @ block.outer_vectors for block in self.blocks
         ]
+        self.dwells: dict = {}
 
     def split(self, u: float, v: float) -> tuple[float, float]:
         """Plane coordinates as (outer, inner) control parameters."""
@@ -284,7 +286,8 @@ class FrameFactory:
         outer, inner = self.split(np.array([u], dtype=float), np.array([v], dtype=float))
         cols = np.zeros(self.code.shape, dtype=complex)
         for block in self.blocks:
-            cols[np.ix_(block.index, block.columns)] = block.frames(outer, inner)[:, 0]
+            left = block.vectors @ block.outer_vectors
+            cols[np.ix_(block.index, block.columns)] = block.frames(outer, inner, left)[:, 0]
         return cols
 
     def top_quartile_populations(self, points) -> np.ndarray:
@@ -414,20 +417,11 @@ def _warn_on_frame_truncation(populations, plane: PlaneId) -> None:
         fock.warn_if_truncated(float(population), f"dressed frame on plane {plane.value}")
 
 
-@lru_cache(maxsize=8)
-def _corner_populations(loop: LoopSpec, cutoff: int) -> tuple[float, ...]:
-    """Top-quartile populations of the dressed frames at the loop corners.
-
-    Cached: both dynamical routes check a loop they share, and the kicked
-    oracle reruns its loop at half the kicks.
-    """
-    factory = frame_factory(loop.plane, cutoff)
-    return tuple(factory.top_quartile_populations(loops_mod.boundary_vertices(loop)).tolist())
-
-
 def check_loop_truncation(loop: LoopSpec, cutoff: int) -> None:
     """Warn when the dressed frames at the loop corners stress the cutoff, once per corner."""
-    _warn_on_frame_truncation(_corner_populations(loop, cutoff), loop.plane)
+    factory = frame_factory(loop.plane, cutoff)
+    populations = factory.top_quartile_populations(loops_mod.boundary_vertices(loop))
+    _warn_on_frame_truncation(populations, loop.plane)
 
 
 def connection_at(point: ControlPoint, plane: PlaneId, cutoff: int) -> ConnectionSample:
@@ -475,10 +469,13 @@ def _magnus_step(x1, x2):
     Omega = (B1 + B2)/2 - sqrt(3)/12 [B1, B2] = [[i g, a], [-conj a, -i g]]
     with a = (x1 + x2)/2 and g = -(sqrt(3)/6) Im(conj(x1) x2).  It squares to
     -theta^2, theta = sqrt(g^2 + |a|^2), so exp(Omega) = cos theta + sinc theta * Omega.
-    x1 = x2 = x gives the exact exp(B).  Broadcasts over arrays of steps.
+    x1 = x2 = x gives the exact exp(B): Im(conj(x1) x2) is formed from real
+    products, so g is exactly 0 there, in scalars and in arrays alike (a
+    vectorized complex product may fuse its terms and leave a residue).
+    Broadcasts over arrays of steps.
     """
     alpha = 0.5 * (x1 + x2)
-    gamma = -_MAGNUS_COMMUTATOR * np.imag(np.conj(x1) * x2)
+    gamma = -_MAGNUS_COMMUTATOR * (np.real(x1) * np.imag(x2) - np.imag(x1) * np.real(x2))
     theta = np.hypot(gamma, np.abs(alpha))
     sinc = np.sinc(theta / math.pi)
     return np.cos(theta) + 1j * gamma * sinc, alpha * sinc
@@ -532,8 +529,13 @@ def _exact_edges(factory: FrameFactory, runs: list[loops_mod.EdgeRun]):
     # mean of exp(i Omega i) over [inner0, inner1]: the midpoint phase times a sinc
     middle = pair.outer * np.sinc(np.multiply.outer(d_inner / (2.0 * math.pi), pair.weight.imag))
     midpoint = inner0 + 0.5 * d_inner
-    t_a, t_b = pair.first.phases_at(midpoint), pair.second.phases_at(midpoint)
-    entries = np.sum(t_a.T.conj() * (middle @ t_b.T[:, :, None])[:, :, 0], axis=1)
+    # each run's phases as a contiguous column: every run's entry is then summed in
+    # FrameFactory.pair_entries' order, and equals it bit for bit at d_inner = 0
+    t_a, t_b = (
+        np.ascontiguousarray(sector.phases_at(midpoint).T)[:, :, None]
+        for sector in (pair.first, pair.second)
+    )
+    entries = np.sum(t_a.conj() * (middle @ t_b), axis=1)[:, 0]
     x = np.stack([-d_outer * entries, -d_inner * factory.rest_entry + 0j])
     p, q = _magnus_step(x, x)
     return (p[0], q[0]), (p[1], q[1])

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -45,7 +44,7 @@ import numpy as np
 from . import connection, fock
 from . import loops as loops_mod
 from .exceptions import AdiabaticityWarning
-from .loops import LoopSpec, PlaneId
+from .loops import LoopSpec
 
 # Default dwell: chi*dt = pi/4, so the nearest leakage level (n = 2) picks up
 # phase pi/2 per dwell, maximally dephasing it against the code space.
@@ -137,33 +136,38 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
     return form.reshape(2 * rows, 2 * cols)
 
 
-@lru_cache(maxsize=8)
-def sector_dwell(
-    block: connection.ControlBlock, chi: float, delta_t: float, cutoff: int, mode_count: int
-):
-    """The dwell D = V^dag exp(-i H0 delta_t) V on a block, as a sector stack and as one matrix.
+def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
+    """The dwell D = V^dag exp(-i H0 delta_t) V on each block, as a sector stack and as one matrix.
 
     The Kerr dwell is diagonal in the Fock basis and V maps each sector of
     G_i onto itself, so D is block-diagonal by sector: it is built one sector
     at a time, and the matrix is exactly zero between sectors.  The stack, of
     shape (sectors, s, s) for the largest sector size s, holds each sector's
-    block padded with the identity.  Both are cached per block and dwell,
-    read-only.
+    block padded with the identity.  Both are kept, read-only, in
+    factory.dwells for the last (chi, delta_t) asked for, so they live and
+    die with the factory.
     """
-    dwell = fock.kerr_phases(chi, delta_t, cutoff, mode_count)
-    mask = block.sector_mask
-    stack = np.tile(np.eye(mask.shape[1], dtype=complex), (mask.shape[0], 1, 1))
-    dense = np.zeros((block.index.size,) * 2, dtype=complex)
-    start = 0
-    for sector, part in zip(block.sectors, stack):
-        vectors = sector.vectors
-        size = vectors.shape[0]
-        part[:size, :size] = (vectors.conj().T * dwell[sector.index]) @ vectors
-        dense[start : start + size, start : start + size] = part[:size, :size]
-        start += size
-    stack.setflags(write=False)
-    dense.setflags(write=False)
-    return stack, dense
+    key = (chi, delta_t)
+    if key not in factory.dwells:
+        dwell = fock.kerr_phases(chi, delta_t, factory.cutoff, factory.mode_count)
+        built = []
+        for block in factory.blocks:
+            mask = block.sector_mask
+            stack = np.tile(np.eye(mask.shape[1], dtype=complex), (mask.shape[0], 1, 1))
+            dense = np.zeros((block.index.size,) * 2, dtype=complex)
+            start = 0
+            for sector, part in zip(block.sectors, stack):
+                vectors = sector.vectors
+                size = vectors.shape[0]
+                part[:size, :size] = (vectors.conj().T * dwell[sector.index]) @ vectors
+                dense[start : start + size, start : start + size] = part[:size, :size]
+                start += size
+            stack.setflags(write=False)
+            dense.setflags(write=False)
+            built.append((stack, dense))
+        factory.dwells.clear()
+        factory.dwells[key] = built
+    return factory.dwells[key]
 
 
 def _stacked(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -192,7 +196,7 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and I(i) = V diag(exp(-i i w)) V^dag,
     so in V a kick is the step S = V^dag O V between two diagonal phases, then
     the dwell D = V^dag exp(-i H0 dt) V, which is block-diagonal by sector of
-    G_i (sector_dwell).
+    G_i (sector_dwells).
 
     On an axis-aligned edge the whole kick K is constant, and K^count is
     applied to the columns by _power_apply: squarings while the count is
@@ -205,8 +209,8 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     through its sector stack: 14 products of 14 x 14 blocks by 14 x 98 rows
     instead of one 98 x 98 product.  A real form would double the cost of
     each squaring, so these edges stay complex, and a loop of them builds no
-    real form.  The dwell comes from sector_dwell's cache, built once per
-    block and dwell.
+    real form.  The dwell comes from sector_dwells, built once per factory
+    and dwell.
 
     On a tilted edge S is constant and the inner phases at the edge's kick
     points come from CodeBlock.phases tables of connection.MAGNUS_BATCH kicks
@@ -221,17 +225,13 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
-    mode_count = 2 if schedule.loop.plane is PlaneId.III else 1
     tilted = not all(run.axis_aligned for run in runs)
 
-    def evolve(block: connection.ControlBlock) -> np.ndarray:
+    def evolve(block: connection.ControlBlock, dwell_stack, dwell_eig) -> np.ndarray:
         w = block.values
         mask = block.sector_mask
         w_stack = np.zeros(mask.shape)
         w_stack[mask] = w
-        dwell_stack, dwell_eig = sector_dwell(
-            block, schedule.chi, schedule.delta_t, schedule.cutoff, mode_count
-        )
         state = block.code_eig
         if tilted:
             dwell_re = real_form(dwell_eig.T)
@@ -270,7 +270,11 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
                 state = rows.T
         return state
 
-    return [(block.columns, block.code_eig, evolve(block)) for block in factory.blocks]
+    dwells = sector_dwells(factory, schedule.chi, schedule.delta_t)
+    return [
+        (block.columns, block.code_eig, evolve(block, *dwell))
+        for block, dwell in zip(factory.blocks, dwells)
+    ]
 
 
 def _leakage(state: np.ndarray, overlap: np.ndarray) -> float:

@@ -159,17 +159,13 @@ def test_kicked_edge_power_counts_match_stepped_kicks(loop, kicks, cutoff):
 
 
 def counted_frames(monkeypatch):
-    """Points of every ControlBlock.frames call, one list per call; FrameFactory.frame calls.
-
-    The corner check's cache is emptied first, so that its frames are counted.
-    """
-    connection._corner_populations.cache_clear()
+    """Points of every ControlBlock.frames call, one list per call; FrameFactory.frame calls."""
     points, frame_calls = [], []
     frames, frame = connection.ControlBlock.frames, connection.FrameFactory.frame
 
-    def counted(self, outer, inner, *rows):
+    def counted(self, outer, inner, left):
         points.append(list(zip(outer, inner)))
-        return frames(self, outer, inner, *rows)
+        return frames(self, outer, inner, left)
 
     def counted_frame(self, u, v):
         frame_calls.append((u, v))
@@ -190,9 +186,9 @@ def test_rect_transport_builds_frames_per_edge_not_per_step(monkeypatch):
     corners = [factory.split(u, v) for u, v in loops.boundary_vertices(loop)]
     assert points == [corners]
     assert frame_calls == []
-    # the kicked route checks the same corners again, from the cache
+    # the kicked route checks the same 4 corners, in one call too
     kicked.run_kicked(KickSchedule(loop, 64, cutoff=factory.cutoff))
-    assert points == [corners]
+    assert points == [corners, corners]
 
 
 def test_both_routes_refuse_fewer_steps_than_edges():

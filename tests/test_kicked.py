@@ -136,11 +136,8 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
 @pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 40), (PlaneId.II, 40), (PlaneId.III, 14)])
 def test_stacked_inner_power_is_the_dense_power(plane, cutoff, count):
     factory = connection.frame_factory(plane, cutoff)
-    mode_count = 2 if plane is PlaneId.III else 1
-    for block in factory.blocks:
-        stack, dense = kicked.sector_dwell(
-            block, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count
-        )
+    dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    for block, (stack, dense) in zip(factory.blocks, dwells):
         mask = block.sector_mask
         w_stack = np.zeros(mask.shape)
         w_stack[mask] = block.values
@@ -185,20 +182,22 @@ def test_power_apply_at_a_limit_of_two_is_binary_powering():
 
 
 @pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.III, 14)])
-def test_sector_dwell_is_cached_and_acts_sector_by_sector(plane, cutoff):
-    factory = connection.frame_factory(plane, cutoff)
-    mode_count = 2 if plane is PlaneId.III else 1
+def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutoff):
+    factory = connection.FrameFactory(plane, cutoff)
     rng = np.random.default_rng(cutoff)
-    for block in factory.blocks:
-        args = (block, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
-        stack, dense = kicked.sector_dwell(*args)
-        assert kicked.sector_dwell(*args)[0] is stack
+    dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    assert kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T) is dwells
+    assert list(factory.dwells) == [(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
+    for block, (stack, dense) in zip(factory.blocks, dwells):
         assert not stack.flags.writeable and not dense.flags.writeable
         # an outer-direction kick: the dwell after a dense step, through the stack
         step = random_unitaries(rng, dense.shape)
         mask = block.sector_mask
         got = (stack @ kicked._stacked(step, mask))[mask]
         assert np.max(np.abs(got - dense @ step)) <= 1e-15
+    # another dwell replaces the kept one: the factory holds one dwell at a time
+    kicked.sector_dwells(factory, 2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    assert list(factory.dwells) == [(2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
 
 
 def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
