@@ -7,14 +7,12 @@ path-ordered transport of the exact connection of dressed Fock-space frames
 """
 
 from .exceptions import AdiabaticityWarning, TruncationWarning
-from .fock import ControlPoint
 from .gates import SIGMA1, SIGMA2, SIGMA12, GateMatrix, Generator, gate_for_loop
 from .loops import AreaResult, LoopSpec, PlaneId, Polyline, Rect, area, weight
 
 __all__ = [
     "AdiabaticityWarning",
     "AreaResult",
-    "ControlPoint",
     "GateMatrix",
     "Generator",
     "LoopSpec",

@@ -162,7 +162,7 @@ def cmd_oracle(args) -> int:
             raise ValueError(
                 f"--steps {args.steps} is too few kicks: the convergence estimate reruns the "
                 f"loop at steps/2 = {half_schedule.kick_count} kicks, whose largest control "
-                f"increment {half_step:.4f} exceeds {kicked.MAX_CONTROL_STEP}; raise --steps"
+                f"increment {half_step:.4g} exceeds {kicked.MAX_CONTROL_STEP}; raise --steps"
             )
         result = kicked.run_kicked(schedule)
         half = kicked.run_kicked(half_schedule)

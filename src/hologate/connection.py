@@ -44,7 +44,6 @@ onto the other.  calibrate() re-derives the frozen choice numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -52,7 +51,6 @@ import numpy as np
 
 from . import fock, gates
 from . import loops as loops_mod
-from .fock import ControlPoint
 from .loops import LoopSpec, PlaneId, Rect
 
 # Loop used to pin the frame calibration and the oracle convergence checks.
@@ -69,22 +67,6 @@ _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0]
 # -sqrt(3)/12 [B1, B2] for B_j = [[0, x_j], [-conj x_j, 0]] is diag(i g, -i g),
 # g = -(sqrt(3)/6) Im(conj(x1) x2)
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 6.0
-
-
-@dataclass(frozen=True)
-class ConnectionSample:
-    point: tuple[float, float]
-    A_u: np.ndarray
-    A_v: np.ndarray
-    antihermitian_defect: float  # rounding left in the exact components
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    point: tuple[float, float]
-    matrix: np.ndarray  # curvature two-form component F_{uv} on the code space
-    coefficient: float  # weight w with V F V^dag = i * w * G_plane (calibrated basis)
-    residual: float  # off-generator remainder of the calibrated curvature
 
 
 class CodeBlock:
@@ -385,76 +367,11 @@ def calibrated_code_matrix(plane: PlaneId, raw: np.ndarray) -> np.ndarray:
 # Operations
 
 
-def plane_point(plane: PlaneId, u: float, v: float) -> ControlPoint:
-    """ControlPoint at plane coordinates (u, v), all other controls pinned."""
-    if plane is PlaneId.I:
-        return ControlPoint(x=u, r1=v, theta1=0.0)
-    if plane is PlaneId.II:
-        return ControlPoint(x=u, r1=v, theta1=math.pi / 2.0)
-    return ControlPoint(r2=u, r3=v)
-
-
-def plane_coordinates(point: ControlPoint, plane: PlaneId) -> tuple[float, float]:
-    """(u, v) of a point that lies in the given plane; rejects off-plane points."""
-
-    def pinned(*names):
-        for name in names:
-            if not math.isclose(getattr(point, name), 0.0, abs_tol=1e-12):
-                raise ValueError(f"point is not in plane {plane.value}: {name} != 0")
-
-    if plane in (PlaneId.I, PlaneId.II):
-        pinned("y", "r2", "theta2", "r3", "theta3")
-        target = 0.0 if plane is PlaneId.I else math.pi / 2.0
-        if point.r1 > 0 and not math.isclose(point.theta1, target, abs_tol=1e-12):
-            raise ValueError(f"point is not in plane {plane.value}: theta1 != {target}")
-        return point.x, point.r1
-    pinned("x", "y", "r1", "theta1", "theta2", "theta3")
-    return point.r2, point.r3
-
-
-def _warn_on_frame_truncation(populations, plane: PlaneId) -> None:
-    for population in populations:
-        fock.warn_if_truncated(float(population), f"dressed frame on plane {plane.value}")
-
-
 def check_loop_truncation(loop: LoopSpec, cutoff: int) -> None:
     """Warn when the dressed frames at the loop corners stress the cutoff, once per corner."""
     factory = frame_factory(loop.plane, cutoff)
-    populations = factory.top_quartile_populations(loops_mod.boundary_vertices(loop))
-    _warn_on_frame_truncation(populations, loop.plane)
-
-
-def connection_at(point: ControlPoint, plane: PlaneId, cutoff: int) -> ConnectionSample:
-    """Exact connection components along the two plane directions."""
-    u, v = plane_coordinates(point, plane)
-    factory = frame_factory(plane, cutoff)
-    _warn_on_frame_truncation(factory.top_quartile_populations([(u, v)]), plane)
-    a_u, a_v = factory.connection(u, v)
-    defect = max(
-        float(np.linalg.norm(a_u + a_u.conj().T)), float(np.linalg.norm(a_v + a_v.conj().T))
-    )
-    return ConnectionSample(point=(u, v), A_u=a_u, A_v=a_v, antihermitian_defect=defect)
-
-
-def curvature_at(point: ControlPoint, plane: PlaneId, cutoff: int) -> CurvatureSample:
-    """Exact curvature F = dA + A ^ A at one plane point.
-
-    The returned coefficient w satisfies V F V^dag ~= i * w * G_plane in the
-    calibrated basis, so the loop holonomy exp(-i * G * sigma) corresponds to
-    sigma = integral of w over the enclosed region.
-    """
-    u, v = plane_coordinates(point, plane)
-    factory = frame_factory(plane, cutoff)
-    _warn_on_frame_truncation(factory.top_quartile_populations([(u, v)]), plane)
-    f_uv = factory.curvature(u, v)
-    gen = gates.PLANE_GENERATOR[plane].matrix
-    calibrated = calibrated_code_matrix(plane, f_uv)
-    norm_sq = float(np.real(np.trace(gen @ gen)))
-    coefficient = float(np.real(-1j * np.trace(gen.conj().T @ calibrated)) / norm_sq)
-    residual = float(np.linalg.norm(calibrated - 1j * coefficient * gen))
-    return CurvatureSample(
-        point=(u, v), matrix=f_uv, coefficient=coefficient, residual=residual
-    )
+    for population in factory.top_quartile_populations(loops_mod.boundary_vertices(loop)):
+        fock.warn_if_truncated(float(population), f"dressed frame on plane {loop.plane.value}")
 
 
 def polar_unitary(mat: np.ndarray) -> np.ndarray:
@@ -569,6 +486,7 @@ def _transport(factory: FrameFactory, runs: list[loops_mod.EdgeRun]) -> np.ndarr
     The edges multiply on one at a time, in traversal order: with a handful
     of edges a pairwise product saves nothing, and this order keeps a loop
     of Magnus edges bit for bit what it was when each edge was taken alone.
+    A holonomy that overflows to inf or NaN raises ValueError.
     """
     pair, rest = _exact_edges(factory, runs)
     for k, run in enumerate(runs):
@@ -581,6 +499,8 @@ def _transport(factory: FrameFactory, runs: list[loops_mod.EdgeRun]) -> np.ndarr
             for edge in zip(*edges):
                 p, q = _compose(edge, (p, q))
             holonomy[np.ix_(columns, columns)] = [[p, q], [-np.conj(q), np.conj(p)]]
+    if not np.all(np.isfinite(holonomy)):
+        raise ValueError("transport overflows double precision; the loop reaches too far")
     return holonomy
 
 

@@ -14,9 +14,7 @@ monitored through the top-quartile population budget.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,33 +31,6 @@ DENSE_MATRICES = 8
 
 # Ordered two-mode code basis: {|00>, |10>, |11>, |01>}.
 TWO_MODE_CODE_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
-
-
-@dataclass(frozen=True)
-class ControlPoint:
-    """Point in the eight-real-parameter control manifold.
-
-    lambda = x + i*y (displacement), mu = r1*exp(i*theta1) (squeeze),
-    zeta = r2*exp(i*theta2) (two-mode squeeze), xi = r3*exp(i*theta3)
-    (two-mode mix).  Amplitudes are non-negative; phases are stored
-    modulo 2*pi.
-    """
-
-    x: float = 0.0
-    y: float = 0.0
-    r1: float = 0.0
-    theta1: float = 0.0
-    r2: float = 0.0
-    theta2: float = 0.0
-    r3: float = 0.0
-    theta3: float = 0.0
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "r3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("theta1", "theta2", "theta3"):
-            object.__setattr__(self, name, float(getattr(self, name)) % (2 * math.pi))
 
 
 def annihilator(cutoff: int) -> np.ndarray:

@@ -83,7 +83,8 @@ class KickedResult:
 
 def largest_control_step(runs: list[loops_mod.EdgeRun]) -> float:
     """Largest control-plane distance between consecutive kicks along the runs."""
-    return max(float(np.linalg.norm(run.end - run.start)) / run.count for run in runs)
+    lengths = loops_mod.edge_lengths(np.array([run.end - run.start for run in runs]))
+    return float(np.max(lengths / [run.count for run in runs]))
 
 
 def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
@@ -91,7 +92,7 @@ def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
     max_step = largest_control_step(runs)
     if max_step > MAX_CONTROL_STEP:
         raise ValueError(
-            f"largest control increment {max_step:.4f} exceeds {MAX_CONTROL_STEP}; "
+            f"largest control increment {max_step:.4g} exceeds {MAX_CONTROL_STEP}; "
             "increase kick_count"
         )
     return runs

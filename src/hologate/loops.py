@@ -13,7 +13,6 @@ stored polyline vertex order only fixes the shape.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -300,14 +299,29 @@ def check_steps_cover_edges(steps: int, edges: int) -> None:
         )
 
 
+def edge_lengths(delta: np.ndarray) -> np.ndarray:
+    """Lengths of the (n, 2) plane vectors `delta`, none of which overflows.
+
+    sqrt(d . d) rounds as np.linalg.norm does, and that last bit splits a
+    regular polygon's equal edges in boundary_runs; past 1e150, where d . d
+    could overflow, every length is np.hypot, which does not square.
+    """
+    if np.abs(delta).max() < 1e150:
+        return np.sqrt((delta[:, None, :] @ delta[:, :, None]).ravel())
+    return np.hypot(delta[:, 0], delta[:, 1])
+
+
 def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
-    """The boundary in traversal order as per-edge runs; `steps` split by edge length."""
+    """The boundary in traversal order as per-edge runs; `steps` split by edge length.
+
+    A loop so long that `steps` times its length overflows raises ValueError.
+    """
     verts = boundary_vertices(loop)
     n = len(verts)
-    lengths = np.array(
-        [np.linalg.norm(verts[(i + 1) % n] - verts[i]) for i in range(n)], dtype=float
-    )
+    lengths = edge_lengths(np.concatenate((verts[1:], verts[:1])) - verts)
     total = float(np.sum(lengths))
+    if not math.isfinite(steps * total):
+        raise ValueError("edge lengths overflow double precision; the loop reaches too far")
     if total == 0.0:
         return [EdgeRun(verts[0], verts[0], steps)]
     check_steps_cover_edges(steps, n)
@@ -359,10 +373,3 @@ def loop_from_dict(data: dict) -> LoopSpec:
         raise ValueError(f"malformed loop record: {exc}") from exc
     return LoopSpec(plane, shape, orientation)
 
-
-def loop_to_json(loop: LoopSpec) -> str:
-    return json.dumps(loop_to_dict(loop), sort_keys=True)
-
-
-def loop_from_json(text: str) -> LoopSpec:
-    return loop_from_dict(json.loads(text))

@@ -162,6 +162,43 @@ def per_edge_transport(factory, runs):
     return holonomy
 
 
+def norm_split_counts(loop, steps):
+    """boundary_runs' step counts with each edge length from np.linalg.norm, edge by edge.
+
+    The reference for loops.boundary_runs, which takes every length at once as
+    np.hypot of the vertex differences: the split by length, then the
+    remainder to the edges with the longest steps.
+    """
+    verts = loops.boundary_vertices(loop)
+    n = len(verts)
+    lengths = np.array([np.linalg.norm(verts[(i + 1) % n] - verts[i]) for i in range(n)])
+    total = float(np.sum(lengths))
+    if total == 0.0:
+        return [steps]
+    counts = np.maximum(1, np.floor(steps * lengths / total).astype(int))
+    while int(np.sum(counts)) < steps:
+        counts[int(np.argmax(lengths / counts))] += 1
+    while int(np.sum(counts)) > steps:
+        reducible = np.where(counts > 1)[0]
+        counts[reducible[int(np.argmin((lengths / counts)[reducible]))]] -= 1
+    return counts.tolist()
+
+
+def curvature_coefficient(plane, f_uv):
+    """(w, residual) of a curvature F_uv, with V F V^dag = i w G_plane + residual (calibrated basis).
+
+    The loop holonomy exp(-i G sigma) then has sigma = the integral of w over
+    the enclosed region, so w is the plane weight; residual is the norm of
+    what is left beside the generator.
+    """
+    gen = gates.PLANE_GENERATOR[plane].matrix
+    calibrated = connection.calibrated_code_matrix(plane, f_uv)
+    norm_sq = float(np.real(np.trace(gen @ gen)))
+    coefficient = float(np.real(-1j * np.trace(gen.conj().T @ calibrated)) / norm_sq)
+    residual = float(np.linalg.norm(calibrated - 1j * coefficient * gen))
+    return coefficient, residual
+
+
 def top_quartile_population(cols, cutoff, mode_count):
     """Worst population over the columns of cols on states with a mode at level >= 3 cutoff / 4."""
     top = np.arange(cutoff) >= (3 * cutoff) // 4

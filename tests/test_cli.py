@@ -267,6 +267,33 @@ def test_area_overflow_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "loop",
+    [
+        LoopSpec(PlaneId.I, Rect(0.0, 1e200, 0.0, 0.1)),
+        LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 1e300)),
+    ],
+    ids=["plane-I", "plane-III"],
+)
+def test_transport_overflow_exits_2(capsys, tmp_path, loop):
+    # the edge entries overflow the Magnus commutator term to inf - inf: the gate
+    # would be all NaN, which the record may not carry
+    far = write_loop(tmp_path, "far.json", loop)
+    assert cli.main(["oracle", far]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == "error: transport overflows double precision; the loop reaches too far"
+
+
+@pytest.mark.parametrize("u_max,increment", [(1e150, "2.004e+147"), (1e300, "2.004e+297")])
+def test_kicked_increment_of_a_far_loop_is_finite_and_short(capsys, tmp_path, u_max, increment):
+    far = write_loop(tmp_path, "far.json", LoopSpec(PlaneId.I, Rect(0.0, u_max, 0.0, 0.1)))
+    assert cli.main(["oracle", far, "--method", "kicked"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert f"largest control increment {increment} exceeds" in line
+
+
+@pytest.mark.parametrize(
     "option,argv",
     [
         ("--steps", ["--steps", "nan", "oracle", "{loop}"]),
@@ -387,10 +414,7 @@ def test_steps_too_few_for_the_edges_of_the_half_run_exits_2(capsys, tmp_path, m
 
 def test_loop_file_round_trip(tmp_path, capsys):
     loop = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.5, 0.1), (0.2, 0.6))), -1)
-    path = write_loop(tmp_path, "poly.json", loop)
-    from hologate.loops import loop_from_json
-
-    assert loop_from_json(open(path).read()) == loop
+    assert cli._load_loop(write_loop(tmp_path, "poly.json", loop)) == loop
 
 
 def test_deterministic_output(capsys, hadamard_loop_file):

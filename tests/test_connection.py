@@ -14,7 +14,6 @@ from hologate.connection import (
     CALIBRATION_RECT,
     CALIBRATION_SIGN,
     frame_factory,
-    plane_point,
 )
 from hologate.exceptions import TruncationWarning
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
@@ -25,6 +24,7 @@ from conftest import (
     boundary_points,
     convex_polygons,
     corner_populations,
+    curvature_coefficient,
     matrix_magnus_transport,
     per_edge_transport,
     plane_generators,
@@ -45,6 +45,11 @@ def central_difference_connection(plane, cutoff, u, v, h):
     return a_u, a_v
 
 
+def antihermitian_defect(connection_pair):
+    """The larger of |A_u + A_u^dag| and |A_v + A_v^dag|: the rounding left in exact components."""
+    return max(float(np.linalg.norm(a + a.conj().T)) for a in connection_pair)
+
+
 def test_dressed_frame_at_origin_is_bare_basis():
     frame = frame_factory(PlaneId.I, 30).frame(0.0, 0.0)
     assert np.allclose(frame, fock.code_states(30), atol=1e-14)
@@ -60,32 +65,20 @@ def test_dressed_frame_two_mode_origin_order():
     assert np.allclose(frame, fock.code_states(6, mode_count=2), atol=1e-14)
 
 
-def test_plane_coordinate_validation():
-    with pytest.raises(ValueError):
-        connection.plane_coordinates(fock.ControlPoint(x=0.1, r2=0.2), PlaneId.I)
-    with pytest.raises(ValueError):
-        connection.plane_coordinates(
-            fock.ControlPoint(x=0.1, r1=0.2, theta1=0.3), PlaneId.I
-        )
-    u, v = connection.plane_coordinates(plane_point(PlaneId.II, 0.2, 0.4), PlaneId.II)
-    assert (u, v) == (0.2, 0.4)
-
-
 def test_connection_squeeze_direction_component_vanishes():
     # the code projection of the frame variation along r1 is exactly zero on
     # planes I/II, so the estimated component must sit at finite-difference noise
     for plane in (PlaneId.I, PlaneId.II):
-        sample = connection.connection_at(plane_point(plane, 0.2, 0.15), plane, 60)
-        assert np.linalg.norm(sample.A_v) < 1e-8
+        _, a_v = frame_factory(plane, 60).connection(0.2, 0.15)
+        assert np.linalg.norm(a_v) < 1e-8
 
 
 def test_connection_antihermitian_defect_small():
-    sample = connection.connection_at(plane_point(PlaneId.I, 0.3, 0.2), PlaneId.I, 60)
-    assert sample.antihermitian_defect < 1e-6
+    assert antihermitian_defect(frame_factory(PlaneId.I, 60).connection(0.3, 0.2)) < 1e-6
 
 
 def test_connection_central_difference_order():
-    exact = connection.connection_at(plane_point(PlaneId.I, 0.25, 0.3), PlaneId.I, 60).A_u
+    exact, _ = frame_factory(PlaneId.I, 60).connection(0.25, 0.3)
     errors = [
         np.linalg.norm(central_difference_connection(PlaneId.I, 60, 0.25, 0.3, h)[0] - exact)
         for h in (2e-3, 1e-3, 5e-4)
@@ -97,66 +90,70 @@ def test_connection_central_difference_order():
 
 @pytest.mark.parametrize("r", [0.0, 0.15, 0.3])
 def test_exact_connection_plane1_closed_form(r):
-    sample = connection.connection_at(plane_point(PlaneId.I, 0.2, r), PlaneId.I, 60)
-    assert np.max(np.abs(sample.A_u - math.exp(-2.0 * r) * J)) < 1e-12
-    assert np.max(np.abs(sample.A_v)) == 0.0
+    a_u, a_v = frame_factory(PlaneId.I, 60).connection(0.2, r)
+    assert np.max(np.abs(a_u - math.exp(-2.0 * r) * J)) < 1e-12
+    assert np.max(np.abs(a_v)) == 0.0
 
 
 def test_exact_connection_plane2_closed_form():
     # A_u(r1) = -i (cosh 2r1 sigma_y + sinh 2r1 sigma_x) in the raw frame basis
-    sample = connection.connection_at(plane_point(PlaneId.II, 0.1, 0.3), PlaneId.II, 80)
+    a_u, a_v = frame_factory(PlaneId.II, 80).connection(0.1, 0.3)
     off_diagonal = -(math.cosh(0.6) + 1j * math.sinh(0.6))
     assert off_diagonal == pytest.approx(-1.185465 - 0.636654j, abs=1e-6)
     expected = np.array([[0.0, off_diagonal], [-np.conj(off_diagonal), 0.0]])
-    assert np.max(np.abs(sample.A_u - expected)) < 1e-12
-    assert np.max(np.abs(sample.A_v)) == 0.0
+    assert np.max(np.abs(a_u - expected)) < 1e-12
+    assert np.max(np.abs(a_v)) == 0.0
 
 
 @pytest.mark.parametrize("u", [0.0, 0.2, 0.35])
 def test_exact_connection_plane3_closed_form(u):
     # code order |00>, |10>, |11>, |01>: the mix couples |10> <-> |01> with cosh 2u
     # and the two-mode squeeze couples |00> <-> |11> only
-    sample = connection.connection_at(plane_point(PlaneId.III, u, 0.1), PlaneId.III, 20)
+    a_u, a_v = frame_factory(PlaneId.III, 20).connection(u, 0.1)
     expected_v = np.zeros((4, 4), dtype=complex)
     expected_v[1, 3] = math.cosh(2.0 * u)
     expected_v[3, 1] = -math.cosh(2.0 * u)
-    assert np.max(np.abs(sample.A_v - expected_v)) < 1e-12
+    assert np.max(np.abs(a_v - expected_v)) < 1e-12
     expected_u = np.zeros((4, 4), dtype=complex)
     expected_u[0, 2], expected_u[2, 0] = -1.0, 1.0
-    assert np.max(np.abs(sample.A_u - expected_u)) == 0.0
+    assert np.max(np.abs(a_u - expected_u)) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 @pytest.mark.parametrize(
     "plane,cutoff,u,v",
     [(PlaneId.I, 60, 0.25, 0.3), (PlaneId.II, 60, -0.1, 0.2), (PlaneId.III, 14, 0.2, 0.15)],
 )
 def test_exact_connection_matches_central_differences(plane, cutoff, u, v):
-    sample = connection.connection_at(plane_point(plane, u, v), plane, cutoff)
+    a_u, a_v = frame_factory(plane, cutoff).connection(u, v)
     fd_u, fd_v = central_difference_connection(plane, cutoff, u, v, 1e-5)
-    assert np.max(np.abs(sample.A_u - fd_u)) < 1e-8
-    assert np.max(np.abs(sample.A_v - fd_v)) < 1e-8
+    assert np.max(np.abs(a_u - fd_u)) < 1e-8
+    assert np.max(np.abs(a_v - fd_v)) < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 @pytest.mark.parametrize(
     "u,v,expected",
     [(0.0, 0.0, 2.0), (0.0, 0.5, 2.0 * math.exp(-1.0)), (0.3, 0.2, 2.0 * math.exp(-0.4))],
 )
 def test_curvature_matches_plane1_weight(u, v, expected):
-    sample = connection.curvature_at(plane_point(PlaneId.I, u, v), PlaneId.I, 60)
-    assert abs(abs(sample.coefficient) - expected) < 5e-2
-    assert sample.coefficient == pytest.approx(expected, abs=5e-2)
+    coefficient, residual = curvature_coefficient(
+        PlaneId.I, frame_factory(PlaneId.I, 60).curvature(u, v)
+    )
+    assert abs(abs(coefficient) - expected) < 5e-2
+    assert coefficient == pytest.approx(expected, abs=5e-2)
+    # the curvature is a multiple of the plane generator: nothing is left beside it
+    assert residual < 1e-12
 
 
 def test_curvature_plane3_zero_at_origin_edge():
-    sample = connection.curvature_at(plane_point(PlaneId.III, 0.0, 0.1), PlaneId.III, 14)
-    assert abs(sample.coefficient) < 5e-2
+    f_uv = frame_factory(PlaneId.III, 14).curvature(0.0, 0.1)
+    coefficient, _ = curvature_coefficient(PlaneId.III, f_uv)
+    assert abs(coefficient) < 5e-2
 
 
 def test_curvature_plane2_origin():
-    sample = connection.curvature_at(plane_point(PlaneId.II, 0.0, 0.0), PlaneId.II, 60)
-    assert sample.coefficient == pytest.approx(2.0, abs=5e-2)
+    f_uv = frame_factory(PlaneId.II, 60).curvature(0.0, 0.0)
+    coefficient, _ = curvature_coefficient(PlaneId.II, f_uv)
+    assert coefficient == pytest.approx(2.0, abs=5e-2)
 
 
 @pytest.mark.parametrize("cutoff,sizes", [(13, [85, 84]), (14, [98, 98])])
@@ -347,8 +344,7 @@ def test_outer_connection_lives_on_one_sector_pair(plane, cutoff, sizes, columns
     a_inner = factory.inner_connection
     assert not np.any(a_inner[columns, :]) and not np.any(a_inner[:, columns])
     assert not np.any(np.diag(a_inner))
-    sample = connection.connection_at(plane_point(plane, 0.1, 0.2), plane, cutoff)
-    assert sample.antihermitian_defect == 0.0
+    assert antihermitian_defect(factory.connection(0.1, 0.2)) == 0.0
 
 
 @pytest.mark.parametrize("plane", list(PlaneId))

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 from hologate import fock
 from hologate.exceptions import TruncationWarning
-from hologate.fock import ControlPoint
 from hologate.loops import PlaneId
 
 from conftest import (
@@ -269,13 +268,3 @@ def test_truncation_warning_fires_when_cutoff_too_small():
     assert population > 0.1
     with pytest.warns(TruncationWarning):
         fock.warn_if_truncated(population, "displacement(lam=2.5)")
-
-
-def test_control_point_rejects_negative_amplitude():
-    with pytest.raises(ValueError):
-        ControlPoint(r1=-0.1)
-
-
-def test_control_point_wraps_angles():
-    pt = ControlPoint(theta1=2.0 * math.pi + 0.3)
-    assert pt.theta1 == pytest.approx(0.3)

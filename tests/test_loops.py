@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import rect_sigma_closed_form, regular_polygon
-from hologate import loops
+from conftest import convex_polygons, norm_split_counts, rect_sigma_closed_form, regular_polygon
+from hologate import kicked, loops
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
 HADAMARD_RECT = LoopSpec(PlaneId.II, Rect(0.0, math.pi / 4.0, 0.0, math.log(2.0)))
 PLANE3_RECT = LoopSpec(PlaneId.III, Rect(0.0, math.acosh(2.0), 0.0, math.pi / 8.0))
+
+
+def loop_round_trip(loop: LoopSpec) -> LoopSpec:
+    """The loop through JSON text as the CLI takes it: loop_to_dict out, loop_from_dict in."""
+    return loops.loop_from_dict(json.loads(json.dumps(loops.loop_to_dict(loop))))
 
 
 def rect_as_polyline(loop: LoopSpec) -> LoopSpec:
@@ -242,7 +248,7 @@ def test_loop_json_round_trips_exactly(plane, corner, sides, angles, as_rect, or
             return  # angles too close to give distinct vertices
         shape = Polyline(verts)
     loop = LoopSpec(plane, shape, orientation)
-    assert loops.loop_from_json(loops.loop_to_json(loop)) == loop
+    assert loop_round_trip(loop) == loop
 
 
 def test_area_overflow_raises_value_error():
@@ -288,7 +294,7 @@ def test_loop_serialization_round_trip():
         PLANE3_RECT,
         LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.5, 0.1), (0.2, 0.6))), -1),
     ):
-        assert loops.loop_from_json(loops.loop_to_json(loop)) == loop
+        assert loop_round_trip(loop) == loop
 
 
 def test_loop_values_are_slotted():
@@ -322,6 +328,38 @@ def test_boundary_runs_need_a_step_per_edge():
     assert [run.count for run in loops.boundary_runs(gon, 60)] == [1] * 60
     with pytest.raises(ValueError, match="60 edges"):
         loops.boundary_runs(gon, 59)
+
+
+SPLIT_LOOPS = st.one_of(
+    st.builds(
+        lambda plane, corner, sides, orientation: LoopSpec(
+            plane, Rect(corner[0], corner[0] + sides[0], corner[1], corner[1] + sides[1]), orientation
+        ),
+        st.sampled_from(list(PlaneId)),
+        st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+        st.tuples(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3)),
+        st.sampled_from([1, -1]),
+    ),
+    convex_polygons(planes=tuple(PlaneId)),
+    st.builds(regular_polygon, st.sampled_from(list(PlaneId)), st.integers(3, 64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop=SPLIT_LOOPS, steps=st.integers(100, 2000))
+def test_boundary_runs_split_as_the_per_edge_norms_do(loop, steps):
+    counts = [run.count for run in loops.boundary_runs(loop, steps)]
+    assert counts == norm_split_counts(loop, steps)
+
+
+def test_boundary_runs_of_a_far_loop_are_finite():
+    # the lengths are not squared: np.linalg.norm made them inf here and split NaN
+    far = LoopSpec(PlaneId.I, Rect(0.0, 1e300, 0.0, 0.1))
+    runs = loops.boundary_runs(far, 2000)
+    assert [run.count for run in runs] == [999, 1, 999, 1]
+    assert kicked.largest_control_step(runs) == pytest.approx(1e300 / 999, rel=1e-15)
+    with pytest.raises(ValueError, match="reaches too far"):
+        loops.boundary_runs(LoopSpec(PlaneId.I, Rect(-1e306, 1e306, 0.0, 0.1)), 2000)
 
 
 def test_shapes_reject_non_finite_coordinates():
