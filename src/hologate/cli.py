@@ -126,14 +126,6 @@ def cmd_gate(args) -> int:
 def cmd_oracle(args) -> int:
     loop = _load_loop(args.loop_file)
     cutoff = _effective_cutoff(args, loop)
-    formula = gates.gate_for_loop(loop)
-    record = {
-        "config": _config_record(args, cutoff),
-        "method": args.method,
-        "steps": args.steps,
-        "formula_gate": matrix_to_json(formula.matrix),
-        "area": _area_record(loop),
-    }
     # steps/2, where the convergence estimate reruns the loop, needs a step per edge on either route
     half_steps = max(args.steps // 2, 16 if args.method == "kicked" else 4)
     edges = len(loops_mod.boundary_vertices(loop))
@@ -142,17 +134,16 @@ def cmd_oracle(args) -> int:
             f"--steps {args.steps} is too few for a loop of {edges} edges: the convergence "
             f"estimate reruns it at steps/2 = {half_steps}, fewer than its edges; raise --steps"
         )
+    # the route runs before the area, so that a loop too far for both is refused in the
+    # route's own terms (its overflow or its control increment)
     if args.method == "connection":
         oracle = connection.holonomy_path_ordered(loop, cutoff, args.steps)
-        calibrated = connection.calibrated_code_matrix(loop.plane, oracle.matrix)
-        record["oracle_gate"] = matrix_to_json(calibrated)
-        record["oracle_gate_raw_frame"] = matrix_to_json(oracle.matrix)
-        record["unitarity_defect"] = oracle.unitarity_defect
-        record["convergence_estimate"] = oracle.diagnostics["convergence_estimate"]
-        record["integrator"] = oracle.diagnostics["integrator"]
-        record["frobenius_distance"] = float(
-            np.linalg.norm(calibrated - formula.matrix)
-        )
+        raw = oracle.matrix
+        route = {
+            "unitarity_defect": oracle.unitarity_defect,
+            "convergence_estimate": oracle.diagnostics["convergence_estimate"],
+            "integrator": oracle.diagnostics["integrator"],
+        }
     else:
         schedule = kicked.KickSchedule(loop, kick_count=args.steps, cutoff=cutoff)
         half_schedule = kicked.KickSchedule(loop, half_steps, cutoff=cutoff)
@@ -166,16 +157,24 @@ def cmd_oracle(args) -> int:
             )
         result = kicked.run_kicked(schedule)
         half = kicked.run_kicked(half_schedule)
-        calibrated = connection.calibrated_code_matrix(loop.plane, result.code_map)
-        record["oracle_gate"] = matrix_to_json(calibrated)
-        record["oracle_gate_raw_frame"] = matrix_to_json(result.code_map)
-        record["leakage"] = result.leakage
-        record["convergence_estimate"] = float(
-            np.linalg.norm(result.code_map - half.code_map)
-        )
-        record["frobenius_distance"] = float(
-            np.linalg.norm(calibrated - formula.matrix)
-        )
+        raw = result.code_map
+        route = {
+            "leakage": result.leakage,
+            "convergence_estimate": float(np.linalg.norm(result.code_map - half.code_map)),
+        }
+    formula = gates.gate_for_loop(loop)
+    calibrated = connection.calibrated_code_matrix(loop.plane, raw)
+    record = {
+        "config": _config_record(args, cutoff),
+        "method": args.method,
+        "steps": args.steps,
+        "formula_gate": matrix_to_json(formula.matrix),
+        "area": _area_record(loop),
+        "oracle_gate": matrix_to_json(calibrated),
+        "oracle_gate_raw_frame": matrix_to_json(raw),
+        **route,
+        "frobenius_distance": float(np.linalg.norm(calibrated - formula.matrix)),
+    }
     _emit(record, args.precision)
     return EXIT_OK
 

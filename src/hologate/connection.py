@@ -58,8 +58,8 @@ CALIBRATION_RECT = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
 
 # Sub-intervals per batch on a tilted edge, in both dynamical routes: bounds the
 # transport's work arrays (one sector's size x MAGNUS_BATCH phases each; only
-# tilted plane II edges take Magnus steps) and the kicked route's phase table
-# (block size x MAGNUS_BATCH + 1) whatever the count.
+# tilted plane II edges take Magnus steps) and the kicked route's rotation table
+# (MAGNUS_BATCH + 1 x half the block size) whatever the count.
 MAGNUS_BATCH = 256
 
 # Two-node Gauss-Legendre points on [0, 1] for the fourth-order Magnus step.
@@ -97,17 +97,23 @@ class CodeBlock:
         return np.exp(-1j * (self.values[rows, None] * inner))
 
     def phases(self, start: float, step: float, count: int) -> np.ndarray:
-        """I's phases at start + step k for k < count, shape (block size, count).
+        """I's phases at start + step k for k < count, shape (block size, count)."""
+        return np.ascontiguousarray(phase_table(self.values, start, step, count).T)
 
-        The table is the outer product of a coarse one, at every m-th k, and a
-        fine one, at the first m, with m about sqrt(count): 2 sqrt(count)
-        exponentials per eigenvalue w instead of count.
-        """
-        fine = math.isqrt(count - 1) + 1
-        table = self.phases_at(start + step * fine * np.arange(-(-count // fine)))
-        if fine > 1:
-            table = table[:, :, None] * self.phases_at(step * np.arange(fine))[:, None, :]
-        return table.reshape(self.values.size, -1)[:, :count]
+
+def phase_table(values: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
+    """exp(-i w (start + step k)) for each w in `values` and k < count, shape (count, values).
+
+    The table is the outer product of a coarse one, at every m-th k, and a
+    fine one, at the first m, with m about sqrt(count): 2 sqrt(count)
+    exponentials per value instead of count.
+    """
+    fine = math.isqrt(count - 1) + 1
+    points = start + step * fine * np.arange(-(-count // fine))
+    table = np.exp(-1j * np.multiply.outer(points, values))
+    if fine > 1:
+        table = table[:, None, :] * np.exp(-1j * np.multiply.outer(step * np.arange(fine), values))
+    return table.reshape(-1, values.size)[:count]
 
 
 def _sector(index: np.ndarray, inner: np.ndarray, code: np.ndarray) -> CodeBlock:
@@ -128,11 +134,23 @@ class ControlBlock(CodeBlock):
     into the True places in row-major order, lands sector by sector.  G_o
     restricted to the block is V_o diag(w_o) V_o^dag times -i; the block keeps
     `outer_values` w_o and `outer_vectors` W = V^dag V_o, the outer
-    eigenvectors in V, so that its only dense matrices are V and W.
+    eigenvectors in V, so that its only dense matrices are V and W until a
+    tilted kicked edge asks for the paired basis.
+
+    The paired basis Q (paired_basis) is where the kicked route runs its
+    tilted edges: there I(i) is a rotation of each pair of columns, and with
+    `real_controls` (planes I and III) Q is real and so is the outer step
+    Q^dag O Q (outer_step).  to_paired (T = Q^dag V) carries columns from V
+    to Q, and outer_pairs holds the outer eigenvectors in Q.  All three are
+    built on first use: a loop of axis-aligned edges builds none of them.
     """
 
     def __init__(
-        self, sectors: list[tuple[np.ndarray, np.ndarray]], outer: np.ndarray, code: np.ndarray
+        self,
+        sectors: list[tuple[np.ndarray, np.ndarray]],
+        outer: np.ndarray,
+        code: np.ndarray,
+        real_controls: bool,
     ):
         self.sectors = [_sector(index, inner, code) for index, inner in sectors]
         sizes = np.array([sector.index.size for sector in self.sectors])
@@ -144,6 +162,7 @@ class ControlBlock(CodeBlock):
             vectors[start:end, start:end] = sector.vectors
         values = np.concatenate([sector.values for sector in self.sectors])
         super().__init__(index, values, vectors, code)
+        self.real_controls = real_controls
         outer = fock.Propagator(outer[np.ix_(index, index)])
         self.outer_values = outer.values
         self.outer_vectors = vectors.conj().T @ outer.vectors
@@ -152,6 +171,92 @@ class ControlBlock(CodeBlock):
         """V^dag O(d_outer) V = W exp(-i d_outer w_o) W^dag on the block."""
         w = self.outer_vectors
         return (w * np.exp(-1j * d_outer * self.outer_values)[None, :]) @ w.conj().T
+
+    @cached_property
+    def paired_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, rates): the paired basis of the block and the rotation rate of each pair.
+
+        In each sector G_i's spectrum is symmetric: the eigenvector v of i G_i
+        at w > 0 has a partner u at -w, conj(v) when the controls are real.
+        q_a = (v + u)/sqrt(2) and q_b = (v - u)/(i sqrt(2)) are orthonormal,
+        and I(i) rotates them, I q_a = cos(w i) q_a + sin(w i) q_b and
+        I q_b = cos(w i) q_b - sin(w i) q_a: on the coefficients (y_a, y_b)
+        of a column that is the phase exp(i w i) on y_a + i y_b.  With real
+        controls q_a = sqrt(2) Re v and q_b = sqrt(2) Im v, so Q is real.
+        The pairs come first, sector by sector with q_a and q_b adjacent, and
+        their rates are w.  Then the zero modes, one per odd-sized sector and
+        real up to a phase (the kernel of a real or an imaginary G_i), taken
+        real and paired among themselves at rate 0; an odd one out comes last
+        and takes no phase.  Q is block-diagonal by sector up to the order of
+        its columns.
+        """
+        n = self.index.size
+        pairs, zeros, rates = [], [], []
+        start = 0
+        for sector in self.sectors:
+            m = sector.index.size
+            half = m // 2
+            vectors = np.zeros((n, m), dtype=complex)
+            vectors[start : start + m] = sector.vectors
+            start += m
+            v = vectors[:, m - half :]
+            if self.real_controls:
+                q_a, q_b = math.sqrt(2.0) * v.real, math.sqrt(2.0) * v.imag
+            else:
+                u = vectors[:, :half][:, ::-1]
+                q_a, q_b = (v + u) / math.sqrt(2.0), (v - u) / (1j * math.sqrt(2.0))
+            pairs.append(np.stack([q_a, q_b], axis=2).reshape(n, 2 * half))
+            rates.append(sector.values[m - half :])
+            if m % 2:
+                zero = vectors[:, half]
+                top = zero[np.argmax(np.abs(zero))]
+                zeros.append((zero * (np.conj(top) / abs(top))).real)
+        basis = np.concatenate(pairs + [np.array(zeros).reshape(-1, n).T], axis=1)
+        rates.append(np.zeros(len(zeros) // 2))
+        return basis, np.concatenate(rates)
+
+    @cached_property
+    def to_paired(self) -> np.ndarray:
+        """T = Q^dag V: a column in V is T^dag times the same column in Q."""
+        basis, _ = self.paired_basis
+        return basis.conj().T @ self.vectors
+
+    @cached_property
+    def outer_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, rates): the outer eigenvectors in Q as real pairs, and the rate of each pair.
+
+        G_o is real on every plane, so its eigenvector x at w_o > 0 has the
+        partner conj(x) at -w_o, and O(d) rotates a = sqrt(2) Re x and
+        b = sqrt(2) Im x by d w_o as I(i) rotates a pair of Q; the kernel
+        of G_o has a real orthonormal basis z, the left singular vectors of
+        [Re Z, Im Z] for its eigenvectors Z.  P = Q^dag [A | B | Z], the
+        columns in that order, so that O(d) = Q P' P^dag Q^dag with the
+        rotated P' (outer_step).  P is real when Q is.
+        """
+        fock_vectors = self.vectors @ self.outer_vectors
+        w = self.outer_values
+        tolerance = 1e-9 * max(1.0, float(np.max(np.abs(w))))
+        up, kernel = w > tolerance, np.abs(w) <= tolerance
+        up_vectors = math.sqrt(2.0) * fock_vectors[:, up]
+        zero = fock_vectors[:, kernel]
+        real_kernel = np.linalg.svd(np.hstack([zero.real, zero.imag]), full_matrices=False)[0]
+        columns = np.hstack([up_vectors.real, up_vectors.imag, real_kernel[:, : zero.shape[1]]])
+        basis, _ = self.paired_basis
+        return basis.conj().T @ columns, w[up]
+
+    def outer_step(self, d_outer: float) -> np.ndarray:
+        """S = Q^dag O(d_outer) Q on the block: one product of P' and P^dag (outer_pairs).
+
+        P' turns each pair (a, b) of P to (cos a + sin b, cos b - sin a) at
+        angle d_outer w_o, and leaves the kernel as it is.  S is real when Q
+        is (planes I and III).
+        """
+        pairs, rates = self.outer_pairs
+        count = rates.size
+        cos, sin = np.cos(d_outer * rates), np.sin(d_outer * rates)
+        a, b = pairs[:, :count], pairs[:, count : 2 * count]
+        turned = np.hstack([a * cos + b * sin, b * cos - a * sin, pairs[:, 2 * count :]])
+        return turned @ pairs.conj().T
 
     @cached_property
     def code_rows(self) -> np.ndarray:
@@ -217,9 +322,10 @@ class FrameFactory:
     no imaginary part (planes I and III), so that a(i) is real.
     `top_outer_vectors` holds, per block, the rows of V W (the outer
     eigenvectors in the Fock basis) at its top-quartile Fock levels, for the
-    truncation check.  `dwells` holds the kicked route's Kerr dwell per block
-    (kicked.sector_dwells) for one (chi, delta_t): one more block-sized
-    matrix per block beside V and W, inside the dense budget.
+    truncation check.  `dwells` holds, for one (chi, delta_t), the kicked
+    route's Kerr dwell per block as a stack of sector blocks
+    (kicked.sector_dwells) and, from the first tilted edge on, as a 2n x 2n
+    real form in the block's paired basis (kicked.paired_dwells).
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -235,9 +341,11 @@ class FrameFactory:
         else:
             outer = fock.displacement_generator(1.0, cutoff)
         layout = fock.inner_sectors(cutoff, mode_count, 1.0j if plane is PlaneId.II else 1.0)
-        self.blocks = [ControlBlock(sectors, outer, self.code) for sectors in layout]
         chains = [inner for sectors in layout for _, inner in sectors]
         self.real_controls = not any(np.any(g.imag) for g in [outer, *chains])
+        self.blocks = [
+            ControlBlock(sectors, outer, self.code, self.real_controls) for sectors in layout
+        ]
         self.code_dim = self.code.shape[1]
         self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
         for index, inner in (sector for sectors in layout for sector in sectors):
@@ -398,6 +506,19 @@ def _magnus_step(x1, x2):
     return np.cos(theta) + 1j * gamma * sinc, alpha * sinc
 
 
+def _check_exponents(*exponents) -> None:
+    """Refuse edge exponents x whose |x|^2 is not finite, before _magnus_step squares them.
+
+    Past |x| of about 1.3e154 the commutator term's real products overflow,
+    and inf - inf then reads NaN; so the overflow is refused while x is
+    still an input, with no numpy warning on the way.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.all(np.isfinite(x.real * x.real + x.imag * x.imag)) for x in exponents)
+    if not finite:
+        raise ValueError("transport overflows double precision; the loop reaches too far")
+
+
 def _compose(later, earlier):
     """(p, q) of U_later U_earlier, U = [[p, q], [-conj q, conj p]]."""
     (p2, q2), (p1, q1) = later, earlier
@@ -454,6 +575,7 @@ def _exact_edges(factory: FrameFactory, runs: list[loops_mod.EdgeRun]):
     )
     entries = np.sum(t_a.conj() * (middle @ t_b), axis=1)[:, 0]
     x = np.stack([-d_outer * entries, -d_inner * factory.rest_entry + 0j])
+    _check_exponents(x)
     p, q = _magnus_step(x, x)
     return (p[0], q[0]), (p[1], q[1])
 
@@ -476,6 +598,7 @@ def _run_transport(factory: FrameFactory, run: loops_mod.EdgeRun):
             scale * factory.pair_entries(outer, inner0 + step * (start + node), step, size)
             for node in _GAUSS_NODES
         )
+        _check_exponents(x1, x2)
         transport = _compose(_tree_product(*_magnus_step(x1, x2)), transport)
     return transport
 
@@ -486,7 +609,7 @@ def _transport(factory: FrameFactory, runs: list[loops_mod.EdgeRun]) -> np.ndarr
     The edges multiply on one at a time, in traversal order: with a handful
     of edges a pairwise product saves nothing, and this order keeps a loop
     of Magnus edges bit for bit what it was when each edge was taken alone.
-    A holonomy that overflows to inf or NaN raises ValueError.
+    An edge exponent past double range raises ValueError (_check_exponents).
     """
     pair, rest = _exact_edges(factory, runs)
     for k, run in enumerate(runs):
@@ -499,8 +622,6 @@ def _transport(factory: FrameFactory, runs: list[loops_mod.EdgeRun]) -> np.ndarr
             for edge in zip(*edges):
                 p, q = _compose(edge, (p, q))
             holonomy[np.ix_(columns, columns)] = [[p, q], [-np.conj(q), np.conj(p)]]
-    if not np.all(np.isfinite(holonomy)):
-        raise ValueError("transport overflows double precision; the loop reaches too far")
     return holonomy
 
 

@@ -12,24 +12,28 @@ unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
 at the current point is simply the population outside the bare code levels.
 The state is held block by block (the invariant blocks of the two control
-generators, two parity blocks on plane III), each in the eigenbasis of the
-inner control generator, where the inner control factor of every kick is a
-diagonal phase.  That eigenbasis is the direct sum of the bases of the
-sectors of the inner generator (FrameFactory), and the Kerr dwell, diagonal
-in the Fock basis, is block-diagonal by sector in it.  Only the state after
-the whole loop is kept: on an axis-aligned edge every kick is the same
-matrix, which is raised to the edge's kick count by squaring while the
-count is large and then applied to the columns (_power_apply) instead of
-being applied kick by kick.  Along the inner control that kick is
-block-diagonal by sector too, so it is powered as a stack of small sector
-blocks (two parity chains of 30 states on planes I/II at cutoff 60, 13 and
-14 chains of at most 14 states per parity block on plane III at cutoff 14);
-along the outer control it is dense, but its dwell factor is applied
-sector by sector.
+generators, two parity blocks on plane III).  On an axis-aligned edge it is
+held in the eigenbasis of the inner control generator, where the inner
+control factor of every kick is a diagonal phase.  That eigenbasis is the
+direct sum of the bases of the sectors of the inner generator
+(FrameFactory), and the Kerr dwell, diagonal in the Fock basis, is
+block-diagonal by sector in it.  Only the state after the whole loop is
+kept: on an axis-aligned edge every kick is the same matrix, which is
+raised to the edge's kick count by squaring while the count is large and
+then applied to the columns (_power_apply) instead of being applied kick by
+kick.  Along the inner control that kick is block-diagonal by sector too, so
+it is powered as a stack of small sector blocks (two parity chains of 30
+states on planes I/II at cutoff 60, 13 and 14 chains of at most 14 states
+per parity block on plane III at cutoff 14); along the outer control it is
+dense, but its dwell factor is applied sector by sector.
 On a tilted edge the kicks differ and are applied one by one, to the code
-columns held as rows, through the real forms of the edge's outer step and of
-the dwell (real_form): on two rows a real product of twice the size runs
-faster than the complex one, and every kick writes into the same two buffers.
+columns held as real rows in the block's paired basis
+(ControlBlock.paired_basis): there the inner factor is a rotation of each
+pair of basis columns, one complex multiply on the rows' complex view, and
+on planes I and III the outer step is a real matrix, so a kick reads n^2
+doubles for it where a complex step on complex rows reads 4 n^2.  The dwell
+goes through its 2n x 2n real form (real_form), and every kick writes into
+the same two buffers.
 """
 
 from __future__ import annotations
@@ -123,52 +127,67 @@ def _power_apply(kick: np.ndarray, count: int, state: np.ndarray) -> np.ndarray:
 
 
 def real_form(matrix: np.ndarray) -> np.ndarray:
-    """R(M), the float64 form of x -> x @ M on complex rows x.
+    """R(M), the float64 form of x -> x @ M on complex rows held as [Re x | Im x].
 
-    (x.view(float64) @ R(M)).view(complex128) == x @ M: the float64 view of x
-    interleaves real and imaginary parts, so each entry m of M becomes the
-    2x2 block [[Re m, Im m], [-Im m, Re m]].
+    [Re x | Im x] @ R(M) = [Re(x M) | Im(x M)] for R(M) = [[Re M, Im M], [-Im M, Re M]].
     """
-    rows, cols = matrix.shape
-    form = np.empty((rows, 2, cols, 2))
-    form[:, 0, :, 0] = form[:, 1, :, 1] = matrix.real
-    form[:, 0, :, 1] = matrix.imag
-    np.negative(matrix.imag, out=form[:, 1, :, 0])
-    return form.reshape(2 * rows, 2 * cols)
+    return np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
+
+
+def _kept_dwells(factory: connection.FrameFactory, chi: float, delta_t: float) -> dict:
+    """The dwell forms kept on the factory for (chi, delta_t); any other dwell's are dropped."""
+    key = (chi, delta_t)
+    if key not in factory.dwells:
+        factory.dwells.clear()
+        factory.dwells[key] = {}
+    return factory.dwells[key]
 
 
 def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
-    """The dwell D = V^dag exp(-i H0 delta_t) V on each block, as a sector stack and as one matrix.
+    """The dwell D = V^dag exp(-i H0 delta_t) V on each block, as a stack of its sector blocks.
 
     The Kerr dwell is diagonal in the Fock basis and V maps each sector of
     G_i onto itself, so D is block-diagonal by sector: it is built one sector
-    at a time, and the matrix is exactly zero between sectors.  The stack, of
-    shape (sectors, s, s) for the largest sector size s, holds each sector's
-    block padded with the identity.  Both are kept, read-only, in
-    factory.dwells for the last (chi, delta_t) asked for, so they live and
-    die with the factory.
+    at a time.  The stack, of shape (sectors, s, s) for the largest sector
+    size s, holds each sector's block padded with the identity.  The stacks
+    are kept, read-only, in factory.dwells for the last (chi, delta_t) asked
+    for, so they live and die with the factory.
     """
-    key = (chi, delta_t)
-    if key not in factory.dwells:
+    kept = _kept_dwells(factory, chi, delta_t)
+    if "sectors" not in kept:
         dwell = fock.kerr_phases(chi, delta_t, factory.cutoff, factory.mode_count)
-        built = []
+        stacks = []
         for block in factory.blocks:
             mask = block.sector_mask
             stack = np.tile(np.eye(mask.shape[1], dtype=complex), (mask.shape[0], 1, 1))
-            dense = np.zeros((block.index.size,) * 2, dtype=complex)
-            start = 0
             for sector, part in zip(block.sectors, stack):
                 vectors = sector.vectors
                 size = vectors.shape[0]
                 part[:size, :size] = (vectors.conj().T * dwell[sector.index]) @ vectors
-                dense[start : start + size, start : start + size] = part[:size, :size]
-                start += size
             stack.setflags(write=False)
-            dense.setflags(write=False)
-            built.append((stack, dense))
-        factory.dwells.clear()
-        factory.dwells[key] = built
-    return factory.dwells[key]
+            stacks.append(stack)
+        kept["sectors"] = stacks
+    return kept["sectors"]
+
+
+def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
+    """The dwell Q^dag exp(-i H0 delta_t) Q on each block, as the real form of its transpose.
+
+    That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
+    held as [Re | Im] rows: a 2n x 2n real matrix per n-state block, built on
+    the first tilted edge and kept, read-only, beside the sector stacks.
+    """
+    kept = _kept_dwells(factory, chi, delta_t)
+    if "paired" not in kept:
+        dwell = fock.kerr_phases(chi, delta_t, factory.cutoff, factory.mode_count)
+        forms = []
+        for block in factory.blocks:
+            basis, _ = block.paired_basis
+            form = real_form(((basis.conj().T * dwell[block.index]) @ basis).T)
+            form.setflags(write=False)
+            forms.append(form)
+        kept["paired"] = forms
+    return kept["paired"]
 
 
 def _stacked(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -188,94 +207,130 @@ def power_sectors(kick: np.ndarray, count: int, state: np.ndarray, mask: np.ndar
     return _power_apply(kick, count, _stacked(state, mask))[mask]
 
 
+def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> None:
+    """`count` kicks of a tilted edge on the columns held as paired rows, in place.
+
+    `rows` is (columns, 2n): each column in Q as [Re | Im], so that its
+    (2 columns, n) view holds real rows with each pair of Q adjacent, and the
+    complex view of those holds y_a + i y_b per pair.  A kick is I's rotation
+    at the kick point (one complex multiply on that view), the outer step S,
+    the rotation back at the next point and the dwell.  A real S (planes I
+    and III) is one (2 columns, n) @ (n, n) product, n^2 doubles read; a
+    complex one (plane II) goes through its 2n x 2n real form on the rows,
+    as the dwell always does.  The rotations exp(i w i) come from
+    connection.phase_table, in tables of connection.MAGNUS_BATCH kicks each,
+    the ones back conjugated once per table, and every kick writes into the
+    same two buffers.
+    """
+    columns, width = rows.shape
+    n = width // 2
+    ahead = np.empty_like(rows)
+    halves, ahead_halves = rows.reshape(2 * columns, n), ahead.reshape(2 * columns, n)
+    turned = 2 * rates.size
+    pairs, ahead_pairs = (part[:, :turned].view(np.complex128) for part in (halves, ahead_halves))
+    if np.isrealobj(step):
+        source, matrix, target = halves, step.T, ahead_halves
+    else:
+        source, matrix, target = rows, real_form(step.T), ahead
+    for start in range(0, count, connection.MAGNUS_BATCH):
+        size = min(connection.MAGNUS_BATCH, count - start)
+        # row k holds the rotations at kick point start + k of the edge
+        table = connection.phase_table(-rates, inner0 + inner_step * start, inner_step, size + 1)
+        back = np.conjugate(table[1:])
+        for k in range(size):
+            np.multiply(pairs, table[k], out=pairs)
+            np.dot(source, matrix, out=target)
+            np.multiply(ahead_pairs, back[k], out=ahead_pairs)
+            np.dot(ahead, dwell_form, out=rows)
+
+
 def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per control block: its code columns, their code states and their states after the loop.
 
     No control leaves an invariant block of the two control generators
-    (FrameFactory.blocks), so each block evolves its own code columns, held in
-    the block's inner eigenbasis V.  A kick from p to p' is
-    C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), and I(i) = V diag(exp(-i i w)) V^dag,
-    so in V a kick is the step S = V^dag O V between two diagonal phases, then
-    the dwell D = V^dag exp(-i H0 dt) V, which is block-diagonal by sector of
-    G_i (sector_dwells).
+    (FrameFactory.blocks), so each block evolves its own code columns.  A
+    kick from p to p' is C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), then the
+    dwell exp(-i H0 dt).
 
-    On an axis-aligned edge the whole kick K is constant, and K^count is
+    On an axis-aligned edge the columns are held in the block's inner
+    eigenbasis V, where I(i) = V diag(exp(-i i w)) V^dag is a diagonal phase
+    and the dwell D = V^dag exp(-i H0 dt) V is block-diagonal by sector of
+    G_i (sector_dwells).  The whole kick K is constant, and K^count is
     applied to the columns by _power_apply: squarings while the count is
     large, then the squared kick applied to the columns.  Along the inner control
-    (o = o') S is the identity, so K = D diag(exp(i (i' - i) w)) is
-    block-diagonal by sector too, and it is powered as one stack of sector
+    (o = o') the step V^dag O V is the identity, so K = D diag(exp(i (i' - i) w))
+    is block-diagonal by sector too, and it is powered as one stack of sector
     blocks (power_sectors): on plane III at cutoff 14 a squaring then costs
     14 products of 14 x 14 blocks instead of one 98 x 98 product.  Along the
     outer control K is dense, and D is multiplied onto the phased step
     through its sector stack: 14 products of 14 x 14 blocks by 14 x 98 rows
-    instead of one 98 x 98 product.  A real form would double the cost of
-    each squaring, so these edges stay complex, and a loop of them builds no
-    real form.  The dwell comes from sector_dwells, built once per factory
-    and dwell.
+    instead of one 98 x 98 product.  These edges stay complex.
 
-    On a tilted edge S is constant and the inner phases at the edge's kick
-    points come from CodeBlock.phases tables of connection.MAGNUS_BATCH kicks
-    each, so memory stays flat whatever the kick count, and each kick is two
-    row scalings and two products.  The columns are held as rows x (code
-    columns x block size), so the products are x S^T and x D^T, and they go
-    through real_form(S^T) and real_form(D^T): on two rows this real product
-    runs about 1.5 times faster than the complex one (OpenBLAS, one thread,
-    block size 98).  Each kick writes into the same two buffers, and the
-    complex S is dropped once its real form exists.
+    On a tilted edge the kicks differ and go one by one, in the block's
+    paired basis Q (ControlBlock.paired_basis), where I(i) rotates each pair
+    of columns and, on planes I and III, the step S = Q^dag O Q is real
+    (ControlBlock.outer_step, built once per edge): _tilted_edge.  A loop
+    that mixes both kinds carries its columns from V to Q and back with
+    T = Q^dag V at the boundaries of its runs of tilted edges, and only a
+    loop with a tilted edge builds Q, T, the outer pairs and the paired dwell.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
-    tilted = not all(run.axis_aligned for run in runs)
+    stacks = sector_dwells(factory, schedule.chi, schedule.delta_t)
+    if all(run.axis_aligned for run in runs):
+        forms = [None] * len(stacks)
+    else:
+        forms = paired_dwells(factory, schedule.chi, schedule.delta_t)
 
-    def evolve(block: connection.ControlBlock, dwell_stack, dwell_eig) -> np.ndarray:
+    def evolve(block: connection.ControlBlock, dwell_stack, dwell_form) -> np.ndarray:
         w = block.values
         mask = block.sector_mask
         w_stack = np.zeros(mask.shape)
         w_stack[mask] = w
         state = block.code_eig
-        if tilted:
-            dwell_re = real_form(dwell_eig.T)
-            rows = np.empty(state.T.shape, dtype=complex)
-            scaled = np.empty_like(rows)
-            rows_re, scaled_re = rows.view(np.float64), scaled.view(np.float64)
-            following = np.empty(w.size, dtype=complex)
+        rows = None  # the columns in Q as [Re | Im] rows, while on tilted edges
         for run in runs:
             outer0, inner0 = factory.split(*run.start)
             outer1, inner1 = factory.split(*run.end)
-            outer_step = (outer0 - outer1) / run.count
+            d_outer = (outer0 - outer1) / run.count
             if run.axis_aligned:
+                if rows is not None:
+                    state, rows = _from_rows(block, rows), None
                 inners = inner0 + (inner1 - inner0) * np.arange(2) / run.count
                 if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
                     kick = dwell_stack * np.exp(1j * (inners[1] - inners[0]) * w_stack)[:, None, :]
                     state = power_sectors(kick, run.count, state, mask)
                 else:  # the dwell after the phased outer step, sector by sector
                     phase = np.exp(-1j * inners[0] * w)[:, None]
-                    step = phase.conj() * block.outer_kick(outer_step) * phase.T
+                    step = phase.conj() * block.outer_kick(d_outer) * phase.T
                     kick = (dwell_stack @ _stacked(step, mask))[mask]
                     state = _power_apply(kick, run.count, state)
             else:
-                step_re = real_form(block.outer_kick(outer_step).T)
+                if rows is None:
+                    rows = _to_rows(block, state)
+                _, rates = block.paired_basis
                 inner_step = (inner1 - inner0) / run.count
-                rows[...] = state.T
-                for start in range(0, run.count, connection.MAGNUS_BATCH):
-                    size = min(connection.MAGNUS_BATCH, run.count - start)
-                    # column k holds I's phases at kick point start + k of the edge
-                    phases = block.phases(inner0 + inner_step * start, inner_step, size + 1)
-                    for k in range(size):
-                        np.multiply(rows, phases[:, k], out=scaled)
-                        np.matmul(scaled_re, step_re, out=rows_re)
-                        np.conjugate(phases[:, k + 1], out=following)
-                        np.multiply(rows, following, out=scaled)
-                        np.matmul(scaled_re, dwell_re, out=rows_re)
-                state = rows.T
-        return state
+                step = block.outer_step(d_outer)
+                _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, run.count)
+        return state if rows is None else _from_rows(block, rows)
 
-    dwells = sector_dwells(factory, schedule.chi, schedule.delta_t)
     return [
-        (block.columns, block.code_eig, evolve(block, *dwell))
-        for block, dwell in zip(factory.blocks, dwells)
+        (block.columns, block.code_eig, evolve(block, stack, form))
+        for block, stack, form in zip(factory.blocks, stacks, forms)
     ]
+
+
+def _to_rows(block: connection.ControlBlock, state: np.ndarray) -> np.ndarray:
+    """Columns in the block's inner eigenbasis V as rows in its paired basis, [Re | Im]."""
+    paired = (block.to_paired @ state).T
+    return np.ascontiguousarray(np.hstack([paired.real, paired.imag]))
+
+
+def _from_rows(block: connection.ControlBlock, rows: np.ndarray) -> np.ndarray:
+    """Rows from _to_rows back as columns in V."""
+    n = rows.shape[1] // 2
+    return block.to_paired.conj().T @ (rows[:, :n] + 1j * rows[:, n:]).T
 
 
 def _leakage(state: np.ndarray, overlap: np.ndarray) -> float:

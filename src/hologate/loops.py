@@ -24,6 +24,9 @@ AREA_METHOD = "edge_antiderivative"
 _DEGENERATE_AREA_EPS = 1e-14
 # Rounding bound of the edge sum, in units of eps * sum(|edge terms|).
 _ROUNDING_ULPS = 4
+# Largest |sigma| that area() returns: past 2^52 rad one ulp of sigma is a radian or
+# more, so the cos and sin of the gate phase, and every gate entry, are rounding noise.
+MAX_GATE_PHASE = 2.0**52
 
 
 class PlaneId(Enum):
@@ -171,9 +174,13 @@ def _shoelace(verts: np.ndarray) -> float:
 
 
 def _ccw_vertices(shape: Shape) -> np.ndarray:
-    """Vertices of the shape ordered counterclockwise (degenerate shapes as stored)."""
+    """Vertices of the shape ordered counterclockwise (degenerate shapes as stored).
+
+    A Rect's corners are counterclockwise by construction (u_min < u_max,
+    v_min < v_max), so only a polyline's orientation is read off its shoelace.
+    """
     verts = np.asarray(_shape_vertices(shape), dtype=float)
-    if _shoelace(verts) < 0:
+    if isinstance(shape, Polyline) and _shoelace(verts) < 0:
         verts = verts[::-1]
     return verts
 
@@ -236,16 +243,20 @@ def area(loop: LoopSpec) -> AreaResult:
     both go through their counterclockwise corners; the orientation sets the
     sign.  Degenerate (zero-area) polylines legally return sigma = 0.
     abs_error_estimate bounds the rounding of the edge sum.  A loop whose
-    area overflows double precision raises ValueError.
+    area overflows double precision raises ValueError, and so does one whose
+    |sigma| exceeds MAX_GATE_PHASE, where no gate phase is resolved.
     """
     if is_degenerate(loop):
         return AreaResult(sigma=0.0, method=AREA_METHOD, abs_error_estimate=0.0)
     terms = _edge_integrals(loop.plane, _ccw_vertices(loop.shape))
-    value = float(_finite_sum(terms))
+    sigma = loop.orientation * float(_finite_sum(terms))
+    if abs(sigma) > MAX_GATE_PHASE:
+        raise ValueError(
+            f"weighted area {sigma:.4g} exceeds {MAX_GATE_PHASE:.4g} rad, past which a double "
+            "does not resolve the gate phase; the loop reaches too far"
+        )
     rounding = _ROUNDING_ULPS * np.finfo(float).eps * np.sum(np.abs(terms))
-    return AreaResult(
-        sigma=loop.orientation * value, method=AREA_METHOD, abs_error_estimate=float(rounding)
-    )
+    return AreaResult(sigma=sigma, method=AREA_METHOD, abs_error_estimate=float(rounding))
 
 
 def polygon_sigma_exact(plane: PlaneId, verts: np.ndarray) -> np.ndarray:

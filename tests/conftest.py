@@ -239,6 +239,91 @@ def binary_power(kick, count, state):
         kick = kick @ kick
 
 
+def dense_dwell(stack, mask):
+    """A block's dwell in its inner eigenbasis V as one matrix, from its sector stack.
+
+    kicked.sector_dwells keeps only the stack; each sector's block, unpadded,
+    lands on the diagonal, and the matrix is exactly zero between sectors.
+    """
+    sizes = mask.sum(axis=1)
+    dense = np.zeros((sizes.sum(),) * 2, dtype=complex)
+    for part, start, size in zip(stack, np.cumsum(sizes) - sizes, sizes):
+        dense[start : start + size, start : start + size] = part[:size, :size]
+    return dense
+
+
+def interleaved_real_form(matrix):
+    """R(M) with (x.view(float64) @ R(M)).view(complex128) == x @ M: each entry a 2 x 2 block."""
+    rows, cols = matrix.shape
+    form = np.empty((rows, 2, cols, 2))
+    form[:, 0, :, 0] = form[:, 1, :, 1] = matrix.real
+    form[:, 0, :, 1] = matrix.imag
+    np.negative(matrix.imag, out=form[:, 1, :, 0])
+    return form.reshape(2 * rows, 2 * cols)
+
+
+def v_basis_kicked(schedule):
+    """The kicked route with its tilted edges in the inner eigenbasis V, as (code map, leakage).
+
+    The reference for kicked._tilted_edge's paired basis: the tilted loop
+    the kicked route ran before it, kept verbatim.  Each kick is the row
+    scalings by I's phases in V around the complex step V^dag O V, and the
+    step and the dense dwell go through interleaved real forms.  Axis-aligned
+    edges take the route's own sector powers.
+    """
+    runs = kicked._schedule_runs(schedule)
+    factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
+    stacks = kicked.sector_dwells(factory, schedule.chi, schedule.delta_t)
+    tilted = not all(run.axis_aligned for run in runs)
+    dim = schedule.loop.plane.code_dim
+    code_map = np.zeros((dim, dim), dtype=complex)
+    leakages = []
+    for block, dwell_stack in zip(factory.blocks, stacks):
+        w = block.values
+        mask = block.sector_mask
+        w_stack = np.zeros(mask.shape)
+        w_stack[mask] = w
+        state = block.code_eig
+        if tilted:
+            dwell_re = interleaved_real_form(dense_dwell(dwell_stack, mask).T)
+            rows = np.empty(state.T.shape, dtype=complex)
+            scaled = np.empty_like(rows)
+            rows_re, scaled_re = rows.view(np.float64), scaled.view(np.float64)
+            following = np.empty(w.size, dtype=complex)
+        for run in runs:
+            outer0, inner0 = factory.split(*run.start)
+            outer1, inner1 = factory.split(*run.end)
+            outer_step = (outer0 - outer1) / run.count
+            if run.axis_aligned:
+                inners = inner0 + (inner1 - inner0) * np.arange(2) / run.count
+                if outer0 == outer1:
+                    kick = dwell_stack * np.exp(1j * (inners[1] - inners[0]) * w_stack)[:, None, :]
+                    state = kicked.power_sectors(kick, run.count, state, mask)
+                else:
+                    phase = np.exp(-1j * inners[0] * w)[:, None]
+                    step = phase.conj() * block.outer_kick(outer_step) * phase.T
+                    kick = (dwell_stack @ kicked._stacked(step, mask))[mask]
+                    state = kicked._power_apply(kick, run.count, state)
+            else:
+                step_re = interleaved_real_form(block.outer_kick(outer_step).T)
+                inner_step = (inner1 - inner0) / run.count
+                rows[...] = state.T
+                for start in range(0, run.count, connection.MAGNUS_BATCH):
+                    size = min(connection.MAGNUS_BATCH, run.count - start)
+                    phases = block.phases(inner0 + inner_step * start, inner_step, size + 1)
+                    for k in range(size):
+                        np.multiply(rows, phases[:, k], out=scaled)
+                        np.matmul(scaled_re, step_re, out=rows_re)
+                        np.conjugate(phases[:, k + 1], out=following)
+                        np.multiply(rows, following, out=scaled)
+                        np.matmul(scaled_re, dwell_re, out=rows_re)
+                state = rows.T.copy()
+        overlap = block.code_eig.conj().T @ state
+        code_map[np.ix_(block.columns, block.columns)] = connection.polar_unitary(overlap)
+        leakages.append(kicked._leakage(state, overlap))
+    return code_map, max(leakages)
+
+
 def regular_polygon(plane, count, center=(0.2, 0.12), radius=0.05):
     """A counterclockwise regular polygon with `count` edges."""
     angles = 2.0 * math.pi * np.arange(count) / count

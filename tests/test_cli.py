@@ -285,6 +285,20 @@ def test_transport_overflow_exits_2(capsys, tmp_path, loop):
     assert line == "error: transport overflows double precision; the loop reaches too far"
 
 
+@pytest.mark.parametrize(
+    "argv", [["area"], ["gate"], ["oracle"], ["oracle", "--method", "connection"]]
+)
+def test_gate_phase_past_double_resolution_exits_2(capsys, tmp_path, argv):
+    # sigma = 1.8e149 rad, where one ulp of the phase is about 2e133 rad; the transport
+    # itself does not overflow, so the oracle is refused by the area after it
+    far = write_loop(tmp_path, "far.json", LoopSpec(PlaneId.I, Rect(0.0, 1e150, 0.0, 0.1)))
+    assert cli.main([argv[0], far, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: weighted area 1.813e+149 exceeds 4.504e+15 rad")
+
+
 @pytest.mark.parametrize("u_max,increment", [(1e150, "2.004e+147"), (1e300, "2.004e+297")])
 def test_kicked_increment_of_a_far_loop_is_finite_and_short(capsys, tmp_path, u_max, increment):
     far = write_loop(tmp_path, "far.json", LoopSpec(PlaneId.I, Rect(0.0, u_max, 0.0, 0.1)))

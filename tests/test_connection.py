@@ -25,6 +25,7 @@ from conftest import (
     convex_polygons,
     corner_populations,
     curvature_coefficient,
+    dense_dwell,
     matrix_magnus_transport,
     per_edge_transport,
     plane_generators,
@@ -187,8 +188,9 @@ def held_arrays(owner):
 
 def test_control_blocks_hold_two_dense_matrices():
     # each plane III parity block (98 states at cutoff 14) keeps its inner
-    # eigenvectors V and W = V^dag V_o; everything else it holds is a few columns
-    factory = connection.frame_factory(PlaneId.III, 14)
+    # eigenvectors V and W = V^dag V_o; everything else it holds is a few columns.
+    # A fresh factory: a tilted kicked edge elsewhere would have built the paired basis
+    factory = connection.FrameFactory(PlaneId.III, 14)
     for block in factory.blocks:
         block.code_eig  # built on first use; count it too
         block.outer_kick(0.01)
@@ -197,6 +199,84 @@ def test_control_blocks_hold_two_dense_matrices():
         dense = [a for a in arrays if a.shape == (size, size)]
         assert size == 98 and len(dense) == 2
         assert sum(a.nbytes for a in arrays) <= 2 * size**2 * 16 + 8 * size * 16
+        # a tilted edge adds the real Q and P and the complex T
+        block.outer_step(0.01)
+        block.to_paired
+        arrays = list(held_arrays(block)) + [a for pair in vars(block).values()
+                                             if isinstance(pair, tuple) for a in pair]
+        dense = [a for a in arrays if a.shape == (size, size)]
+        assert len(dense) == 5
+        assert sum(a.nbytes for a in arrays) <= 3 * size**2 * 16 + 2 * size**2 * 8 + 9 * size * 16
+
+
+# odd cutoffs leave a zero mode without a partner: plane I's odd parity chain, and
+# plane III's even block at cutoff 13 (13 odd sectors)
+PAIRED_CASES = [(PlaneId.I, 60), (PlaneId.I, 61), (PlaneId.II, 60), (PlaneId.II, 61),
+                (PlaneId.III, 14), (PlaneId.III, 13)]
+
+
+@pytest.mark.parametrize("plane,cutoff", PAIRED_CASES)
+def test_paired_basis_turns_each_pair_and_holds_the_zero_modes(plane, cutoff):
+    factory = connection.FrameFactory(plane, cutoff)
+    lone = 0
+    for block in factory.blocks:
+        basis, rates = block.paired_basis
+        n = block.index.size
+        to_paired = block.to_paired
+        # real on planes I and III; orthonormal, as V itself is (1.8e-15 by the same product)
+        assert np.isrealobj(basis) == factory.real_controls
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(n))) < 1e-14
+        assert np.max(np.abs(to_paired.conj().T @ to_paired - np.eye(n))) < 1e-14
+        # I(i) in Q, T diag(exp(-i i w)) T^dag, turns each pair by i w and fixes the rest
+        pairs = 2 * np.arange(rates.size)
+        for inner in (0.3, -0.7):
+            turned = to_paired @ (np.exp(-1j * inner * block.values)[:, None] * to_paired.conj().T)
+            expected = np.eye(n)
+            cos, sin = np.cos(inner * rates), np.sin(inner * rates)
+            expected[pairs, pairs] = expected[pairs + 1, pairs + 1] = cos
+            expected[pairs, pairs + 1], expected[pairs + 1, pairs] = -sin, sin
+            assert np.max(np.abs(turned - expected)) < 1e-13
+        # one zero mode per odd sector; they pair at rate 0, and an odd one out comes last
+        zeros = sum(sector.index.size % 2 for sector in block.sectors)
+        assert rates.size == n // 2
+        assert np.count_nonzero(rates == 0.0) == zeros // 2
+        assert np.all(rates[: rates.size - zeros // 2] > 0.0)
+        lone += n % 2
+    assert lone == cutoff % 2
+
+
+@pytest.mark.parametrize("plane,cutoff", PAIRED_CASES)
+def test_outer_step_is_the_outer_propagator_in_the_paired_basis(plane, cutoff):
+    factory = connection.FrameFactory(plane, cutoff)
+    for block in factory.blocks:
+        to_paired = block.to_paired
+        for d_outer in (0.013, -0.04):
+            step = block.outer_step(d_outer)
+            reference = to_paired @ block.outer_kick(d_outer) @ to_paired.conj().T
+            assert np.max(np.abs(step - reference)) < 1e-14
+            if factory.real_controls:
+                # real by construction, where the complex product leaves rounding
+                assert step.dtype == np.float64
+                assert np.max(np.abs(reference.imag)) < 1e-14
+            else:
+                assert np.max(np.abs(step.imag)) > 1e-3
+
+
+OVERFLOW_LOOPS = [
+    pytest.param(LoopSpec(PlaneId.I, Rect(0.0, 1e200, 0.0, 0.1)), 40, id="plane-I"),
+    pytest.param(LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 1e200)), 14, id="plane-III"),
+    pytest.param(LoopSpec(PlaneId.II, Polyline(((0.0, 0.0), (1e200, 0.05), (0.0, 0.1)))), 40,
+                 id="plane-II-tilted"),
+]
+
+
+@pytest.mark.parametrize("loop,cutoff", OVERFLOW_LOOPS)
+def test_overflowing_edges_raise_before_numpy_warns(loop, cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(ValueError, match="^transport overflows double precision"):
+            connection.holonomy_path_ordered(loop, cutoff, 2000)
 
 
 SECTOR_CASES = [
@@ -217,7 +297,7 @@ def test_control_block_bases_are_direct_sums_of_sector_bases(plane, cutoff, size
     mode_count = 2 if plane is PlaneId.III else 1
     dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
     dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-    for block, block_sizes, (stack, dense) in zip(factory.blocks, sizes, dwells):
+    for block, block_sizes, stack in zip(factory.blocks, sizes, dwells):
         # the sectors, laid out one after another, partition the block
         assert sorted(sector.index.size for sector in block.sectors) == sorted(block_sizes)
         assert np.array_equal(block.index, np.concatenate([s.index for s in block.sectors]))
@@ -235,10 +315,10 @@ def test_control_block_bases_are_direct_sums_of_sector_bases(plane, cutoff, size
         assert not np.any(v[between])
         eigen = v.conj().T @ generator @ v
         assert np.max(np.abs(eigen - np.diag(block.values))) < 1e-14 * np.max(np.abs(block.values))
-        # the dwell in V is exactly zero between sectors, and its stack pads with I
-        assert not np.any(dense[between])
+        # the dwell in V is its stack's sector blocks, exactly zero between sectors,
+        # and the stack pads with I
         reference = (v.conj().T * dwell[block.index]) @ v
-        assert np.max(np.abs(dense - reference)) < 1e-14
+        assert np.max(np.abs(dense_dwell(stack, block.sector_mask) - reference)) < 1e-14
         for part, sector in zip(stack, block.sectors):
             size = sector.index.size
             padding = part.copy()

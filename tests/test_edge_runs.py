@@ -6,8 +6,9 @@ the stepped product of re-unitarized frame overlaps
 (conftest.stepped_holonomy) converges onto it as 1/steps^2.  On an
 axis-aligned edge every kick is the same matrix, so the kicked route raises
 it to the edge's kick count by repeated squaring, and on a tilted edge the
-kicks go one by one through real-form products; both are compared here with
-dense per-kick controls (conftest.stepped_kicks).
+kicks go one by one in the paired basis; both are compared here with dense
+per-kick controls (conftest.stepped_kicks), and the paired basis with the
+inner-eigenbasis loop it replaced (conftest.v_basis_kicked).
 """
 
 import math
@@ -30,6 +31,7 @@ from conftest import (
     regular_polygon,
     stepped_holonomy,
     stepped_kicks,
+    v_basis_kicked,
 )
 
 STEPS = 400
@@ -128,6 +130,29 @@ def test_kicked_polygons_match_stepped_kicks(loop, kicks, orientation):
     code_map, leakage = stepped_kicks(loop, cutoff, kicks)
     assert np.max(np.abs(result.code_map - code_map)) < 1e-10
     assert abs(result.leakage - leakage) < 1e-10
+
+
+@pytest.mark.parametrize("loop,cutoff", KICK_CASES)
+def test_paired_kicks_match_the_v_basis_loop(loop, cutoff):
+    schedule = KickSchedule(loop, KICKS, cutoff=cutoff)
+    result = kicked.run_kicked(schedule)
+    code_map, leakage = v_basis_kicked(schedule)
+    assert np.max(np.abs(result.code_map - code_map)) <= 1e-13
+    assert abs(result.leakage - leakage) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@settings(max_examples=20, deadline=None)
+@given(convex_polygons(planes=tuple(PlaneId)), st.integers(64, 256), st.sampled_from([1, -1]),
+       st.booleans())
+def test_paired_kicks_match_the_v_basis_loop_on_polygons(loop, kicks, orientation, odd):
+    loop = LoopSpec(loop.plane, loop.shape, orientation)
+    cutoff = (12 if loop.plane is PlaneId.III else 40) + odd
+    schedule = KickSchedule(loop, kicks, cutoff=cutoff)
+    result = kicked.run_kicked(schedule)
+    code_map, leakage = v_basis_kicked(schedule)
+    assert np.max(np.abs(result.code_map - code_map)) <= 1e-13
+    assert abs(result.leakage - leakage) <= 1e-13
 
 
 # Rects whose axis-aligned edges take 1 and 64 kicks (thin) or 31 and 16 (wide):

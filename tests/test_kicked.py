@@ -8,7 +8,7 @@ from hologate.exceptions import AdiabaticityWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import binary_power, formula_gate_in_frame, infidelity
+from conftest import binary_power, dense_dwell, formula_gate_in_frame, infidelity
 
 # extent small enough that finite-kick effects sit below 1e-12
 ZERO_CONTROL_LOOP = LoopSpec(
@@ -104,32 +104,61 @@ def test_real_form_is_the_complex_product_on_rows(size, rows):
     rng = np.random.default_rng(10 * size + rows)
     matrix = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     x = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
-    # the kicked route passes transposed views
+    # the kicked route holds complex rows as [Re | Im] and passes transposed matrices
     for m in (matrix, matrix.T):
-        got = (x.view(np.float64) @ kicked.real_form(m)).view(np.complex128)
+        got = np.hstack([x.real, x.imag]) @ kicked.real_form(m)
         expected = x @ m
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert got.shape == (rows, 2 * size)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got[:, :size] - expected.real)) <= 1e-14 * scale
+        assert np.max(np.abs(got[:, size:] - expected.imag)) <= 1e-14 * scale
 
 
 def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
-    shapes = []
-    original = kicked.real_form
+    # fresh factories, so that what a loop builds is seen whatever ran before
+    factories = {}
 
-    def counted(matrix):
-        shapes.append(matrix.shape)
-        return original(matrix)
+    def fresh(plane, cutoff):
+        if (plane, cutoff) not in factories:
+            factories[plane, cutoff] = connection.FrameFactory(plane, cutoff)
+        return factories[plane, cutoff]
 
-    monkeypatch.setattr(kicked, "real_form", counted)
+    steps, forms = [], []
+    outer_step, real_form = connection.ControlBlock.outer_step, kicked.real_form
+
+    def counted_step(self, d_outer):
+        step = outer_step(self, d_outer)
+        steps.append(step.dtype)
+        return step
+
+    def counted_form(matrix):
+        forms.append(matrix.shape)
+        return real_form(matrix)
+
+    monkeypatch.setattr(connection, "frame_factory", fresh)
+    monkeypatch.setattr(connection.ControlBlock, "outer_step", counted_step)
+    monkeypatch.setattr(kicked, "real_form", counted_form)
     for loop, cutoff in [(connection.CALIBRATION_RECT, 24),
                          (LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)), 12)]:
         kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
-    assert shapes == []
-    # one axis-aligned edge and two tilted ones, on plane I's one block:
-    # the dwell's real form, then one per tilted edge for its outer step
+    assert steps == [] and forms == []
+    # a rect builds no paired basis, no outer pairs and no paired dwell
+    lazy = ("paired_basis", "to_paired", "outer_pairs")
+    for factory in factories.values():
+        assert not any(name in vars(block) for block in factory.blocks for name in lazy)
+        assert all("paired" not in kept for kept in factory.dwells.values())
+    # one axis-aligned edge and two tilted ones, on plane I's one block: one real
+    # step per tilted edge, and the paired dwell's real form once
     triangle = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.0), (0.05, 0.1))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
-    assert shapes == [(24, 24)] * 3
+    kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
+    assert steps == [np.float64] * 4 and forms == [(24, 24)]
+    # plane II's steps are complex, and each goes through a real form
+    steps.clear()
+    forms.clear()
+    triangle = LoopSpec(PlaneId.II, Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08))))
+    kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
+    assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
 
 
 @pytest.mark.parametrize("count", [1, 2, 31, 64, 256])
@@ -137,8 +166,9 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
 def test_stacked_inner_power_is_the_dense_power(plane, cutoff, count):
     factory = connection.frame_factory(plane, cutoff)
     dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-    for block, (stack, dense) in zip(factory.blocks, dwells):
+    for block, stack in zip(factory.blocks, dwells):
         mask = block.sector_mask
+        dense = dense_dwell(stack, mask)
         w_stack = np.zeros(mask.shape)
         w_stack[mask] = block.values
         # the kick of an inner-direction edge: I's phase step, then the dwell
@@ -188,11 +218,12 @@ def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutof
     dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
     assert kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T) is dwells
     assert list(factory.dwells) == [(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
-    for block, (stack, dense) in zip(factory.blocks, dwells):
-        assert not stack.flags.writeable and not dense.flags.writeable
+    for block, stack in zip(factory.blocks, dwells):
+        assert not stack.flags.writeable
         # an outer-direction kick: the dwell after a dense step, through the stack
-        step = random_unitaries(rng, dense.shape)
         mask = block.sector_mask
+        dense = dense_dwell(stack, mask)
+        step = random_unitaries(rng, dense.shape)
         got = (stack @ kicked._stacked(step, mask))[mask]
         assert np.max(np.abs(got - dense @ step)) <= 1e-15
     # another dwell replaces the kept one: the factory holds one dwell at a time

@@ -381,3 +381,39 @@ def test_exact_contour_matches_closed_form_vectorized():
     batch = np.stack([verts, verts])
     sigmas = loops.polygon_sigma_exact(PlaneId.II, batch)
     assert np.allclose(sigmas, 3.0 * math.pi / 16.0, atol=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.floats(0.0, 1e3), st.floats(1e-6, 1e3),
+    st.sampled_from([1, -1]),
+)
+def test_rect_corners_are_counterclockwise_without_the_shoelace(u0, du, v0, dv, orientation):
+    rect = Rect(u0, u0 + du, v0, v0 + dv)
+    corners = np.asarray(rect.vertices_ccw(), dtype=float)
+    # the rect's own corners, bit for bit, as the shoelace ordering gave them wherever the
+    # shoelace did not round negative
+    assert np.array_equal(loops._ccw_vertices(rect), corners)
+    expected = corners if orientation == 1 else np.roll(corners[::-1], 1, axis=0)
+    got = loops.boundary_vertices(LoopSpec(PlaneId.I, rect, orientation))
+    assert np.array_equal(got, expected)
+
+
+def test_rect_corners_stay_counterclockwise_where_the_shoelace_rounds_negative():
+    # the shoelace's products of 1e15-sized corners round to -1.4e14 for a true area of
+    # 4096: read off it, the corners would be traversed clockwise
+    rect = Rect(1e15, 1e15 + 64.0, 1e15, 1e15 + 64.0)
+    corners = np.asarray(rect.vertices_ccw(), dtype=float)
+    assert loops._shoelace(corners) < 0
+    assert np.array_equal(loops.boundary_vertices(LoopSpec(PlaneId.I, rect)), corners)
+
+
+def test_area_refuses_a_gate_phase_past_double_resolution():
+    near = LoopSpec(PlaneId.I, Rect(0.0, 2.0**51, 0.0, 10.0))
+    assert 0.99 * 2.0**51 < loops.area(near).sigma < loops.MAX_GATE_PHASE
+    far = LoopSpec(PlaneId.I, Rect(0.0, 1e150, 0.0, 0.1), -1)
+    with pytest.raises(ValueError, match=r"^weighted area -1\.813e\+149 exceeds 4\.504e\+15 rad"):
+        loops.area(far)
+    # a non-finite sum keeps its own message
+    with pytest.raises(ValueError, match="overflows"):
+        loops.area(LoopSpec(PlaneId.III, Rect(0.0, 1000.0, 0.0, 0.1)))
