@@ -200,7 +200,7 @@ def cmd_error(args) -> int:
             record["paper_stated_value"] = {
                 "delta_coefficients": list(error_model.PAPER_STATED_DELTA_COEFFICIENTS)
             }
-    elif args.statistical is not None:
+    else:
         amplitude, samples = args.statistical
         if not samples.is_integer():
             raise ValueError(f"--statistical SAMPLES must be an integer, got {samples!r}")
@@ -215,8 +215,6 @@ def cmd_error(args) -> int:
                 "samples": summary.samples,
             }
         )
-    else:
-        raise ValueError("cmd_error needs --shift or --statistical")
     _emit(record, args.precision)
     return EXIT_OK
 
@@ -293,10 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_error = sub.add_parser("error", help="border-shift or statistical error analysis")
     p_error.add_argument("loop_file")
-    p_error.add_argument(
+    analysis = p_error.add_mutually_exclusive_group(required=True)
+    analysis.add_argument(
         "--shift", type=_border_shift, default=None, help="du_lo,du_hi,dv_lo,dv_hi"
     )
-    p_error.add_argument(
+    analysis.add_argument(
         "--statistical", nargs=2, type=_finite_float, metavar=("AMPLITUDE", "SAMPLES"),
         default=None,
     )

@@ -135,14 +135,14 @@ class ControlBlock(CodeBlock):
     restricted to the block is V_o diag(w_o) V_o^dag times -i; the block keeps
     `outer_values` w_o and `outer_vectors` W = V^dag V_o, the outer
     eigenvectors in V, so that its only dense matrices are V and W until a
-    tilted kicked edge asks for the paired basis.
+    kicked loop with a tilted edge asks for the paired basis.
 
-    The paired basis Q (paired_basis) is where the kicked route runs its
-    tilted edges: there I(i) is a rotation of each pair of columns, and with
-    `real_controls` (planes I and III) Q is real and so is the outer step
-    Q^dag O Q (outer_step).  to_paired (T = Q^dag V) carries columns from V
-    to Q, and outer_pairs holds the outer eigenvectors in Q.  All three are
-    built on first use: a loop of axis-aligned edges builds none of them.
+    The paired basis Q (paired_basis) is where the kicked route runs every
+    edge of a loop with a tilted edge: there I(i) is a rotation of each pair
+    of columns, and with `real_controls` (planes I and III) Q is real and so
+    is the outer step Q^dag O Q (outer_step), one product of the outer
+    eigenvectors in Q (paired_outer_vectors).  Both are built on first use: a
+    loop of axis-aligned edges builds neither.
     """
 
     def __init__(
@@ -216,47 +216,22 @@ class ControlBlock(CodeBlock):
         return basis, np.concatenate(rates)
 
     @cached_property
-    def to_paired(self) -> np.ndarray:
-        """T = Q^dag V: a column in V is T^dag times the same column in Q."""
+    def paired_outer_vectors(self) -> np.ndarray:
+        """X = Q^dag V W: the outer eigenvectors in the paired basis Q."""
         basis, _ = self.paired_basis
-        return basis.conj().T @ self.vectors
-
-    @cached_property
-    def outer_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, rates): the outer eigenvectors in Q as real pairs, and the rate of each pair.
-
-        G_o is real on every plane, so its eigenvector x at w_o > 0 has the
-        partner conj(x) at -w_o, and O(d) rotates a = sqrt(2) Re x and
-        b = sqrt(2) Im x by d w_o as I(i) rotates a pair of Q; the kernel
-        of G_o has a real orthonormal basis z, the left singular vectors of
-        [Re Z, Im Z] for its eigenvectors Z.  P = Q^dag [A | B | Z], the
-        columns in that order, so that O(d) = Q P' P^dag Q^dag with the
-        rotated P' (outer_step).  P is real when Q is.
-        """
-        fock_vectors = self.vectors @ self.outer_vectors
-        w = self.outer_values
-        tolerance = 1e-9 * max(1.0, float(np.max(np.abs(w))))
-        up, kernel = w > tolerance, np.abs(w) <= tolerance
-        up_vectors = math.sqrt(2.0) * fock_vectors[:, up]
-        zero = fock_vectors[:, kernel]
-        real_kernel = np.linalg.svd(np.hstack([zero.real, zero.imag]), full_matrices=False)[0]
-        columns = np.hstack([up_vectors.real, up_vectors.imag, real_kernel[:, : zero.shape[1]]])
-        basis, _ = self.paired_basis
-        return basis.conj().T @ columns, w[up]
+        return basis.conj().T @ (self.vectors @ self.outer_vectors)
 
     def outer_step(self, d_outer: float) -> np.ndarray:
-        """S = Q^dag O(d_outer) Q on the block: one product of P' and P^dag (outer_pairs).
+        """S = Q^dag O(d_outer) Q = X exp(-i d_outer w_o) X^dag on the block (paired_outer_vectors).
 
-        P' turns each pair (a, b) of P to (cos a + sin b, cos b - sin a) at
-        angle d_outer w_o, and leaves the kernel as it is.  S is real when Q
-        is (planes I and III).
+        With `real_controls` Q and O are real, so S is real up to rounding
+        in the imaginary part, which is dropped: S is then a C-contiguous
+        float64 array, which the kicked route's real products take as they
+        are.  On plane II S is complex.
         """
-        pairs, rates = self.outer_pairs
-        count = rates.size
-        cos, sin = np.cos(d_outer * rates), np.sin(d_outer * rates)
-        a, b = pairs[:, :count], pairs[:, count : 2 * count]
-        turned = np.hstack([a * cos + b * sin, b * cos - a * sin, pairs[:, 2 * count :]])
-        return turned @ pairs.conj().T
+        x = self.paired_outer_vectors
+        step = (x * np.exp(-1j * d_outer * self.outer_values)[None, :]) @ x.conj().T
+        return np.ascontiguousarray(step.real) if self.real_controls else step
 
     @cached_property
     def code_rows(self) -> np.ndarray:
@@ -323,9 +298,10 @@ class FrameFactory:
     `top_outer_vectors` holds, per block, the rows of V W (the outer
     eigenvectors in the Fock basis) at its top-quartile Fock levels, for the
     truncation check.  `dwells` holds, for one (chi, delta_t), the kicked
-    route's Kerr dwell per block as a stack of sector blocks
-    (kicked.sector_dwells) and, from the first tilted edge on, as a 2n x 2n
-    real form in the block's paired basis (kicked.paired_dwells).
+    route's Kerr dwell per block, as a stack of sector blocks for loops of
+    axis-aligned edges (kicked.sector_dwells) and as a 2n x 2n real form in
+    the block's paired basis for loops with a tilted edge
+    (kicked.paired_dwells), each built on first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):

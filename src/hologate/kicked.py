@@ -12,28 +12,28 @@ unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
 at the current point is simply the population outside the bare code levels.
 The state is held block by block (the invariant blocks of the two control
-generators, two parity blocks on plane III).  On an axis-aligned edge it is
-held in the eigenbasis of the inner control generator, where the inner
-control factor of every kick is a diagonal phase.  That eigenbasis is the
-direct sum of the bases of the sectors of the inner generator
-(FrameFactory), and the Kerr dwell, diagonal in the Fock basis, is
-block-diagonal by sector in it.  Only the state after the whole loop is
-kept: on an axis-aligned edge every kick is the same matrix, which is
-raised to the edge's kick count by squaring while the count is large and
-then applied to the columns (_power_apply) instead of being applied kick by
-kick.  Along the inner control that kick is block-diagonal by sector too, so
-it is powered as a stack of small sector blocks (two parity chains of 30
-states on planes I/II at cutoff 60, 13 and 14 chains of at most 14 states
-per parity block on plane III at cutoff 14); along the outer control it is
-dense, but its dwell factor is applied sector by sector.
-On a tilted edge the kicks differ and are applied one by one, to the code
-columns held as real rows in the block's paired basis
-(ControlBlock.paired_basis): there the inner factor is a rotation of each
-pair of basis columns, one complex multiply on the rows' complex view, and
-on planes I and III the outer step is a real matrix, so a kick reads n^2
-doubles for it where a complex step on complex rows reads 4 n^2.  The dwell
-goes through its 2n x 2n real form (real_form), and every kick writes into
-the same two buffers.
+generators, two parity blocks on plane III), in one basis per loop.  A loop
+whose edges are all axis-aligned holds it in the eigenbasis of the inner
+control generator, where the inner control factor of every kick is a
+diagonal phase.  That eigenbasis is the direct sum of the bases of the
+sectors of the inner generator (FrameFactory), and the Kerr dwell, diagonal
+in the Fock basis, is block-diagonal by sector in it.  Only the state after
+the whole loop is kept: on an axis-aligned edge every kick is the same
+matrix, which is raised to the edge's kick count by squaring while the count
+is large and then applied to the columns (_power_apply) instead of being
+applied kick by kick.  Along the inner control that kick is block-diagonal
+by sector too, so it is powered as a stack of small sector blocks (two
+parity chains of 30 states on planes I/II at cutoff 60, 13 and 14 chains of
+at most 14 states per parity block on plane III at cutoff 14); along the
+outer control it is dense, but its dwell factor is applied sector by sector.
+A loop with a tilted edge holds the code columns as real rows in the block's
+paired basis (ControlBlock.paired_basis) on every edge, axis-aligned ones
+included, and applies its kicks one by one: there the inner factor is a
+rotation of each pair of basis columns, one complex multiply on the rows'
+complex view, and on planes I and III the outer step is a real matrix, so a
+kick reads n^2 doubles for it where a complex step on complex rows reads
+4 n^2.  The dwell goes through its 2n x 2n real form (real_form), and every
+kick writes into the same two buffers.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
     """The dwell Q^dag exp(-i H0 delta_t) Q on each block, as the real form of its transpose.
 
     That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
-    held as [Re | Im] rows: a 2n x 2n real matrix per n-state block, built on
-    the first tilted edge and kept, read-only, beside the sector stacks.
+    held as [Re | Im] rows: a 2n x 2n real matrix per n-state block, built for
+    the first loop with a tilted edge and kept, read-only, beside the sector stacks.
     """
     kept = _kept_dwells(factory, chi, delta_t)
     if "paired" not in kept:
@@ -208,7 +208,7 @@ def power_sectors(kick: np.ndarray, count: int, state: np.ndarray, mask: np.ndar
 
 
 def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> None:
-    """`count` kicks of a tilted edge on the columns held as paired rows, in place.
+    """`count` kicks of one edge on the columns held as paired rows, in place.
 
     `rows` is (columns, 2n): each column in Q as [Re | Im], so that its
     (2 columns, n) view holds real rows with each pair of Q adjacent, and the
@@ -220,7 +220,8 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> No
     as the dwell always does.  The rotations exp(i w i) come from
     connection.phase_table, in tables of connection.MAGNUS_BATCH kicks each,
     the ones back conjugated once per table, and every kick writes into the
-    same two buffers.
+    same two buffers.  An axis-aligned edge of a loop in Q is the same loop
+    with inner_step = 0 or S = outer_step(0).
     """
     columns, width = rows.shape
     n = width // 2
@@ -244,93 +245,92 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> No
             np.dot(ahead, dwell_form, out=rows)
 
 
+def _inner_basis_loop(block, runs, factory, dwell_stack) -> np.ndarray:
+    """The block's code columns in V after a loop of axis-aligned edges, edge by edge as powers.
+
+    In the inner eigenbasis V, I(i) = V diag(exp(-i i w)) V^dag is a
+    diagonal phase and the dwell D = V^dag exp(-i H0 dt) V is block-diagonal
+    by sector of G_i (sector_dwells).  The whole kick K of an edge is
+    constant, and K^count is applied to the columns by _power_apply:
+    squarings while the count is large, then the squared kick applied to the
+    columns.  Along the inner control (o = o') the step V^dag O V is the
+    identity, so K = D diag(exp(i (i' - i) w)) is block-diagonal by sector
+    too, and it is powered as one stack of sector blocks (power_sectors): on
+    plane III at cutoff 14 a squaring then costs 14 products of 14 x 14
+    blocks instead of one 98 x 98 product.  Along the outer control K is
+    dense, and D is multiplied onto the phased step through its sector
+    stack: 14 products of 14 x 14 blocks by 14 x 98 rows instead of one
+    98 x 98 product.  These kicks stay complex.
+    """
+    w = block.values
+    mask = block.sector_mask
+    w_stack = np.zeros(mask.shape)
+    w_stack[mask] = w
+    state = block.code_eig
+    for run in runs:
+        outer0, inner0 = factory.split(*run.start)
+        outer1, inner1 = factory.split(*run.end)
+        inners = inner0 + (inner1 - inner0) * np.arange(2) / run.count
+        if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
+            kick = dwell_stack * np.exp(1j * (inners[1] - inners[0]) * w_stack)[:, None, :]
+            state = power_sectors(kick, run.count, state, mask)
+        else:  # the dwell after the phased outer step, sector by sector
+            phase = np.exp(-1j * inners[0] * w)[:, None]
+            step = phase.conj() * block.outer_kick((outer0 - outer1) / run.count) * phase.T
+            kick = (dwell_stack @ _stacked(step, mask))[mask]
+            state = _power_apply(kick, run.count, state)
+    return state
+
+
+def _paired_loop(block, runs, factory, dwell_form) -> tuple[np.ndarray, np.ndarray]:
+    """(Q^dag c, the block's code columns in Q after the loop): every edge kick by kick in Q.
+
+    The columns start as the block's code columns c in the paired basis Q
+    and are held as [Re | Im] rows through _tilted_edge, where I(i) rotates
+    each pair of columns and, on planes I and III, the step
+    S = Q^dag O Q is real (ControlBlock.outer_step, built once per edge).
+    """
+    basis, rates = block.paired_basis
+    code = basis.conj().T @ block.code
+    rows = np.ascontiguousarray(np.hstack([code.T.real, code.T.imag]))
+    for run in runs:
+        outer0, inner0 = factory.split(*run.start)
+        outer1, inner1 = factory.split(*run.end)
+        step = block.outer_step((outer0 - outer1) / run.count)
+        inner_step = (inner1 - inner0) / run.count
+        _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, run.count)
+    n = basis.shape[1]
+    return code, (rows[:, :n] + 1j * rows[:, n:]).T
+
+
 def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per control block: its code columns, their code states and their states after the loop.
 
     No control leaves an invariant block of the two control generators
     (FrameFactory.blocks), so each block evolves its own code columns.  A
     kick from p to p' is C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), then the
-    dwell exp(-i H0 dt).
-
-    On an axis-aligned edge the columns are held in the block's inner
-    eigenbasis V, where I(i) = V diag(exp(-i i w)) V^dag is a diagonal phase
-    and the dwell D = V^dag exp(-i H0 dt) V is block-diagonal by sector of
-    G_i (sector_dwells).  The whole kick K is constant, and K^count is
-    applied to the columns by _power_apply: squarings while the count is
-    large, then the squared kick applied to the columns.  Along the inner control
-    (o = o') the step V^dag O V is the identity, so K = D diag(exp(i (i' - i) w))
-    is block-diagonal by sector too, and it is powered as one stack of sector
-    blocks (power_sectors): on plane III at cutoff 14 a squaring then costs
-    14 products of 14 x 14 blocks instead of one 98 x 98 product.  Along the
-    outer control K is dense, and D is multiplied onto the phased step
-    through its sector stack: 14 products of 14 x 14 blocks by 14 x 98 rows
-    instead of one 98 x 98 product.  These edges stay complex.
-
-    On a tilted edge the kicks differ and go one by one, in the block's
-    paired basis Q (ControlBlock.paired_basis), where I(i) rotates each pair
-    of columns and, on planes I and III, the step S = Q^dag O Q is real
-    (ControlBlock.outer_step, built once per edge): _tilted_edge.  A loop
-    that mixes both kinds carries its columns from V to Q and back with
-    T = Q^dag V at the boundaries of its runs of tilted edges, and only a
-    loop with a tilted edge builds Q, T, the outer pairs and the paired dwell.
+    dwell exp(-i H0 dt).  The code states and the evolved states are in one
+    basis per loop: a loop of axis-aligned edges runs in the inner
+    eigenbasis V with edge powers (_inner_basis_loop), and a loop with a
+    tilted edge runs every edge kick by kick in the paired basis Q
+    (_paired_loop).  Only a loop with a tilted edge builds Q, the outer
+    eigenvectors in Q and the paired dwell, and only a loop without one
+    builds the sector stacks.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
-    stacks = sector_dwells(factory, schedule.chi, schedule.delta_t)
     if all(run.axis_aligned for run in runs):
-        forms = [None] * len(stacks)
-    else:
-        forms = paired_dwells(factory, schedule.chi, schedule.delta_t)
-
-    def evolve(block: connection.ControlBlock, dwell_stack, dwell_form) -> np.ndarray:
-        w = block.values
-        mask = block.sector_mask
-        w_stack = np.zeros(mask.shape)
-        w_stack[mask] = w
-        state = block.code_eig
-        rows = None  # the columns in Q as [Re | Im] rows, while on tilted edges
-        for run in runs:
-            outer0, inner0 = factory.split(*run.start)
-            outer1, inner1 = factory.split(*run.end)
-            d_outer = (outer0 - outer1) / run.count
-            if run.axis_aligned:
-                if rows is not None:
-                    state, rows = _from_rows(block, rows), None
-                inners = inner0 + (inner1 - inner0) * np.arange(2) / run.count
-                if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
-                    kick = dwell_stack * np.exp(1j * (inners[1] - inners[0]) * w_stack)[:, None, :]
-                    state = power_sectors(kick, run.count, state, mask)
-                else:  # the dwell after the phased outer step, sector by sector
-                    phase = np.exp(-1j * inners[0] * w)[:, None]
-                    step = phase.conj() * block.outer_kick(d_outer) * phase.T
-                    kick = (dwell_stack @ _stacked(step, mask))[mask]
-                    state = _power_apply(kick, run.count, state)
-            else:
-                if rows is None:
-                    rows = _to_rows(block, state)
-                _, rates = block.paired_basis
-                inner_step = (inner1 - inner0) / run.count
-                step = block.outer_step(d_outer)
-                _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, run.count)
-        return state if rows is None else _from_rows(block, rows)
-
+        stacks = sector_dwells(factory, schedule.chi, schedule.delta_t)
+        return [
+            (block.columns, block.code_eig, _inner_basis_loop(block, runs, factory, stack))
+            for block, stack in zip(factory.blocks, stacks)
+        ]
+    forms = paired_dwells(factory, schedule.chi, schedule.delta_t)
     return [
-        (block.columns, block.code_eig, evolve(block, stack, form))
-        for block, stack, form in zip(factory.blocks, stacks, forms)
+        (block.columns, *_paired_loop(block, runs, factory, form))
+        for block, form in zip(factory.blocks, forms)
     ]
-
-
-def _to_rows(block: connection.ControlBlock, state: np.ndarray) -> np.ndarray:
-    """Columns in the block's inner eigenbasis V as rows in its paired basis, [Re | Im]."""
-    paired = (block.to_paired @ state).T
-    return np.ascontiguousarray(np.hstack([paired.real, paired.imag]))
-
-
-def _from_rows(block: connection.ControlBlock, rows: np.ndarray) -> np.ndarray:
-    """Rows from _to_rows back as columns in V."""
-    n = rows.shape[1] // 2
-    return block.to_paired.conj().T @ (rows[:, :n] + 1j * rows[:, n:]).T
 
 
 def _leakage(state: np.ndarray, overlap: np.ndarray) -> float:
@@ -353,8 +353,8 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
     dim = schedule.loop.plane.code_dim
     code_map = np.zeros((dim, dim), dtype=complex)  # exactly zero between blocks
     leakages = []
-    for columns, code_eig, state in _kicks(schedule):
-        overlap = code_eig.conj().T @ state
+    for columns, code, state in _kicks(schedule):
+        overlap = code.conj().T @ state
         code_map[np.ix_(columns, columns)] = connection.polar_unitary(overlap)
         leakages.append(_leakage(state, overlap))
     leakage = max(leakages)

@@ -168,6 +168,7 @@ def _has_proper_crossing(verts) -> bool:
 
 
 def _shoelace(verts: np.ndarray) -> float:
+    """Signed area of the polygon, which callers take relative to its first vertex."""
     u = verts[:, 0]
     v = verts[:, 1]
     return 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
@@ -180,7 +181,7 @@ def _ccw_vertices(shape: Shape) -> np.ndarray:
     v_min < v_max), so only a polyline's orientation is read off its shoelace.
     """
     verts = np.asarray(_shape_vertices(shape), dtype=float)
-    if isinstance(shape, Polyline) and _shoelace(verts) < 0:
+    if isinstance(shape, Polyline) and _shoelace(verts - verts[0]) < 0:
         verts = verts[::-1]
     return verts
 
@@ -270,11 +271,20 @@ def polygon_sigma_exact(plane: PlaneId, verts: np.ndarray) -> np.ndarray:
 
 
 def is_degenerate(loop: LoopSpec) -> bool:
+    """True for a polyline whose shoelace area is below the loop's own resolution.
+
+    The shoelace is taken relative to the first vertex and compared with
+    extent * max(extent, largest |coordinate|) times _DEGENERATE_AREA_EPS:
+    a fraction of the extent squared, or of the area that the rounding of
+    the coordinates can fake.  So a small loop or one far from the origin
+    keeps its area, and a collinear path reads 0 wherever it lies.
+    """
     if isinstance(loop.shape, Rect):
         return False
     verts = np.asarray(loop.shape.vertices, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(verts))) ** 2)
-    return abs(_shoelace(verts)) <= _DEGENERATE_AREA_EPS * scale
+    extent = float(np.max(np.ptp(verts, axis=0)))
+    scale = extent * max(extent, float(np.max(np.abs(verts))))
+    return abs(_shoelace(verts - verts[0])) <= _DEGENERATE_AREA_EPS * scale
 
 
 # ---------------------------------------------------------------------------

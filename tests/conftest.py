@@ -324,6 +324,12 @@ def v_basis_kicked(schedule):
     return code_map, max(leakages)
 
 
+def paired_transform(block):
+    """T = Q^dag V: a column in the inner eigenbasis V is T^dag times the same column in Q."""
+    basis, _ = block.paired_basis
+    return basis.conj().T @ block.vectors
+
+
 def regular_polygon(plane, count, center=(0.2, 0.12), radius=0.05):
     """A counterclockwise regular polygon with `count` edges."""
     angles = 2.0 * math.pi * np.arange(count) / count
@@ -344,6 +350,25 @@ def convex_polygons(draw, planes=(PlaneId.I, PlaneId.III)):
         (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)) for a in angles
     )
     return LoopSpec(plane, Polyline(verts))
+
+
+@st.composite
+def mixed_polygons(draw, planes=tuple(PlaneId)):
+    """Convex polygons with one or two axis-aligned edges and the rest tilted.
+
+    A triangle on a horizontal base, its apex strictly between the base's
+    ends, or a quadrilateral (0, 0), (a, 0), (a, h), (b, h2) with 0 < b < a
+    and h < h2, which adds a vertical edge; both shifted to a small corner.
+    """
+    plane = draw(st.sampled_from(planes))
+    corner = (draw(st.floats(0.0, 0.08)), draw(st.floats(0.0, 0.08)))
+    a, h = draw(st.floats(0.04, 0.12)), draw(st.floats(0.04, 0.12))
+    b = a * draw(st.floats(0.2, 0.8))
+    if draw(st.booleans()):
+        verts = ((0.0, 0.0), (a, 0.0), (b, h))
+    else:
+        verts = ((0.0, 0.0), (a, 0.0), (a, h), (b, h * draw(st.floats(1.2, 1.8))))
+    return LoopSpec(plane, Polyline(tuple((corner[0] + u, corner[1] + v) for u, v in verts)))
 
 
 def squeeze_generator(mu, cutoff):

@@ -330,6 +330,19 @@ def test_bad_numeric_option_exits_2_naming_it(capsys, tmp_path, hadamard_loop_fi
     assert len(lines) == 1 and option in lines[0]
 
 
+@pytest.mark.parametrize("analysis", [[], ["--shift", "0.01,0,0,0", "--statistical", "0.01", "64"]],
+                         ids=["neither", "both"])
+def test_error_takes_exactly_one_analysis(capsys, hadamard_loop_file, analysis):
+    # giving both used to run --shift alone and exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["error", hadamard_loop_file, *analysis])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "--shift" in lines[0] and "--statistical" in lines[0]
+
+
 def test_cli_import_loads_no_scipy():
     probe = (
         "import sys, hologate.cli; "

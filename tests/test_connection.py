@@ -27,6 +27,7 @@ from conftest import (
     curvature_coefficient,
     dense_dwell,
     matrix_magnus_transport,
+    paired_transform,
     per_edge_transport,
     plane_generators,
     regular_polygon,
@@ -199,14 +200,13 @@ def test_control_blocks_hold_two_dense_matrices():
         dense = [a for a in arrays if a.shape == (size, size)]
         assert size == 98 and len(dense) == 2
         assert sum(a.nbytes for a in arrays) <= 2 * size**2 * 16 + 8 * size * 16
-        # a tilted edge adds the real Q and P and the complex T
+        # a tilted edge adds the real Q and the complex X = Q^dag V W
         block.outer_step(0.01)
-        block.to_paired
         arrays = list(held_arrays(block)) + [a for pair in vars(block).values()
                                              if isinstance(pair, tuple) for a in pair]
         dense = [a for a in arrays if a.shape == (size, size)]
-        assert len(dense) == 5
-        assert sum(a.nbytes for a in arrays) <= 3 * size**2 * 16 + 2 * size**2 * 8 + 9 * size * 16
+        assert len(dense) == 4
+        assert sum(a.nbytes for a in arrays) <= 3 * size**2 * 16 + size**2 * 8 + 9 * size * 16
 
 
 # odd cutoffs leave a zero mode without a partner: plane I's odd parity chain, and
@@ -222,7 +222,7 @@ def test_paired_basis_turns_each_pair_and_holds_the_zero_modes(plane, cutoff):
     for block in factory.blocks:
         basis, rates = block.paired_basis
         n = block.index.size
-        to_paired = block.to_paired
+        to_paired = paired_transform(block)
         # real on planes I and III; orthonormal, as V itself is (1.8e-15 by the same product)
         assert np.isrealobj(basis) == factory.real_controls
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(n))) < 1e-14
@@ -249,14 +249,15 @@ def test_paired_basis_turns_each_pair_and_holds_the_zero_modes(plane, cutoff):
 def test_outer_step_is_the_outer_propagator_in_the_paired_basis(plane, cutoff):
     factory = connection.FrameFactory(plane, cutoff)
     for block in factory.blocks:
-        to_paired = block.to_paired
+        to_paired = paired_transform(block)
         for d_outer in (0.013, -0.04):
             step = block.outer_step(d_outer)
             reference = to_paired @ block.outer_kick(d_outer) @ to_paired.conj().T
             assert np.max(np.abs(step - reference)) < 1e-14
             if factory.real_controls:
-                # real by construction, where the complex product leaves rounding
-                assert step.dtype == np.float64
+                # real and contiguous for the real products, where the complex product
+                # leaves rounding in the imaginary part
+                assert step.dtype == np.float64 and step.flags.c_contiguous
                 assert np.max(np.abs(reference.imag)) < 1e-14
             else:
                 assert np.max(np.abs(step.imag)) > 1e-3

@@ -142,23 +142,26 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
                          (LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)), 12)]:
         kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
     assert steps == [] and forms == []
-    # a rect builds no paired basis, no outer pairs and no paired dwell
-    lazy = ("paired_basis", "to_paired", "outer_pairs")
+    # a rect builds no paired basis, no outer eigenvectors in it and no paired dwell
+    lazy = ("paired_basis", "paired_outer_vectors")
     for factory in factories.values():
         assert not any(name in vars(block) for block in factory.blocks for name in lazy)
         assert all("paired" not in kept for kept in factory.dwells.values())
-    # one axis-aligned edge and two tilted ones, on plane I's one block: one real
-    # step per tilted edge, and the paired dwell's real form once
+    # one axis-aligned edge and two tilted ones, on plane I's one block: the whole loop
+    # runs in Q, one real step per edge, the paired dwell's real form once, no sector stack
+    factories.clear()
     triangle = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.0), (0.05, 0.1))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
-    assert steps == [np.float64] * 4 and forms == [(24, 24)]
+    assert steps == [np.float64] * 6 and forms == [(24, 24)]
     # plane II's steps are complex, and each goes through a real form
     steps.clear()
     forms.clear()
     triangle = LoopSpec(PlaneId.II, Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
+    assert all("sectors" not in kept for factory in factories.values()
+               for kept in factory.dwells.values())
 
 
 @pytest.mark.parametrize("count", [1, 2, 31, 64, 256])

@@ -83,6 +83,28 @@ def test_line_integral_zero_for_back_and_forth_path():
     assert loops.area(flat).sigma == 0.0
 
 
+# a unit-by-0.5 square at x = 1e7 and a 1e-8 square, which used to read sigma = 0
+@pytest.mark.parametrize("rect", [Rect(1e7, 1e7 + 1.0, 0.1, 0.6), Rect(0.0, 1e-8, 0.1, 0.1 + 1e-8)],
+                         ids=["far", "tiny"])
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_far_and_tiny_polylines_read_their_rects_sigma(rect, orientation):
+    expected = loops.area(LoopSpec(PlaneId.I, rect, orientation))
+    corners = rect.vertices_ccw()
+    for verts in (corners, corners[::-1]):
+        got = loops.area(LoopSpec(PlaneId.I, Polyline(verts), orientation)).sigma
+        assert got != 0.0
+        assert abs(got - expected.sigma) <= expected.abs_error_estimate
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (3.3, 7.7), (1e7, 0.0), (0.0, 1e3), (1e7, 1e3)])
+@pytest.mark.parametrize("plane", list(PlaneId))
+def test_collinear_back_and_forth_paths_read_zero_near_and_far(plane, offset):
+    path = np.array([(0.0, 0.1), (0.5, 0.3), (0.25, 0.2)]) + offset
+    loop = LoopSpec(plane, Polyline(tuple(map(tuple, path))))
+    assert loops.is_degenerate(loop)
+    assert loops.area(loop).sigma == 0.0
+
+
 @pytest.mark.parametrize("plane", list(PlaneId))
 def test_quadrature_matches_closed_form_on_random_rects(plane):
     rng = np.random.default_rng(42)
