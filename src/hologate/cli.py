@@ -213,6 +213,7 @@ def cmd_error(args) -> int:
                 "mean_drift": summary.drift,
                 "amplitude": summary.amplitude,
                 "samples": summary.samples,
+                "samples_outside_domain": summary.outside_domain,
             }
         )
     _emit(record, args.precision)
@@ -243,6 +244,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def _border_shift(text: str) -> tuple[float, ...]:
     parts = tuple(_finite_float(tok) for tok in text.split(","))
     if len(parts) != 4:
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, default=2000,
         help="boundary sub-intervals (connection) / kick count (kicked)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--strict", action="store_true", help="truncation warnings become exit 4")
     parser.add_argument(
         "--precision", type=_positive_int, default=12, help="output significant digits"

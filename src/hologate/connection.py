@@ -32,8 +32,9 @@ Everything runs in the eigenbasis V of G_i, and G_i never leaves one of its
 sectors (the parity chains of the squeeze, the n1 - n2 chains of the
 two-mode squeeze).  So V is built sector by sector, one small eigh each, as
 the direct sum of the sector bases; the transport's code pair is two of these
-sectors, and a diagonal operator such as the kicked route's Kerr dwell is
-block-diagonal by sector in V.
+sectors.  The kicked route runs in the paired basis Q built from V, where a
+diagonal operator such as the Kerr dwell is block-diagonal by sector up to
+the order of Q's columns (ControlBlock.sector_columns).
 
 Raw holonomies come out in the dressed-frame code basis.  That basis differs
 from the gate convention (Sigma1/Sigma2/Sigma12 per plane) by a constant
@@ -129,20 +130,19 @@ class ControlBlock(CodeBlock):
     from their (Fock indices, G_i on them) chains from fock.inner_sectors, each
     a CodeBlock with its own eigenbasis; `index` lists them one after another,
     and V is their direct sum, so V is block-diagonal and `values` is the
-    sectors' eigenvalues in the same order.  `sector_mask` (sectors x largest
-    sector size) is True at the places a sector fills: a vector in V, written
-    into the True places in row-major order, lands sector by sector.  G_o
-    restricted to the block is V_o diag(w_o) V_o^dag times -i; the block keeps
-    `outer_values` w_o and `outer_vectors` W = V^dag V_o, the outer
-    eigenvectors in V, so that its only dense matrices are V and W until a
-    kicked loop with a tilted edge asks for the paired basis.
+    sectors' eigenvalues in the same order.  G_o restricted to the block is
+    V_o diag(w_o) V_o^dag times -i; the block keeps `outer_values` w_o and
+    `outer_vectors` W = V^dag V_o, the outer eigenvectors in V, so that its
+    only dense matrices are V and W until a kicked loop asks for more.
 
-    The paired basis Q (paired_basis) is where the kicked route runs every
-    edge of a loop with a tilted edge: there I(i) is a rotation of each pair
-    of columns, and with `real_controls` (planes I and III) Q is real and so
-    is the outer step Q^dag O Q (outer_step), one product of the outer
-    eigenvectors in Q (paired_outer_vectors).  Both are built on first use: a
-    loop of axis-aligned edges builds neither.
+    The paired basis Q (paired_basis) is where the kicked route runs: there
+    I(i) is a rotation of each pair of columns, and with `real_controls`
+    (planes I and III) Q is real and so is the outer step Q^dag O Q
+    (outer_step), one product of the outer eigenvectors in Q
+    (paired_outer_vectors).  Both are built on first use.  Each column of Q
+    lies in one sector: `sector_columns` (sectors x largest sector size)
+    lists each sector's columns, its pairs, then its zero mode, padded with
+    the block size, and `sector_rows` each sector's rows in V's layout.
     """
 
     def __init__(
@@ -154,23 +154,25 @@ class ControlBlock(CodeBlock):
     ):
         self.sectors = [_sector(index, inner, code) for index, inner in sectors]
         sizes = np.array([sector.index.size for sector in self.sectors])
-        self.sector_mask = np.arange(sizes.max()) < sizes[:, None]
         index = np.concatenate([sector.index for sector in self.sectors])
         vectors = np.zeros((index.size, index.size), dtype=complex)
-        ends = np.cumsum(sizes)
-        for sector, start, end in zip(self.sectors, ends - sizes, ends):
-            vectors[start:end, start:end] = sector.vectors
+        self.sector_rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+        for sector, rows in zip(self.sectors, self.sector_rows):
+            vectors[rows, rows] = sector.vectors
         values = np.concatenate([sector.values for sector in self.sectors])
         super().__init__(index, values, vectors, code)
         self.real_controls = real_controls
         outer = fock.Propagator(outer[np.ix_(index, index)])
         self.outer_values = outer.values
         self.outer_vectors = vectors.conj().T @ outer.vectors
-
-    def outer_kick(self, d_outer: float) -> np.ndarray:
-        """V^dag O(d_outer) V = W exp(-i d_outer w_o) W^dag on the block."""
-        w = self.outer_vectors
-        return (w * np.exp(-1j * d_outer * self.outer_values)[None, :]) @ w.conj().T
+        # paired_basis's order: each sector's pairs, sector by sector, then the zero modes
+        paired = 2 * (sizes // 2)
+        starts = (np.cumsum(paired) - paired)[:, None]
+        places = np.arange(sizes.max())
+        columns = np.where(places < paired[:, None], starts + places, index.size)
+        odd = np.flatnonzero(sizes % 2)
+        columns[odd, paired[odd]] = paired.sum() + np.arange(odd.size)
+        self.sector_columns = columns
 
     @cached_property
     def paired_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,55 +185,68 @@ class ControlBlock(CodeBlock):
         I q_b = cos(w i) q_b - sin(w i) q_a: on the coefficients (y_a, y_b)
         of a column that is the phase exp(i w i) on y_a + i y_b.  With real
         controls q_a = sqrt(2) Re v and q_b = sqrt(2) Im v, so Q is real.
-        The pairs come first, sector by sector with q_a and q_b adjacent, and
-        their rates are w.  Then the zero modes, one per odd-sized sector and
-        real up to a phase (the kernel of a real or an imaginary G_i), taken
-        real and paired among themselves at rate 0; an odd one out comes last
-        and takes no phase.  Q is block-diagonal by sector up to the order of
-        its columns.
+        Each sector's vectors go to its columns (sector_columns): the pairs
+        come first, sector by sector with q_a and q_b adjacent, and their rates
+        are w.  Then the zero modes, one per odd-sized sector and real up to a
+        phase (the kernel of a real or an imaginary G_i), taken real and paired
+        among themselves at rate 0; an odd one out comes last and takes no
+        phase.
         """
         n = self.index.size
-        pairs, zeros, rates = [], [], []
-        start = 0
-        for sector in self.sectors:
+        basis = np.zeros((n, n), dtype=float if self.real_controls else complex)
+        rates = np.zeros(n // 2)
+        for sector, rows, places in zip(self.sectors, self.sector_rows, self.sector_columns):
             m = sector.index.size
             half = m // 2
-            vectors = np.zeros((n, m), dtype=complex)
-            vectors[start : start + m] = sector.vectors
-            start += m
-            v = vectors[:, m - half :]
+            v = sector.vectors[:, m - half :]
             if self.real_controls:
                 q_a, q_b = math.sqrt(2.0) * v.real, math.sqrt(2.0) * v.imag
             else:
-                u = vectors[:, :half][:, ::-1]
+                u = sector.vectors[:, :half][:, ::-1]
                 q_a, q_b = (v + u) / math.sqrt(2.0), (v - u) / (1j * math.sqrt(2.0))
-            pairs.append(np.stack([q_a, q_b], axis=2).reshape(n, 2 * half))
-            rates.append(sector.values[m - half :])
+            basis[rows, places[0 : 2 * half : 2]] = q_a
+            basis[rows, places[1 : 2 * half : 2]] = q_b
+            rates[places[0 : 2 * half : 2] // 2] = sector.values[m - half :]
             if m % 2:
-                zero = vectors[:, half]
+                zero = sector.vectors[:, half]
                 top = zero[np.argmax(np.abs(zero))]
-                zeros.append((zero * (np.conj(top) / abs(top))).real)
-        basis = np.concatenate(pairs + [np.array(zeros).reshape(-1, n).T], axis=1)
-        rates.append(np.zeros(len(zeros) // 2))
-        return basis, np.concatenate(rates)
+                basis[rows, places[2 * half]] = (zero * (np.conj(top) / abs(top))).real
+        return basis, rates
 
     @cached_property
     def paired_outer_vectors(self) -> np.ndarray:
-        """X = Q^dag V W: the outer eigenvectors in the paired basis Q."""
-        basis, _ = self.paired_basis
-        return basis.conj().T @ (self.vectors @ self.outer_vectors)
+        """X = Q^dag V W: the outer eigenvectors in the paired basis Q, sector by sector.
 
-    def outer_step(self, d_outer: float) -> np.ndarray:
-        """S = Q^dag O(d_outer) Q = X exp(-i d_outer w_o) X^dag on the block (paired_outer_vectors).
-
-        With `real_controls` Q and O are real, so S is real up to rounding
-        in the imaginary part, which is dropped: S is then a C-contiguous
-        float64 array, which the kicked route's real products take as they
-        are.  On plane II S is complex.
+        Q^dag V is block-diagonal by sector up to the order of its rows.
         """
-        x = self.paired_outer_vectors
-        step = (x * np.exp(-1j * d_outer * self.outer_values)[None, :]) @ x.conj().T
-        return np.ascontiguousarray(step.real) if self.real_controls else step
+        basis, _ = self.paired_basis
+        x = np.empty(self.outer_vectors.shape, dtype=complex)
+        for sector, rows, places in zip(self.sectors, self.sector_rows, self.sector_columns):
+            places = places[: sector.index.size]
+            x[places] = (basis[rows, places].conj().T @ sector.vectors) @ self.outer_vectors[rows]
+        return x
+
+    def outer_step(self, d_outer: float, inner: float = 0.0) -> np.ndarray:
+        """S = Q^dag I(-inner) O(d_outer) I(inner) Q on the block: O turned by I's rotation.
+
+        That is Y exp(-i d_outer w_o) Y^dag for Y = R X, X the outer
+        eigenvectors in Q (paired_outer_vectors) and R = Q^dag I(-inner) Q,
+        which turns each pair of rows (2k, 2k + 1) by -inner w_k (paired_basis).
+        With `real_controls` S is real, and only its real part is formed, a
+        C-contiguous float64 array that the kicked route's real products take
+        as it is.  On plane II S is complex.
+        """
+        y = self.paired_outer_vectors
+        if inner:  # each pair of rows (a, b) of X turns to (cos a + sin b, cos b - sin a)
+            rates = self.paired_basis[1]
+            cos, sin = np.cos(inner * rates)[:, None], np.sin(inner * rates)[:, None]
+            a, b = slice(0, 2 * rates.size, 2), slice(1, 2 * rates.size, 2)
+            y = y.copy()
+            y[a], y[b] = cos * y[a] + sin * y[b], cos * y[b] - sin * y[a]
+        phased = y * np.exp(-1j * d_outer * self.outer_values)[None, :]
+        if self.real_controls:  # Re(P Y^dag) = Re P Re Y^T + Im P Im Y^T, one product of the
+            return phased.view(np.float64) @ y.view(np.float64).T  # [Re, Im]-interleaved rows
+        return phased @ y.conj().T
 
     @cached_property
     def code_rows(self) -> np.ndarray:
@@ -298,10 +313,9 @@ class FrameFactory:
     `top_outer_vectors` holds, per block, the rows of V W (the outer
     eigenvectors in the Fock basis) at its top-quartile Fock levels, for the
     truncation check.  `dwells` holds, for one (chi, delta_t), the kicked
-    route's Kerr dwell per block, as a stack of sector blocks for loops of
-    axis-aligned edges (kicked.sector_dwells) and as a 2n x 2n real form in
-    the block's paired basis for loops with a tilted edge
-    (kicked.paired_dwells), each built on first use.
+    route's Kerr dwell per block in its paired basis, as a sector stack for
+    axis-aligned edges (kicked.sector_dwells) and as a 2n x 2n real form for
+    tilted ones (kicked.paired_dwells), each built on first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):

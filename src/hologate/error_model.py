@@ -184,6 +184,7 @@ class NoiseSummary:
     drift: float  # mean - nominal
     amplitude: float
     samples: int
+    outside_domain: int  # samples with r1 < 0 (planes I/II) or r2, r3 < 0 (plane III)
 
 
 def statistical_loop_noise(
@@ -195,7 +196,8 @@ def statistical_loop_noise(
     antithetic pairs so that the sampled noise family has exactly zero mean;
     the surviving mean drift is the second-order response of the area.  The
     seed fixes the noise shapes, so sweeping the amplitude rescales one frozen
-    family.
+    family.  The samples with a vertex outside the plane's domain, which the
+    area route would refuse as loops, are integrated all the same and counted.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
@@ -223,6 +225,8 @@ def statistical_loop_noise(
     sampled = verts[None, :, :] + amplitude * jitter
     sigmas = loops_mod.polygon_sigma_exact(loop.plane, sampled)
     mean = float(np.mean(sigmas))
+    # the lowest of r1 (planes I/II) or of r2 and r3 (plane III), one value per sample
+    lowest = np.min(sampled if loop.plane is PlaneId.III else sampled[:, :, 1:], axis=(1, 2))
     return NoiseSummary(
         sigma_nominal=nominal,
         mean=mean,
@@ -230,4 +234,5 @@ def statistical_loop_noise(
         drift=mean - nominal,
         amplitude=amplitude,
         samples=2 * half,
+        outside_domain=int(np.count_nonzero(lowest < 0.0)),
     )

@@ -12,28 +12,14 @@ unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
 at the current point is simply the population outside the bare code levels.
 The state is held block by block (the invariant blocks of the two control
-generators, two parity blocks on plane III), in one basis per loop.  A loop
-whose edges are all axis-aligned holds it in the eigenbasis of the inner
-control generator, where the inner control factor of every kick is a
-diagonal phase.  That eigenbasis is the direct sum of the bases of the
-sectors of the inner generator (FrameFactory), and the Kerr dwell, diagonal
-in the Fock basis, is block-diagonal by sector in it.  Only the state after
-the whole loop is kept: on an axis-aligned edge every kick is the same
-matrix, which is raised to the edge's kick count by squaring while the count
-is large and then applied to the columns (_power_apply) instead of being
-applied kick by kick.  Along the inner control that kick is block-diagonal
-by sector too, so it is powered as a stack of small sector blocks (two
-parity chains of 30 states on planes I/II at cutoff 60, 13 and 14 chains of
-at most 14 states per parity block on plane III at cutoff 14); along the
-outer control it is dense, but its dwell factor is applied sector by sector.
-A loop with a tilted edge holds the code columns as real rows in the block's
-paired basis (ControlBlock.paired_basis) on every edge, axis-aligned ones
-included, and applies its kicks one by one: there the inner factor is a
-rotation of each pair of basis columns, one complex multiply on the rows'
-complex view, and on planes I and III the outer step is a real matrix, so a
-kick reads n^2 doubles for it where a complex step on complex rows reads
-4 n^2.  The dwell goes through its 2n x 2n real form (real_form), and every
-kick writes into the same two buffers.
+generators, two parity blocks on plane III), in the block's paired basis Q
+(ControlBlock.paired_basis), where the inner control factor of every kick
+turns each pair of basis columns and the Kerr dwell is block-diagonal by
+sector of the inner generator.  Each edge takes one of two kernels
+(_block_loop): an axis-aligned edge's constant kick is raised to the edge's
+kick count (_power_apply), and a tilted edge's kicks go one by one on the
+code columns held as real rows (_tilted_edge).  Only the state after the
+whole loop is kept.
 """
 
 from __future__ import annotations
@@ -144,28 +130,38 @@ def _kept_dwells(factory: connection.FrameFactory, chi: float, delta_t: float) -
 
 
 def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
-    """The dwell D = V^dag exp(-i H0 delta_t) V on each block, as a stack of its sector blocks.
+    """Per block, (D, E, rates): the dwell D = Q^dag exp(-i H0 delta_t) Q as sector stacks.
 
-    The Kerr dwell is diagonal in the Fock basis and V maps each sector of
-    G_i onto itself, so D is block-diagonal by sector: it is built one sector
-    at a time.  The stack, of shape (sectors, s, s) for the largest sector
-    size s, holds each sector's block padded with the identity.  The stacks
-    are kept, read-only, in factory.dwells for the last (chi, delta_t) asked
-    for, so they live and die with the factory.
+    D is block-diagonal by sector up to the order of Q's columns, so it is
+    built one sector at a time, on the sector's columns in the order of
+    ControlBlock.sector_columns.  The stack, of shape (sectors, s, s) for the
+    largest sector size s, holds each sector's block padded with the
+    identity.  E is D with each pair's columns (a, b) taken as (-b, a), and
+    the rates, of shape (sectors, s), are the rotation rate of each column's
+    pair, zero off the pairs: D I(-t) = D cos(t rates) + E sin(t rates),
+    column by column.  All are kept, read-only, in factory.dwells for the
+    last (chi, delta_t) asked for, so they live and die with the factory.
     """
     kept = _kept_dwells(factory, chi, delta_t)
     if "sectors" not in kept:
         dwell = fock.kerr_phases(chi, delta_t, factory.cutoff, factory.mode_count)
         stacks = []
         for block in factory.blocks:
-            mask = block.sector_mask
-            stack = np.tile(np.eye(mask.shape[1], dtype=complex), (mask.shape[0], 1, 1))
-            for sector, part in zip(block.sectors, stack):
-                vectors = sector.vectors
-                size = vectors.shape[0]
-                part[:size, :size] = (vectors.conj().T * dwell[sector.index]) @ vectors
-            stack.setflags(write=False)
-            stacks.append(stack)
+            basis, pair_rates = block.paired_basis
+            columns = block.sector_columns
+            stack = np.tile(np.eye(columns.shape[1], dtype=complex), (columns.shape[0], 1, 1))
+            for sector, part, rows, places in zip(block.sectors, stack, block.sector_rows, columns):
+                size = sector.index.size
+                q = basis[rows, places[:size]]
+                part[:size, :size] = (q.conj().T * dwell[sector.index]) @ q
+            # either column c of a pair turns at pair_rates[c // 2]; the rest at the appended 0
+            rates = np.append(pair_rates, 0.0)[columns // 2]
+            paired, partner = columns.shape[1] // 2 * 2, np.zeros_like(stack)
+            partner[..., :paired:2] = -stack[..., 1:paired:2]
+            partner[..., 1:paired:2] = stack[..., :paired:2]
+            for kept_array in (stack, partner, rates):
+                kept_array.setflags(write=False)
+            stacks.append((stack, partner, rates))
         kept["sectors"] = stacks
     return kept["sectors"]
 
@@ -175,7 +171,7 @@ def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
 
     That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
     held as [Re | Im] rows: a 2n x 2n real matrix per n-state block, built for
-    the first loop with a tilted edge and kept, read-only, beside the sector stacks.
+    the first tilted edge and kept, read-only, beside the sector stacks.
     """
     kept = _kept_dwells(factory, chi, delta_t)
     if "paired" not in kept:
@@ -190,21 +186,15 @@ def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
     return kept["paired"]
 
 
-def _stacked(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """`rows` laid out sector by sector, shape mask.shape + rows.shape[1:], zero in the padding."""
-    stacked = np.zeros(mask.shape + rows.shape[1:], dtype=complex)
-    stacked[mask] = rows
-    return stacked
+def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """apply(rows gathered sector by sector at ControlBlock.sector_columns), scattered back.
 
-
-def power_sectors(kick: np.ndarray, count: int, state: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """kick^count @ state for a block-diagonal kick given as a sector stack.
-
-    The state's rows are gathered into the stack's layout (zeros in the
-    padding, which the identity there keeps at zero) and powered through
-    _power_apply, which broadcasts over the sectors; then scattered back.
+    The padding places read, and write, an appended zero row.
     """
-    return _power_apply(kick, count, _stacked(state, mask))[mask]
+    padded = np.zeros((rows.shape[0] + 1,) + rows.shape[1:], dtype=complex)
+    padded[:-1] = rows
+    padded[columns] = apply(padded[columns])
+    return padded[:-1]
 
 
 def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> None:
@@ -220,8 +210,7 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> No
     as the dwell always does.  The rotations exp(i w i) come from
     connection.phase_table, in tables of connection.MAGNUS_BATCH kicks each,
     the ones back conjugated once per table, and every kick writes into the
-    same two buffers.  An axis-aligned edge of a loop in Q is the same loop
-    with inner_step = 0 or S = outer_step(0).
+    same two buffers.
     """
     columns, width = rows.shape
     n = width // 2
@@ -245,62 +234,41 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> No
             np.dot(ahead, dwell_form, out=rows)
 
 
-def _inner_basis_loop(block, runs, factory, dwell_stack) -> np.ndarray:
-    """The block's code columns in V after a loop of axis-aligned edges, edge by edge as powers.
+def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.ndarray]:
+    """(Q^dag c, the block's code columns in Q after the loop), edge by edge.
 
-    In the inner eigenbasis V, I(i) = V diag(exp(-i i w)) V^dag is a
-    diagonal phase and the dwell D = V^dag exp(-i H0 dt) V is block-diagonal
-    by sector of G_i (sector_dwells).  The whole kick K of an edge is
-    constant, and K^count is applied to the columns by _power_apply:
-    squarings while the count is large, then the squared kick applied to the
-    columns.  Along the inner control (o = o') the step V^dag O V is the
-    identity, so K = D diag(exp(i (i' - i) w)) is block-diagonal by sector
-    too, and it is powered as one stack of sector blocks (power_sectors): on
-    plane III at cutoff 14 a squaring then costs 14 products of 14 x 14
-    blocks instead of one 98 x 98 product.  Along the outer control K is
-    dense, and D is multiplied onto the phased step through its sector
-    stack: 14 products of 14 x 14 blocks by 14 x 98 rows instead of one
-    98 x 98 product.  These kicks stay complex.
-    """
-    w = block.values
-    mask = block.sector_mask
-    w_stack = np.zeros(mask.shape)
-    w_stack[mask] = w
-    state = block.code_eig
-    for run in runs:
-        outer0, inner0 = factory.split(*run.start)
-        outer1, inner1 = factory.split(*run.end)
-        inners = inner0 + (inner1 - inner0) * np.arange(2) / run.count
-        if outer0 == outer1:  # O's step is the identity: one phase, then the dwell
-            kick = dwell_stack * np.exp(1j * (inners[1] - inners[0]) * w_stack)[:, None, :]
-            state = power_sectors(kick, run.count, state, mask)
-        else:  # the dwell after the phased outer step, sector by sector
-            phase = np.exp(-1j * inners[0] * w)[:, None]
-            step = phase.conj() * block.outer_kick((outer0 - outer1) / run.count) * phase.T
-            kick = (dwell_stack @ _stacked(step, mask))[mask]
-            state = _power_apply(kick, run.count, state)
-    return state
-
-
-def _paired_loop(block, runs, factory, dwell_form) -> tuple[np.ndarray, np.ndarray]:
-    """(Q^dag c, the block's code columns in Q after the loop): every edge kick by kick in Q.
-
-    The columns start as the block's code columns c in the paired basis Q
-    and are held as [Re | Im] rows through _tilted_edge, where I(i) rotates
-    each pair of columns and, on planes I and III, the step
-    S = Q^dag O Q is real (ControlBlock.outer_step, built once per edge).
+    An axis-aligned edge's kick K is constant, and K^count is applied to the
+    columns by _power_apply.  Along the inner control the outer step is the
+    identity, and K = D I(-inner step) is powered as the block's stack of
+    sector blocks, `sectors` (sector_dwells): on plane III at cutoff 14 a
+    squaring costs 14 products of 14 x 14 blocks instead of one 98 x 98
+    product.  Along the outer control K is the outer step turned by I at the
+    edge's inner value (ControlBlock.outer_step), D multiplied on through the
+    stack.  These kicks stay complex.  A tilted edge's kicks go one by one on
+    the columns held as [Re | Im] rows, with the dwell's real form `form`.
     """
     basis, rates = block.paired_basis
     code = basis.conj().T @ block.code
-    rows = np.ascontiguousarray(np.hstack([code.T.real, code.T.imag]))
+    state, n, columns = code, basis.shape[1], block.sector_columns
     for run in runs:
         outer0, inner0 = factory.split(*run.start)
         outer1, inner1 = factory.split(*run.end)
-        step = block.outer_step((outer0 - outer1) / run.count)
-        inner_step = (inner1 - inner0) / run.count
-        _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, run.count)
-    n = basis.shape[1]
-    return code, (rows[:, :n] + 1j * rows[:, n:]).T
+        d_outer, inner_step = (outer0 - outer1) / run.count, (inner1 - inner0) / run.count
+        if not run.axis_aligned:
+            rows = np.ascontiguousarray(np.hstack([state.T.real, state.T.imag]))
+            step = block.outer_step(d_outer)
+            _tilted_edge(rows, step, form, rates, inner0, inner_step, run.count)
+            state = (rows[:, :n] + 1j * rows[:, n:]).T
+        elif outer0 == outer1:  # D I(-inner_step), sector by sector
+            dwell, partner, sector_rates = sectors
+            turns = inner_step * sector_rates[:, None]
+            kick = dwell * np.cos(turns) + partner * np.sin(turns)
+            state = _by_sector(lambda part: _power_apply(kick, run.count, part), state, columns)
+        else:
+            step = block.outer_step(d_outer, inner0)
+            kick = _by_sector(lambda part: sectors[0] @ part, step, columns)
+            state = _power_apply(kick, run.count, state)
+    return code, state
 
 
 def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -309,27 +277,21 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     No control leaves an invariant block of the two control generators
     (FrameFactory.blocks), so each block evolves its own code columns.  A
     kick from p to p' is C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), then the
-    dwell exp(-i H0 dt).  The code states and the evolved states are in one
-    basis per loop: a loop of axis-aligned edges runs in the inner
-    eigenbasis V with edge powers (_inner_basis_loop), and a loop with a
-    tilted edge runs every edge kick by kick in the paired basis Q
-    (_paired_loop).  Only a loop with a tilted edge builds Q, the outer
-    eigenvectors in Q and the paired dwell, and only a loop without one
-    builds the sector stacks.
+    dwell exp(-i H0 dt).  The code states and the evolved states are in the
+    block's paired basis Q (_block_loop).  Only a loop with an axis-aligned
+    edge builds the sector stacks, and only one with a tilted edge builds
+    the paired dwell's real form.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
-    if all(run.axis_aligned for run in runs):
-        stacks = sector_dwells(factory, schedule.chi, schedule.delta_t)
-        return [
-            (block.columns, block.code_eig, _inner_basis_loop(block, runs, factory, stack))
-            for block, stack in zip(factory.blocks, stacks)
-        ]
-    forms = paired_dwells(factory, schedule.chi, schedule.delta_t)
+    aligned, unbuilt = {run.axis_aligned for run in runs}, [None] * len(factory.blocks)
+    args = (factory, schedule.chi, schedule.delta_t)
+    stacks = sector_dwells(*args) if True in aligned else unbuilt
+    forms = paired_dwells(*args) if False in aligned else unbuilt
     return [
-        (block.columns, *_paired_loop(block, runs, factory, form))
-        for block, form in zip(factory.blocks, forms)
+        (block.columns, *_block_loop(block, runs, factory, sectors, form))
+        for block, sectors, form in zip(factory.blocks, stacks, forms)
     ]
 
 

@@ -239,17 +239,31 @@ def binary_power(kick, count, state):
         kick = kick @ kick
 
 
-def dense_dwell(stack, mask):
-    """A block's dwell in its inner eigenbasis V as one matrix, from its sector stack.
+def dense_sectors(stack, block):
+    """A block's matrix in its paired basis Q from its sector stack (kicked.sector_dwells).
 
-    kicked.sector_dwells keeps only the stack; each sector's block, unpadded,
-    lands on the diagonal, and the matrix is exactly zero between sectors.
+    Each sector's block, unpadded, lands on that sector's columns of Q
+    (ControlBlock.sector_columns, padded with the block size), and the
+    matrix is exactly zero between sectors.
     """
-    sizes = mask.sum(axis=1)
-    dense = np.zeros((sizes.sum(),) * 2, dtype=complex)
-    for part, start, size in zip(stack, np.cumsum(sizes) - sizes, sizes):
-        dense[start : start + size, start : start + size] = part[:size, :size]
+    size = block.index.size
+    dense = np.zeros((size, size), dtype=complex)
+    for part, places in zip(stack, block.sector_columns):
+        places = places[places < size]
+        dense[np.ix_(places, places)] = part[: places.size, : places.size]
     return dense
+
+
+def v_outer_kick(block, d_outer):
+    """V^dag O(d_outer) V = W exp(-i d_outer w_o) W^dag on a control block."""
+    w = block.outer_vectors
+    return (w * np.exp(-1j * d_outer * block.outer_values)[None, :]) @ w.conj().T
+
+
+def v_dwell(block, cutoff, mode_count, chi=kicked.DEFAULT_CHI, delta_t=kicked.DEFAULT_DELTA_T):
+    """The Kerr dwell V^dag exp(-i H0 delta_t) V on a control block, dense."""
+    dwell = fock.kerr_phases(chi, delta_t, cutoff, mode_count)
+    return (block.vectors.conj().T * dwell[block.index]) @ block.vectors
 
 
 def interleaved_real_form(matrix):
@@ -263,50 +277,44 @@ def interleaved_real_form(matrix):
 
 
 def v_basis_kicked(schedule):
-    """The kicked route with its tilted edges in the inner eigenbasis V, as (code map, leakage).
+    """The kicked route in the inner eigenbasis V, every matrix dense, as (code map, leakage).
 
-    The reference for kicked._tilted_edge's paired basis: the tilted loop
-    the kicked route ran before it, kept verbatim.  Each kick is the row
-    scalings by I's phases in V around the complex step V^dag O V, and the
-    step and the dense dwell go through interleaved real forms.  Axis-aligned
-    edges take the route's own sector powers.
+    The reference for the kicked route's paired basis, independent of it:
+    each kick is formed in V, where I(i) is the diagonal phase
+    exp(-i i w), the outer step is W exp(-i do w_o) W^dag (v_outer_kick)
+    and the dwell is dense (v_dwell).  An axis-aligned edge's constant kick
+    is raised to its count by plain binary powering (binary_power); a tilted
+    edge's kicks go one by one, the row scalings by I's phases around the
+    step, and the step and the dwell through interleaved real forms.
     """
     runs = kicked._schedule_runs(schedule)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
-    stacks = kicked.sector_dwells(factory, schedule.chi, schedule.delta_t)
-    tilted = not all(run.axis_aligned for run in runs)
     dim = schedule.loop.plane.code_dim
     code_map = np.zeros((dim, dim), dtype=complex)
     leakages = []
-    for block, dwell_stack in zip(factory.blocks, stacks):
+    for block in factory.blocks:
         w = block.values
-        mask = block.sector_mask
-        w_stack = np.zeros(mask.shape)
-        w_stack[mask] = w
+        dwell = v_dwell(block, factory.cutoff, factory.mode_count, schedule.chi, schedule.delta_t)
+        dwell_re = interleaved_real_form(dwell.T)
         state = block.code_eig
-        if tilted:
-            dwell_re = interleaved_real_form(dense_dwell(dwell_stack, mask).T)
-            rows = np.empty(state.T.shape, dtype=complex)
-            scaled = np.empty_like(rows)
-            rows_re, scaled_re = rows.view(np.float64), scaled.view(np.float64)
-            following = np.empty(w.size, dtype=complex)
+        rows = np.empty(state.T.shape, dtype=complex)
+        scaled = np.empty_like(rows)
+        rows_re, scaled_re = rows.view(np.float64), scaled.view(np.float64)
+        following = np.empty(w.size, dtype=complex)
         for run in runs:
             outer0, inner0 = factory.split(*run.start)
             outer1, inner1 = factory.split(*run.end)
             outer_step = (outer0 - outer1) / run.count
+            inner_step = (inner1 - inner0) / run.count
             if run.axis_aligned:
-                inners = inner0 + (inner1 - inner0) * np.arange(2) / run.count
                 if outer0 == outer1:
-                    kick = dwell_stack * np.exp(1j * (inners[1] - inners[0]) * w_stack)[:, None, :]
-                    state = kicked.power_sectors(kick, run.count, state, mask)
+                    kick = dwell * np.exp(1j * inner_step * w)[None, :]
                 else:
-                    phase = np.exp(-1j * inners[0] * w)[:, None]
-                    step = phase.conj() * block.outer_kick(outer_step) * phase.T
-                    kick = (dwell_stack @ kicked._stacked(step, mask))[mask]
-                    state = kicked._power_apply(kick, run.count, state)
+                    phase = np.exp(-1j * inner0 * w)[:, None]
+                    kick = dwell @ (phase.conj() * v_outer_kick(block, outer_step) * phase.T)
+                state = binary_power(kick, run.count, state)
             else:
-                step_re = interleaved_real_form(block.outer_kick(outer_step).T)
-                inner_step = (inner1 - inner0) / run.count
+                step_re = interleaved_real_form(v_outer_kick(block, outer_step).T)
                 rows[...] = state.T
                 for start in range(0, run.count, connection.MAGNUS_BATCH):
                     size = min(connection.MAGNUS_BATCH, run.count - start)

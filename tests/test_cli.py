@@ -330,6 +330,29 @@ def test_bad_numeric_option_exits_2_naming_it(capsys, tmp_path, hadamard_loop_fi
     assert len(lines) == 1 and option in lines[0]
 
 
+@pytest.mark.parametrize("command", [["area", "{loop}"],
+                                     ["error", "{loop}", "--statistical", "0.01", "64"]],
+                         ids=["area", "error-statistical"])
+def test_negative_seed_exits_2_naming_it(capsys, hadamard_loop_file, command):
+    # numpy's "expected non-negative integer" used to name no option, and area echoed -1
+    argv = ["--seed", "-1"] + [a.format(loop=hadamard_loop_file) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "argument --seed: must be non-negative" in line
+
+
+def test_statistical_record_counts_the_samples_outside_the_domain(capsys, tmp_path):
+    crot = write_loop(tmp_path, "crot.json", compiler.CROT_LOOP)
+    code, record = run_cli(capsys, "error", crot, "--statistical", "0.01", "1000")
+    assert code == 0
+    assert record["samples"] == 1000
+    assert record["samples_outside_domain"] == 940  # the README's figure, at the default seed 0
+
+
 @pytest.mark.parametrize("analysis", [[], ["--shift", "0.01,0,0,0", "--statistical", "0.01", "64"]],
                          ids=["neither", "both"])
 def test_error_takes_exactly_one_analysis(capsys, hadamard_loop_file, analysis):

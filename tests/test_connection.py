@@ -25,7 +25,6 @@ from conftest import (
     convex_polygons,
     corner_populations,
     curvature_coefficient,
-    dense_dwell,
     matrix_magnus_transport,
     paired_transform,
     per_edge_transport,
@@ -33,6 +32,7 @@ from conftest import (
     regular_polygon,
     stepped_holonomy,
     stepped_product,
+    v_outer_kick,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # e^{-2r} J is A_u on plane I
@@ -187,26 +187,36 @@ def held_arrays(owner):
             yield from held_arrays(value)
 
 
-def test_control_blocks_hold_two_dense_matrices():
+def test_control_blocks_hold_two_dense_matrices(monkeypatch):
     # each plane III parity block (98 states at cutoff 14) keeps its inner
     # eigenvectors V and W = V^dag V_o; everything else it holds is a few columns.
-    # A fresh factory: a tilted kicked edge elsewhere would have built the paired basis
+    # A fresh factory: a kicked loop elsewhere would have built the paired basis
     factory = connection.FrameFactory(PlaneId.III, 14)
+    monkeypatch.setattr(connection, "frame_factory", lambda plane, cutoff: factory)
+
+    def held(block):
+        return list(held_arrays(block)) + [a for pair in vars(block).values()
+                                           if isinstance(pair, tuple) for a in pair]
+
     for block in factory.blocks:
         block.code_eig  # built on first use; count it too
-        block.outer_kick(0.01)
         size = block.index.size
-        arrays = list(held_arrays(block))
+        arrays = held(block)
         dense = [a for a in arrays if a.shape == (size, size)]
         assert size == 98 and len(dense) == 2
         assert sum(a.nbytes for a in arrays) <= 2 * size**2 * 16 + 8 * size * 16
-        # a tilted edge adds the real Q and the complex X = Q^dag V W
-        block.outer_step(0.01)
-        arrays = list(held_arrays(block)) + [a for pair in vars(block).values()
-                                             if isinstance(pair, tuple) for a in pair]
-        dense = [a for a in arrays if a.shape == (size, size)]
-        assert len(dense) == 4
-        assert sum(a.nbytes for a in arrays) <= 3 * size**2 * 16 + size**2 * 8 + 9 * size * 16
+    # any kicked loop, a rect as much as a tilted one, adds the real Q and the
+    # complex X = Q^dag V W, and nothing dense besides
+    shapes = [LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)),
+             LoopSpec(PlaneId.III, Polyline(((0.0, 0.0), (0.1, 0.02), (0.05, 0.1))))]
+    for loop in shapes:
+        kicked.run_kicked(kicked.KickSchedule(loop, 128, cutoff=14))
+        for block in factory.blocks:
+            size = block.index.size
+            arrays = held(block)
+            dense = [a for a in arrays if a.shape == (size, size)]
+            assert len(dense) == 4
+            assert sum(a.nbytes for a in arrays) <= 3 * size**2 * 16 + size**2 * 8 + 9 * size * 16
 
 
 # odd cutoffs leave a zero mode without a partner: plane I's odd parity chain, and
@@ -250,15 +260,20 @@ def test_outer_step_is_the_outer_propagator_in_the_paired_basis(plane, cutoff):
     factory = connection.FrameFactory(plane, cutoff)
     for block in factory.blocks:
         to_paired = paired_transform(block)
-        for d_outer in (0.013, -0.04):
-            step = block.outer_step(d_outer)
-            reference = to_paired @ block.outer_kick(d_outer) @ to_paired.conj().T
-            assert np.max(np.abs(step - reference)) < 1e-14
+        for d_outer, inner in ((0.013, 0.0), (-0.04, 0.0), (0.013, 0.21), (-0.04, -0.6)):
+            # turned by I's rotation at the inner value: I(-inner) O I(inner), in V
+            phase = np.exp(-1j * inner * block.values)[:, None]
+            turned = phase.conj() * v_outer_kick(block, d_outer) * phase.T
+            step = block.outer_step(d_outer, inner)
+            reference = to_paired @ turned @ to_paired.conj().T
+            # a turned step and its reference both round phases of up to |inner| w ~ 70 rad
+            bound = 3e-14 if inner else 1e-14
+            assert np.max(np.abs(step - reference)) < bound
             if factory.real_controls:
                 # real and contiguous for the real products, where the complex product
                 # leaves rounding in the imaginary part
                 assert step.dtype == np.float64 and step.flags.c_contiguous
-                assert np.max(np.abs(reference.imag)) < 1e-14
+                assert np.max(np.abs(reference.imag)) < bound
             else:
                 assert np.max(np.abs(step.imag)) > 1e-3
 
@@ -295,14 +310,10 @@ SECTOR_CASES = [
 def test_control_block_bases_are_direct_sums_of_sector_bases(plane, cutoff, sizes):
     factory = connection.FrameFactory(plane, cutoff)
     _, inner, _ = plane_generators(plane, cutoff)
-    mode_count = 2 if plane is PlaneId.III else 1
-    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, mode_count)
-    dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-    for block, block_sizes, stack in zip(factory.blocks, sizes, dwells):
+    for block, block_sizes in zip(factory.blocks, sizes):
         # the sectors, laid out one after another, partition the block
         assert sorted(sector.index.size for sector in block.sectors) == sorted(block_sizes)
         assert np.array_equal(block.index, np.concatenate([s.index for s in block.sectors]))
-        assert block.sector_mask.sum(axis=1).tolist() == [s.index.size for s in block.sectors]
         lengths = np.array([s.index.size for s in block.sectors])
         ends = np.cumsum(lengths)
         between = np.ones((block.index.size,) * 2, dtype=bool)
@@ -316,15 +327,17 @@ def test_control_block_bases_are_direct_sums_of_sector_bases(plane, cutoff, size
         assert not np.any(v[between])
         eigen = v.conj().T @ generator @ v
         assert np.max(np.abs(eigen - np.diag(block.values))) < 1e-14 * np.max(np.abs(block.values))
-        # the dwell in V is its stack's sector blocks, exactly zero between sectors,
-        # and the stack pads with I
-        reference = (v.conj().T * dwell[block.index]) @ v
-        assert np.max(np.abs(dense_dwell(stack, block.sector_mask) - reference)) < 1e-14
-        for part, sector in zip(stack, block.sectors):
-            size = sector.index.size
-            padding = part.copy()
-            padding[:size, :size] = np.eye(size)
-            assert np.array_equal(padding, np.eye(part.shape[0]))
+        # sector_columns partitions Q's columns, each sector's own, padded with the block size
+        n = block.index.size
+        columns = block.sector_columns
+        assert columns.shape == (len(block.sectors), max(block_sizes))
+        assert sorted(columns[columns < n]) == list(range(n))
+        assert [np.count_nonzero(c < n) for c in columns] == lengths.tolist()
+        basis, _ = block.paired_basis
+        for places, start, end in zip(columns, ends - lengths, ends):
+            outside = np.ones(n, dtype=bool)
+            outside[start:end] = False
+            assert not np.any(basis[np.ix_(outside, places[places < n])])
 
 
 @pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.II, 60), (PlaneId.III, 14)])

@@ -6,10 +6,10 @@ the stepped product of re-unitarized frame overlaps
 (conftest.stepped_holonomy) converges onto it as 1/steps^2.  On an
 axis-aligned edge every kick is the same matrix, so the kicked route raises
 it to the edge's kick count by repeated squaring, and on a tilted edge the
-kicks go one by one in the paired basis, on every edge of a loop with a
-tilted edge; both are compared here with dense per-kick controls
-(conftest.stepped_kicks), and the paired basis with the inner-eigenbasis
-loop it replaced (conftest.v_basis_kicked).
+kicks go one by one, all in the paired basis; both are compared here with
+dense per-kick controls (conftest.stepped_kicks), and the paired basis with
+the same kicks formed densely in the inner eigenbasis
+(conftest.v_basis_kicked).
 """
 
 import math
@@ -161,7 +161,7 @@ def test_paired_kicks_match_the_v_basis_loop_on_polygons(loop, kicks, orientatio
 @settings(max_examples=20, deadline=None)
 @given(mixed_polygons(), st.integers(64, 128), st.sampled_from([1, -1]), st.booleans())
 def test_mixed_loops_run_in_the_paired_basis_like_both_references(loop, kicks, orientation, odd):
-    # the axis-aligned edges go kick by kick in Q, where v_basis_kicked powers them in V
+    # the axis-aligned edges are powered in Q, and v_basis_kicked powers them densely in V
     loop = LoopSpec(loop.plane, loop.shape, orientation)
     assert 1 <= sum(run.axis_aligned for run in loops.boundary_runs(loop, kicks)) <= 2
     cutoff = (10 if loop.plane is PlaneId.III else 24) + odd

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hologate import error_model, gates, loops
+from hologate import compiler, error_model, gates, loops
 from hologate.error_model import BorderShift
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
@@ -226,3 +226,16 @@ def test_statistical_noise_nominal_is_signed_area(loop, orientation):
     summary = error_model.statistical_loop_noise(oriented, 0.001, seed=5, samples=64)
     assert summary.sigma_nominal == pytest.approx(loops.area(oriented).sigma, abs=1e-12)
     assert np.sign(summary.mean) == orientation
+
+
+def test_statistical_noise_counts_the_samples_outside_the_domain():
+    # three of CROT_LOOP's corners sit on r2 = 0 or r3 = 0, four coordinates in all, so
+    # a sample stays inside with probability 1/16
+    crot = error_model.statistical_loop_noise(compiler.CROT_LOOP, 0.01, seed=0, samples=1000)
+    assert crot.outside_domain > 0
+    assert abs(crot.outside_domain / crot.samples - 15.0 / 16.0) < 0.03
+    # corners 50 amplitudes inside the domain's borders: none leaves
+    for plane in (PlaneId.I, PlaneId.III):
+        inside = LoopSpec(plane, Rect(0.5, 0.8, 0.5, 0.8))
+        summary = error_model.statistical_loop_noise(inside, 0.01, seed=0, samples=1000)
+        assert summary.outside_domain == 0

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from hologate import connection, kicked, loops
+from hologate import connection, fock, kicked, loops
 from hologate.exceptions import AdiabaticityWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import binary_power, dense_dwell, formula_gate_in_frame, infidelity
+from conftest import (
+    binary_power,
+    dense_sectors,
+    formula_gate_in_frame,
+    infidelity,
+    paired_transform,
+)
 
 # extent small enough that finite-kick effects sit below 1e-12
 ZERO_CONTROL_LOOP = LoopSpec(
@@ -126,8 +132,8 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     steps, forms = [], []
     outer_step, real_form = connection.ControlBlock.outer_step, kicked.real_form
 
-    def counted_step(self, d_outer):
-        step = outer_step(self, d_outer)
+    def counted_step(self, d_outer, inner=0.0):
+        step = outer_step(self, d_outer, inner)
         steps.append(step.dtype)
         return step
 
@@ -141,22 +147,28 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     for loop, cutoff in [(connection.CALIBRATION_RECT, 24),
                          (LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)), 12)]:
         kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
-    assert steps == [] and forms == []
-    # a rect builds no paired basis, no outer eigenvectors in it and no paired dwell
+    # a rect runs in Q too: one real step per outer-direction edge, on plane I's
+    # one block and plane III's two, the sector stacks, and no real form
+    assert steps == [np.float64] * 6 and forms == []
     lazy = ("paired_basis", "paired_outer_vectors")
     for factory in factories.values():
-        assert not any(name in vars(block) for block in factory.blocks for name in lazy)
-        assert all("paired" not in kept for kept in factory.dwells.values())
-    # one axis-aligned edge and two tilted ones, on plane I's one block: the whole loop
-    # runs in Q, one real step per edge, the paired dwell's real form once, no sector stack
+        assert all(name in vars(block) for block in factory.blocks for name in lazy)
+        assert all(list(kept) == ["sectors"] for kept in factory.dwells.values())
+    # one axis-aligned edge and two tilted ones, on plane I's one block: one real
+    # step per edge, the paired dwell's real form once, and the sector stack
     factories.clear()
+    steps.clear()
     triangle = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.0), (0.05, 0.1))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.float64] * 6 and forms == [(24, 24)]
-    # plane II's steps are complex, and each goes through a real form
+    [factory] = factories.values()
+    assert all(sorted(kept) == ["paired", "sectors"] for kept in factory.dwells.values())
+    # plane II's steps are complex, and each goes through a real form; a loop of
+    # tilted edges builds no sector stack
     steps.clear()
     forms.clear()
+    factories.clear()
     triangle = LoopSpec(PlaneId.II, Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
@@ -169,16 +181,18 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
 def test_stacked_inner_power_is_the_dense_power(plane, cutoff, count):
     factory = connection.frame_factory(plane, cutoff)
     dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-    for block, stack in zip(factory.blocks, dwells):
-        mask = block.sector_mask
-        dense = dense_dwell(stack, mask)
-        w_stack = np.zeros(mask.shape)
-        w_stack[mask] = block.values
-        # the kick of an inner-direction edge: I's phase step, then the dwell
-        stacked = stack * np.exp(0.004j * w_stack)[:, None, :]
-        kick = dense * np.exp(0.004j * block.values)
-        got = kicked.power_sectors(stacked, count, block.code_eig, mask)
-        expected = kicked._power_apply(kick, count, block.code_eig)
+    for block, (stack, partner, rates) in zip(factory.blocks, dwells):
+        to_paired = paired_transform(block)
+        code = to_paired @ block.code_eig
+        # the kick of an inner-direction edge: I(-0.004), then the dwell, from V
+        rotation = to_paired @ (np.exp(0.004j * block.values)[:, None] * to_paired.conj().T)
+        kick = dense_sectors(stack, block) @ rotation
+        turns = 0.004 * rates[:, None]
+        stacked = stack * np.cos(turns) + partner * np.sin(turns)
+        assert np.max(np.abs(dense_sectors(stacked, block) - kick)) < 1e-14
+        power = lambda part: kicked._power_apply(stacked, count, part)  # noqa: E731
+        got = kicked._by_sector(power, code, block.sector_columns)
+        expected = kicked._power_apply(kick, count, code)
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -221,40 +235,79 @@ def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutof
     dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
     assert kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T) is dwells
     assert list(factory.dwells) == [(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
-    for block, stack in zip(factory.blocks, dwells):
-        assert not stack.flags.writeable
+    chi, delta_t = kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T
+    dwell = fock.kerr_phases(chi, delta_t, cutoff, factory.mode_count)
+    for block, (stack, partner, rates) in zip(factory.blocks, dwells):
+        assert not any(kept.flags.writeable for kept in (stack, partner, rates))
+        basis, pair_rates = block.paired_basis
+        n = block.index.size
+        # Q^dag D Q is exactly zero between sectors, and the stack is it on each sector
+        reference = (basis.conj().T * dwell[block.index]) @ basis
+        within = np.zeros((n, n), dtype=bool)
+        for places in block.sector_columns:
+            within[np.ix_(places[places < n], places[places < n])] = True
+        assert not np.any(reference[~within])
+        assert np.max(np.abs(dense_sectors(stack, block) - reference)) <= 1e-14
+        # the stack pads with I; both columns of a pair take its rate, the rest none,
+        # and the partner takes each pair's columns (a, b) as (-b, a)
+        for part, other, places, rate in zip(stack, partner, block.sector_columns, rates):
+            size = np.count_nonzero(places < n)
+            padding = part.copy()
+            padding[:size, :size] = np.eye(size)
+            assert np.array_equal(padding, np.eye(part.shape[0]))
+            half = size // 2
+            pairs = places[: 2 * half : 2] // 2
+            assert np.array_equal(rate[: 2 * half], np.repeat(pair_rates[pairs], 2))
+            assert not np.any(rate[2 * half :])
+            assert np.array_equal(other[:, : 2 * half : 2], -part[:, 1 : 2 * half : 2])
+            assert np.array_equal(other[:, 1 : 2 * half : 2], part[:, : 2 * half : 2])
         # an outer-direction kick: the dwell after a dense step, through the stack
-        mask = block.sector_mask
-        dense = dense_dwell(stack, mask)
-        step = random_unitaries(rng, dense.shape)
-        got = (stack @ kicked._stacked(step, mask))[mask]
-        assert np.max(np.abs(got - dense @ step)) <= 1e-15
+        step = random_unitaries(rng, (n, n))
+        got = kicked._by_sector(lambda part: stack @ part, step, block.sector_columns)
+        assert np.max(np.abs(got - dense_sectors(stack, block) @ step)) <= 1e-15
     # another dwell replaces the kept one: the factory holds one dwell at a time
     kicked.sector_dwells(factory, 2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
     assert list(factory.dwells) == [(2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
 
 
 def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
-    shapes = []
-    original = kicked._power_apply
+    shapes, outer_steps = [], []
+    original, outer_step = kicked._power_apply, connection.ControlBlock.outer_step
 
     def counted(kick, count, state):
         shapes.append(kick.shape)
         return original(kick, count, state)
 
+    def counted_step(self, d_outer, inner=0.0):
+        outer_steps.append(d_outer)
+        return outer_step(self, d_outer, inner)
+
     monkeypatch.setattr(kicked, "_power_apply", counted)
+    monkeypatch.setattr(connection.ControlBlock, "outer_step", counted_step)
     loop = LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1))
     kicked.run_kicked(KickSchedule(loop, 128, cutoff=12))
     factory = connection.frame_factory(PlaneId.III, 12)
     # per parity block, in the order of the edges: along r2 (the inner control),
     # along r3, back along r2, back along r3
     expected = []
-    for block in factory.blocks:
+    stacked = [(len(block.sectors),) + (block.sector_columns.shape[1],) * 2
+               for block in factory.blocks]
+    for block, stack in zip(factory.blocks, stacked):
         size = block.index.size
-        stacked = (len(block.sectors),) + (block.sector_mask.shape[1],) * 2
-        expected += [stacked, (size, size), stacked, (size, size)]
+        expected += [stack, (size, size), stack, (size, size)]
     assert shapes == expected
     assert all(len(shape) == 3 and shape[1] <= 12 for shape in shapes[::2])
+    # a mixed loop: along r2, along r3, then two tilted edges.  One power per
+    # axis-aligned edge per block, and an outer step only for the r3 edge and
+    # the tilted ones: never outer_step(0.0) for the inner-direction edge
+    shapes.clear()
+    outer_steps.clear()
+    corners = ((0.0, 0.0), (0.1, 0.0), (0.1, 0.08), (0.04, 0.12))
+    trapezoid = LoopSpec(PlaneId.III, Polyline(corners))
+    kicked.run_kicked(KickSchedule(trapezoid, 128, cutoff=12))
+    assert shapes == [shape for block, stack in zip(factory.blocks, stacked)
+                      for shape in (stack, (block.index.size,) * 2)]
+    assert len(outer_steps) == 3 * len(factory.blocks) and 0.0 not in outer_steps
 
 
 def test_kicks_do_not_depend_on_the_phase_batch(monkeypatch):
