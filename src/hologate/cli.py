@@ -230,22 +230,33 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _parsed(convert, kind: str, text: str):
+    """convert(text), or the argparse error naming the kind of value the option expects.
+
+    Without it argparse would name the converting function in its message.
+    """
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+
+
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = _parsed(float, "a finite number", text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _parsed(int, "a positive integer", text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _parsed(int, "a non-negative integer", text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value

@@ -143,6 +143,14 @@ class ControlBlock(CodeBlock):
     lies in one sector: `sector_columns` (sectors x largest sector size)
     lists each sector's columns, its pairs, then its zero mode, padded with
     the block size, and `sector_rows` each sector's rows in V's layout.
+
+    A block's rows are Fock states, one per entry of `index`, except on plane
+    III's even block, built on the U = +1 half of the beam-swap symmetry only
+    (fock.swap_symmetric_half): `mirror` = (rows, images, signs) marks the
+    rows that stand for (|index> + sign |image>)/sqrt 2, and in_fock maps
+    rows back.  As P G_o P = -G_o and G_o moves d = n1 - n2 by 2, G_o there
+    is the Fock G_o at the kept indices with the entries between |n, n> and
+    a pair times sqrt 2: real, like the Fock one.
     """
 
     def __init__(
@@ -151,6 +159,7 @@ class ControlBlock(CodeBlock):
         outer: np.ndarray,
         code: np.ndarray,
         real_controls: bool,
+        mirror: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.sectors = [_sector(index, inner, code) for index, inner in sectors]
         sizes = np.array([sector.index.size for sector in self.sectors])
@@ -162,7 +171,13 @@ class ControlBlock(CodeBlock):
         values = np.concatenate([sector.values for sector in self.sectors])
         super().__init__(index, values, vectors, code)
         self.real_controls = real_controls
-        outer = fock.Propagator(outer[np.ix_(index, index)])
+        self.mirror = mirror
+        outer = outer[np.ix_(index, index)]
+        if mirror is not None:  # |n, n> rows take sqrt 2 (G_o is zero between two of them)
+            lift = np.full(index.size, math.sqrt(2.0))
+            lift[mirror[0]] = 1.0
+            outer = lift[:, None] * outer * lift
+        outer = fock.Propagator(outer)
         self.outer_values = outer.values
         self.outer_vectors = vectors.conj().T @ outer.vectors
         # paired_basis's order: each sector's pairs, sector by sector, then the zero modes
@@ -229,24 +244,45 @@ class ControlBlock(CodeBlock):
     def outer_step(self, d_outer: float, inner: float = 0.0) -> np.ndarray:
         """S = Q^dag I(-inner) O(d_outer) I(inner) Q on the block: O turned by I's rotation.
 
-        That is Y exp(-i d_outer w_o) Y^dag for Y = R X, X the outer
-        eigenvectors in Q (paired_outer_vectors) and R = Q^dag I(-inner) Q,
-        which turns each pair of rows (2k, 2k + 1) by -inner w_k (paired_basis).
-        With `real_controls` S is real, and only its real part is formed, a
+        That is R X exp(-i d_outer w_o) X^dag R^dag, X the outer eigenvectors
+        in Q (paired_outer_vectors) and R = Q^dag I(-inner) Q, which turns
+        each pair of rows (2k, 2k + 1) by -inner w_k (paired_basis).  With
+        `real_controls` S is real, and only its real part is formed, a
         C-contiguous float64 array that the kicked route's real products take
-        as it is.  On plane II S is complex.
+        as it is.  There R turns S itself: on a real row (.., a, b, ..) it is
+        the phase exp(-i inner w_k) on the complex view a + i b of each pair,
+        so S R^dag is one complex multiply on S's rows, and R S one on the rows
+        of S^T.  On plane II S is complex, and R turns the rows of X.
         """
-        y = self.paired_outer_vectors
-        if inner:  # each pair of rows (a, b) of X turns to (cos a + sin b, cos b - sin a)
+        x = self.paired_outer_vectors
+        if inner and not self.real_controls:
+            # each pair of rows (a, b) of X turns to (cos a + sin b, cos b - sin a)
             rates = self.paired_basis[1]
             cos, sin = np.cos(inner * rates)[:, None], np.sin(inner * rates)[:, None]
             a, b = slice(0, 2 * rates.size, 2), slice(1, 2 * rates.size, 2)
-            y = y.copy()
-            y[a], y[b] = cos * y[a] + sin * y[b], cos * y[b] - sin * y[a]
-        phased = y * np.exp(-1j * d_outer * self.outer_values)[None, :]
-        if self.real_controls:  # Re(P Y^dag) = Re P Re Y^T + Im P Im Y^T, one product of the
-            return phased.view(np.float64) @ y.view(np.float64).T  # [Re, Im]-interleaved rows
-        return phased @ y.conj().T
+            x = x.copy()
+            x[a], x[b] = cos * x[a] + sin * x[b], cos * x[b] - sin * x[a]
+        phased = x * np.exp(-1j * d_outer * self.outer_values)[None, :]
+        if not self.real_controls:
+            return phased @ x.conj().T
+        # Re(P X^dag) = Re P Re X^T + Im P Im X^T: one product of the [Re, Im]-interleaved rows
+        phased, x = phased.view(np.float64), x.view(np.float64)
+        if not inner:
+            return phased @ x.T
+        turn = np.exp(-1j * inner * self.paired_basis[1])
+        # S^T R^dag = (R S)^T, transposed to R S, and then R S R^dag
+        return _turn_pairs(np.ascontiguousarray(_turn_pairs(x @ phased.T, turn).T), turn)
+
+    def in_fock(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """The block's (rows, columns) as `size` Fock rows, a mirrored row split on its pair."""
+        out = np.zeros((size, rows.shape[1]), dtype=complex)
+        out[self.index] = rows
+        if self.mirror is not None:
+            mirrored, images, signs = self.mirror
+            halves = rows[mirrored] / math.sqrt(2.0)
+            out[self.index[mirrored]] = halves
+            out[images] = signs[:, None] * halves
+        return out
 
     @cached_property
     def code_rows(self) -> np.ndarray:
@@ -272,6 +308,13 @@ class ControlBlock(CodeBlock):
         return (left @ cols.reshape(shape[0], -1)).reshape(-1, *shape[1:])
 
 
+def _turn_pairs(rows: np.ndarray, turn: np.ndarray) -> np.ndarray:
+    """rows R^dag in place, for real rows: each pair of columns (a, b), as a + i b, times `turn`."""
+    pairs = rows[:, : 2 * turn.size].view(np.complex128)
+    np.multiply(pairs, turn, out=pairs)
+    return rows
+
+
 class SectorPair(NamedTuple):
     """The two sectors of G_i that G_o links, one code column each.
 
@@ -291,11 +334,13 @@ class FrameFactory:
 
     No control leaves an invariant block of G_i and G_o together: `blocks`
     holds one ControlBlock per such block that holds code states (the whole
-    space on planes I/II, the two parity blocks of (-1)^(n1 + n2) on plane
-    III), and frames and kicks run block by block.  Each block is built from
-    the sectors of G_i inside it, one eigh per sector: the two parity chains
-    of the squeeze on planes I/II, the n1 - n2 chains of the two-mode squeeze
-    on plane III (13 and 14 of them in the two parity blocks at cutoff 14).
+    space on planes I/II; on plane III the U = +1 half of the even parity
+    block of (-1)^(n1 + n2), fock.swap_symmetric_half, and the whole odd
+    one), and frames and kicks run block by block; frame maps each block's
+    rows back to the Fock basis (ControlBlock.in_fock).  Each block is built
+    from the sectors of G_i inside it, one eigh per sector: the two parity
+    chains of the squeeze on planes I/II, the n1 - n2 chains of the two-mode
+    squeeze on plane III (7 and 14 of them, 56 and 98 states, at cutoff 14).
     fock.inner_sectors builds G_i chain by chain, so G_i is never dense, and
     A_i = c^dag G_i c is summed from the chains; G_o is dense.
     In a sector's eigenbasis V_a, I(i) is the diagonal phase exp(-i i w_a),
@@ -333,8 +378,12 @@ class FrameFactory:
         layout = fock.inner_sectors(cutoff, mode_count, 1.0j if plane is PlaneId.II else 1.0)
         chains = [inner for sectors in layout for _, inner in sectors]
         self.real_controls = not any(np.any(g.imag) for g in [outer, *chains])
+        parts = [(sectors, None) for sectors in layout]
+        if plane is PlaneId.III:  # the even block's U = +1 half holds both of its code states
+            parts[0] = fock.swap_symmetric_half(layout[0], cutoff)
         self.blocks = [
-            ControlBlock(sectors, outer, self.code, self.real_controls) for sectors in layout
+            ControlBlock(sectors, outer, self.code, self.real_controls, mirror)
+            for sectors, mirror in parts
         ]
         self.code_dim = self.code.shape[1]
         self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
@@ -367,7 +416,8 @@ class FrameFactory:
         cols = np.zeros(self.code.shape, dtype=complex)
         for block in self.blocks:
             left = block.vectors @ block.outer_vectors
-            cols[np.ix_(block.index, block.columns)] = block.frames(outer, inner, left)[:, 0]
+            rows = block.frames(outer, inner, left)[:, 0]
+            cols[:, block.columns] = block.in_fock(rows, cols.shape[0])
         return cols
 
     def top_quartile_populations(self, points) -> np.ndarray:
@@ -375,7 +425,8 @@ class FrameFactory:
 
         Every code column lives in one block, so each block forms only the
         top-quartile rows of its frames (top_outer_vectors), at all the (u, v)
-        points at once.
+        points at once.  A mirrored row's population is its pair's: the top
+        quartile holds |a, b> exactly when it holds |b, a>.
         """
         outer, inner = self.split(*np.asarray(points, dtype=float).T)
         worst = np.zeros(outer.shape)

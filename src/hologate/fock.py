@@ -167,6 +167,29 @@ def inner_sectors(
     return layout
 
 
+def swap_symmetric_half(
+    sectors: list[tuple[np.ndarray, np.ndarray]], cutoff: int
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The U = +1 half of the even parity block on two modes, as its sectors and mirrored rows.
+
+    U = P i^(n1 - n2), P the swap of the two modes, commutes with the two-mode
+    squeeze, the mix and the Kerr dwell, and U^2 = 1; the code states |00>
+    and |11> have U = +1.  On the even block's U = +1 half the n1 - n2 = d >= 0
+    chains of `sectors` (inner_sectors' even block) are a basis: |n, n> on
+    d = 0, and (|a, b> + (-1)^(d/2) |b, a>)/sqrt 2 for a > b, each held at the
+    Fock index of |a, b>.  The squeeze's chain at -d is the one at d, so the
+    kept chains are unchanged, and so are the Kerr phases and the top-quartile
+    mask read at their indices.  Returns the kept chains and (rows, images,
+    signs): the rows, of the kept indices laid one after another, that stand
+    for a pair, the Fock index of |b, a> and (-1)^(d/2) for each.
+    """
+    kept = [(index, inner) for index, inner in sectors if index[0] // cutoff >= index[0] % cutoff]
+    first, second = np.divmod(np.concatenate([index for index, _ in kept]), cutoff)
+    rows = np.flatnonzero(first > second)
+    images = second[rows] * cutoff + first[rows]
+    return kept, (rows, images, (-1.0) ** ((first[rows] - second[rows]) // 2))
+
+
 def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:
     """Diagonal of the Kerr Hamiltonian chi*n(n-1) per mode, in product-basis order."""
     if chi <= 0:

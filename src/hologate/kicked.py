@@ -12,7 +12,8 @@ unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
 at the current point is simply the population outside the bare code levels.
 The state is held block by block (the invariant blocks of the two control
-generators, two parity blocks on plane III), in the block's paired basis Q
+generators: on plane III the odd parity block and the swap-symmetric half of
+the even one, FrameFactory.blocks), in the block's paired basis Q
 (ControlBlock.paired_basis), where the inner control factor of every kick
 turns each pair of basis columns and the Kerr dwell is block-diagonal by
 sector of the inner generator.  Each edge takes one of two kernels
@@ -197,6 +198,35 @@ def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return padded[:-1]
 
 
+def _dwell_product(block, stack: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """D @ step for the dwell D held as its sector stack (sector_dwells), sector by sector.
+
+    D is block-diagonal by sector up to the order of Q's columns, so with the
+    step's rows taken sector by sector (ControlBlock.sector_columns) each
+    sector's rows of the product are one small product D_k S_k.  It is taken
+    transposed, S_k^T D_k^T, and written straight into that sector's columns
+    of one n x n array; a real step takes D_k^T on its [Re, Im]-interleaved
+    view, so that S_k^T needs no complex copy.  No padded copy of the step is
+    formed.
+    """
+    n = step.shape[0]
+    columns = block.sector_columns
+    order = columns[columns < n]  # Q's columns sector by sector
+    ends = np.cumsum(np.count_nonzero(columns < n, axis=1))
+    rows = step[order]
+    parts = stack.transpose(0, 2, 1).copy()  # each sector's D_k^T, padded
+    transposed = np.empty((n, n), dtype=complex)  # (D S)^T, its columns sector by sector
+    out, width = transposed, 1
+    if np.isrealobj(step):  # a complex entry is two floats of the views
+        parts, out, width = parts.view(np.float64), transposed.view(np.float64), 2
+    for part, start, end in zip(parts, np.append(0, ends[:-1]), ends):
+        dwell_t = part[: end - start, : width * (end - start)]
+        np.matmul(rows[start:end].T, dwell_t, out=out[:, width * start : width * end])
+    product = np.empty_like(transposed)
+    product[order] = transposed.T
+    return product
+
+
 def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> None:
     """`count` kicks of one edge on the columns held as paired rows, in place.
 
@@ -240,12 +270,13 @@ def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.nda
     An axis-aligned edge's kick K is constant, and K^count is applied to the
     columns by _power_apply.  Along the inner control the outer step is the
     identity, and K = D I(-inner step) is powered as the block's stack of
-    sector blocks, `sectors` (sector_dwells): on plane III at cutoff 14 a
-    squaring costs 14 products of 14 x 14 blocks instead of one 98 x 98
-    product.  Along the outer control K is the outer step turned by I at the
-    edge's inner value (ControlBlock.outer_step), D multiplied on through the
-    stack.  These kicks stay complex.  A tilted edge's kicks go one by one on
-    the columns held as [Re | Im] rows, with the dwell's real form `form`.
+    sector blocks, `sectors` (sector_dwells): on plane III's odd block at
+    cutoff 14 a squaring costs 14 products of 13 x 13 blocks instead of one
+    98 x 98 product.  Along the outer control K is the outer step turned by I
+    at the edge's inner value (ControlBlock.outer_step), with D multiplied on
+    sector by sector (_dwell_product).  These kicks stay complex.  A tilted
+    edge's kicks go one by one on the columns held as [Re | Im] rows, with the
+    dwell's real form `form`.
     """
     basis, rates = block.paired_basis
     code = basis.conj().T @ block.code
@@ -265,8 +296,7 @@ def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.nda
             kick = dwell * np.cos(turns) + partner * np.sin(turns)
             state = _by_sector(lambda part: _power_apply(kick, run.count, part), state, columns)
         else:
-            step = block.outer_step(d_outer, inner0)
-            kick = _by_sector(lambda part: sectors[0] @ part, step, columns)
+            kick = _dwell_product(block, sectors[0], block.outer_step(d_outer, inner0))
             state = _power_apply(kick, run.count, state)
     return code, state
 

@@ -345,6 +345,32 @@ def test_negative_seed_exits_2_naming_it(capsys, hadamard_loop_file, command):
     assert "argument --seed: must be non-negative" in line
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--precision", "abc", "area", "{loop}"],
+         "argument --precision: expected a positive integer, got 'abc'"),
+        (["--seed", "abc", "area", "{loop}"],
+         "argument --seed: expected a non-negative integer, got 'abc'"),
+        (["--seed", "1.5", "area", "{loop}"],
+         "argument --seed: expected a non-negative integer, got '1.5'"),
+        (["error", "{loop}", "--statistical", "abc", "64"],
+         "argument --statistical: expected a finite number, got 'abc'"),
+    ],
+    ids=["precision", "seed", "seed-fraction", "statistical"],
+)
+def test_non_numeric_option_exits_2_naming_it_and_its_kind(capsys, hadamard_loop_file, argv,
+                                                          message):
+    # argparse used to name the converting function: "invalid _positive_int value: 'abc'"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(loop=hadamard_loop_file) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.endswith(message)
+
+
 def test_statistical_record_counts_the_samples_outside_the_domain(capsys, tmp_path):
     crot = write_loop(tmp_path, "crot.json", compiler.CROT_LOOP)
     code, record = run_cli(capsys, "error", crot, "--statistical", "0.01", "1000")

@@ -25,6 +25,7 @@ from conftest import (
     convex_polygons,
     corner_populations,
     curvature_coefficient,
+    kerr_hamiltonian,
     matrix_magnus_transport,
     paired_transform,
     per_edge_transport,
@@ -158,24 +159,77 @@ def test_curvature_plane2_origin():
     assert coefficient == pytest.approx(2.0, abs=5e-2)
 
 
-@pytest.mark.parametrize("cutoff,sizes", [(13, [85, 84]), (14, [98, 98])])
-def test_plane3_control_blocks_are_the_two_parity_blocks(cutoff, sizes):
+def swap_symmetry(cutoff):
+    """Dense U = P i^(n1 - n2), P the swap of the two modes: U|a, b> = i^(a - b) |b, a>."""
+    first, second = np.divmod(np.arange(cutoff * cutoff), cutoff)
+    u = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
+    u[second * cutoff + first, np.arange(cutoff * cutoff)] = 1j ** (first - second)
+    return u
+
+
+def symmetric_half_basis(cutoff, index):
+    """Columns |n, n> and (|a, b> + (-1)^(d/2) |b, a>)/sqrt 2, d = a - b, at |a, b>'s index."""
+    basis = np.zeros((cutoff * cutoff, index.size))
+    for column, state in enumerate(index):
+        a, b = divmod(int(state), cutoff)
+        if a == b:
+            basis[state, column] = 1.0
+        else:
+            basis[state, column] = 1.0 / math.sqrt(2.0)
+            basis[b * cutoff + a, column] = (-1.0) ** ((a - b) // 2) / math.sqrt(2.0)
+    return basis
+
+
+@pytest.mark.parametrize("cutoff,sizes", [(13, [49, 84]), (14, [56, 98])])
+def test_plane3_control_blocks_are_the_two_parity_blocks(monkeypatch, cutoff, sizes):
+    # the odd parity block, and the U = +1 half of the even one (fock.swap_symmetric_half)
+    generators = []
+    original = fock.Propagator
+
+    def recorded(generator):
+        generators.append(generator)
+        return original(generator)
+
+    monkeypatch.setattr(fock, "Propagator", recorded)
     factory = connection.FrameFactory(PlaneId.III, cutoff)
     outer, inner, code = plane_generators(PlaneId.III, cutoff)
-    indices = [block.index for block in factory.blocks]
-    assert [idx.size for idx in indices] == sizes
-    # a partition of the Fock space, each block of one parity of n1 + n2
-    assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(cutoff * cutoff))
-    for parity, idx in enumerate(indices):
-        assert np.all((idx // cutoff + idx % cutoff) % 2 == parity)
-    # neither control generator couples the blocks
-    between = np.ix_(indices[0], indices[1])
-    assert not np.any(inner[between]) and not np.any(outer[between])
+    kerr = np.diag(kerr_hamiltonian(1.0, cutoff, 2))
+    even, odd = factory.blocks
+    assert [block.index.size for block in factory.blocks] == sizes
+    # U commutes exactly with both control generators and the Kerr dwell, U^2 = 1
+    u = swap_symmetry(cutoff)
+    for generator in (outer, inner, np.diag(kerr)):
+        assert not np.any(u @ generator - generator @ u)
+    assert np.array_equal(u @ u, np.eye(cutoff * cutoff))
+    # the odd block holds every odd state of n1 + n2 as itself; the even block's
+    # basis T is orthonormal, U = +1 on it, and it spans the even states' U = +1 half
+    dim = cutoff * cutoff
+    parity = (np.arange(dim) // cutoff + np.arange(dim) % cutoff) % 2
+    assert np.array_equal(np.sort(odd.index), np.flatnonzero(parity == 1))
+    assert odd.mirror is None
+    basis = symmetric_half_basis(cutoff, even.index)
+    assert np.array_equal(even.in_fock(np.eye(even.index.size), dim), basis)
+    assert np.max(np.abs(basis.T @ basis - np.eye(even.index.size))) < 1e-15
+    assert not np.any(u @ basis - basis) and not np.any(basis[parity == 1])
+    assert even.index.size == (np.count_nonzero(parity == 0) + cutoff) // 2
+    # the even block's G_o, the one its eigh took, is T^T G_o T; G_i and the Kerr
+    # phases are read at its indices
+    [even_outer] = [g for g in generators if g.shape == (sizes[0], sizes[0])]
+    assert np.max(np.abs(even_outer - basis.T @ outer @ basis)) <= 1e-14
+    assert not np.any(even_outer.imag)
+    assert np.max(np.abs(basis.T @ inner @ basis - inner[np.ix_(even.index, even.index)])) <= 1e-14
+    assert np.max(np.abs(basis.T @ np.diag(kerr) @ basis - np.diag(kerr[even.index]))) <= 1e-12
+    # neither control generator couples the blocks, nor the even block to the even U = -1 half
+    odd_states = np.eye(dim)[:, parity == 1]
+    other_half = (np.eye(dim) - basis @ basis.T)[:, parity == 0]
+    for generator in (outer, inner):
+        assert not np.any(basis.T @ generator @ odd_states)
+        assert np.max(np.abs(basis.T @ generator @ other_half)) < 1e-14
     # each code column lies in exactly one block: {|00>, |11>} even, {|10>, |01>} odd
     assert [block.columns.tolist() for block in factory.blocks] == [[0, 2], [1, 3]]
     for block in factory.blocks:
-        outside = np.setdiff1d(np.arange(cutoff * cutoff), block.index)
-        assert not np.any(code[np.ix_(outside, block.columns)])
+        columns = block.in_fock(block.code, dim)
+        assert np.array_equal(columns, code[:, block.columns])
 
 
 def held_arrays(owner):
@@ -188,7 +242,7 @@ def held_arrays(owner):
 
 
 def test_control_blocks_hold_two_dense_matrices(monkeypatch):
-    # each plane III parity block (98 states at cutoff 14) keeps its inner
+    # each plane III block (56 and 98 states at cutoff 14) keeps its inner
     # eigenvectors V and W = V^dag V_o; everything else it holds is a few columns.
     # A fresh factory: a kicked loop elsewhere would have built the paired basis
     factory = connection.FrameFactory(PlaneId.III, 14)
@@ -198,12 +252,13 @@ def test_control_blocks_hold_two_dense_matrices(monkeypatch):
         return list(held_arrays(block)) + [a for pair in vars(block).values()
                                            if isinstance(pair, tuple) for a in pair]
 
+    assert [block.index.size for block in factory.blocks] == [56, 98]
     for block in factory.blocks:
         block.code_eig  # built on first use; count it too
         size = block.index.size
         arrays = held(block)
         dense = [a for a in arrays if a.shape == (size, size)]
-        assert size == 98 and len(dense) == 2
+        assert len(dense) == 2
         assert sum(a.nbytes for a in arrays) <= 2 * size**2 * 16 + 8 * size * 16
     # any kicked loop, a rect as much as a tilted one, adds the real Q and the
     # complex X = Q^dag V W, and nothing dense besides
@@ -220,7 +275,7 @@ def test_control_blocks_hold_two_dense_matrices(monkeypatch):
 
 
 # odd cutoffs leave a zero mode without a partner: plane I's odd parity chain, and
-# plane III's even block at cutoff 13 (13 odd sectors)
+# plane III's even block at cutoff 13 (7 odd sectors)
 PAIRED_CASES = [(PlaneId.I, 60), (PlaneId.I, 61), (PlaneId.II, 60), (PlaneId.II, 61),
                 (PlaneId.III, 14), (PlaneId.III, 13)]
 
@@ -299,9 +354,10 @@ SECTOR_CASES = [
     pytest.param(PlaneId.I, 60, [[30, 30]], id="I"),
     pytest.param(PlaneId.II, 60, [[30, 30]], id="II"),
     # n1 - n2 = d holds cutoff - |d| states; even d in the even parity block
-    pytest.param(PlaneId.III, 13, [[13, 11, 11, 9, 9, 7, 7, 5, 5, 3, 3, 1, 1],
+    # the even block keeps d >= 0 only (fock.swap_symmetric_half)
+    pytest.param(PlaneId.III, 13, [[13, 11, 9, 7, 5, 3, 1],
                                    [12, 12, 10, 10, 8, 8, 6, 6, 4, 4, 2, 2]], id="III-13"),
-    pytest.param(PlaneId.III, 14, [[14, 12, 12, 10, 10, 8, 8, 6, 6, 4, 4, 2, 2],
+    pytest.param(PlaneId.III, 14, [[14, 12, 10, 8, 6, 4, 2],
                                    [13, 13, 11, 11, 9, 9, 7, 7, 5, 5, 3, 3, 1, 1]], id="III"),
 ]
 

@@ -122,6 +122,26 @@ def test_kicked_edge_powers_match_stepped_kicks(loop, cutoff):
     assert abs(result.leakage - leakage) < 1e-10
 
 
+# plane III's even block runs on its swap-symmetric half (fock.swap_symmetric_half)
+# at both parities of the cutoff: 49 + 84 states at 13, 56 + 98 at 14
+HALF_BLOCK_CASES = [
+    pytest.param(LoopSpec(PlaneId.III, shape, orientation), cutoff,
+                 id=f"{name}-cutoff{cutoff}-{orientation:+d}")
+    for name, shape in (("rect", Rect(0.01, 0.16, 0.02, 0.13)),
+                        ("hexagon", regular_polygon(PlaneId.III, 6, (0.1, 0.08), 0.06).shape))
+    for cutoff in (13, 14)
+    for orientation in (1, -1)
+]
+
+
+@pytest.mark.parametrize("loop,cutoff", HALF_BLOCK_CASES)
+def test_plane3_half_block_kicks_match_stepped_kicks(loop, cutoff):
+    result = kicked.run_kicked(KickSchedule(loop, KICKS, cutoff=cutoff))
+    code_map, leakage = stepped_kicks(loop, cutoff, KICKS)
+    assert np.max(np.abs(result.code_map - code_map)) < 1e-10
+    assert abs(result.leakage - leakage) < 1e-12
+
+
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 @settings(max_examples=20, deadline=None)
 @given(convex_polygons(), st.integers(64, 128), st.sampled_from([1, -1]))

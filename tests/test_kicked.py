@@ -261,10 +261,11 @@ def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutof
             assert not np.any(rate[2 * half :])
             assert np.array_equal(other[:, : 2 * half : 2], -part[:, 1 : 2 * half : 2])
             assert np.array_equal(other[:, 1 : 2 * half : 2], part[:, : 2 * half : 2])
-        # an outer-direction kick: the dwell after a dense step, through the stack
+        # an outer-direction kick: the dwell after a dense step, complex or real, from the stack
         step = random_unitaries(rng, (n, n))
-        got = kicked._by_sector(lambda part: stack @ part, step, block.sector_columns)
-        assert np.max(np.abs(got - dense_sectors(stack, block) @ step)) <= 1e-15
+        for step in (step, np.ascontiguousarray(step.real)):
+            got = kicked._dwell_product(block, stack, step)
+            assert np.max(np.abs(got - dense_sectors(stack, block) @ step)) <= 1e-15
     # another dwell replaces the kept one: the factory holds one dwell at a time
     kicked.sector_dwells(factory, 2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
     assert list(factory.dwells) == [(2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]

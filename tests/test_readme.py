@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 
 import hologate
+from hologate import connection, loops
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +59,14 @@ def test_readme_names_resolve():
         except (AttributeError, KeyError, StopIteration):
             unresolved.append(name)
     assert unresolved == []
+
+
+def test_readme_plane3_block_sizes_are_the_factory_blocks():
+    # "runs on 56 + 98 states (49 + 84 at cutoff 13)"
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    [(at14, at13)] = re.findall(r"runs on (\d+ \+ \d+) states \((\d+ \+ \d+) at cutoff 13\)", text)
+    for cutoff, sizes in ((14, at14), (13, at13)):
+        factory = connection.FrameFactory(loops.PlaneId.III, cutoff)
+        assert [block.index.size for block in factory.blocks] == [
+            int(size) for size in sizes.split(" + ")
+        ]
