@@ -126,10 +126,11 @@ def cmd_gate(args) -> int:
 def cmd_oracle(args) -> int:
     loop = _load_loop(args.loop_file)
     cutoff = _effective_cutoff(args, loop)
-    # steps/2, where the convergence estimate reruns the loop, needs a step per edge on either route
+    # steps/2, where the convergence estimate reruns the loop, needs a step per edge where
+    # edges take steps: every kicked edge, and a connection edge only if it takes Magnus steps
     half_steps = max(args.steps // 2, 16 if args.method == "kicked" else 4)
     edges = len(loops_mod.boundary_vertices(loop))
-    if half_steps < edges:
+    if half_steps < edges and (args.method == "kicked" or connection.takes_magnus_steps(loop)):
         raise ValueError(
             f"--steps {args.steps} is too few for a loop of {edges} edges: the convergence "
             f"estimate reruns it at steps/2 = {half_steps}, fewer than its edges; raise --steps"

@@ -123,6 +123,24 @@ def _sector(index: np.ndarray, inner: np.ndarray, code: np.ndarray) -> CodeBlock
     return CodeBlock(index, basis.values, basis.vectors, code)
 
 
+class SwapPairing(NamedTuple):
+    """U = P i^(n1 - n2) in a block's paired basis Q, as a phased permutation of its columns.
+
+    U e_c = phase e_p for each column c in `half` and its partner p in
+    `partner`, and U e_p = conj(phase) e_c; (e_c +- phase e_p)/sqrt 2 span
+    the U = +-1 halves.  `turn` takes the block's two code columns (s_0, s_1),
+    which U swaps, to (s_0 +- U s_0)/sqrt 2, one in each half.  `lower` and
+    `upper` list the sectors d < 0 that hold `half` and their partners -d.
+    """
+
+    half: np.ndarray
+    partner: np.ndarray
+    phase: np.ndarray
+    turn: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
 class ControlBlock(CodeBlock):
     """One invariant block of the control generators G_i and G_o that holds code states.
 
@@ -139,10 +157,12 @@ class ControlBlock(CodeBlock):
     I(i) is a rotation of each pair of columns, and with `real_controls`
     (planes I and III) Q is real and so is the outer step Q^dag O Q
     (outer_step), one product of the outer eigenvectors in Q
-    (paired_outer_vectors).  Both are built on first use.  Each column of Q
-    lies in one sector: `sector_columns` (sectors x largest sector size)
-    lists each sector's columns, its pairs, then its zero mode, padded with
-    the block size, and `sector_rows` each sector's rows in V's layout.
+    (paired_outer_vectors).  These, the code columns in Q (paired_code) and
+    U's pairing of Q's columns (swap_pairing) are built on first use.  Each
+    column of Q lies in one sector: `sector_columns` (sectors x largest
+    sector size) lists each sector's columns, its pairs, then its zero mode,
+    padded with the block size, and `sector_rows` each sector's rows in V's
+    layout.
 
     A block's rows are Fock states, one per entry of `index`, except on plane
     III's even block, built on the U = +1 half of the beam-swap symmetry only
@@ -150,7 +170,10 @@ class ControlBlock(CodeBlock):
     rows that stand for (|index> + sign |image>)/sqrt 2, and in_fock maps
     rows back.  As P G_o P = -G_o and G_o moves d = n1 - n2 by 2, G_o there
     is the Fock G_o at the kept indices with the entries between |n, n> and
-    a pair times sqrt 2: real, like the Fock one.
+    a pair times sqrt 2: real, like the Fock one.  Plane III's odd block is
+    whole, and U maps each of its sectors d onto -d: `swap_cutoff`, the
+    cutoff per mode there (None on every other block), lets swap_pairing
+    read U in Q off the sectors' Fock indices.
     """
 
     def __init__(
@@ -160,6 +183,7 @@ class ControlBlock(CodeBlock):
         code: np.ndarray,
         real_controls: bool,
         mirror: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        swap_cutoff: int | None = None,
     ):
         self.sectors = [_sector(index, inner, code) for index, inner in sectors]
         sizes = np.array([sector.index.size for sector in self.sectors])
@@ -172,6 +196,7 @@ class ControlBlock(CodeBlock):
         super().__init__(index, values, vectors, code)
         self.real_controls = real_controls
         self.mirror = mirror
+        self.swap_cutoff = swap_cutoff
         outer = outer[np.ix_(index, index)]
         if mirror is not None:  # |n, n> rows take sqrt 2 (G_o is zero between two of them)
             lift = np.full(index.size, math.sqrt(2.0))
@@ -229,6 +254,49 @@ class ControlBlock(CodeBlock):
         return basis, rates
 
     @cached_property
+    def paired_code(self) -> np.ndarray:
+        """Q^dag c: the block's code columns in its paired basis, where every kicked loop starts.
+
+        With `real_controls` Q and c are real, and so is Q^dag c, held as float64.
+        """
+        code = self.paired_basis[0].conj().T @ self.code
+        return np.ascontiguousarray(code.real) if self.real_controls else code
+
+    @cached_property
+    def swap_pairing(self) -> SwapPairing | None:
+        """U = P i^(n1 - n2) in the paired basis Q, on a block whose sectors U swaps; else None.
+
+        P maps the chain of sector d = n1 - n2, (d + j, j) for j = 0, 1, ..,
+        onto that of -d, (j, d + j), place by place, and G_i's entries there
+        are the same products of two roots, so the two sectors' eigenvectors,
+        and their columns of Q, are the same numbers.  So U e_c = i^d e_c'
+        for the column c at each place of sector d and the column c' at the
+        same place of -d: U is a phased permutation in Q, read here off the
+        sectors' first Fock indices with no product.  Only plane III's odd
+        block has it (swap_cutoff); the even block holds its U = +1 half
+        alone, and one mode has no swap.
+        """
+        if self.swap_cutoff is None:
+            return None
+        first, second = np.divmod([sector.index[0] for sector in self.sectors], self.swap_cutoff)
+        d = first - second
+        sector_of = {int(k): s for s, k in enumerate(d)}
+        lower = np.flatnonzero(d < 0)
+        upper = np.array([sector_of[-int(d[s])] for s in lower])
+        n, half, partner, phase = self.index.size, [], [], []
+        for s, image in zip(lower, upper):
+            places = self.sector_columns[s]
+            partner.append(self.sector_columns[image][places < n])
+            half.append(places[places < n])
+            phase.append(np.full(half[-1].size, 1j if d[s] % 4 == 1 else -1j))  # i^d, d odd
+        # the code pair is swapped by U too: U s_0 = i^d s_1 for s_0's sector d
+        [d_code] = [k for k, sector in zip(d, self.sectors) if self.columns[0] in sector.columns]
+        swap = 1j if d_code % 4 == 1 else -1j
+        turn = np.array([[1.0, 1.0], [swap, -swap]]) / math.sqrt(2.0)
+        columns = (np.concatenate(part) for part in (half, partner, phase))
+        return SwapPairing(*columns, turn, lower, upper)
+
+    @cached_property
     def paired_outer_vectors(self) -> np.ndarray:
         """X = Q^dag V W: the outer eigenvectors in the paired basis Q, sector by sector.
 
@@ -249,29 +317,40 @@ class ControlBlock(CodeBlock):
         each pair of rows (2k, 2k + 1) by -inner w_k (paired_basis).  With
         `real_controls` S is real, and only its real part is formed, a
         C-contiguous float64 array that the kicked route's real products take
-        as it is.  There R turns S itself: on a real row (.., a, b, ..) it is
-        the phase exp(-i inner w_k) on the complex view a + i b of each pair,
-        so S R^dag is one complex multiply on S's rows, and R S one on the rows
-        of S^T.  On plane II S is complex, and R turns the rows of X.
+        as it is.  The unturned step is built first, and turned_step turns it.
         """
         x = self.paired_outer_vectors
-        if inner and not self.real_controls:
-            # each pair of rows (a, b) of X turns to (cos a + sin b, cos b - sin a)
-            rates = self.paired_basis[1]
-            cos, sin = np.cos(inner * rates)[:, None], np.sin(inner * rates)[:, None]
-            a, b = slice(0, 2 * rates.size, 2), slice(1, 2 * rates.size, 2)
-            x = x.copy()
-            x[a], x[b] = cos * x[a] + sin * x[b], cos * x[b] - sin * x[a]
         phased = x * np.exp(-1j * d_outer * self.outer_values)[None, :]
-        if not self.real_controls:
-            return phased @ x.conj().T
-        # Re(P X^dag) = Re P Re X^T + Im P Im X^T: one product of the [Re, Im]-interleaved rows
-        phased, x = phased.view(np.float64), x.view(np.float64)
-        if not inner:
-            return phased @ x.T
-        turn = np.exp(-1j * inner * self.paired_basis[1])
-        # S^T R^dag = (R S)^T, transposed to R S, and then R S R^dag
-        return _turn_pairs(np.ascontiguousarray(_turn_pairs(x @ phased.T, turn).T), turn)
+        if self.real_controls:
+            # Re(P X^dag) = Re P Re X^T + Im P Im X^T: one product of the [Re, Im]-interleaved rows
+            step = phased.view(np.float64) @ x.view(np.float64).T
+        else:
+            step = phased @ x.conj().T
+        return self.turned_step(step, inner) if inner else step
+
+    def turned_step(self, step: np.ndarray, inner: float) -> np.ndarray:
+        """R S R^dag as a new array, for a step S on the block and R = Q^dag I(-inner) Q.
+
+        R turns each pair of rows (a, b) to (c a + s b, c b - s a), c and s
+        the cosine and sine of inner w_k, and R^dag the columns the same way.
+        A real S is turned in place of a copy: on a real row (.., a, b, ..) R
+        is the phase exp(-i inner w_k) on the complex view a + i b of each
+        pair, so S R^dag is one complex multiply on S's rows, and R S one on
+        the rows of S^T.
+        """
+        rates = self.paired_basis[1]
+        if self.real_controls:
+            turn = np.exp(-1j * inner * rates)
+            # S^T R^dag = (R S)^T, transposed to R S, and then R S R^dag
+            rows = _turn_pairs(np.array(step.T, order="C"), turn)
+            return _turn_pairs(np.ascontiguousarray(rows.T), turn)
+        cos, sin = np.cos(inner * rates)[:, None], np.sin(inner * rates)[:, None]
+        a, b = slice(0, 2 * rates.size, 2), slice(1, 2 * rates.size, 2)
+        turned = step.copy()
+        turned[a], turned[b] = cos * step[a] + sin * step[b], cos * step[b] - sin * step[a]
+        turned = turned.T
+        turned[a], turned[b] = cos * turned[a] + sin * turned[b], cos * turned[b] - sin * turned[a]
+        return turned.T
 
     def in_fock(self, rows: np.ndarray, size: int) -> np.ndarray:
         """The block's (rows, columns) as `size` Fock rows, a mirrored row split on its pair."""
@@ -357,10 +436,12 @@ class FrameFactory:
     no imaginary part (planes I and III), so that a(i) is real.
     `top_outer_vectors` holds, per block, the rows of V W (the outer
     eigenvectors in the Fock basis) at its top-quartile Fock levels, for the
-    truncation check.  `dwells` holds, for one (chi, delta_t), the kicked
-    route's Kerr dwell per block in its paired basis, as a sector stack for
-    axis-aligned edges (kicked.sector_dwells) and as a 2n x 2n real form for
-    tilted ones (kicked.paired_dwells), each built on first use.
+    kicked route's truncation check (top_quartile_populations); the
+    transport's reads the code columns' chains alone (chain_tail_populations).
+    `dwells` holds, for one (chi, delta_t), the kicked route's Kerr dwell per
+    block in its paired basis, as a sector stack for axis-aligned edges
+    (kicked.sector_dwells) and as a 2n x 2n real form for tilted ones
+    (kicked.paired_dwells), each built on first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -381,9 +462,10 @@ class FrameFactory:
         parts = [(sectors, None) for sectors in layout]
         if plane is PlaneId.III:  # the even block's U = +1 half holds both of its code states
             parts[0] = fock.swap_symmetric_half(layout[0], cutoff)
+        swapped = [None, cutoff] if plane is PlaneId.III else [None]
         self.blocks = [
-            ControlBlock(sectors, outer, self.code, self.real_controls, mirror)
-            for sectors, mirror in parts
+            ControlBlock(sectors, outer, self.code, self.real_controls, mirror, swap)
+            for (sectors, mirror), swap in zip(parts, swapped)
         ]
         self.code_dim = self.code.shape[1]
         self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
@@ -433,6 +515,28 @@ class FrameFactory:
         for block, left in zip(self.blocks, self.top_outer_vectors):
             population = np.sum(np.abs(block.frames(outer, inner, left)) ** 2, axis=0)
             worst = np.maximum(worst, np.max(population, axis=1))
+        return worst
+
+    def chain_tail_populations(self, inner: np.ndarray) -> np.ndarray:
+        """Worst population in the top quartile of Fock levels of I(i) c over the code columns.
+
+        One value per inner control value i.  I(i) c never leaves the code
+        columns' own sectors, the chains of G_i that hold them, so each is
+        read there: V_a's top-quartile rows times exp(-i i w_a) V_a^dag c_a.
+        That is what the transport depends on, as A_o(i) = c^dag I^dag G_o I c
+        and A_i = c^dag G_i c; the outer propagator, which the frame check
+        (top_quartile_populations) also applies, never acts on it.  None of
+        these chains holds a mirrored row.
+        """
+        top = fock.top_quartile_mask(self.cutoff, self.mode_count)
+        worst = np.zeros(inner.shape)
+        for sector in (sector for block in self.blocks for sector in block.sectors):
+            rows = top[sector.index]
+            if sector.columns.size and rows.any():
+                cols = sector.phases_at(inner)[:, :, None] * sector.code_eig[:, None, :]
+                tail = sector.vectors[rows] @ cols.reshape(sector.values.size, -1)
+                population = np.sum(np.abs(tail) ** 2, axis=0).reshape(cols.shape[1:])
+                worst = np.maximum(worst, np.max(population, axis=1))
         return worst
 
     def pair_entries(
@@ -517,10 +621,24 @@ def calibrated_code_matrix(plane: PlaneId, raw: np.ndarray) -> np.ndarray:
 
 
 def check_loop_truncation(loop: LoopSpec, cutoff: int) -> None:
-    """Warn when the dressed frames at the loop corners stress the cutoff, once per corner."""
+    """Warn when the dressed frames at the loop corners stress the cutoff, once per corner.
+
+    The kicked route's check: its state spreads as the whole frame does.
+    """
     factory = frame_factory(loop.plane, cutoff)
     for population in factory.top_quartile_populations(loops_mod.boundary_vertices(loop)):
         fock.warn_if_truncated(float(population), f"dressed frame on plane {loop.plane.value}")
+
+
+def _check_chain_tails(factory: FrameFactory, verts: np.ndarray) -> None:
+    """Warn when I(i) c at the loop corners stresses the cutoff, once per corner.
+
+    The transport's check (FrameFactory.chain_tail_populations): the
+    transport reads the code columns only through I(i) c.
+    """
+    _, inner = factory.split(*verts.T)
+    for population in factory.chain_tail_populations(inner):
+        fock.warn_if_truncated(float(population), f"squeezed code on plane {factory.plane.value}")
 
 
 def polar_unitary(mat: np.ndarray) -> np.ndarray:
@@ -584,6 +702,18 @@ def _tree_product(p: np.ndarray, q: np.ndarray):
 def _stepped(factory: FrameFactory, run: loops_mod.EdgeRun) -> bool:
     """A tilted plane II edge: the one kind whose pair connection does not commute with itself."""
     return not (factory.real_controls or run.axis_aligned)
+
+
+def takes_magnus_steps(loop: LoopSpec) -> bool:
+    """Whether some edge of the loop takes Magnus steps: a tilted edge on plane II.
+
+    Plane II's squeeze is the one complex control generator
+    (FrameFactory.real_controls); on an axis-aligned edge one coordinate
+    stays put.  Only such a loop splits `steps` over its edges.
+    """
+    return loop.plane is PlaneId.II and not all(
+        edge.axis_aligned for edge in loops_mod.boundary_edges(loop)
+    )
 
 
 def _exact_edges(factory: FrameFactory, runs: list[loops_mod.EdgeRun]):
@@ -669,30 +799,35 @@ def _transport(factory: FrameFactory, runs: list[loops_mod.EdgeRun]) -> np.ndarr
 def holonomy_path_ordered(loop: LoopSpec, cutoff: int, steps: int) -> gates.GateMatrix:
     """Path-ordered holonomy of the exact Wilczek-Zee connection around the loop.
 
-    The boundary is split into `steps` sub-intervals by edge length
-    (loops.boundary_runs).  Before any frame is built, that split is
-    validated, and so is steps/2 (at least 4) against the loop's edge count,
-    with boundary_runs' own message, since a rerun at steps/2 needs a step
-    per edge too.  On planes I and III every edge is one exact exponential of
-    the line integral of the (abelian) pair connection, so `steps` is only
-    validated there.  On plane II an axis-aligned edge is one exact
-    exponential and a tilted edge takes one fourth-order Magnus step per
-    sub-interval.  diagnostics["integrator"] is "magnus4" when some edge takes
-    Magnus steps (a tilted plane II edge) and "exact_edge" otherwise.  Only
-    then is the steps/2 split built and the transport rerun on it, and the
-    distance to that rerun is the convergence estimate; it is 0.0 when every
-    edge is exact.  The result lives in the raw dressed-frame basis; use
+    An edge is one exact exponential unless it takes Magnus steps
+    (takes_magnus_steps: a tilted plane II edge), so only such a loop splits
+    `steps` over its edges by length (loops.boundary_runs), one fourth-order
+    Magnus step per sub-interval of a tilted edge.  Before anything is
+    built, that split is validated, and so is steps/2 (at least 4) against
+    the loop's edge count, with boundary_runs' own message, since the rerun
+    at steps/2 needs a step per edge too.  Every other loop takes its edges
+    from its corners (loops.boundary_edges), and `steps` is only checked
+    against the floor of 100.  diagnostics["integrator"] is "magnus4" when
+    some edge takes Magnus steps and "exact_edge" otherwise.  Only then is
+    the transport rerun at steps/2, and the distance to that rerun is the
+    convergence estimate; it is 0.0 when every edge is exact.  The
+    truncation check reads I(i) c at the corners (_check_chain_tails), after
+    the transport, so a loop that the transport refuses warns of nothing.
+    The result lives in the raw dressed-frame basis; use
     calibrated_code_matrix() to compare with the area-formula gates.
     """
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
-    runs = loops_mod.boundary_runs(loop, steps)
+    stepped = takes_magnus_steps(loop)
     half = max(steps // 2, 4)
-    loops_mod.check_steps_cover_edges(half, len(runs))
-    check_loop_truncation(loop, cutoff)
+    if stepped:
+        runs = loops_mod.boundary_runs(loop, steps)
+        loops_mod.check_steps_cover_edges(half, len(runs))
+    else:
+        runs = loops_mod.boundary_edges(loop)
     factory = frame_factory(loop.plane, cutoff)
     holonomy = _transport(factory, runs)
-    stepped = any(_stepped(factory, run) for run in runs)
+    _check_chain_tails(factory, np.array([run.start for run in runs]))
     convergence = 0.0
     if stepped:
         coarse = _transport(factory, loops_mod.boundary_runs(loop, half))

@@ -19,8 +19,14 @@ turns each pair of basis columns and the Kerr dwell is block-diagonal by
 sector of the inner generator.  Each edge takes one of two kernels
 (_block_loop): an axis-aligned edge's constant kick is raised to the edge's
 kick count (_power_apply), and a tilted edge's kicks go one by one on the
-code columns held as real rows (_tilted_edge).  Only the state after the
-whole loop is kept.
+code columns held as real rows (_tilted_edge).  An outer-direction edge's
+kick is the outer step, built unturned once for a rect's two such edges and
+turned by I's rotation per edge.  On plane III's odd block, which
+U = P i^(n1 - n2) maps to itself (ControlBlock.swap_pairing), that kick is
+split into its two U halves and powered as one stack of half-size blocks,
+one code column each (_halved_power); a tilted edge there keeps the whole
+block, since two half blocks double the per-kick calls that dominate it.
+Only the state after the whole loop is kept.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ DEFAULT_DELTA_T = math.pi / 4.0
 
 MAX_CONTROL_STEP = 0.05
 LEAKAGE_FAILURE_THRESHOLD = 0.5
+
+# The signs of U's two halves on a block that U swaps: U = +1, then U = -1.
+_HALF_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,7 @@ class KickedResult:
 
 def largest_control_step(runs: list[loops_mod.EdgeRun]) -> float:
     """Largest control-plane distance between consecutive kicks along the runs."""
-    lengths = loops_mod.edge_lengths(np.array([run.end - run.start for run in runs]))
-    return float(np.max(lengths / [run.count for run in runs]))
+    return max(run.length / run.count for run in runs)
 
 
 def _schedule_runs(schedule: KickSchedule) -> list[loops_mod.EdgeRun]:
@@ -111,6 +119,24 @@ def _power_apply(kick: np.ndarray, count: int, state: np.ndarray) -> np.ndarray:
     for _ in range(count):
         state = kick @ state
     return state
+
+
+def _aligned(array: np.ndarray) -> np.ndarray:
+    """A copy of `array` in its own memory order that starts on a 64-byte boundary.
+
+    numpy aligns its arrays to 16 bytes only, and a tilted kick reads the
+    dwell's real form slower off a 64-byte boundary: 6.3 against 7.1-7.3 us
+    on plane I's 60-state block and 5.6 against 6.0-6.7 us on plane III's
+    56-state half (OpenBLAS, one thread), so where the form lands no longer
+    decides the kick's speed.  The memory order is kept, and with it the
+    products' rounding.
+    """
+    buffer = np.empty(array.nbytes + 64, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64
+    order = "C" if array.flags.c_contiguous else "F"
+    out = buffer[start : start + array.nbytes].view(array.dtype).reshape(array.shape, order=order)
+    out[...] = array
+    return out
 
 
 def real_form(matrix: np.ndarray) -> np.ndarray:
@@ -180,7 +206,7 @@ def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
         forms = []
         for block in factory.blocks:
             basis, _ = block.paired_basis
-            form = real_form(((basis.conj().T * dwell[block.index]) @ basis).T)
+            form = _aligned(real_form(((basis.conj().T * dwell[block.index]) @ basis).T))
             form.setflags(write=False)
             forms.append(form)
         kept["paired"] = forms
@@ -198,32 +224,39 @@ def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return padded[:-1]
 
 
-def _dwell_product(block, stack: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """D @ step for the dwell D held as its sector stack (sector_dwells), sector by sector.
+def _dwell_rows(block, stack: np.ndarray, step: np.ndarray, sectors=slice(None)):
+    """((D @ step)[order], order): D's rows at the `sectors` of the stack, sector by sector.
 
-    D is block-diagonal by sector up to the order of Q's columns, so with the
-    step's rows taken sector by sector (ControlBlock.sector_columns) each
+    D is the dwell held as its sector stack (sector_dwells), block-diagonal
+    by sector up to the order of Q's columns, so with the step's rows taken
+    sector by sector (ControlBlock.sector_columns; `order` lists them) each
     sector's rows of the product are one small product D_k S_k.  It is taken
     transposed, S_k^T D_k^T, and written straight into that sector's columns
-    of one n x n array; a real step takes D_k^T on its [Re, Im]-interleaved
-    view, so that S_k^T needs no complex copy.  No padded copy of the step is
+    of one array; a real step takes D_k^T on its [Re, Im]-interleaved view,
+    so that S_k^T needs no complex copy.  No padded copy of the step is
     formed.
     """
     n = step.shape[0]
-    columns = block.sector_columns
+    columns = block.sector_columns[sectors]
     order = columns[columns < n]  # Q's columns sector by sector
     ends = np.cumsum(np.count_nonzero(columns < n, axis=1))
     rows = step[order]
-    parts = stack.transpose(0, 2, 1).copy()  # each sector's D_k^T, padded
-    transposed = np.empty((n, n), dtype=complex)  # (D S)^T, its columns sector by sector
+    parts = stack[sectors].transpose(0, 2, 1).copy()  # each sector's D_k^T, padded
+    transposed = np.empty((n, order.size), dtype=complex)  # (D S)^T, columns sector by sector
     out, width = transposed, 1
     if np.isrealobj(step):  # a complex entry is two floats of the views
         parts, out, width = parts.view(np.float64), transposed.view(np.float64), 2
     for part, start, end in zip(parts, np.append(0, ends[:-1]), ends):
         dwell_t = part[: end - start, : width * (end - start)]
         np.matmul(rows[start:end].T, dwell_t, out=out[:, width * start : width * end])
-    product = np.empty_like(transposed)
-    product[order] = transposed.T
+    return transposed.T, order
+
+
+def _dwell_product(block, stack: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """D @ step for the dwell D held as its sector stack (sector_dwells): _dwell_rows, in order."""
+    rows, order = _dwell_rows(block, stack, step)
+    product = np.empty(rows.shape, dtype=complex)  # C order, as the powers read it fastest
+    product[order] = rows
     return product
 
 
@@ -264,23 +297,86 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> No
             np.dot(ahead, dwell_form, out=rows)
 
 
+def _sector_power(kick: np.ndarray, count: int, pairing):
+    """apply(rows): kick^count on rows gathered sector by sector (_by_sector), for a sector stack.
+
+    On a block that U swaps (`pairing`, ControlBlock.swap_pairing), U maps
+    sector d onto -d place by place, and the dwell's blocks on the two, and
+    their pair rates, are the same numbers, so the kick's sector blocks at d
+    and -d are equal: only the d < 0 half of the stack is powered, on the
+    rows of both sectors side by side.
+    """
+    if pairing is None:
+        return lambda part: _power_apply(kick, count, part)
+    lower, upper = pairing.lower, pairing.upper
+
+    def apply(part):
+        width = part.shape[-1]
+        both = _power_apply(kick[lower], count, np.concatenate([part[lower], part[upper]], -1))
+        part[lower], part[upper] = both[..., :width], both[..., width:]
+        return part
+
+    return apply
+
+
+def _shared_step(block, steps: dict, d_outer: float) -> np.ndarray:
+    """The unturned outer step S(d_outer), kept in the loop's `steps` by d_outer.
+
+    S(-d) = S(d)^dag, its transpose on a real block, so a rect's two
+    outer-direction edges, whose d_outer are opposite, build one step.
+    """
+    if -d_outer in steps:
+        opposite = steps[-d_outer]
+        return opposite.T if block.real_controls else opposite.conj().T
+    steps[d_outer] = block.outer_step(d_outer)
+    return steps[d_outer]
+
+
+def _halved_power(rows: np.ndarray, count: int, state: np.ndarray, pairing) -> np.ndarray:
+    """K^count @ state on the U = +-1 halves of a block that U swaps, from K's `rows` at c.
+
+    `pairing` is ControlBlock.swap_pairing.  K commutes with U, so on the
+    halves' bases (e_c +- phase e_p)/sqrt 2 it is K+- = K[c, c] +- K[c, p]
+    phase, two blocks of half the size, split from K's rows at the columns
+    c (pairing.half) with no product.  The two code columns are turned to
+    one in each half (pairing.turn), so each half carries one column, and
+    the halves are powered as one (2, n/2, n/2) stack.  Each half's
+    coordinates are taken times sqrt 2, t[c] +- conj(phase) t[p], and given
+    back halved.
+    """
+    half, partner, phase, turn = pairing.half, pairing.partner, pairing.phase, pairing.turn
+    within, across = rows[:, half], rows[:, partner] * phase
+    kicks = np.stack([within + across, within - across])
+    turned = state @ turn
+    # column 0 in the + half, column 1 in the - half
+    halves = turned[half] + phase.conj()[:, None] * turned[partner] * _HALF_SIGNS
+    halves = _power_apply(kicks, count, halves.T[:, :, None])[:, :, 0].T / 2.0
+    turned[half], turned[partner] = halves, phase[:, None] * halves * _HALF_SIGNS
+    return turned @ turn.conj().T
+
+
 def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.ndarray]:
     """(Q^dag c, the block's code columns in Q after the loop), edge by edge.
 
     An axis-aligned edge's kick K is constant, and K^count is applied to the
     columns by _power_apply.  Along the inner control the outer step is the
     identity, and K = D I(-inner step) is powered as the block's stack of
-    sector blocks, `sectors` (sector_dwells): on plane III's odd block at
-    cutoff 14 a squaring costs 14 products of 13 x 13 blocks instead of one
-    98 x 98 product.  Along the outer control K is the outer step turned by I
-    at the edge's inner value (ControlBlock.outer_step), with D multiplied on
-    sector by sector (_dwell_product).  These kicks stay complex.  A tilted
-    edge's kicks go one by one on the columns held as [Re | Im] rows, with the
-    dwell's real form `form`.
+    sector blocks, `sectors` (sector_dwells); on a block that U swaps (plane
+    III's odd block, ControlBlock.swap_pairing) only half the stack is
+    powered (_sector_power), so at cutoff 14 a squaring costs 7 products of
+    13 x 13 blocks instead of one 98 x 98 product.  Along the outer control
+    K = D R S R^dag, S the unturned outer step (ControlBlock.outer_step),
+    built once per loop for a rect's two opposite edges (_shared_step), and
+    R = Q^dag I(-inner) Q the turn at the edge's inner value
+    (ControlBlock.turned_step); D multiplies on sector by sector
+    (_dwell_product).  These kicks stay complex.  On a block that U swaps
+    the kick is powered on its two U halves (_halved_power), from its rows
+    at the d < 0 sectors alone.  A tilted edge's kicks go one by one on the
+    columns held as [Re | Im] rows, with the dwell's real form `form`.
     """
     basis, rates = block.paired_basis
-    code = basis.conj().T @ block.code
-    state, n, columns = code, basis.shape[1], block.sector_columns
+    code, pairing = block.paired_code, block.swap_pairing
+    state, n, columns, steps = code, basis.shape[1], block.sector_columns, {}
     for run in runs:
         outer0, inner0 = factory.split(*run.start)
         outer1, inner1 = factory.split(*run.end)
@@ -294,10 +390,14 @@ def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.nda
             dwell, partner, sector_rates = sectors
             turns = inner_step * sector_rates[:, None]
             kick = dwell * np.cos(turns) + partner * np.sin(turns)
-            state = _by_sector(lambda part: _power_apply(kick, run.count, part), state, columns)
+            state = _by_sector(_sector_power(kick, run.count, pairing), state, columns)
         else:
-            kick = _dwell_product(block, sectors[0], block.outer_step(d_outer, inner0))
-            state = _power_apply(kick, run.count, state)
+            step = block.turned_step(_shared_step(block, steps, d_outer), inner0)
+            if pairing is None:
+                state = _power_apply(_dwell_product(block, sectors[0], step), run.count, state)
+            else:  # the kick's rows at the half's columns: the d < 0 sectors of D
+                rows, _ = _dwell_rows(block, sectors[0], step, pairing.lower)
+                state = _halved_power(rows, run.count, state, pairing)
     return code, state
 
 

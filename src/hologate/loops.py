@@ -300,11 +300,12 @@ def boundary_vertices(loop: LoopSpec) -> np.ndarray:
 
 
 class EdgeRun(NamedTuple):
-    """`count` equal steps along one straight boundary edge from `start` to `end`."""
+    """`count` equal steps along one straight edge from `start` to `end`, `length` long."""
 
     start: np.ndarray
     end: np.ndarray
     count: int
+    length: float
 
     @property
     def axis_aligned(self) -> bool:
@@ -332,19 +333,30 @@ def edge_lengths(delta: np.ndarray) -> np.ndarray:
     return np.hypot(delta[:, 0], delta[:, 1])
 
 
+def _edges(loop: LoopSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(corners, the corner each edge ends at, edge lengths), in traversal order."""
+    verts = boundary_vertices(loop)
+    ends = np.concatenate((verts[1:], verts[:1]))
+    return verts, ends, edge_lengths(ends - verts)
+
+
+def boundary_edges(loop: LoopSpec) -> list[EdgeRun]:
+    """The boundary in traversal order as its edges, one step each, with no split to validate."""
+    return [EdgeRun(*edge, 1, float(length)) for *edge, length in zip(*_edges(loop))]
+
+
 def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
     """The boundary in traversal order as per-edge runs; `steps` split by edge length.
 
     A loop so long that `steps` times its length overflows raises ValueError.
     """
-    verts = boundary_vertices(loop)
+    verts, ends, lengths = _edges(loop)
     n = len(verts)
-    lengths = edge_lengths(np.concatenate((verts[1:], verts[:1])) - verts)
     total = float(np.sum(lengths))
     if not math.isfinite(steps * total):
         raise ValueError("edge lengths overflow double precision; the loop reaches too far")
     if total == 0.0:
-        return [EdgeRun(verts[0], verts[0], steps)]
+        return [EdgeRun(verts[0], verts[0], steps, 0.0)]
     check_steps_cover_edges(steps, n)
     counts = np.maximum(1, np.floor(steps * lengths / total).astype(int))
     while int(np.sum(counts)) < steps:
@@ -352,7 +364,10 @@ def boundary_runs(loop: LoopSpec, steps: int) -> list[EdgeRun]:
     while int(np.sum(counts)) > steps:
         reducible = np.where(counts > 1)[0]
         counts[reducible[int(np.argmin((lengths / counts)[reducible]))]] -= 1
-    return [EdgeRun(verts[i], verts[(i + 1) % n], int(counts[i])) for i in range(n)]
+    return [
+        EdgeRun(start, end, int(count), float(length))
+        for start, end, count, length in zip(verts, ends, counts, lengths)
+    ]
 
 
 # ---------------------------------------------------------------------------

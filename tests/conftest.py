@@ -225,6 +225,25 @@ def corner_populations(loop, cutoff):
     return populations
 
 
+def chain_tail_populations(loop, cutoff):
+    """The transport's truncation check corner by corner, warning as it goes; the populations.
+
+    The reference for FrameFactory.chain_tail_populations: at each corner the
+    inner propagator exp(i G_i), from scipy expm of the dense generator, on
+    the code columns, and its worst top-quartile population over them.
+    """
+    _, inner, code = plane_generators(loop.plane, cutoff)
+    factory = connection.frame_factory(loop.plane, cutoff)
+    mode_count = 2 if loop.plane is PlaneId.III else 1
+    populations = []
+    for u, v in loops.boundary_vertices(loop):
+        _, i = factory.split(u, v)
+        population = top_quartile_population(expm(i * inner) @ code, cutoff, mode_count)
+        fock.warn_if_truncated(population, f"squeezed code on plane {loop.plane.value}")
+        populations.append(population)
+    return populations
+
+
 def binary_power(kick, count, state):
     """kick^count @ state by plain binary powering, squaring up to the count's top bit.
 

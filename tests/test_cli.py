@@ -436,9 +436,10 @@ def test_strict_truncation_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_truncation_is_reported_on_stderr_in_both_modes(capsys, tmp_path, strict):
-    loop_file = write_loop(
-        tmp_path, "wild.json", LoopSpec(PlaneId.I, Rect(0.0, 2.6, 0.0, 0.05))
-    )
+    # the transport's check reads the squeeze alone (I(i) c at each corner), so the
+    # three corners take three squeezes that cutoff 8 cannot carry
+    corners = ((0.0, 0.05), (2.6, 0.06), (0.0, 0.07))
+    loop_file = write_loop(tmp_path, "wild.json", LoopSpec(PlaneId.I, Polyline(corners)))
     argv = ["--cutoff", "8", "--steps", "128"] + ["--strict"] * strict + ["oracle", loop_file]
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -479,13 +480,29 @@ def test_kicked_steps_too_few_for_the_half_run_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("method,steps", [("connection", "100"), ("kicked", "110")])
 def test_steps_too_few_for_the_edges_of_the_half_run_exits_2(capsys, tmp_path, method, steps):
-    # a 60-gon: the steps/2 rerun has 50 or 55 steps, fewer than its edges
-    loop_file = write_loop(tmp_path, "gon.json", regular_polygon(PlaneId.I, 60))
+    # a 60-gon: the steps/2 rerun has 50 or 55 steps, fewer than its edges.  A connection
+    # edge takes steps only where it takes Magnus steps, on plane II
+    plane = PlaneId.II if method == "connection" else PlaneId.I
+    loop_file = write_loop(tmp_path, "gon.json", regular_polygon(plane, 60))
     assert cli.main(["--steps", steps, "oracle", loop_file, "--method", method]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert f"--steps {steps}" in line and "60 edges" in line
+
+
+@pytest.mark.parametrize("plane", [PlaneId.I, PlaneId.III])
+def test_exact_edges_take_any_steps(capsys, tmp_path, plane):
+    # on planes I and III every edge is one exact exponential, so no split is validated
+    # and the transport does not depend on --steps
+    loop_file = write_loop(tmp_path, "gon.json", regular_polygon(plane, 60))
+    records = []
+    for steps in ("100", "2000"):
+        assert cli.main(["--steps", steps, "oracle", loop_file, "--method", "connection"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["integrator"] == "exact_edge" and record["convergence_estimate"] == 0.0
+        records.append(record["oracle_gate_raw_frame"])
+    assert records[0] == records[1]
 
 
 def test_loop_file_round_trip(tmp_path, capsys):

@@ -22,6 +22,7 @@ from conftest import (
     ORACLE_CUTOFF,
     SMALL_RECTS,
     boundary_points,
+    chain_tail_populations,
     convex_polygons,
     corner_populations,
     curvature_coefficient,
@@ -331,6 +332,10 @@ def test_outer_step_is_the_outer_propagator_in_the_paired_basis(plane, cutoff):
                 assert np.max(np.abs(reference.imag)) < bound
             else:
                 assert np.max(np.abs(step.imag)) > 1e-3
+            # S(-d) = S(d)^dag, a real step's transpose: a rect's two outer edges share one
+            # unturned step (kicked._shared_step), turned per edge
+            shared = block.turned_step(block.outer_step(d_outer).conj().T, inner)
+            assert np.max(np.abs(shared - block.outer_step(-d_outer, inner))) < bound
 
 
 OVERFLOW_LOOPS = [
@@ -462,6 +467,78 @@ def test_corner_check_matches_the_per_corner_reference(plane, shape, cutoff, war
         assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
         assert all(w.category is TruncationWarning for w in caught)
         assert bool(caught) == warns
+
+
+@pytest.mark.parametrize("plane,shape,cutoff,_", CORNER_CASES)
+def test_transport_check_reads_the_chain_tails_at_the_corners(plane, shape, cutoff, _):
+    # I(i) c at each corner, against the dense reference; the transport warns per corner
+    # as the reference does, and the frames' check, the kicked route's, is not called
+    for orientation in (1, -1):
+        loop = LoopSpec(plane, shape, orientation)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            populations = chain_tail_populations(loop, cutoff)
+        factory = frame_factory(plane, cutoff)
+        _, inner = factory.split(*loops.boundary_vertices(loop).T)
+        got = factory.chain_tail_populations(inner)
+        assert np.max(np.abs(got - populations)) <= 1e-15
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            connection.holonomy_path_ordered(loop, cutoff, 2000)
+        assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+        assert all(w.category is TruncationWarning for w in caught)
+
+
+def test_the_frame_check_is_the_more_pessimistic_one():
+    # the README's example: the displacement to x = 2.6 stresses cutoff 16 in the frames,
+    # not in I(i) c, so only the kicked route warns
+    loop = LoopSpec(PlaneId.I, Rect(0.0, 2.6, 0.0, 0.05))
+    factory = frame_factory(PlaneId.I, 16)
+    verts = loops.boundary_vertices(loop)
+    frames = factory.top_quartile_populations(verts)
+    tails = factory.chain_tail_populations(factory.split(*verts.T)[1])
+    assert np.round(frames[1:3], 2).tolist() == [0.24, 0.27]
+    assert np.max(tails) == pytest.approx(2.8e-12, rel=0.01)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        connection.holonomy_path_ordered(loop, 16, 2000)
+    assert not caught
+    with pytest.warns(TruncationWarning, match="dressed frame"):
+        kicked.run_kicked(kicked.KickSchedule(loop, 2000, cutoff=16))
+
+
+@pytest.mark.parametrize("cutoff", [13, 14, 20])
+def test_swap_pairing_is_u_in_the_paired_basis(cutoff):
+    # U = P i^(n1 - n2) maps each column of Q on the odd block to one other column,
+    # times i^d: U Q = Q C exactly for the closed-form pairing C
+    factory = connection.FrameFactory(PlaneId.III, cutoff)
+    even, odd = factory.blocks
+    assert even.swap_pairing is None
+    assert frame_factory(PlaneId.I, 24).blocks[0].swap_pairing is None
+    half, partner, phase, turn, lower, upper = odd.swap_pairing
+    basis, _ = odd.paired_basis
+    n = odd.index.size
+    assert np.array_equal(np.sort(np.concatenate([half, partner])), np.arange(n))
+    assert set(phase.tolist()) == {1j, -1j}
+    closed = np.zeros((n, n), dtype=complex)
+    closed[partner, half], closed[half, partner] = phase, phase.conj()
+    u = swap_symmetry(cutoff)[np.ix_(odd.index, odd.index)]
+    assert np.array_equal(u @ basis, basis @ closed)
+    # so Q^dag U Q is C up to Q's own orthonormality, a few 1e-15 from eigh
+    defect = basis.T @ basis - np.eye(n)
+    assert np.array_equal(basis.T @ (u @ basis) - closed, defect @ closed)
+    assert np.max(np.abs(defect)) < 5e-15
+    # the turned code columns lie in U's +1 and -1 halves: (|10> +- i |01>)/sqrt 2
+    turned = odd.paired_code @ turn
+    assert np.max(np.abs(closed @ turned - turned * [1.0, -1.0])) <= 1e-15
+    assert np.array_equal(turn * math.sqrt(2.0), [[1.0, 1.0], [1j, -1j]])
+    # the sectors d < 0 hold `half`, and the dwell's blocks at d and -d are the same
+    # numbers, so an inner-direction kick is powered on that half of its stack
+    for columns, sectors in ((half, lower), (partner, upper)):
+        places = odd.sector_columns[sectors]
+        assert np.array_equal(columns, places[places < n])
+    for kept in kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)[1]:
+        assert np.array_equal(kept[lower], kept[upper])
 
 
 @pytest.mark.parametrize(

@@ -246,29 +246,39 @@ def test_rect_transport_builds_frames_per_edge_not_per_step(monkeypatch):
     factory = connection.frame_factory(PlaneId.I, CUTOFF[PlaneId.I])
     points, frame_calls = counted_frames(monkeypatch)
     connection.holonomy_path_ordered(loop, factory.cutoff, 2000)
-    # the transport needs no frames: only the truncation check evaluates them, at
-    # the 4 corners at once, in the one block of plane I, and no full frame is built
+    # the transport needs no frames, and its truncation check reads I(i) c alone
+    assert points == [] and frame_calls == []
+    # the kicked route's check evaluates the frames at the 4 corners at once, in the one
+    # block of plane I, and no full frame is built
     corners = [factory.split(u, v) for u, v in loops.boundary_vertices(loop)]
+    kicked.run_kicked(KickSchedule(loop, 64, cutoff=factory.cutoff))
     assert points == [corners]
     assert frame_calls == []
-    # the kicked route checks the same 4 corners, in one call too
-    kicked.run_kicked(KickSchedule(loop, 64, cutoff=factory.cutoff))
-    assert points == [corners, corners]
 
 
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 def test_both_routes_refuse_fewer_steps_than_edges():
-    # the transport's steps/2 rerun has 50 steps for 60 edges; the kicked run has 40 kicks
-    gon = regular_polygon(PlaneId.I, 60)
+    # the transport's steps/2 rerun has 50 steps for 60 Magnus edges (tilted, on plane
+    # II); the kicked run has 40 kicks
+    gon = regular_polygon(PlaneId.II, 60)
     with pytest.raises(ValueError, match="60 edges"):
-        connection.holonomy_path_ordered(gon, CUTOFF[PlaneId.I], 100)
+        connection.holonomy_path_ordered(gon, CUTOFF[PlaneId.II], 100)
     with pytest.raises(ValueError, match="60 edges"):
-        kicked.run_kicked(KickSchedule(gon, 40, cutoff=CUTOFF[PlaneId.I]))
+        kicked.run_kicked(KickSchedule(gon, 40, cutoff=CUTOFF[PlaneId.II]))
+    # exact edges take no steps: the same 60-gon on planes I and III takes any split
+    for plane in (PlaneId.I, PlaneId.III):
+        gon = regular_polygon(plane, 60)
+        coarse, fine = (connection.holonomy_path_ordered(gon, CUTOFF[plane], steps).matrix
+                        for steps in (100, 2000))
+        assert np.array_equal(coarse, fine)
 
 
 def test_refused_steps_build_no_frame_and_warn_nothing(monkeypatch):
-    # this 60-gon stresses the plane III cutoff 14 at every vertex; the steps/2 split is
-    # refused before the truncation check would build a frame there
-    gon = regular_polygon(PlaneId.III, 60, center=(0.3, 0.2), radius=0.1)
+    # this plane II 60-gon stresses cutoff 14 at every vertex; the steps/2 split is
+    # refused before anything is built there
+    gon = regular_polygon(PlaneId.II, 60, center=(0.3, 0.2), radius=0.1)
+    with pytest.warns(TruncationWarning):
+        connection.holonomy_path_ordered(gon, 14, 2000)
     points, frame_calls = counted_frames(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hologate import connection, fock, kicked, loops
 from hologate.exceptions import AdiabaticityWarning
@@ -10,6 +12,7 @@ from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
 from conftest import (
     binary_power,
+    convex_polygons,
     dense_sectors,
     formula_gate_in_frame,
     infidelity,
@@ -147,9 +150,9 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     for loop, cutoff in [(connection.CALIBRATION_RECT, 24),
                          (LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)), 12)]:
         kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
-    # a rect runs in Q too: one real step per outer-direction edge, on plane I's
-    # one block and plane III's two, the sector stacks, and no real form
-    assert steps == [np.float64] * 6 and forms == []
+    # a rect runs in Q too: one real step for its two outer-direction edges, on plane
+    # I's one block and plane III's two, the sector stacks, and no real form
+    assert steps == [np.float64] * 3 and forms == []
     lazy = ("paired_basis", "paired_outer_vectors")
     for factory in factories.values():
         assert all(name in vars(block) for block in factory.blocks for name in lazy)
@@ -289,13 +292,16 @@ def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
     kicked.run_kicked(KickSchedule(loop, 128, cutoff=12))
     factory = connection.frame_factory(PlaneId.III, 12)
     # per parity block, in the order of the edges: along r2 (the inner control),
-    # along r3, back along r2, back along r3
+    # along r3, back along r2, back along r3.  The odd block, which U swaps, is
+    # powered on the d < 0 half of its sector stack along r2 and on its two U
+    # halves along r3
     expected = []
-    stacked = [(len(block.sectors),) + (block.sector_columns.shape[1],) * 2
-               for block in factory.blocks]
-    for block, stack in zip(factory.blocks, stacked):
-        size = block.index.size
-        expected += [stack, (size, size), stack, (size, size)]
+    stacked = [(len(block.sectors) // (1 + bool(block.swap_pairing)),)
+               + (block.sector_columns.shape[1],) * 2 for block in factory.blocks]
+    dense = [(block.index.size,) * 2 if block.swap_pairing is None
+             else (2,) + (block.index.size // 2,) * 2 for block in factory.blocks]
+    for stack, outer in zip(stacked, dense):
+        expected += [stack, outer, stack, outer]
     assert shapes == expected
     assert all(len(shape) == 3 and shape[1] <= 12 for shape in shapes[::2])
     # a mixed loop: along r2, along r3, then two tilted edges.  One power per
@@ -306,8 +312,7 @@ def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
     corners = ((0.0, 0.0), (0.1, 0.0), (0.1, 0.08), (0.04, 0.12))
     trapezoid = LoopSpec(PlaneId.III, Polyline(corners))
     kicked.run_kicked(KickSchedule(trapezoid, 128, cutoff=12))
-    assert shapes == [shape for block, stack in zip(factory.blocks, stacked)
-                      for shape in (stack, (block.index.size,) * 2)]
+    assert shapes == [shape for stack, outer in zip(stacked, dense) for shape in (stack, outer)]
     assert len(outer_steps) == 3 * len(factory.blocks) and 0.0 not in outer_steps
 
 
@@ -325,3 +330,106 @@ def test_kicks_do_not_depend_on_the_phase_batch(monkeypatch):
     for other in results[:-1]:
         assert np.max(np.abs(other.code_map - results[-1].code_map)) <= 1e-13
         assert abs(other.leakage - results[-1].leakage) <= 1e-13
+
+
+# U = P i^(n1 - n2) on the odd code pair (|10>, |01>): U|10> = i|01>, U|01> = -i|10>
+ODD_CODE_SWAP = np.array([[0.0, -1j], [1j, 0.0]])
+
+U_LOOPS = [
+    pytest.param(Rect(0.02, 0.16, 0.03, 0.15), id="rect"),
+    pytest.param(Polyline(((0.02, 0.01), (0.13, 0.04), (0.08, 0.12), (0.03, 0.1))), id="quad"),
+    pytest.param(Polyline(((0.0, 0.0), (0.1, 0.0), (0.1, 0.08), (0.04, 0.12))), id="mixed"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@pytest.mark.parametrize("shape", U_LOOPS)
+@pytest.mark.parametrize("cutoff", [13, 14])
+def test_odd_block_maps_commute_with_u(shape, cutoff):
+    # every kick and the transport commute with U, so both routes' odd-block maps do
+    odd = [1, 3]
+    for orientation in (1, -1):
+        loop = LoopSpec(PlaneId.III, shape, orientation)
+        kicked_map = kicked.run_kicked(KickSchedule(loop, 1024, cutoff=cutoff)).code_map
+        transport = connection.holonomy_path_ordered(loop, cutoff, 2000).matrix
+        for code_map in (kicked_map, transport):
+            pair = code_map[np.ix_(odd, odd)]
+            assert np.max(np.abs(ODD_CODE_SWAP @ pair - pair @ ODD_CODE_SWAP)) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [13, 14])
+def test_halved_power_is_the_dense_power(cutoff):
+    factory = connection.frame_factory(PlaneId.III, cutoff)
+    _, odd = factory.blocks
+    [sectors] = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)[1:]
+    state = odd.paired_code
+    for d_outer, inner in [(0.0005, 0.0), (-0.0004, 0.07), (0.0011, 0.15)]:
+        kick = kicked._dwell_product(odd, sectors[0], odd.outer_step(d_outer, inner))
+        # the halves drop K's rounding-sized part that does not commute with U, and the
+        # dense power keeps it: the two part by about 1e-15 a kick (3e-13 at 1000 kicks)
+        for count in (1, 2, 23, 24, 25, 64, 279, 333, 1000):
+            expected = kicked._power_apply(kick, count, state)
+            got = kicked._halved_power(kick[odd.swap_pairing.half], count, state, odd.swap_pairing)
+            assert np.max(np.abs(got - expected)) <= 1e-15 * (count + 1), (d_outer, count)
+
+
+def test_a_rect_builds_one_unturned_outer_step_per_block(monkeypatch):
+    calls = []
+    outer_step = connection.ControlBlock.outer_step
+
+    def counted_step(self, d_outer, inner=0.0):
+        calls.append((id(self), inner))
+        return outer_step(self, d_outer, inner)
+
+    monkeypatch.setattr(connection.ControlBlock, "outer_step", counted_step)
+    for plane, cutoff in [(PlaneId.I, 24), (PlaneId.II, 24), (PlaneId.III, 12)]:
+        for orientation in (1, -1):
+            calls.clear()
+            loop = LoopSpec(plane, Rect(0.01, 0.12, 0.02, 0.1), orientation)
+            kicked.run_kicked(KickSchedule(loop, 256, cutoff=cutoff))
+            blocks = connection.frame_factory(plane, cutoff).blocks
+            assert calls == [(id(block), 0.0) for block in blocks]
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@settings(max_examples=10, deadline=None)
+@given(convex_polygons(planes=tuple(PlaneId)), st.sampled_from([1, -1]))
+def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
+    # a loop with no axis-aligned edge is kick by kick from Q^dag c on every block,
+    # bit for bit: no turn of the columns, no halves and no shared step
+    loop = LoopSpec(loop.plane, loop.shape, orientation)
+    cutoff = 12 if loop.plane is PlaneId.III else 24
+    schedule = KickSchedule(loop, 128, cutoff=cutoff)
+    result = kicked.run_kicked(schedule)
+    factory = connection.frame_factory(loop.plane, cutoff)
+    forms = kicked.paired_dwells(factory, schedule.chi, schedule.delta_t)
+    runs = loops.boundary_runs(loop, 128)
+    assert not any(run.axis_aligned for run in runs)
+    for block, form in zip(factory.blocks, forms):
+        basis, rates = block.paired_basis
+        n = basis.shape[1]
+        code = block.paired_code
+        rows = np.ascontiguousarray(np.hstack([code.T.real, code.T.imag]))
+        for run in runs:
+            (outer0, inner0), (outer1, inner1) = factory.split(*run.start), factory.split(*run.end)
+            step = block.outer_step((outer0 - outer1) / run.count)
+            kicked._tilted_edge(rows, step, form, rates, inner0, (inner1 - inner0) / run.count,
+                                run.count)
+        state = (rows[:, :n] + 1j * rows[:, n:]).T
+        overlap = block.paired_code.conj().T @ state
+        expected = connection.polar_unitary(overlap)
+        assert np.array_equal(result.code_map[np.ix_(block.columns, block.columns)], expected)
+
+
+
+def test_paired_dwell_forms_start_on_64_byte_boundaries():
+    # a tilted kick reads the kept real form of the dwell; off a 64-byte boundary it
+    # runs slower, and a copy in the other memory order would round differently
+    factory = connection.FrameFactory(PlaneId.III, 12)
+    forms = kicked.paired_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, 12, 2)
+    for block, form in zip(factory.blocks, forms):
+        basis, _ = block.paired_basis
+        expected = kicked.real_form(((basis.conj().T * dwell[block.index]) @ basis).T)
+        assert form.ctypes.data % 64 == 0 and not form.flags.writeable
+        assert np.array_equal(form, expected) and form.strides == expected.strides
