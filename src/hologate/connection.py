@@ -309,7 +309,7 @@ class ControlBlock(CodeBlock):
             x[places] = (basis[rows, places].conj().T @ sector.vectors) @ self.outer_vectors[rows]
         return x
 
-    def outer_step(self, d_outer: float, inner: float = 0.0) -> np.ndarray:
+    def outer_step(self, d_outer: float, inner: float = 0.0, rows=slice(None)) -> np.ndarray:
         """S = Q^dag I(-inner) O(d_outer) I(inner) Q on the block: O turned by I's rotation.
 
         That is R X exp(-i d_outer w_o) X^dag R^dag, X the outer eigenvectors
@@ -318,9 +318,10 @@ class ControlBlock(CodeBlock):
         `real_controls` S is real, and only its real part is formed, a
         C-contiguous float64 array that the kicked route's real products take
         as it is.  The unturned step is built first, and turned_step turns it.
+        `rows` forms the unturned step's rows there alone (inner = 0).
         """
         x = self.paired_outer_vectors
-        phased = x * np.exp(-1j * d_outer * self.outer_values)[None, :]
+        phased = x[rows] * np.exp(-1j * d_outer * self.outer_values)[None, :]
         if self.real_controls:
             # Re(P X^dag) = Re P Re X^T + Im P Im X^T: one product of the [Re, Im]-interleaved rows
             step = phased.view(np.float64) @ x.view(np.float64).T

@@ -24,9 +24,12 @@ kick is the outer step, built unturned once for a rect's two such edges and
 turned by I's rotation per edge.  On plane III's odd block, which
 U = P i^(n1 - n2) maps to itself (ControlBlock.swap_pairing), that kick is
 split into its two U halves and powered as one stack of half-size blocks,
-one code column each (_halved_power); a tilted edge there keeps the whole
-block, since two half blocks double the per-kick calls that dominate it.
-Only the state after the whole loop is kept.
+one code column each (_halved_power).  A tilted edge there runs on the two
+halves as well, as one pair of real rows through the same kernel
+(_tilted_halves): the half steps are S+ and conj(S+) and the half dwells
+equal, so one signed row crosses the step conjugated, and a kick reads
+about a third of the whole block's doubles in the same four calls.  Only
+the state after the whole loop is kept.
 """
 
 from __future__ import annotations
@@ -51,8 +54,18 @@ DEFAULT_DELTA_T = math.pi / 4.0
 MAX_CONTROL_STEP = 0.05
 LEAKAGE_FAILURE_THRESHOLD = 0.5
 
+# Kicks whose rotations a tilted edge broadcasts to the rows' pair view at once.  A
+# multiply by a broadcast row of the table took 1.0-1.1 us against 0.4-0.5 us by a
+# row of the rows' shape (OpenBLAS, one thread).  A whole phase batch of those, about
+# 0.8 MB on a 98-state block, ran its kick at 11.6 us against 9.7 us 32 kicks at a
+# time, and within 2% of it on rows of 52 to 60 states.
+_BROADCAST_KICKS = 32
+
 # The signs of U's two halves on a block that U swaps: U = +1, then U = -1.
 _HALF_SIGNS = np.array([1.0, -1.0])
+# The signs of the halves' real rows in a tilted kick, Re and Im of the + half, then
+# of the - half: its imaginary row is negated, so that it crosses the step conjugated.
+_CONJUGATED = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -68,10 +81,12 @@ class KickSchedule:
     def __post_init__(self):
         if self.kick_count < 16:
             raise ValueError(f"kick_count must be at least 16, got {self.kick_count}")
-        if self.delta_t <= 0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
-        if self.chi <= 0:
-            raise ValueError(f"chi must be positive, got {self.chi}")
+        for name in ("delta_t", "chi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -194,11 +209,14 @@ def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
 
 
 def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
-    """The dwell Q^dag exp(-i H0 delta_t) Q on each block, as the real form of its transpose.
+    """The dwell D = Q^dag exp(-i H0 delta_t) Q on each block, as the real form of its transpose.
 
     That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
     held as [Re | Im] rows: a 2n x 2n real matrix per n-state block, built for
-    the first tilted edge and kept, read-only, beside the sector stacks.
+    the first tilted edge and kept, read-only, beside the sector stacks.  On
+    a block that U swaps the tilted kicks run on its halves (_tilted_halves),
+    where the dwell is D[c, c] in half_layout's order and padding: its form
+    is 2 width x 2 width, about a quarter of the block's.
     """
     kept = _kept_dwells(factory, chi, delta_t)
     if "paired" not in kept:
@@ -206,7 +224,14 @@ def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
         forms = []
         for block in factory.blocks:
             basis, _ = block.paired_basis
-            form = _aligned(real_form(((basis.conj().T * dwell[block.index]) @ basis).T))
+            if block.swap_pairing is None:
+                matrix = (basis.conj().T * dwell[block.index]) @ basis
+            else:
+                pairing, width, _ = half_layout(block)
+                size, within = pairing.half.size, basis[:, pairing.half]
+                matrix = np.zeros((width, width), dtype=complex)
+                matrix[:size, :size] = (within.conj().T * dwell[block.index]) @ within
+            form = _aligned(real_form(matrix.T))
             form.setflags(write=False)
             forms.append(form)
         kept["paired"] = forms
@@ -260,7 +285,7 @@ def _dwell_product(block, stack: np.ndarray, step: np.ndarray) -> np.ndarray:
     return product
 
 
-def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> None:
+def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count, signs) -> None:
     """`count` kicks of one edge on the columns held as paired rows, in place.
 
     `rows` is (columns, 2n): each column in Q as [Re | Im], so that its
@@ -269,11 +294,16 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> No
     at the kick point (one complex multiply on that view), the outer step S,
     the rotation back at the next point and the dwell.  A real S (planes I
     and III) is one (2 columns, n) @ (n, n) product, n^2 doubles read; a
-    complex one (plane II) goes through its 2n x 2n real form on the rows,
-    as the dwell always does.  The rotations exp(i w i) come from
-    connection.phase_table, in tables of connection.MAGNUS_BATCH kicks each,
-    the ones back conjugated once per table, and every kick writes into the
-    same two buffers.
+    complex one (plane II, the U halves) goes through its 2n x 2n real form
+    on the rows, as the dwell always does.  `signs` holds one sign per real
+    row of the view, and both rotations take it: a column whose imaginary
+    row is signed -1 crosses the step conjugated, conj(S conj(y)), and is
+    itself again for the dwell.  That needs the pair view to span the whole
+    row (2 rates.size = n); ones leave every column as it is.  The rotations
+    exp(i w i) come from connection.phase_table, in tables of
+    connection.MAGNUS_BATCH kicks each, the ones back conjugated, and are
+    broadcast to the view's rows, signs included, _BROADCAST_KICKS kicks at
+    a time; every kick writes into the same two buffers.
     """
     columns, width = rows.shape
     n = width // 2
@@ -285,16 +315,32 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count) -> No
         source, matrix, target = halves, step.T, ahead_halves
     else:
         source, matrix, target = rows, real_form(step.T), ahead
+    signs = signs[:, None]
     for start in range(0, count, connection.MAGNUS_BATCH):
         size = min(connection.MAGNUS_BATCH, count - start)
         # row k holds the rotations at kick point start + k of the edge
         table = connection.phase_table(-rates, inner0 + inner_step * start, inner_step, size + 1)
-        back = np.conjugate(table[1:])
-        for k in range(size):
-            np.multiply(pairs, table[k], out=pairs)
-            np.dot(source, matrix, out=target)
-            np.multiply(ahead_pairs, back[k], out=ahead_pairs)
-            np.dot(ahead, dwell_form, out=rows)
+        fore, back = table[:-1, None], np.conjugate(table[1:])[:, None]
+        for first in range(0, size, _BROADCAST_KICKS):
+            kicks = slice(first, first + _BROADCAST_KICKS)
+            for turn, turn_back in zip(fore[kicks] * signs, back[kicks] * signs):
+                np.multiply(pairs, turn, pairs)
+                np.dot(source, matrix, target)
+                np.multiply(ahead_pairs, turn_back, ahead_pairs)
+                np.dot(ahead, dwell_form, rows)
+
+
+def _tilted_columns(columns, width, step, dwell_form, rates, signs, *edge) -> np.ndarray:
+    """The complex `columns` (k, m) after _tilted_edge's kicks, held as [Re | Im] rows of `width`.
+
+    The rows are padded with zeros from m to `width`, and stay zero there.
+    `edge` is (inner0, inner_step, count).
+    """
+    size = columns.shape[-1]
+    rows = np.zeros((columns.shape[0], 2 * width))
+    rows[:, :size], rows[:, width : width + size] = columns.real, columns.imag
+    _tilted_edge(rows, step, dwell_form, rates, *edge, signs)
+    return rows[:, :size] + 1j * rows[:, width : width + size]
 
 
 def _sector_power(kick: np.ndarray, count: int, pairing):
@@ -332,27 +378,89 @@ def _shared_step(block, steps: dict, d_outer: float) -> np.ndarray:
     return steps[d_outer]
 
 
+def _on_halves(state: np.ndarray, pairing, apply) -> np.ndarray:
+    """The code columns `state` after apply(halves) on the U = +-1 halves of a block that U swaps.
+
+    `pairing` is ControlBlock.swap_pairing.  The two code columns are turned
+    to one in each half (pairing.turn), and the halves' coordinates on their
+    bases (e_c +- phase e_p)/sqrt 2, c in pairing.half, are taken times
+    sqrt 2, t[c] +- conj(phase) t[p]: `halves` is (2, n/2), the + half
+    first.  apply returns them after, and they are given back halved.
+    """
+    half, partner, phase, turn = pairing.half, pairing.partner, pairing.phase, pairing.turn
+    turned = state @ turn
+    halves = turned[half] + phase.conj()[:, None] * turned[partner] * _HALF_SIGNS
+    halves = apply(halves.T).T / 2.0
+    turned[half], turned[partner] = halves, phase[:, None] * halves * _HALF_SIGNS
+    return turned @ turn.conj().T
+
+
+def _half_kicks(rows: np.ndarray, pairing) -> np.ndarray:
+    """K+- = K[c, c] +- K[c, p] phase, as a (2, n/2, n/2) stack, from K's `rows` at c.
+
+    K commutes with U, so on the halves' bases (_on_halves) it is these two
+    blocks, split with no product (pairing, ControlBlock.swap_pairing).
+    """
+    within, across = rows[:, pairing.half], rows[:, pairing.partner] * pairing.phase
+    return np.stack([within + across, within - across])
+
+
 def _halved_power(rows: np.ndarray, count: int, state: np.ndarray, pairing) -> np.ndarray:
     """K^count @ state on the U = +-1 halves of a block that U swaps, from K's `rows` at c.
 
-    `pairing` is ControlBlock.swap_pairing.  K commutes with U, so on the
-    halves' bases (e_c +- phase e_p)/sqrt 2 it is K+- = K[c, c] +- K[c, p]
-    phase, two blocks of half the size, split from K's rows at the columns
-    c (pairing.half) with no product.  The two code columns are turned to
-    one in each half (pairing.turn), so each half carries one column, and
-    the halves are powered as one (2, n/2, n/2) stack.  Each half's
-    coordinates are taken times sqrt 2, t[c] +- conj(phase) t[p], and given
-    back halved.
+    The halves (_half_kicks), one code column each (_on_halves), are powered
+    as one (2, n/2, n/2) stack.
     """
-    half, partner, phase, turn = pairing.half, pairing.partner, pairing.phase, pairing.turn
-    within, across = rows[:, half], rows[:, partner] * phase
-    kicks = np.stack([within + across, within - across])
-    turned = state @ turn
-    # column 0 in the + half, column 1 in the - half
-    halves = turned[half] + phase.conj()[:, None] * turned[partner] * _HALF_SIGNS
-    halves = _power_apply(kicks, count, halves.T[:, :, None])[:, :, 0].T / 2.0
-    turned[half], turned[partner] = halves, phase[:, None] * halves * _HALF_SIGNS
-    return turned @ turn.conj().T
+    kicks = _half_kicks(rows, pairing)
+    return _on_halves(
+        state, pairing, lambda halves: _power_apply(kicks, count, halves[:, :, None])[:, :, 0]
+    )
+
+
+def half_layout(block):
+    """(pairing, width, rates): where the tilted kicks of a block that U swaps run on its halves.
+
+    `pairing` is ControlBlock.swap_pairing with the half's columns c in Q's
+    order, its pairs first, each adjacent, then its zero modes, so that I
+    turns each pair (2k, 2k + 1) of the half as it turns that pair in Q, at
+    the pair's rate in `rates`, and the zero modes not at all.  The half is
+    padded with zeros to `width`, the next multiple of 4: a (2, 2 width)
+    row pair of whole 64-byte lines.  At cutoff 14 a tilted kick took as long
+    at 52 as at 50, the least even width, and longer at 56 and 64
+    (BENCH_28.json).
+    """
+    pairing = block.swap_pairing
+    order = np.argsort(pairing.half)
+    pairing = pairing._replace(
+        half=pairing.half[order], partner=pairing.partner[order], phase=pairing.phase[order]
+    )
+    width = -(-order.size // 4) * 4
+    rates = np.zeros(width // 2)
+    turning = np.append(block.paired_basis[1], 0.0)[pairing.half[::2] // 2]
+    rates[: turning.size] = turning
+    return pairing, width, rates
+
+
+def _tilted_halves(block, state, d_outer, dwell_form, *edge) -> np.ndarray:
+    """The code columns `state` after a tilted edge's kicks on the U halves of a block that U swaps.
+
+    The outer step S is real and the phases are +-i, so its halves are S+
+    and S- = conj(S+) (_half_kicks), formed from S's rows at the half's
+    columns c alone.  The dwell links no two sectors and is the same on d
+    and -d, so on either half it is D[c, c], whose real form is `dwell_form`
+    (paired_dwells).  The - half crosses the step conjugated (_CONJUGATED),
+    so both take S+: one product for the step and one for the dwell a kick,
+    on (2, 2 width) rows laid out as half_layout says.
+    """
+    pairing, width, rates = half_layout(block)
+    size = pairing.half.size
+    plus = np.zeros((width, width), dtype=complex)
+    plus[:size, :size] = _half_kicks(block.outer_step(d_outer, rows=pairing.half), pairing)[0]
+    return _on_halves(
+        state,
+        pairing,
+        lambda halves: _tilted_columns(halves, width, plus, dwell_form, rates, _CONJUGATED, *edge),
+    )
 
 
 def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +480,12 @@ def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.nda
     (_dwell_product).  These kicks stay complex.  On a block that U swaps
     the kick is powered on its two U halves (_halved_power), from its rows
     at the d < 0 sectors alone.  A tilted edge's kicks go one by one on the
-    columns held as [Re | Im] rows, with the dwell's real form `form`.
+    columns held as [Re | Im] rows, with the dwell's real form `form`
+    (_tilted_edge); on a block that U swaps, on its two halves, one column
+    each, whose steps are S+ and conj(S+) and whose dwells are equal
+    (_tilted_halves): a kick took about 5.5 us there against 10 us on the
+    whole block (OpenBLAS, one thread), and `form` is the half's, a quarter
+    of the size.
     """
     basis, rates = block.paired_basis
     code, pairing = block.paired_code, block.swap_pairing
@@ -382,10 +495,12 @@ def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.nda
         outer1, inner1 = factory.split(*run.end)
         d_outer, inner_step = (outer0 - outer1) / run.count, (inner1 - inner0) / run.count
         if not run.axis_aligned:
-            rows = np.ascontiguousarray(np.hstack([state.T.real, state.T.imag]))
-            step = block.outer_step(d_outer)
-            _tilted_edge(rows, step, form, rates, inner0, inner_step, run.count)
-            state = (rows[:, :n] + 1j * rows[:, n:]).T
+            edge = (inner0, inner_step, run.count)
+            if pairing is None:
+                step, signs = block.outer_step(d_outer), np.ones(2 * state.shape[1])
+                state = _tilted_columns(state.T, n, step, form, rates, signs, *edge).T
+            else:
+                state = _tilted_halves(block, state, d_outer, form, *edge)
         elif outer0 == outer1:  # D I(-inner_step), sector by sector
             dwell, partner, sector_rates = sectors
             turns = inner_step * sector_rates[:, None]

@@ -131,6 +131,17 @@ HALF_BLOCK_CASES = [
                         ("hexagon", regular_polygon(PlaneId.III, 6, (0.1, 0.08), 0.06).shape))
     for cutoff in (13, 14)
     for orientation in (1, -1)
+] + [
+    # tilted edges on the odd block run on its two U halves, one code column each: a loop
+    # of tilted edges alone and the hexagon, two of whose edges are axis-aligned, also at
+    # cutoff 20, where the halves hold zero modes as at 14 (none at 13)
+    pytest.param(LoopSpec(PlaneId.III, shape, orientation), cutoff,
+                 id=f"{name}-cutoff{cutoff}-{orientation:+d}")
+    for name, shape, cutoffs in (("triangle", SHAPES["polyline-III"][1], (13, 14, 20)),
+                                 ("hexagon", regular_polygon(PlaneId.III, 6, (0.1, 0.08), 0.06).shape,
+                                  (20,)))
+    for cutoff in cutoffs
+    for orientation in (1, -1)
 ]
 
 

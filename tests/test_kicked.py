@@ -91,6 +91,15 @@ def test_schedule_validation():
         KickSchedule(connection.CALIBRATION_RECT, 64, delta_t=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["chi", "delta_t"])
+def test_schedule_refuses_non_finite_values(name, value):
+    # nan <= 0 is False: without the check a nan dwell reached the SVD of the polar step
+    rect = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        KickSchedule(rect, 64, cutoff=20, **{name: value})
+
+
 def test_oversized_control_increment_rejected():
     big = LoopSpec(PlaneId.I, Rect(0.0, 2.0, 0.0, 2.0))
     with pytest.raises(ValueError):
@@ -135,8 +144,8 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     steps, forms = [], []
     outer_step, real_form = connection.ControlBlock.outer_step, kicked.real_form
 
-    def counted_step(self, d_outer, inner=0.0):
-        step = outer_step(self, d_outer, inner)
+    def counted_step(self, d_outer, inner=0.0, rows=slice(None)):
+        step = outer_step(self, d_outer, inner, rows)
         steps.append(step.dtype)
         return step
 
@@ -177,6 +186,21 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
     assert all("sectors" not in kept for factory in factories.values()
                for kept in factory.dwells.values())
+    # plane III's odd block keeps its dwell on its U halves: one real form of D[c, c] and
+    # one of each tilted edge's S+, both width x width, and none of the whole block
+    steps.clear()
+    forms.clear()
+    factories.clear()
+    triangle = LoopSpec(PlaneId.III, Polyline(((0.02, 0.01), (0.13, 0.04), (0.08, 0.12))))
+    kicked.run_kicked(KickSchedule(triangle, 128, cutoff=12))
+    [factory] = factories.values()
+    even, odd = factory.blocks
+    pairing, width, _ = kicked.half_layout(odd)
+    assert (even.index.size, odd.index.size, pairing.half.size, width) == (42, 72, 36, 36)
+    assert forms == [(42, 42)] + [(width, width)] * 4
+    assert steps == [np.float64] * 6
+    [[_, form]] = [kept["paired"] for kept in factory.dwells.values()]
+    assert form.shape == (2 * width, 2 * width)
 
 
 @pytest.mark.parametrize("count", [1, 2, 31, 64, 256])
@@ -282,9 +306,9 @@ def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
         shapes.append(kick.shape)
         return original(kick, count, state)
 
-    def counted_step(self, d_outer, inner=0.0):
+    def counted_step(self, d_outer, inner=0.0, rows=slice(None)):
         outer_steps.append(d_outer)
-        return outer_step(self, d_outer, inner)
+        return outer_step(self, d_outer, inner, rows)
 
     monkeypatch.setattr(kicked, "_power_apply", counted)
     monkeypatch.setattr(connection.ControlBlock, "outer_step", counted_step)
@@ -377,9 +401,9 @@ def test_a_rect_builds_one_unturned_outer_step_per_block(monkeypatch):
     calls = []
     outer_step = connection.ControlBlock.outer_step
 
-    def counted_step(self, d_outer, inner=0.0):
+    def counted_step(self, d_outer, inner=0.0, rows=slice(None)):
         calls.append((id(self), inner))
-        return outer_step(self, d_outer, inner)
+        return outer_step(self, d_outer, inner, rows)
 
     monkeypatch.setattr(connection.ControlBlock, "outer_step", counted_step)
     for plane, cutoff in [(PlaneId.I, 24), (PlaneId.II, 24), (PlaneId.III, 12)]:
@@ -391,12 +415,21 @@ def test_a_rect_builds_one_unturned_outer_step_per_block(monkeypatch):
             assert calls == [(id(block), 0.0) for block in blocks]
 
 
+def whole_block_form(block, factory):
+    """The dwell's 2n x 2n real form on a whole block, on a 64-byte boundary as the kept ones."""
+    basis, _ = block.paired_basis
+    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, factory.cutoff,
+                             factory.mode_count)
+    return kicked._aligned(kicked.real_form(((basis.conj().T * dwell[block.index]) @ basis).T))
+
+
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 @settings(max_examples=10, deadline=None)
 @given(convex_polygons(planes=tuple(PlaneId)), st.sampled_from([1, -1]))
 def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
-    # a loop with no axis-aligned edge is kick by kick from Q^dag c on every block,
-    # bit for bit: no turn of the columns, no halves and no shared step
+    # a loop with no axis-aligned edge is kick by kick from Q^dag c on every block: bit
+    # for bit with no turn of the columns and no shared step where U swaps nothing, and
+    # on the odd block's U halves within 1e-14 of the kicks on the whole block
     loop = LoopSpec(loop.plane, loop.shape, orientation)
     cutoff = 12 if loop.plane is PlaneId.III else 24
     schedule = KickSchedule(loop, 128, cutoff=cutoff)
@@ -408,28 +441,93 @@ def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
     for block, form in zip(factory.blocks, forms):
         basis, rates = block.paired_basis
         n = basis.shape[1]
+        if block.swap_pairing is not None:
+            form = whole_block_form(block, factory)
         code = block.paired_code
         rows = np.ascontiguousarray(np.hstack([code.T.real, code.T.imag]))
         for run in runs:
             (outer0, inner0), (outer1, inner1) = factory.split(*run.start), factory.split(*run.end)
             step = block.outer_step((outer0 - outer1) / run.count)
             kicked._tilted_edge(rows, step, form, rates, inner0, (inner1 - inner0) / run.count,
-                                run.count)
+                                run.count, np.ones(4))
         state = (rows[:, :n] + 1j * rows[:, n:]).T
         overlap = block.paired_code.conj().T @ state
         expected = connection.polar_unitary(overlap)
-        assert np.array_equal(result.code_map[np.ix_(block.columns, block.columns)], expected)
+        got = result.code_map[np.ix_(block.columns, block.columns)]
+        if block.swap_pairing is None:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.max(np.abs(got - expected)) <= 1e-14
 
+
+def unsigned_tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count):
+    """The tilted kernel with no signs, each kick on broadcast rows of the phase table."""
+    columns, width = rows.shape
+    n = width // 2
+    ahead = np.empty_like(rows)
+    halves, ahead_halves = rows.reshape(2 * columns, n), ahead.reshape(2 * columns, n)
+    turned = 2 * rates.size
+    pairs, ahead_pairs = (part[:, :turned].view(np.complex128) for part in (halves, ahead_halves))
+    if np.isrealobj(step):
+        source, matrix, target = halves, step.T, ahead_halves
+    else:
+        source, matrix, target = rows, kicked.real_form(step.T), ahead
+    for start in range(0, count, connection.MAGNUS_BATCH):
+        size = min(connection.MAGNUS_BATCH, count - start)
+        table = connection.phase_table(-rates, inner0 + inner_step * start, inner_step, size + 1)
+        back = np.conjugate(table[1:])
+        for k in range(size):
+            np.multiply(pairs, table[k], out=pairs)
+            np.dot(source, matrix, out=target)
+            np.multiply(ahead_pairs, back[k], out=ahead_pairs)
+            np.dot(ahead, dwell_form, out=rows)
+
+
+@pytest.mark.parametrize("count", [40, 300])
+@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 24), (PlaneId.II, 24), (PlaneId.III, 12)])
+def test_tilted_kernel_signs_are_exact(plane, cutoff, count):
+    # unit signs leave the kicks bit-equal to the unsigned loop, and a column whose
+    # imaginary row is signed -1 takes conj(S): bit-equal to the unsigned loop on it
+    factory = connection.frame_factory(plane, cutoff)
+    rng = np.random.default_rng(cutoff + count)
+    for block in factory.blocks:
+        basis, rates = block.paired_basis
+        n = basis.shape[1]
+        form = whole_block_form(block, factory)
+        step = block.outer_step(0.0007)
+        steps = [step] if plane is PlaneId.II else [step, step * np.exp(0.3j)]
+        start = rng.normal(size=(2, 2 * n))
+        for step in steps:
+            signed, unsigned = start.copy(), start.copy()
+            kicked._tilted_edge(signed, step, form, rates, 0.02, 0.0004, count, np.ones(4))
+            unsigned_tilted_edge(unsigned, step, form, rates, 0.02, 0.0004, count)
+            assert np.array_equal(signed, unsigned)
+            signed, unsigned = start.copy(), start.copy()
+            kicked._tilted_edge(signed[1:], step, form, rates, 0.02, 0.0004, count,
+                                np.array([1.0, -1.0]))
+            unsigned_tilted_edge(unsigned[1:], step.conj(), form, rates, 0.02, 0.0004, count)
+            assert np.array_equal(signed, unsigned)
 
 
 def test_paired_dwell_forms_start_on_64_byte_boundaries():
     # a tilted kick reads the kept real form of the dwell; off a 64-byte boundary it
-    # runs slower, and a copy in the other memory order would round differently
-    factory = connection.FrameFactory(PlaneId.III, 12)
-    forms = kicked.paired_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, 12, 2)
-    for block, form in zip(factory.blocks, forms):
-        basis, _ = block.paired_basis
-        expected = kicked.real_form(((basis.conj().T * dwell[block.index]) @ basis).T)
-        assert form.ctypes.data % 64 == 0 and not form.flags.writeable
-        assert np.array_equal(form, expected) and form.strides == expected.strides
+    # runs slower, and a copy in the other memory order would round differently.  On
+    # the odd block it is the form of its U halves' D[c, c], c the columns of the d < 0
+    # sectors in Q's order, padded with zeros to a multiple of 4 (at cutoff 13, 42 -> 44)
+    for cutoff in (12, 13):
+        factory = connection.FrameFactory(PlaneId.III, cutoff)
+        forms = kicked.paired_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+        dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, 2)
+        for block, form in zip(factory.blocks, forms):
+            basis, _ = block.paired_basis
+            if block.swap_pairing is None:
+                expected = kicked.real_form(((basis.conj().T * dwell[block.index]) @ basis).T)
+            else:
+                half = np.sort(block.swap_pairing.half)
+                width = form.shape[0] // 2
+                assert width % 4 == 0 and half.size <= width < half.size + 4
+                within = np.zeros((basis.shape[0], width))
+                within[:, : half.size] = basis[:, half]
+                expected = kicked.real_form(((within.conj().T * dwell[block.index]) @ within).T)
+            assert form.ctypes.data % 64 == 0 and not form.flags.writeable
+            assert np.array_equal(form, expected) and form.strides == expected.strides
