@@ -30,9 +30,11 @@ exponential is the same closed form.
 
 Everything runs in the eigenbasis V of G_i, and G_i never leaves one of its
 sectors (the parity chains of the squeeze, the n1 - n2 chains of the
-two-mode squeeze).  So V is built sector by sector, one small eigh each, as
-the direct sum of the sector bases; the transport's code pair is two of these
-sectors.  The kicked route runs in the paired basis Q built from V, where a
+two-mode squeeze).  So V is built sector by sector, one small eigh each.  The
+transport reads only the sectors that hold code columns, and G_o only
+between its code pair's two, so it builds nothing else (FrameFactory's
+transport part).  The kicked route's blocks take V as the direct sum of all
+their sectors' bases and run in the paired basis Q built from it, where a
 diagonal operator such as the Kerr dwell is block-diagonal by sector up to
 the order of Q's columns (ControlBlock.sector_columns).
 
@@ -97,10 +99,6 @@ class CodeBlock:
         """exp(-i w i) at each inner control value i, shape (rows, values): I's phases."""
         return np.exp(-1j * (self.values[rows, None] * inner))
 
-    def phases(self, start: float, step: float, count: int) -> np.ndarray:
-        """I's phases at start + step k for k < count, shape (block size, count)."""
-        return np.ascontiguousarray(phase_table(self.values, start, step, count).T)
-
 
 def phase_table(values: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
     """exp(-i w (start + step k)) for each w in `values` and k < count, shape (count, values).
@@ -144,10 +142,9 @@ class SwapPairing(NamedTuple):
 class ControlBlock(CodeBlock):
     """One invariant block of the control generators G_i and G_o that holds code states.
 
-    The block is the union of `sectors`, the sectors of G_i inside it, built
-    from their (Fock indices, G_i on them) chains from fock.inner_sectors, each
-    a CodeBlock with its own eigenbasis; `index` lists them one after another,
-    and V is their direct sum, so V is block-diagonal and `values` is the
+    The block is the union of `sectors`, the sectors of G_i inside it, each
+    a CodeBlock with its own eigenbasis (_sector); `index` lists them one
+    after another, and V is their direct sum, so V is block-diagonal and `values` is the
     sectors' eigenvalues in the same order.  G_o restricted to the block is
     V_o diag(w_o) V_o^dag times -i; the block keeps `outer_values` w_o and
     `outer_vectors` W = V^dag V_o, the outer eigenvectors in V, so that its
@@ -167,10 +164,10 @@ class ControlBlock(CodeBlock):
     A block's rows are Fock states, one per entry of `index`, except on plane
     III's even block, built on the U = +1 half of the beam-swap symmetry only
     (fock.swap_symmetric_half): `mirror` = (rows, images, signs) marks the
-    rows that stand for (|index> + sign |image>)/sqrt 2, and in_fock maps
-    rows back.  As P G_o P = -G_o and G_o moves d = n1 - n2 by 2, G_o there
-    is the Fock G_o at the kept indices with the entries between |n, n> and
-    a pair times sqrt 2: real, like the Fock one.  Plane III's odd block is
+    rows that stand for (|index> + sign |image>)/sqrt 2.  As P G_o P = -G_o
+    and G_o moves d = n1 - n2 by 2, G_o there is the Fock G_o at the kept
+    indices with the entries between |n, n> and a pair times sqrt 2: real,
+    like the Fock one.  Plane III's odd block is
     whole, and U maps each of its sectors d onto -d: `swap_cutoff`, the
     cutoff per mode there (None on every other block), lets swap_pairing
     read U in Q off the sectors' Fock indices.
@@ -178,14 +175,14 @@ class ControlBlock(CodeBlock):
 
     def __init__(
         self,
-        sectors: list[tuple[np.ndarray, np.ndarray]],
+        sectors: list[CodeBlock],
         outer: np.ndarray,
         code: np.ndarray,
         real_controls: bool,
         mirror: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         swap_cutoff: int | None = None,
     ):
-        self.sectors = [_sector(index, inner, code) for index, inner in sectors]
+        self.sectors = sectors
         sizes = np.array([sector.index.size for sector in self.sectors])
         index = np.concatenate([sector.index for sector in self.sectors])
         vectors = np.zeros((index.size, index.size), dtype=complex)
@@ -353,17 +350,6 @@ class ControlBlock(CodeBlock):
         turned[a], turned[b] = cos * turned[a] + sin * turned[b], cos * turned[b] - sin * turned[a]
         return turned.T
 
-    def in_fock(self, rows: np.ndarray, size: int) -> np.ndarray:
-        """The block's (rows, columns) as `size` Fock rows, a mirrored row split on its pair."""
-        out = np.zeros((size, rows.shape[1]), dtype=complex)
-        out[self.index] = rows
-        if self.mirror is not None:
-            mirrored, images, signs = self.mirror
-            halves = rows[mirrored] / math.sqrt(2.0)
-            out[self.index[mirrored]] = halves
-            out[images] = signs[:, None] * halves
-        return out
-
     @cached_property
     def code_rows(self) -> np.ndarray:
         """The places where code_eig is not zero: the sectors that hold code columns."""
@@ -398,9 +384,10 @@ def _turn_pairs(rows: np.ndarray, turn: np.ndarray) -> np.ndarray:
 class SectorPair(NamedTuple):
     """The two sectors of G_i that G_o links, one code column each.
 
-    With t_a = first.phases(...) and t_b = second.phases(...), the one entry
-    of A_o on the pair, at row first.columns and column second.columns, is
-    sum(conj(t_a) * (outer @ t_b)).
+    With t_a and t_b the transposed phase tables of the two sectors,
+    phase_table(first.values, ...).T and phase_table(second.values, ...).T,
+    the one entry of A_o on the pair, at row first.columns and column
+    second.columns, is sum(conj(t_a) * (outer @ t_b)).
     """
 
     first: CodeBlock
@@ -409,72 +396,71 @@ class SectorPair(NamedTuple):
     weight: np.ndarray  # i (w_a - w_b): the same block of V^dag [G_o, G_i] V is weight * outer
 
 
-class FrameFactory:
-    """Dressed code frames and their exact connection on one plane.
+def _inner_phase(plane: PlaneId) -> complex:
+    """The phase of the inner generator (fock.inner_sectors): i on plane II, 1 elsewhere."""
+    return 1.0j if plane is PlaneId.II else 1.0
 
-    No control leaves an invariant block of G_i and G_o together: `blocks`
-    holds one ControlBlock per such block that holds code states (the whole
-    space on planes I/II; on plane III the U = +1 half of the even parity
-    block of (-1)^(n1 + n2), fock.swap_symmetric_half, and the whole odd
-    one), and frames and kicks run block by block; frame maps each block's
-    rows back to the Fock basis (ControlBlock.in_fock).  Each block is built
-    from the sectors of G_i inside it, one eigh per sector: the two parity
-    chains of the squeeze on planes I/II, the n1 - n2 chains of the two-mode
-    squeeze on plane III (7 and 14 of them, 56 and 98 states, at cutoff 14).
-    fock.inner_sectors builds G_i chain by chain, so G_i is never dense, and
-    A_i = c^dag G_i c is summed from the chains; G_o is dense.
-    In a sector's eigenbasis V_a, I(i) is the diagonal phase exp(-i i w_a),
-    and I(i) c never leaves the sector.  With y_a = exp(-i i w_a) V_a^dag c_a,
-    the block of A_o(i) between the code columns of sectors a and b is
-    y_a^dag (V_a^dag G_o V_b) y_b.  `pair` is the two sectors that hold one
-    code column each (the two parities on planes I/II, n1 - n2 = -1 and +1 on
-    plane III), the only two that G_o links among those that hold code
-    states, so A_o is one entry at `pair_columns` and its mirror, and exactly
-    zero elsewhere.  A_i is exactly zero on the pair; on the `rest` of the
-    code columns (none on planes I/II, |00> and |11> on plane III) it is the
-    one entry `rest_entry` and its mirror.  The pair's sectors are the
-    blocks' own sector objects.  `real_controls` says that G_o and G_i have
-    no imaginary part (planes I and III), so that a(i) is real.
-    `top_outer_vectors` holds, per block, the rows of V W (the outer
-    eigenvectors in the Fock basis) at its top-quartile Fock levels, for the
-    kicked route's truncation check (top_quartile_populations); the
-    transport's reads the code columns' chains alone (chain_tail_populations).
-    `dwells` holds, for one (chi, delta_t), the kicked route's Kerr dwell per
-    block in its paired basis, as a sector stack for axis-aligned edges
-    (kicked.sector_dwells) and as a 2n x 2n real form for tilted ones
-    (kicked.paired_dwells), each built on first use.
+
+class FrameFactory:
+    """The exact connection on one plane, and the kicked route's control blocks, in two parts.
+
+    The transport's part is built here, with nothing of the whole space's
+    square: the bytes it forms are checked first (fock.check_chain_budget).
+    I(i) c never leaves the chains of G_i that hold the code columns, so
+    `chains` holds those alone (fock.code_chains: the two parity chains of
+    the squeeze on planes I/II, n1 - n2 = 0, -1 and +1 of the two-mode
+    squeeze on plane III), each a CodeBlock with one eigh of its own.  In a
+    chain's eigenbasis V_a, I(i) is the diagonal phase exp(-i i w_a), and
+    with y_a = exp(-i i w_a) V_a^dag c_a the block of A_o(i) between the
+    code columns of chains a and b is y_a^dag (V_a^dag G_o V_b) y_b.  `pair`
+    is the two chains that hold one code column each (the two parities on
+    planes I/II, n1 - n2 = -1 and +1 on plane III), the only two that G_o
+    links among those that hold code states, so A_o is one entry at
+    `pair_columns` and its mirror, and exactly zero elsewhere; G_o between
+    them is read entry by entry (fock.outer_entries).  A_i = c^dag G_i c is
+    summed from the chains (`inner_connection`): exactly zero on the pair,
+    and on the `rest` of the code columns (none on planes I/II, |00> and
+    |11> on plane III) the one entry `rest_entry` and its mirror.
+    `real_controls` says that G_i has no imaginary part (planes I and III;
+    G_o is real on every plane), so that a(i) is real.  holonomy_path_ordered, its truncation
+    check (chain_tail_populations), connection, curvature and
+    outer_connection read this part alone.
+
+    The kicked part is built on first kicked use (kicked.run_kicked,
+    check_loop_truncation), after fock.check_dense_budget.  `blocks` holds
+    one ControlBlock per invariant block of G_i and G_o that holds code
+    states (the whole space on planes I/II; on plane III the U = +1 half of
+    the even parity block of (-1)^(n1 + n2), fock.swap_symmetric_half, and
+    the whole odd one), from the dense G_o and the sectors of G_i inside
+    the block (fock.inner_sectors), one eigh per sector; the code chains
+    are the transport's own.  On plane III at cutoff 14 the blocks hold 7
+    and 14 sectors, 56 and 98 states.  `top_outer_vectors` holds, per
+    block, the rows of V W (the outer eigenvectors in the Fock basis) at its
+    top-quartile Fock levels, for the kicked route's truncation check
+    (top_quartile_populations).  `dwells` holds, for one (chi, delta_t), the
+    kicked route's Kerr dwell per block in its paired basis, as a sector
+    stack for axis-aligned edges (kicked.sector_dwells) and as a 2n x 2n
+    real form for tilted ones (kicked.paired_dwells), each built on first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
         mode_count = 2 if plane is PlaneId.III else 1
-        fock.check_dense_budget(cutoff, mode_count)
+        fock.check_chain_budget(cutoff, mode_count)
         fock.check_code_below_top_quartile(cutoff)
         self.plane = plane
         self.cutoff = cutoff
         self.mode_count = mode_count
         self.code = fock.code_states(cutoff, mode_count)
-        if plane is PlaneId.III:
-            outer = fock.two_mode_mix_generator(1.0, cutoff)
-        else:
-            outer = fock.displacement_generator(1.0, cutoff)
-        layout = fock.inner_sectors(cutoff, mode_count, 1.0j if plane is PlaneId.II else 1.0)
-        chains = [inner for sectors in layout for _, inner in sectors]
-        self.real_controls = not any(np.any(g.imag) for g in [outer, *chains])
-        parts = [(sectors, None) for sectors in layout]
-        if plane is PlaneId.III:  # the even block's U = +1 half holds both of its code states
-            parts[0] = fock.swap_symmetric_half(layout[0], cutoff)
-        swapped = [None, cutoff] if plane is PlaneId.III else [None]
-        self.blocks = [
-            ControlBlock(sectors, outer, self.code, self.real_controls, mirror, swap)
-            for (sectors, mirror), swap in zip(parts, swapped)
-        ]
         self.code_dim = self.code.shape[1]
+        chains = fock.code_chains(cutoff, mode_count, _inner_phase(plane))
+        self.chains = [_sector(index, inner, self.code) for index, inner in chains]
         self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
-        for index, inner in (sector for sectors in layout for sector in sectors):
+        for index, inner in chains:
             self.inner_connection += self.code[index].conj().T @ inner @ self.code[index]
-        sectors = [sector for block in self.blocks for sector in block.sectors]
-        first, second = [sector for sector in sectors if sector.columns.size == 1]
-        middle = first.vectors.conj().T @ outer[np.ix_(first.index, second.index)]
+        first, second = [chain for chain in self.chains if chain.columns.size == 1]
+        outer = fock.outer_entries(first.index, second.index, cutoff, mode_count)
+        self.real_controls = not any(np.any(inner.imag) for _, inner in chains)
+        middle = first.vectors.conj().T @ outer
         middle = first.code_eig.conj() * (middle @ second.vectors) * second.code_eig.T
         weight = 1j * np.subtract.outer(first.values, second.values)
         self.pair = SectorPair(first, second, middle, weight)
@@ -483,25 +469,48 @@ class FrameFactory:
         self.rest = np.delete(np.arange(self.code_dim), self.pair_columns)
         rest = self.rest
         self.rest_entry = self.inner_connection[rest[0], rest[-1]] if rest.size else 0.0
-        top = fock.top_quartile_mask(cutoff, mode_count)
-        self.top_outer_vectors = [
-            block.vectors[top[block.index]] @ block.outer_vectors for block in self.blocks
+
+    @cached_property
+    def blocks(self) -> list[ControlBlock]:
+        """The kicked part's control blocks, from the dense G_o, built on first use."""
+        cutoff = self.cutoff
+        fock.check_dense_budget(cutoff, self.mode_count)
+        if self.plane is PlaneId.III:
+            outer = fock.two_mode_mix_generator(1.0, cutoff)
+        else:
+            outer = fock.displacement_generator(1.0, cutoff)
+        layout = fock.inner_sectors(cutoff, self.mode_count, _inner_phase(self.plane))
+        parts = [(sectors, None) for sectors in layout]
+        if self.plane is PlaneId.III:  # the even block's U = +1 half holds both of its code states
+            parts[0] = fock.swap_symmetric_half(layout[0], cutoff)
+        swapped = [None, cutoff] if self.plane is PlaneId.III else [None]
+        built = {int(chain.index[0]): chain for chain in self.chains}
+
+        def sector(index, inner):  # a code chain is the transport's own
+            return built[index[0]] if index[0] in built else _sector(index, inner, self.code)
+
+        return [
+            ControlBlock(
+                [sector(*chain) for chain in sectors],
+                outer, self.code, self.real_controls, mirror, swap,
+            )
+            for (sectors, mirror), swap in zip(parts, swapped)
         ]
-        self.dwells: dict = {}
+
+    @cached_property
+    def top_outer_vectors(self) -> list[np.ndarray]:
+        """Per block, the rows of V W at its top-quartile Fock levels (top_quartile_populations)."""
+        top = fock.top_quartile_mask(self.cutoff, self.mode_count)
+        return [block.vectors[top[block.index]] @ block.outer_vectors for block in self.blocks]
+
+    @cached_property
+    def dwells(self) -> dict:
+        """The kicked route's dwell forms, by (chi, delta_t) (kicked.sector_dwells)."""
+        return {}
 
     def split(self, u: float, v: float) -> tuple[float, float]:
         """Plane coordinates as (outer, inner) control parameters."""
         return (v, u) if self.plane is PlaneId.III else (u, v)
-
-    def frame(self, u: float, v: float) -> np.ndarray:
-        """The dressed code basis at plane point (u, v): ControlBlock.frames at that one point."""
-        outer, inner = self.split(np.array([u], dtype=float), np.array([v], dtype=float))
-        cols = np.zeros(self.code.shape, dtype=complex)
-        for block in self.blocks:
-            left = block.vectors @ block.outer_vectors
-            rows = block.frames(outer, inner, left)[:, 0]
-            cols[:, block.columns] = block.in_fock(rows, cols.shape[0])
-        return cols
 
     def top_quartile_populations(self, points) -> np.ndarray:
         """Worst population in the top quartile of Fock levels over the code columns, per point.
@@ -523,19 +532,19 @@ class FrameFactory:
 
         One value per inner control value i.  I(i) c never leaves the code
         columns' own sectors, the chains of G_i that hold them, so each is
-        read there: V_a's top-quartile rows times exp(-i i w_a) V_a^dag c_a.
-        That is what the transport depends on, as A_o(i) = c^dag I^dag G_o I c
-        and A_i = c^dag G_i c; the outer propagator, which the frame check
-        (top_quartile_populations) also applies, never acts on it.  None of
-        these chains holds a mirrored row.
+        read there (`chains`): V_a's top-quartile rows times
+        exp(-i i w_a) V_a^dag c_a.  That is what the transport depends on, as
+        A_o(i) = c^dag I^dag G_o I c and A_i = c^dag G_i c; the outer
+        propagator, which the frame check (top_quartile_populations) also
+        applies, never acts on it.
         """
         top = fock.top_quartile_mask(self.cutoff, self.mode_count)
         worst = np.zeros(inner.shape)
-        for sector in (sector for block in self.blocks for sector in block.sectors):
-            rows = top[sector.index]
-            if sector.columns.size and rows.any():
-                cols = sector.phases_at(inner)[:, :, None] * sector.code_eig[:, None, :]
-                tail = sector.vectors[rows] @ cols.reshape(sector.values.size, -1)
+        for chain in self.chains:
+            rows = top[chain.index]
+            if rows.any():
+                cols = chain.phases_at(inner)[:, :, None] * chain.code_eig[:, None, :]
+                tail = chain.vectors[rows] @ cols.reshape(chain.values.size, -1)
                 population = np.sum(np.abs(tail) ** 2, axis=0).reshape(cols.shape[1:])
                 worst = np.maximum(worst, np.max(population, axis=1))
         return worst
@@ -547,10 +556,15 @@ class FrameFactory:
 
         `middle` is M's block between the pair's sectors in the form of
         SectorPair.outer (pair.outer gives a(i), the entry of A_o); M is
-        anti-Hermitian and zero off that block.
+        anti-Hermitian and zero off that block.  Each sector's phase_table is
+        taken as a contiguous (sector size, count) array: a transposed view
+        takes another BLAS path through the product with M and rounds
+        differently, by 1.8e-14 at cutoff 60 on plane III.
         """
-        t_a = self.pair.first.phases(start, step, count)
-        t_b = self.pair.second.phases(start, step, count)
+        t_a, t_b = (
+            np.ascontiguousarray(phase_table(sector.values, start, step, count).T)
+            for sector in (self.pair.first, self.pair.second)
+        )
         return np.sum(t_a.conj() * (middle @ t_b), axis=0)
 
     def _on_pair(self, entries: np.ndarray) -> np.ndarray:
@@ -717,6 +731,21 @@ def takes_magnus_steps(loop: LoopSpec) -> bool:
     )
 
 
+def _mean_entries(pair: SectorPair, midpoint: np.ndarray, d_inner: np.ndarray) -> np.ndarray:
+    """The mean of a(i) over [midpoint -+ d_inner / 2], per run (_exact_edges).
+
+    Each run's phases are a contiguous column: its entry is then summed in
+    FrameFactory.pair_entries' order, and equals it bit for bit at d_inner = 0.
+    """
+    # mean of exp(i Omega i) over the run: the midpoint phase times a sinc
+    middle = pair.outer * np.sinc(np.multiply.outer(d_inner / (2.0 * math.pi), pair.weight.imag))
+    t_a, t_b = (
+        np.ascontiguousarray(sector.phases_at(midpoint).T)[:, :, None]
+        for sector in (pair.first, pair.second)
+    )
+    return np.sum(t_a.conj() * (middle @ t_b), axis=1)[:, 0]
+
+
 def _exact_edges(factory: FrameFactory, runs: list[loops_mod.EdgeRun]):
     """Each edge as one exact exponential, as (p, q) arrays over the runs, on the pair and the rest.
 
@@ -728,24 +757,24 @@ def _exact_edges(factory: FrameFactory, runs: list[loops_mod.EdgeRun]):
     integral, x = -d_outer times the mean of a over [inner0, inner1]: with
     a(i) = sum(outer * exp(i Omega i)), Omega = weight.imag, that is the entry
     at the midpoint with `outer` scaled by sinc(Omega d_inner / 2), and
-    d_inner = 0 gives a(inner0) itself.  All runs go through one pass: one
-    phase table at the midpoints, one stacked product with each run's
-    scaled `outer`, one closed-form exponential of pair and rest together.
+    d_inner = 0 gives a(inner0) itself.  The runs go through one pass per
+    chunk of MAGNUS_BATCH // s of them, s the larger pair sector's size, so
+    that the sinc-scaled (runs, s, s) blocks hold at most MAGNUS_BATCH x s
+    entries, the Magnus path's bound: a phase table at the midpoints, one
+    stacked product with each run's scaled `outer`.  Then one closed-form
+    exponential takes pair and rest together.
     """
     starts = np.array([factory.split(*run.start) for run in runs])
     d_outer, d_inner = (np.array([factory.split(*run.end) for run in runs]) - starts).T
-    inner0 = starts[:, 1]
+    midpoint = starts[:, 1] + 0.5 * d_inner
     pair = factory.pair
-    # mean of exp(i Omega i) over [inner0, inner1]: the midpoint phase times a sinc
-    middle = pair.outer * np.sinc(np.multiply.outer(d_inner / (2.0 * math.pi), pair.weight.imag))
-    midpoint = inner0 + 0.5 * d_inner
-    # each run's phases as a contiguous column: every run's entry is then summed in
-    # FrameFactory.pair_entries' order, and equals it bit for bit at d_inner = 0
-    t_a, t_b = (
-        np.ascontiguousarray(sector.phases_at(midpoint).T)[:, :, None]
-        for sector in (pair.first, pair.second)
+    chunk = max(1, MAGNUS_BATCH // max(pair.outer.shape))
+    entries = np.concatenate(
+        [
+            _mean_entries(pair, midpoint[k : k + chunk], d_inner[k : k + chunk])
+            for k in range(0, len(runs), chunk)
+        ]
     )
-    entries = np.sum(t_a.conj() * (middle @ t_b), axis=1)[:, 0]
     x = np.stack([-d_outer * entries, -d_inner * factory.rest_entry + 0j])
     _check_exponents(x)
     p, q = _magnus_step(x, x)
@@ -803,7 +832,8 @@ def holonomy_path_ordered(loop: LoopSpec, cutoff: int, steps: int) -> gates.Gate
     An edge is one exact exponential unless it takes Magnus steps
     (takes_magnus_steps: a tilted plane II edge), so only such a loop splits
     `steps` over its edges by length (loops.boundary_runs), one fourth-order
-    Magnus step per sub-interval of a tilted edge.  Before anything is
+    Magnus step per sub-interval of a tilted edge.  A `cutoff` or `steps`
+    that is not an integer raises ValueError naming it.  Before anything is
     built, that split is validated, and so is steps/2 (at least 4) against
     the loop's edge count, with boundary_runs' own message, since the rerun
     at steps/2 needs a step per edge too.  Every other loop takes its edges
@@ -817,6 +847,8 @@ def holonomy_path_ordered(loop: LoopSpec, cutoff: int, steps: int) -> gates.Gate
     The result lives in the raw dressed-frame basis; use
     calibrated_code_matrix() to compare with the area-formula gates.
     """
+    loops_mod.check_integer("cutoff", cutoff)
+    loops_mod.check_integer("steps", steps)
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
     stepped = takes_magnus_steps(loop)

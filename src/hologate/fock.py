@@ -3,9 +3,11 @@
 Operators are complex ndarrays.  Single-mode operators live on the levels
 0..N-1; two-mode operators on the N^2-dimensional product space with basis
 index n1*N + n2.  The outer generators (displacement, two-mode mix) are
-dense, the mix built as Kronecker products of the single-mode ladders.  The
-inner ones (squeeze, two-mode squeeze) are built only sector by sector, as
-the tridiagonal chains of inner_sectors.  Unitaries are never built here:
+dense, the mix built as Kronecker products of the single-mode ladders, or
+read entry by entry between two sets of states (outer_entries).  The inner
+ones (squeeze, two-mode squeeze) are built only sector by sector, as the
+tridiagonal chains of inner_sectors, or of code_chains alone.  Unitaries are
+never built here:
 the routes exponentiate the skew-Hermitian generators through their
 eigenpairs (Propagator), so they are exact unitaries of the *truncated*
 generator; how faithfully they represent the untruncated operator is
@@ -24,8 +26,9 @@ from .exceptions import TruncationWarning
 # application stops being trusted.
 TOP_QUARTILE_BUDGET = 1e-8
 
-# Bytes of dense complex cutoff**mode_count-square matrices that one frame
-# factory may hold (DENSE_MATRICES of them, at 16 bytes an entry).
+# Bytes of complex matrices that one frame factory's part may hold (DENSE_MATRICES
+# of them, at 16 bytes an entry): cutoff**mode_count-square ones for the kicked
+# blocks, chain-square ones for the transport's code chains.
 DENSE_BYTES_BUDGET = 2 * 1024**3
 DENSE_MATRICES = 8
 
@@ -73,14 +76,29 @@ def check_code_below_top_quartile(cutoff: int) -> None:
         )
 
 
+def _check_bytes(needed: int, cutoff: int, mode_count: int, what: str) -> None:
+    if needed > DENSE_BYTES_BUDGET:
+        raise ValueError(
+            f"cutoff {cutoff} on {mode_count} mode(s) needs about {needed:.1e} bytes of {what}, "
+            f"above the budget of {DENSE_BYTES_BUDGET:.1e} (fock.DENSE_BYTES_BUDGET)"
+        )
+
+
 def check_dense_budget(cutoff: int, mode_count: int) -> None:
     """Reject cutoffs whose dense operators would exceed DENSE_BYTES_BUDGET, before allocating."""
     needed = DENSE_MATRICES * cutoff ** (2 * mode_count) * 16
-    if needed > DENSE_BYTES_BUDGET:
-        raise ValueError(
-            f"cutoff {cutoff} on {mode_count} mode(s) needs about {needed:.1e} bytes of dense "
-            f"matrices, above the budget of {DENSE_BYTES_BUDGET:.1e} (fock.DENSE_BYTES_BUDGET)"
-        )
+    _check_bytes(needed, cutoff, mode_count, "dense matrices")
+
+
+def check_chain_budget(cutoff: int, mode_count: int) -> None:
+    """Reject cutoffs whose code chains would exceed DENSE_BYTES_BUDGET, before allocating.
+
+    A chain holds at most `cutoff` states, and the code columns, which span
+    the whole space, are 4 at most: DENSE_MATRICES chain-square matrices and
+    those columns bound what the transport forms.
+    """
+    needed = (DENSE_MATRICES * cutoff**2 + 4 * cutoff**mode_count) * 16
+    _check_bytes(needed, cutoff, mode_count, "code chains")
 
 
 def warn_if_truncated(population: float, label: str) -> None:
@@ -126,10 +144,51 @@ def two_mode_mix_generator(xi: complex, cutoff: int) -> np.ndarray:
     return xi * np.kron(adag, a) - np.conj(xi) * np.kron(a, adag)
 
 
+def outer_entries(
+    rows: np.ndarray, columns: np.ndarray, cutoff: int, mode_count: int
+) -> np.ndarray:
+    """The outer generator G_o between the Fock states `rows` and `columns`, with no dense G_o.
+
+    G_o = a^dag - a on one mode (displacement_generator at 1) and
+    a1^dag a2 - a1 a2^dag on two (two_mode_mix_generator at 1): each column
+    state m links to at most two states, m + 1 and m - 1 on one mode and
+    (m1 + 1, m2 - 1) and (m1 - 1, m2 + 1) on two, with the entries
+    sqrt(m + 1) and -sqrt(m), or sqrt(m1 + 1) sqrt(m2) and -sqrt(m1) sqrt(m2 + 1).
+    Each is formed as the dense ladders form it, a root or a product of two,
+    so it is bit-equal to the dense generator's.
+    """
+    root = np.sqrt(np.arange(1, cutoff + 1, dtype=float))  # root[n - 1] = sqrt(n)
+    if mode_count == 1:
+        links = [
+            (columns + 1, columns + 1 < cutoff, root[columns]),
+            (columns - 1, columns >= 1, -root[columns - 1]),
+        ]
+    else:
+        m1, m2 = np.divmod(columns, cutoff)
+        links = [
+            (columns + cutoff - 1, (m1 + 1 < cutoff) & (m2 >= 1), root[m1] * root[m2 - 1]),
+            (columns - cutoff + 1, (m1 >= 1) & (m2 + 1 < cutoff), -(root[m1 - 1] * root[m2])),
+        ]
+    place = np.full(cutoff**mode_count, -1)
+    place[rows] = np.arange(rows.size)
+    block = np.zeros((rows.size, columns.size), dtype=complex)
+    for target, valid, entry in links:
+        row = place[np.where(valid, target, 0)]
+        linked = valid & (row >= 0)
+        block[row[linked], np.flatnonzero(linked)] = entry[linked]
+    return block
+
+
 def _level_sets(key: np.ndarray, index: np.ndarray) -> list[np.ndarray]:
     """`index` split by `key`, each part in index order, the parts by their lowest index."""
     values, first = np.unique(key, return_index=True)
     return [index[key == value] for value in values[np.argsort(first)]]
+
+
+def _chain(first: np.ndarray, second: np.ndarray, phase: complex) -> np.ndarray:
+    """G_i on one chain, from (m1, m2) at each of its states but the top one (inner_sectors)."""
+    climb = np.diag(np.sqrt(first + 1.0) * np.sqrt(second + 1.0), -1).astype(complex)
+    return phase * climb - np.conj(phase) * climb.T
 
 
 def inner_sectors(
@@ -160,11 +219,27 @@ def inner_sectors(
         sectors = []
         for index in _level_sets(chain[part], part):
             lower = index[:-1]
-            climb = np.diag(np.sqrt(first[lower] + 1.0) * np.sqrt(second[lower] + 1.0), -1)
-            climb = climb.astype(complex)
-            sectors.append((index, phase * climb - np.conj(phase) * climb.T))
+            sectors.append((index, _chain(first[lower], second[lower], phase)))
         layout.append(sectors)
     return layout
+
+
+def code_chains(
+    cutoff: int, mode_count: int, phase: complex
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sectors of inner_sectors that hold code states, in its order, each formed alone.
+
+    On one mode both parity chains; on two the chains n1 - n2 = 0 (|00> and
+    |11>, in the even block), then -1 (|01>) and +1 (|10>), the odd block's
+    two lowest.  Their Fock indices and entries are inner_sectors' own, and
+    no other chain, nor anything of the whole space's size, is formed.
+    """
+    n = np.arange(cutoff)
+    if mode_count == 1:
+        rungs = [(n[parity::2], n[parity::2] + 1, n[parity::2]) for parity in (0, 1)]
+    else:  # (n1, n2) along the chain, and its Fock indices
+        rungs = [(a, b, a * cutoff + b) for a, b in ((n, n), (n[:-1], n[1:]), (n[1:], n[:-1]))]
+    return [(index, _chain(first[:-1], second[:-1], phase)) for first, second, index in rungs]
 
 
 def swap_symmetric_half(

@@ -44,7 +44,7 @@ import numpy as np
 from . import connection, fock
 from . import loops as loops_mod
 from .exceptions import AdiabaticityWarning
-from .loops import LoopSpec
+from .loops import LoopSpec, PlaneId
 
 # Default dwell: chi*dt = pi/4, so the nearest leakage level (n = 2) picks up
 # phase pi/2 per dwell, maximally dephasing it against the code space.
@@ -79,6 +79,10 @@ class KickSchedule:
     cutoff: int = 40
 
     def __post_init__(self):
+        for name in ("kick_count", "cutoff"):
+            loops_mod.check_integer(name, getattr(self, name))
+        # the kicked blocks are dense: refused here, before anything is formed
+        fock.check_dense_budget(self.cutoff, 2 if self.loop.plane is PlaneId.III else 1)
         if self.kick_count < 16:
             raise ValueError(f"kick_count must be at least 16, got {self.kick_count}")
         for name in ("delta_t", "chi"):

@@ -14,6 +14,7 @@ stored polyline vertex order only fixes the shape.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
@@ -311,6 +312,12 @@ class EdgeRun(NamedTuple):
     def axis_aligned(self) -> bool:
         """Only one plane coordinate moves, so every step of the run is the same map."""
         return bool(self.start[0] == self.end[0] or self.start[1] == self.end[1])
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a size that is not an integer (a float, NaN or 20.5 or 64.0, or a bool), naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_steps_cover_edges(steps: int, edges: int) -> None:

@@ -33,6 +33,37 @@ def rect_sigma_closed_form(plane: PlaneId, rect: Rect) -> float:
     )
 
 
+def in_fock(block, rows, size):
+    """A control block's (rows, columns) as `size` Fock rows, a mirrored row split on its pair.
+
+    ControlBlock.mirror marks the rows of plane III's even block that stand
+    for (|index> + sign |image>)/sqrt 2 (fock.swap_symmetric_half).
+    """
+    out = np.zeros((size, rows.shape[1]), dtype=complex)
+    out[block.index] = rows
+    if block.mirror is not None:
+        mirrored, images, signs = block.mirror
+        halves = rows[mirrored] / math.sqrt(2.0)
+        out[block.index[mirrored]] = halves
+        out[images] = signs[:, None] * halves
+    return out
+
+
+def frame(factory, u, v):
+    """The dressed code basis O(o) I(i) c at plane point (u, v), from the kicked part's blocks.
+
+    The reference frame: ControlBlock.frames at that one point, block by
+    block, each block's rows mapped back to the Fock basis (in_fock).
+    """
+    outer, inner = factory.split(np.array([u], dtype=float), np.array([v], dtype=float))
+    cols = np.zeros(factory.code.shape, dtype=complex)
+    for block in factory.blocks:
+        left = block.vectors @ block.outer_vectors
+        rows = block.frames(outer, inner, left)[:, 0]
+        cols[:, block.columns] = in_fock(block, rows, cols.shape[0])
+    return cols
+
+
 def stepped_product(factory, points, gauge=None):
     """Ordered product of re-unitarized frame overlaps, one per step along `points`.
 
@@ -43,7 +74,7 @@ def stepped_product(factory, points, gauge=None):
     """
 
     def frame_at(p):
-        cols = factory.frame(p[0], p[1])
+        cols = frame(factory, p[0], p[1])
         return cols if gauge is None else cols * np.asarray(gauge(p[0], p[1]))[None, :]
 
     holonomy = np.eye(factory.code_dim, dtype=complex)
@@ -213,14 +244,14 @@ def corner_populations(loop, cutoff):
 
     The reference for connection.check_loop_truncation, which forms only the
     top-quartile rows of the frames, at every corner at once: here each
-    corner takes one full frame (FrameFactory.frame) and its worst
+    corner takes one full frame (frame, above) and its worst
     top-quartile population over the code columns.
     """
     factory = connection.frame_factory(loop.plane, cutoff)
     mode_count = 2 if loop.plane is PlaneId.III else 1
     populations = []
     for u, v in loops.boundary_vertices(loop):
-        population = top_quartile_population(factory.frame(u, v), cutoff, mode_count)
+        population = top_quartile_population(frame(factory, u, v), cutoff, mode_count)
         fock.warn_if_truncated(population, f"dressed frame on plane {loop.plane.value}")
         populations.append(population)
     return populations
@@ -338,7 +369,9 @@ def v_basis_kicked(schedule):
                 rows[...] = state.T
                 for start in range(0, run.count, connection.MAGNUS_BATCH):
                     size = min(connection.MAGNUS_BATCH, run.count - start)
-                    phases = block.phases(inner0 + inner_step * start, inner_step, size + 1)
+                    phases = connection.phase_table(
+                        block.values, inner0 + inner_step * start, inner_step, size + 1
+                    ).T
                     for k in range(size):
                         np.multiply(rows, phases[:, k], out=scaled)
                         np.matmul(scaled_re, step_re, out=rows_re)

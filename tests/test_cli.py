@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hologate import cli, compiler, kicked, loops
+from hologate import cli, compiler, fock, kicked, loops
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect, loop_to_dict
 
 from conftest import infidelity, regular_polygon
@@ -416,6 +416,45 @@ def test_cutoff_over_dense_budget_exits_2(capsys, tmp_path, method):
     assert_one_line_parse_error(
         capsys, ["--cutoff", "10000000", "--steps", "128", "oracle", loop_file, "--method", method]
     )
+
+
+STATED_PLANE3_RECT = LoopSpec(PlaneId.III, Rect(**compiler.PAPER_STATED_RECTS["III"]["rect"]))
+
+
+@pytest.mark.parametrize("loop", [compiler.CROT_LOOP, STATED_PLANE3_RECT], ids=["crot", "stated"])
+def test_transport_reaches_plane3_loops_at_cutoff_128(capsys, tmp_path, loop):
+    # the transport builds its code chains alone, so cutoff 128 is within its budget, and
+    # there the chain tail at r2 = arccosh 2 is 7.8e-10, under the 1e-8 truncation budget
+    loop_file = write_loop(tmp_path, "loop.json", loop)
+    code = cli.main(["--cutoff", "128", "oracle", loop_file, "--method", "connection"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "truncation:" not in captured.err
+    record = json.loads(captured.out)
+    assert record["config"]["cutoff"] == 128
+    assert record["frobenius_distance"] <= 1e-10
+    stated = compiler.PAPER_STATED_RECTS["III"]
+    if loop is STATED_PLANE3_RECT:
+        assert record["area"]["sigma"] == pytest.approx(stated["computed_sigma"], abs=1e-10)
+        assert record["area"]["paper_stated_value"] == pytest.approx(stated["stated_sigma"])
+    else:
+        assert record["area"]["sigma"] == pytest.approx(math.pi / 4.0, abs=1e-10)
+
+
+def test_kicked_route_keeps_the_dense_budget_at_cutoff_128(capsys, tmp_path, monkeypatch):
+    # the kicked blocks stay dense until they are built sector by sector: refused before
+    # any Fock array is formed, in one line naming the budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock array was built")
+
+    for name in ("code_states", "code_chains", "inner_sectors", "two_mode_mix_generator"):
+        monkeypatch.setattr(fock, name, refuse)
+    loop_file = write_loop(tmp_path, "crot.json", compiler.CROT_LOOP)
+    assert cli.main(["--cutoff", "128", "oracle", loop_file, "--method", "kicked"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "dense matrices" in line and "fock.DENSE_BYTES_BUDGET" in line
 
 
 def test_strict_truncation_exit_code(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from hologate import connection, fock, gates, kicked, loops
+from hologate import compiler, connection, fock, gates, kicked, loops
 from hologate.connection import (
     CALIBRATION_GAUGE,
     CALIBRATION_RECT,
@@ -26,6 +27,8 @@ from conftest import (
     convex_polygons,
     corner_populations,
     curvature_coefficient,
+    frame,
+    in_fock,
     kerr_hamiltonian,
     matrix_magnus_transport,
     paired_transform,
@@ -43,9 +46,9 @@ J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # e^{-2r} J is A_u on pl
 def central_difference_connection(plane, cutoff, u, v, h):
     """Test-side (A_u, A_v): F^dag times central differences of frame()."""
     factory = frame_factory(plane, cutoff)
-    center = factory.frame(u, v).conj().T
-    a_u = center @ (factory.frame(u + h, v) - factory.frame(u - h, v)) / (2.0 * h)
-    a_v = center @ (factory.frame(u, v + h) - factory.frame(u, v - h)) / (2.0 * h)
+    center = frame(factory, u, v).conj().T
+    a_u = center @ (frame(factory, u + h, v) - frame(factory, u - h, v)) / (2.0 * h)
+    a_v = center @ (frame(factory, u, v + h) - frame(factory, u, v - h)) / (2.0 * h)
     return a_u, a_v
 
 
@@ -55,18 +58,18 @@ def antihermitian_defect(connection_pair):
 
 
 def test_dressed_frame_at_origin_is_bare_basis():
-    frame = frame_factory(PlaneId.I, 30).frame(0.0, 0.0)
-    assert np.allclose(frame, fock.code_states(30), atol=1e-14)
+    cols = frame(frame_factory(PlaneId.I, 30), 0.0, 0.0)
+    assert np.allclose(cols, fock.code_states(30), atol=1e-14)
 
 
 def test_dressed_frame_orthonormality():
-    frame = frame_factory(PlaneId.I, 60).frame(0.3, 0.2)
-    assert np.linalg.norm(frame.conj().T @ frame - np.eye(2)) < 1e-8
+    cols = frame(frame_factory(PlaneId.I, 60), 0.3, 0.2)
+    assert np.linalg.norm(cols.conj().T @ cols - np.eye(2)) < 1e-8
 
 
 def test_dressed_frame_two_mode_origin_order():
-    frame = frame_factory(PlaneId.III, 6).frame(0.0, 0.0)
-    assert np.allclose(frame, fock.code_states(6, mode_count=2), atol=1e-14)
+    cols = frame(frame_factory(PlaneId.III, 6), 0.0, 0.0)
+    assert np.allclose(cols, fock.code_states(6, mode_count=2), atol=1e-14)
 
 
 def test_connection_squeeze_direction_component_vanishes():
@@ -209,7 +212,7 @@ def test_plane3_control_blocks_are_the_two_parity_blocks(monkeypatch, cutoff, si
     assert np.array_equal(np.sort(odd.index), np.flatnonzero(parity == 1))
     assert odd.mirror is None
     basis = symmetric_half_basis(cutoff, even.index)
-    assert np.array_equal(even.in_fock(np.eye(even.index.size), dim), basis)
+    assert np.array_equal(in_fock(even, np.eye(even.index.size), dim), basis)
     assert np.max(np.abs(basis.T @ basis - np.eye(even.index.size))) < 1e-15
     assert not np.any(u @ basis - basis) and not np.any(basis[parity == 1])
     assert even.index.size == (np.count_nonzero(parity == 0) + cutoff) // 2
@@ -229,7 +232,7 @@ def test_plane3_control_blocks_are_the_two_parity_blocks(monkeypatch, cutoff, si
     # each code column lies in exactly one block: {|00>, |11>} even, {|10>, |01>} odd
     assert [block.columns.tolist() for block in factory.blocks] == [[0, 2], [1, 3]]
     for block in factory.blocks:
-        columns = block.in_fock(block.code, dim)
+        columns = in_fock(block, block.code, dim)
         assert np.array_equal(columns, code[:, block.columns])
 
 
@@ -432,7 +435,7 @@ def test_frame_matches_expm_of_the_generators(plane):
             u = abs(u)
         o, i = factory.split(u, v)
         reference = expm(o * outer) @ expm(i * inner) @ code
-        assert np.max(np.abs(factory.frame(u, v) - reference)) < 1e-12
+        assert np.max(np.abs(frame(factory, u, v) - reference)) < 1e-12
 
 
 CORNER_CASES = [
@@ -629,6 +632,99 @@ def test_frame_factory_builds_no_dense_inner_generator(monkeypatch, plane):
     # A_i, summed from the chains, is the dense c^dag G_i c entry for entry
     _, inner, code = plane_generators(plane, cutoff)
     assert np.array_equal(factory.inner_connection, code.conj().T @ inner @ code)
+
+
+SPLIT_LOOPS = [
+    pytest.param(LoopSpec(PlaneId.I, Rect(0.02, 0.2, 0.03, 0.31)), id="I-rect"),
+    pytest.param(regular_polygon(PlaneId.I, 7), id="I-polygon"),
+    pytest.param(LoopSpec(PlaneId.II, Rect(0.0, 0.3, 0.0, 0.25)), id="II-rect"),
+    pytest.param(regular_polygon(PlaneId.II, 5), id="II-magnus-polygon"),
+    pytest.param(LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)), id="III-rect"),
+    pytest.param(regular_polygon(PlaneId.III, 6, (0.08, 0.08)), id="III-polygon"),
+]
+
+
+@pytest.mark.parametrize("loop", SPLIT_LOOPS)
+def test_transport_builds_its_part_alone(monkeypatch, loop):
+    # the transport, its chain-tail check, the connection and the curvature read the
+    # code chains alone: no dense generator, no dense budget, no kicked block
+    cutoff = ORACLE_CUTOFF[loop.plane]
+    cached = connection.holonomy_path_ordered(loop, cutoff, 2000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kicked part was built")
+
+    for name in ("displacement_generator", "two_mode_mix_generator", "check_dense_budget",
+                 "inner_sectors"):
+        monkeypatch.setattr(fock, name, refuse)
+    factories = []
+
+    def fresh(plane, cutoff):
+        factories.append(connection.FrameFactory(plane, cutoff))
+        return factories[-1]
+
+    monkeypatch.setattr(connection, "frame_factory", fresh)
+    gate = connection.holonomy_path_ordered(loop, cutoff, 2000)
+    assert np.array_equal(gate.matrix, cached.matrix)
+    assert gate.diagnostics == cached.diagnostics
+    [factory] = factories
+    factory.connection(0.1, 0.2)
+    factory.curvature(0.1, 0.2)
+    factory.outer_connection(0.0, 0.01, 10)
+    assert not {"blocks", "top_outer_vectors", "dwells"} & set(vars(factory))
+    with pytest.raises(AssertionError, match="kicked part"):
+        factory.blocks
+
+
+@pytest.mark.parametrize("value", [math.nan, 20.5, 64.5, True])
+def test_both_routes_refuse_non_integer_sizes_naming_them(value):
+    # NaN kicks used to fail later as an overflow, 64.5 kicks ran, and a NaN or
+    # fractional cutoff raised numpy's TypeError
+    loop = SMALL_RECTS[PlaneId.I]
+    builds = [
+        ("kick_count", lambda: kicked.KickSchedule(loop, value, cutoff=20)),
+        ("cutoff", lambda: kicked.KickSchedule(loop, 128, cutoff=value)),
+        ("cutoff", lambda: connection.holonomy_path_ordered(loop, value, 2000)),
+        ("steps", lambda: connection.holonomy_path_ordered(loop, 20, value)),
+    ]
+    for name, build in builds:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            build()
+    # numpy's integers are integers
+    size = np.int64(128)
+    kicked.KickSchedule(loop, size, cutoff=np.int64(20))
+    connection.holonomy_path_ordered(loop, np.int64(20), size)
+
+
+def test_exact_edges_work_arrays_are_bounded():
+    # a plane I 60-gon at cutoff 1024: the sinc-scaled pair blocks, 512 x 512 each, are
+    # taken one edge at a time, where all 60 at once raised peak RSS by 416 MB
+    loop = regular_polygon(PlaneId.I, 60, (0.2, 0.2), 0.1)
+    factory = frame_factory(PlaneId.I, 1024)
+    assert connection.MAGNUS_BATCH // max(factory.pair.outer.shape) == 0
+    tracemalloc.start()
+    try:
+        connection.holonomy_path_ordered(loop, 1024, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024**2
+
+
+def test_transport_reaches_crot_loop_at_cutoff_128():
+    # the README's figures: the chain tail of I(i) c at CROT_LOOP's corners and the
+    # distance to the pi/4 gate, at cutoffs 64 and 128; and the paper-stated plane III
+    # rect's distance to its area gate at 128
+    stated = LoopSpec(PlaneId.III, Rect(**compiler.PAPER_STATED_RECTS["III"]["rect"]))
+    corners = loops.boundary_vertices(compiler.CROT_LOOP)
+    for cutoff, tail in ((64, 1.94e-4), (128, 7.8e-10)):
+        factory = frame_factory(PlaneId.III, cutoff)
+        inner = factory.split(*corners.T)[1]
+        assert np.max(factory.chain_tail_populations(inner)) == pytest.approx(tail, rel=0.01)
+    with pytest.warns(TruncationWarning):
+        assert formula_distance(compiler.CROT_LOOP, 64, 2000) == pytest.approx(2.57e-7, rel=0.01)
+    assert formula_distance(compiler.CROT_LOOP, 128, 2000) < 1e-14
+    assert formula_distance(stated, 128, 2000) < 2e-14
 
 
 def test_holonomy_degenerate_loop_is_identity():
@@ -910,7 +1006,8 @@ def test_sector_phases_match_a_direct_exp(count):
         for start, end in [(0.0, 0.08), (-0.08, 0.05), (0.3, -0.3), (0.0, 0.5)]:
             step = (end - start) / count
             arguments = np.outer(block.values, start + step * np.arange(count))
-            error = np.max(np.abs(block.phases(start, step, count) - np.exp(-1j * arguments)))
+            phases = connection.phase_table(block.values, start, step, count).T
+            error = np.max(np.abs(phases - np.exp(-1j * arguments)))
             largest = np.max(np.abs(arguments))
             assert error <= 6 * np.spacing(largest)
             if largest < 8.0:

@@ -26,6 +26,7 @@ from hologate.exceptions import TruncationWarning
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
+import conftest
 from conftest import (
     convex_polygons,
     formula_gate_in_frame,
@@ -235,20 +236,20 @@ def test_kicked_edge_power_counts_match_stepped_kicks(loop, kicks, cutoff):
 
 
 def counted_frames(monkeypatch):
-    """Points of every ControlBlock.frames call, one list per call; FrameFactory.frame calls."""
+    """Points of every ControlBlock.frames call, one list per call; conftest.frame calls."""
     points, frame_calls = [], []
-    frames, frame = connection.ControlBlock.frames, connection.FrameFactory.frame
+    frames, frame = connection.ControlBlock.frames, conftest.frame
 
     def counted(self, outer, inner, left):
         points.append(list(zip(outer, inner)))
         return frames(self, outer, inner, left)
 
-    def counted_frame(self, u, v):
+    def counted_frame(factory, u, v):
         frame_calls.append((u, v))
-        return frame(self, u, v)
+        return frame(factory, u, v)
 
     monkeypatch.setattr(connection.ControlBlock, "frames", counted)
-    monkeypatch.setattr(connection.FrameFactory, "frame", counted_frame)
+    monkeypatch.setattr(conftest, "frame", counted_frame)
     return points, frame_calls
 
 

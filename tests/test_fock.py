@@ -194,6 +194,53 @@ def test_inner_sectors_are_the_component_search_layout(plane, cutoff):
             assert np.array_equal(chain, dense[np.ix_(index, index)])
 
 
+@pytest.mark.parametrize("plane,cutoff", LAYOUT_CASES)
+def test_code_chains_are_the_code_holding_inner_sectors(plane, cutoff):
+    # the transport's chains, formed alone, are inner_sectors' own bit for bit, in its order
+    mode_count = 2 if plane is PlaneId.III else 1
+    code = fock.code_states(cutoff, mode_count)
+    for phase in (1.0, 1.0j, 0.3 - 0.7j):
+        layout = fock.inner_sectors(cutoff, mode_count, phase)
+        holding = [(index, chain) for sectors in layout for index, chain in sectors
+                   if np.any(code[index])]
+        chains = fock.code_chains(cutoff, mode_count, phase)
+        assert len(chains) == len(holding) == (3 if mode_count == 2 else 2)
+        for (index, chain), (want_index, want_chain) in zip(chains, holding):
+            assert np.array_equal(index, want_index)
+            assert chain.dtype == want_chain.dtype and np.array_equal(chain, want_chain)
+
+
+@pytest.mark.parametrize("plane,cutoff", LAYOUT_CASES)
+def test_outer_entries_are_the_dense_generator_between_two_state_sets(plane, cutoff):
+    # between every two code chains, the pair's included, and between scattered states
+    mode_count = 2 if plane is PlaneId.III else 1
+    if mode_count == 2:
+        dense = fock.two_mode_mix_generator(1.0, cutoff)
+    else:
+        dense = fock.displacement_generator(1.0, cutoff)
+    chains = [index for index, _ in fock.code_chains(cutoff, mode_count, 1.0)]
+    rng = np.random.default_rng(cutoff)
+    scattered = [np.sort(rng.choice(dense.shape[0], size=dense.shape[0] // 2, replace=False))
+                 for _ in range(2)]
+    for rows in chains + scattered:
+        for columns in chains + scattered:
+            block = fock.outer_entries(rows, columns, cutoff, mode_count)
+            assert block.dtype == complex
+            assert np.array_equal(block, dense[np.ix_(rows, columns)])
+
+
+@pytest.mark.parametrize("mode_count,largest", [(1, 4095), (2, 3344)])
+def test_chain_budget_refuses_the_first_cutoff_past_it(mode_count, largest):
+    # (8 chain squares + 4 code columns of cutoff**mode_count) * 16 bytes within 2 GiB:
+    # 16 (8 c^2 + 4 c) on one mode and 16 (8 + 4) c^2 on two
+    fock.check_chain_budget(largest, mode_count)
+    with pytest.raises(ValueError, match="code chains.*DENSE_BYTES_BUDGET"):
+        fock.check_chain_budget(largest + 1, mode_count)
+    # the kicked blocks keep the dense budget, which stops at 64 on two modes
+    with pytest.raises(ValueError, match="dense matrices.*DENSE_BYTES_BUDGET"):
+        fock.check_dense_budget(128, 2)
+
+
 def test_kerr_hamiltonian_single_mode():
     h = kerr_hamiltonian(1.0, 4)
     assert np.allclose(np.diag(h).real, [0.0, 0.0, 2.0, 6.0], atol=1e-15)
