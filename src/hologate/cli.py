@@ -249,6 +249,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = _parsed(int, "a positive integer", text)
     if value < 1:
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="compile a circuit file to a loop schedule")
     p_compile.add_argument("circuit_file")
     p_compile.add_argument(
-        "--shift-magnitude", dest="shift_magnitude", type=_finite_float, default=0.0,
+        "--shift-magnitude", dest="shift_magnitude", type=_non_negative_float, default=0.0,
         help="per-border shift magnitude for the first-order error budget",
     )
     p_compile.set_defaults(func=cmd_compile)

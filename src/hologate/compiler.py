@@ -82,6 +82,10 @@ def parse_circuit(text: str) -> list[dict]:
             raise CircuitParseError(
                 f"line {lineno}: gate {name} needs {arity} qubit(s), got {len(qubits)}"
             )
+        if len(set(qubits)) != len(qubits):
+            raise CircuitParseError(
+                f"line {lineno}: gate {name} needs distinct qubits, got q{qubits[0]} twice"
+            )
         parsed.append({"gate": name, "qubits": qubits, "phi": phi})
     return parsed
 
@@ -127,7 +131,14 @@ def _entries_for(gate: dict) -> list[dict]:
 
 
 def compile_circuit(circuit: list[dict], shift_magnitude: float = 0.0) -> dict:
-    """Ordered schedule plus aggregated first-order error budget."""
+    """Ordered schedule plus aggregated first-order error budget.
+
+    The budget scales each loop's border sensitivities by `shift_magnitude`,
+    which must be finite and non-negative: a negative one would give a
+    negative bound.
+    """
+    if not 0.0 <= shift_magnitude < math.inf:
+        raise ValueError(f"shift_magnitude must be finite and non-negative, got {shift_magnitude}")
     schedule = []
     total_budget = 0.0
     for gate in circuit:

@@ -36,7 +36,11 @@ between its code pair's two, so it builds nothing else (FrameFactory's
 transport part).  The kicked route's blocks take V as the direct sum of all
 their sectors' bases and run in the paired basis Q built from it, where a
 diagonal operator such as the Kerr dwell is block-diagonal by sector up to
-the order of Q's columns (ControlBlock.sector_columns).
+the order of Q's columns (ControlBlock.sector_columns).  On plane III each
+block is the U = +1 half of a parity block of (-1)^(n1 + n2), U the
+beam swap times i^(n1 - n2), built by one construction
+(fock.swap_symmetric_half); the odd one carries its U = -1 half as a
+conjugate twin, which differs from it only by a conjugated G_o.
 
 Raw holonomies come out in the dressed-frame code basis.  That basis differs
 from the gate convention (Sigma1/Sigma2/Sigma12 per plane) by a constant
@@ -76,19 +80,21 @@ class CodeBlock:
     """Fock basis states closed under the inner generator G_i, in its eigenbasis there.
 
     `index` lists the block's Fock basis states, `columns` the code columns
-    it holds (possibly none) and `code` those columns on the block; `values`
-    w and the columns of `vectors` V are the eigenpairs of i G_i on the block,
-    so that I(i) = V diag(exp(-i i w)) V^dag there.
+    it holds (possibly none), those whose Fock index, in `places`
+    (fock.code_places), it lists, and `code` those columns on the block;
+    `values` w and the columns of `vectors` V are the eigenpairs of i G_i on
+    the block, so that I(i) = V diag(exp(-i i w)) V^dag there.
     """
 
     def __init__(
-        self, index: np.ndarray, values: np.ndarray, vectors: np.ndarray, code: np.ndarray
+        self, index: np.ndarray, values: np.ndarray, vectors: np.ndarray, places: np.ndarray
     ):
         self.index = index
         self.values = values
         self.vectors = vectors
-        self.columns = np.nonzero(np.any(code[index] != 0, axis=0))[0]
-        self.code = code[np.ix_(index, self.columns)]
+        self.columns, rows = np.nonzero(places[:, None] == index)
+        self.code = np.zeros((index.size, self.columns.size), dtype=complex)
+        self.code[rows, np.arange(rows.size)] = 1.0
 
     @cached_property
     def code_eig(self) -> np.ndarray:
@@ -115,28 +121,10 @@ def phase_table(values: np.ndarray, start: float, step: float, count: int) -> np
     return table.reshape(-1, values.size)[:count]
 
 
-def _sector(index: np.ndarray, inner: np.ndarray, code: np.ndarray) -> CodeBlock:
+def _sector(index: np.ndarray, inner: np.ndarray, places: np.ndarray) -> CodeBlock:
     """One sector of G_i (a chain that G_i does not leave), with its own eigh of `inner` on it."""
     basis = fock.Propagator(inner)
-    return CodeBlock(index, basis.values, basis.vectors, code)
-
-
-class SwapPairing(NamedTuple):
-    """U = P i^(n1 - n2) in a block's paired basis Q, as a phased permutation of its columns.
-
-    U e_c = phase e_p for each column c in `half` and its partner p in
-    `partner`, and U e_p = conj(phase) e_c; (e_c +- phase e_p)/sqrt 2 span
-    the U = +-1 halves.  `turn` takes the block's two code columns (s_0, s_1),
-    which U swaps, to (s_0 +- U s_0)/sqrt 2, one in each half.  `lower` and
-    `upper` list the sectors d < 0 that hold `half` and their partners -d.
-    """
-
-    half: np.ndarray
-    partner: np.ndarray
-    phase: np.ndarray
-    turn: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    return CodeBlock(index, basis.values, basis.vectors, places)
 
 
 class ControlBlock(CodeBlock):
@@ -152,61 +140,82 @@ class ControlBlock(CodeBlock):
 
     The paired basis Q (paired_basis) is where the kicked route runs: there
     I(i) is a rotation of each pair of columns, and with `real_controls`
-    (planes I and III) Q is real and so is the outer step Q^dag O Q
+    (G_i real, planes I and III) Q is real.  With `real_step`, read off G_o
+    on the block (real, and Q real), so is the outer step Q^dag O Q
     (outer_step), one product of the outer eigenvectors in Q
-    (paired_outer_vectors).  These, the code columns in Q (paired_code) and
-    U's pairing of Q's columns (swap_pairing) are built on first use.  Each
-    column of Q lies in one sector: `sector_columns` (sectors x largest
-    sector size) lists each sector's columns, its pairs, then its zero mode,
-    padded with the block size, and `sector_rows` each sector's rows in V's
-    layout.
+    (paired_outer_vectors).  These and the code columns in Q (paired_code)
+    are built on first use.  Each column of Q lies in one sector:
+    `sector_columns` (sectors x largest sector size) lists each sector's
+    columns, its pairs, then its zero mode, padded with the block size, and
+    `sector_rows` each sector's rows in V's layout.
 
     A block's rows are Fock states, one per entry of `index`, except on plane
-    III's even block, built on the U = +1 half of the beam-swap symmetry only
-    (fock.swap_symmetric_half): `mirror` = (rows, images, signs) marks the
-    rows that stand for (|index> + sign |image>)/sqrt 2.  As P G_o P = -G_o
-    and G_o moves d = n1 - n2 by 2, G_o there is the Fock G_o at the kept
-    indices with the entries between |n, n> and a pair times sqrt 2: real,
-    like the Fock one.  Plane III's odd block is
-    whole, and U maps each of its sectors d onto -d: `swap_cutoff`, the
-    cutoff per mode there (None on every other block), lets swap_pairing
-    read U in Q off the sectors' Fock indices.
+    III, where each parity block is built on its U = +1 half
+    (fock.swap_symmetric_half): `half` = (images, phases) makes row r stand
+    for (|index_r> + p_r |image_r>)/sqrt 2, or for |index_r> alone where
+    p_r = 0.  With B those rows as Fock columns, G_o on the block is
+    B^dag G_o B, formed by one gather of the dense G_o at the rows' two
+    states, and the code columns are B^dag c.  On the even block p = +-1 and
+    G_o is real.  On the odd block p = +-i and G_o is complex, though G_i,
+    and so Q, stays real; there the U = -1 half, whose rows
+    (|index> - p |image>)/sqrt 2 are conj(B), is the block's conjugate twin:
+    the same chains, dwell, Q and code rows, with G_o conjugated, so that
+    its outer step is the conjugate of the block's.  Each odd code state has
+    half its weight in each half, so `signs` is (1, -1), the block and its
+    twin; (1,) on every other block.
+
+    `code` holds, as unit columns, the rows where B^dag c is not zero, and
+    `mix` the code columns `columns` on them: B^dag c = code mix.  On a
+    whole block and on the even half mix is the identity.  On the odd half
+    code is the one row of |0, 1>, h = (|01> - i |10>)/sqrt 2, and mix is
+    (i, 1)/sqrt 2, h's overlaps with |10> and |01>; the twin's is conj(mix).
     """
 
     def __init__(
         self,
         sectors: list[CodeBlock],
         outer: np.ndarray,
-        code: np.ndarray,
+        places: np.ndarray,
         real_controls: bool,
-        mirror: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        swap_cutoff: int | None = None,
+        half: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.sectors = sectors
         sizes = np.array([sector.index.size for sector in self.sectors])
-        index = np.concatenate([sector.index for sector in self.sectors])
-        vectors = np.zeros((index.size, index.size), dtype=complex)
+        self.index = np.concatenate([sector.index for sector in self.sectors])
+        n = self.index.size
+        self.vectors = np.zeros((n, n), dtype=complex)
         self.sector_rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
         for sector, rows in zip(self.sectors, self.sector_rows):
-            vectors[rows, rows] = sector.vectors
-        values = np.concatenate([sector.values for sector in self.sectors])
-        super().__init__(index, values, vectors, code)
+            self.vectors[rows, rows] = sector.vectors
+        self.values = np.concatenate([sector.values for sector in self.sectors])
         self.real_controls = real_controls
-        self.mirror = mirror
-        self.swap_cutoff = swap_cutoff
-        outer = outer[np.ix_(index, index)]
-        if mirror is not None:  # |n, n> rows take sqrt 2 (G_o is zero between two of them)
-            lift = np.full(index.size, math.sqrt(2.0))
-            lift[mirror[0]] = 1.0
-            outer = lift[:, None] * outer * lift
+        # B's column r, unnormalized: weights[k, r] |states[k, r]> summed over k
+        states, weights = self.index[None], np.ones((1, n))
+        if half is not None:
+            states, weights = np.stack([self.index, half[0]]), np.stack([weights[0], half[1]])
+        paired = np.count_nonzero(weights, axis=0) - 1
+        flat = states.ravel()
+        outer = outer[np.ix_(flat, flat)].reshape(states.shape * 2)
+        outer = np.einsum("kr,krls,ls->rs", weights.conj(), outer, weights)
+        # B's norms: a pair's 1/sqrt 2 once or twice, as 1/sqrt 2 or 0.5 exactly
+        outer *= np.array([1.0, math.sqrt(0.5), 0.5])[np.add.outer(paired, paired)]
+        self.real_step = real_controls and not np.any(outer.imag)
+        self.signs = (1.0, -1.0) if np.any(weights.imag) else (1.0,)
+        norm = np.where(paired, math.sqrt(0.5), 1.0)
+        code = np.sum((weights * norm).conj()[:, :, None] * (states[:, :, None] == places), axis=0)
+        self.columns = np.flatnonzero(np.any(code != 0, axis=0))
+        rows = np.flatnonzero(np.any(code != 0, axis=1))
+        self.code = np.zeros((n, rows.size), dtype=complex)
+        self.code[rows, np.arange(rows.size)] = 1.0
+        self.mix = code[np.ix_(rows, self.columns)]
         outer = fock.Propagator(outer)
         self.outer_values = outer.values
-        self.outer_vectors = vectors.conj().T @ outer.vectors
+        self.outer_vectors = self.vectors.conj().T @ outer.vectors
         # paired_basis's order: each sector's pairs, sector by sector, then the zero modes
         paired = 2 * (sizes // 2)
         starts = (np.cumsum(paired) - paired)[:, None]
-        places = np.arange(sizes.max())
-        columns = np.where(places < paired[:, None], starts + places, index.size)
+        slots = np.arange(sizes.max())
+        columns = np.where(slots < paired[:, None], starts + slots, n)
         odd = np.flatnonzero(sizes % 2)
         columns[odd, paired[odd]] = paired.sum() + np.arange(odd.size)
         self.sector_columns = columns
@@ -260,40 +269,6 @@ class ControlBlock(CodeBlock):
         return np.ascontiguousarray(code.real) if self.real_controls else code
 
     @cached_property
-    def swap_pairing(self) -> SwapPairing | None:
-        """U = P i^(n1 - n2) in the paired basis Q, on a block whose sectors U swaps; else None.
-
-        P maps the chain of sector d = n1 - n2, (d + j, j) for j = 0, 1, ..,
-        onto that of -d, (j, d + j), place by place, and G_i's entries there
-        are the same products of two roots, so the two sectors' eigenvectors,
-        and their columns of Q, are the same numbers.  So U e_c = i^d e_c'
-        for the column c at each place of sector d and the column c' at the
-        same place of -d: U is a phased permutation in Q, read here off the
-        sectors' first Fock indices with no product.  Only plane III's odd
-        block has it (swap_cutoff); the even block holds its U = +1 half
-        alone, and one mode has no swap.
-        """
-        if self.swap_cutoff is None:
-            return None
-        first, second = np.divmod([sector.index[0] for sector in self.sectors], self.swap_cutoff)
-        d = first - second
-        sector_of = {int(k): s for s, k in enumerate(d)}
-        lower = np.flatnonzero(d < 0)
-        upper = np.array([sector_of[-int(d[s])] for s in lower])
-        n, half, partner, phase = self.index.size, [], [], []
-        for s, image in zip(lower, upper):
-            places = self.sector_columns[s]
-            partner.append(self.sector_columns[image][places < n])
-            half.append(places[places < n])
-            phase.append(np.full(half[-1].size, 1j if d[s] % 4 == 1 else -1j))  # i^d, d odd
-        # the code pair is swapped by U too: U s_0 = i^d s_1 for s_0's sector d
-        [d_code] = [k for k, sector in zip(d, self.sectors) if self.columns[0] in sector.columns]
-        swap = 1j if d_code % 4 == 1 else -1j
-        turn = np.array([[1.0, 1.0], [swap, -swap]]) / math.sqrt(2.0)
-        columns = (np.concatenate(part) for part in (half, partner, phase))
-        return SwapPairing(*columns, turn, lower, upper)
-
-    @cached_property
     def paired_outer_vectors(self) -> np.ndarray:
         """X = Q^dag V W: the outer eigenvectors in the paired basis Q, sector by sector.
 
@@ -306,20 +281,19 @@ class ControlBlock(CodeBlock):
             x[places] = (basis[rows, places].conj().T @ sector.vectors) @ self.outer_vectors[rows]
         return x
 
-    def outer_step(self, d_outer: float, inner: float = 0.0, rows=slice(None)) -> np.ndarray:
+    def outer_step(self, d_outer: float, inner: float = 0.0) -> np.ndarray:
         """S = Q^dag I(-inner) O(d_outer) I(inner) Q on the block: O turned by I's rotation.
 
         That is R X exp(-i d_outer w_o) X^dag R^dag, X the outer eigenvectors
         in Q (paired_outer_vectors) and R = Q^dag I(-inner) Q, which turns
         each pair of rows (2k, 2k + 1) by -inner w_k (paired_basis).  With
-        `real_controls` S is real, and only its real part is formed, a
+        `real_step` S is real, and only its real part is formed, a
         C-contiguous float64 array that the kicked route's real products take
         as it is.  The unturned step is built first, and turned_step turns it.
-        `rows` forms the unturned step's rows there alone (inner = 0).
         """
         x = self.paired_outer_vectors
-        phased = x[rows] * np.exp(-1j * d_outer * self.outer_values)[None, :]
-        if self.real_controls:
+        phased = x * np.exp(-1j * d_outer * self.outer_values)[None, :]
+        if self.real_step:
             # Re(P X^dag) = Re P Re X^T + Im P Im X^T: one product of the [Re, Im]-interleaved rows
             step = phased.view(np.float64) @ x.view(np.float64).T
         else:
@@ -337,7 +311,7 @@ class ControlBlock(CodeBlock):
         the rows of S^T.
         """
         rates = self.paired_basis[1]
-        if self.real_controls:
+        if self.real_step:
             turn = np.exp(-1j * inner * rates)
             # S^T R^dag = (R S)^T, transposed to R S, and then R S R^dag
             rows = _turn_pairs(np.array(step.T, order="C"), turn)
@@ -409,7 +383,9 @@ class FrameFactory:
     I(i) c never leaves the chains of G_i that hold the code columns, so
     `chains` holds those alone (fock.code_chains: the two parity chains of
     the squeeze on planes I/II, n1 - n2 = 0, -1 and +1 of the two-mode
-    squeeze on plane III), each a CodeBlock with one eigh of its own.  In a
+    squeeze on plane III), each a CodeBlock with one eigh of its own and its
+    code rows read off the code states' Fock indices (`places`,
+    fock.code_places), with nothing of the whole space's size.  In a
     chain's eigenbasis V_a, I(i) is the diagonal phase exp(-i i w_a), and
     with y_a = exp(-i i w_a) V_a^dag c_a the block of A_o(i) between the
     code columns of chains a and b is y_a^dag (V_a^dag G_o V_b) y_b.  `pair`
@@ -430,17 +406,18 @@ class FrameFactory:
     check_loop_truncation), after fock.check_dense_budget.  `blocks` holds
     one ControlBlock per invariant block of G_i and G_o that holds code
     states (the whole space on planes I/II; on plane III the U = +1 half of
-    the even parity block of (-1)^(n1 + n2), fock.swap_symmetric_half, and
-    the whole odd one), from the dense G_o and the sectors of G_i inside
-    the block (fock.inner_sectors), one eigh per sector; the code chains
-    are the transport's own.  On plane III at cutoff 14 the blocks hold 7
-    and 14 sectors, 56 and 98 states.  `top_outer_vectors` holds, per
-    block, the rows of V W (the outer eigenvectors in the Fock basis) at its
-    top-quartile Fock levels, for the kicked route's truncation check
-    (top_quartile_populations).  `dwells` holds, for one (chi, delta_t), the
-    kicked route's Kerr dwell per block in its paired basis, as a sector
-    stack for axis-aligned edges (kicked.sector_dwells) and as a 2n x 2n
-    real form for tilted ones (kicked.paired_dwells), each built on first use.
+    each parity block of (-1)^(n1 + n2), fock.swap_symmetric_half, the odd
+    one with its conjugate twin), from the dense G_o and the sectors of G_i
+    inside the block (fock.inner_sectors), one eigh per sector; the code
+    chains they keep are the transport's own.  On plane III at cutoff 14
+    the blocks hold 7 sectors each, 56 and 49 states.  `top_outer_vectors`
+    holds, per block, the rows of V W (the outer eigenvectors in the Fock
+    basis) at its top-quartile Fock levels, for the kicked route's
+    truncation check (top_quartile_populations).  `dwells` holds, for one
+    (chi, delta_t), the kicked route's Kerr dwell per block in its paired
+    basis, as a sector stack (kicked.sector_dwells) and, for tilted edges,
+    as a real form scattered from it (kicked.paired_dwells), each built on
+    first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -450,13 +427,14 @@ class FrameFactory:
         self.plane = plane
         self.cutoff = cutoff
         self.mode_count = mode_count
-        self.code = fock.code_states(cutoff, mode_count)
-        self.code_dim = self.code.shape[1]
+        self.places = fock.code_places(cutoff, mode_count)
+        self.code_dim = self.places.size
         chains = fock.code_chains(cutoff, mode_count, _inner_phase(plane))
-        self.chains = [_sector(index, inner, self.code) for index, inner in chains]
+        self.chains = [_sector(index, inner, self.places) for index, inner in chains]
         self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
-        for index, inner in chains:
-            self.inner_connection += self.code[index].conj().T @ inner @ self.code[index]
+        for chain, (_, inner) in zip(self.chains, chains):
+            columns = np.ix_(chain.columns, chain.columns)
+            self.inner_connection[columns] += chain.code.conj().T @ inner @ chain.code
         first, second = [chain for chain in self.chains if chain.columns.size == 1]
         outer = fock.outer_entries(first.index, second.index, cutoff, mode_count)
         self.real_controls = not any(np.any(inner.imag) for _, inner in chains)
@@ -480,21 +458,20 @@ class FrameFactory:
         else:
             outer = fock.displacement_generator(1.0, cutoff)
         layout = fock.inner_sectors(cutoff, self.mode_count, _inner_phase(self.plane))
-        parts = [(sectors, None) for sectors in layout]
-        if self.plane is PlaneId.III:  # the even block's U = +1 half holds both of its code states
-            parts[0] = fock.swap_symmetric_half(layout[0], cutoff)
-        swapped = [None, cutoff] if self.plane is PlaneId.III else [None]
+        if self.plane is PlaneId.III:  # each parity block's U = +1 half
+            parts = [fock.swap_symmetric_half(sectors, cutoff) for sectors in layout]
+        else:
+            parts = [(sectors, None) for sectors in layout]
         built = {int(chain.index[0]): chain for chain in self.chains}
 
         def sector(index, inner):  # a code chain is the transport's own
-            return built[index[0]] if index[0] in built else _sector(index, inner, self.code)
+            return built[index[0]] if index[0] in built else _sector(index, inner, self.places)
 
         return [
             ControlBlock(
-                [sector(*chain) for chain in sectors],
-                outer, self.code, self.real_controls, mirror, swap,
+                [sector(*chain) for chain in sectors], outer, self.places, self.real_controls, half
             )
-            for (sectors, mirror), swap in zip(parts, swapped)
+            for sectors, half in parts
         ]
 
     @cached_property
@@ -517,8 +494,12 @@ class FrameFactory:
 
         Every code column lives in one block, so each block forms only the
         top-quartile rows of its frames (top_outer_vectors), at all the (u, v)
-        points at once.  A mirrored row's population is its pair's: the top
-        quartile holds |a, b> exactly when it holds |b, a>.
+        points at once, on its code rows (ControlBlock.code).  A half's row
+        carries its pair's population: the top quartile holds |a, b> exactly
+        when it holds |b, a>.  An odd code state has half its weight on each
+        half of the odd block, and the twin's frame is the conjugate of the
+        block's (its G_i and code row are real), so its population is the
+        block's frame on the code row.
         """
         outer, inner = self.split(*np.asarray(points, dtype=float).T)
         worst = np.zeros(outer.shape)

@@ -43,17 +43,18 @@ def annihilator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
+def code_places(cutoff: int, mode_count: int = 1) -> np.ndarray:
+    """The Fock indices of the code states, in code_states' column order."""
+    if mode_count == 1:
+        return np.array([0, 1])
+    return np.array([n1 * cutoff + n2 for n1, n2 in TWO_MODE_CODE_ORDER])
+
+
 def code_states(cutoff: int, mode_count: int = 1) -> np.ndarray:
     """Columns holding the code basis: {|0>, |1>} or {|00>, |10>, |11>, |01>}."""
-    if mode_count == 1:
-        cols = np.zeros((cutoff, 2), dtype=complex)
-        cols[0, 0] = 1.0
-        cols[1, 1] = 1.0
-        return cols
-    dim = cutoff * cutoff
-    cols = np.zeros((dim, 4), dtype=complex)
-    for j, (n1, n2) in enumerate(TWO_MODE_CODE_ORDER):
-        cols[n1 * cutoff + n2, j] = 1.0
+    places = code_places(cutoff, mode_count)
+    cols = np.zeros((cutoff**mode_count, places.size), dtype=complex)
+    cols[places, np.arange(places.size)] = 1.0
     return cols
 
 
@@ -93,9 +94,10 @@ def check_dense_budget(cutoff: int, mode_count: int) -> None:
 def check_chain_budget(cutoff: int, mode_count: int) -> None:
     """Reject cutoffs whose code chains would exceed DENSE_BYTES_BUDGET, before allocating.
 
-    A chain holds at most `cutoff` states, and the code columns, which span
-    the whole space, are 4 at most: DENSE_MATRICES chain-square matrices and
-    those columns bound what the transport forms.
+    A chain holds at most `cutoff` states: DENSE_MATRICES chain-square
+    matrices and 4 columns the size of the whole space bound what the
+    transport forms, which reads its code rows chain by chain and forms no
+    such column.
     """
     needed = (DENSE_MATRICES * cutoff**2 + 4 * cutoff**mode_count) * 16
     _check_bytes(needed, cutoff, mode_count, "code chains")
@@ -244,25 +246,29 @@ def code_chains(
 
 def swap_symmetric_half(
     sectors: list[tuple[np.ndarray, np.ndarray]], cutoff: int
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The U = +1 half of the even parity block on two modes, as its sectors and mirrored rows.
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray]]:
+    """The U = +1 half of a parity block on two modes, as its kept sectors and the rows' partners.
 
     U = P i^(n1 - n2), P the swap of the two modes, commutes with the two-mode
-    squeeze, the mix and the Kerr dwell, and U^2 = 1; the code states |00>
-    and |11> have U = +1.  On the even block's U = +1 half the n1 - n2 = d >= 0
-    chains of `sectors` (inner_sectors' even block) are a basis: |n, n> on
-    d = 0, and (|a, b> + (-1)^(d/2) |b, a>)/sqrt 2 for a > b, each held at the
-    Fock index of |a, b>.  The squeeze's chain at -d is the one at d, so the
-    kept chains are unchanged, and so are the Kerr phases and the top-quartile
-    mask read at their indices.  Returns the kept chains and (rows, images,
-    signs): the rows, of the kept indices laid one after another, that stand
-    for a pair, the Fock index of |b, a> and (-1)^(d/2) for each.
+    squeeze, the mix and the Kerr dwell, and U^2 = 1.  On either parity
+    block of `sectors` (one block of inner_sectors) the n1 - n2 = d chains
+    with d >= 0 (even block) or d < 0 (odd block) are a basis of the U = +1
+    half: |n, n> alone on d = 0, and h = (|a, b> + i^(a - b) |b, a>)/sqrt 2
+    for each |a, b> of a kept chain, held at the Fock index of |a, b>; on the
+    even block i^(a - b) is (-1)^(d/2).  The squeeze's chain at -d is the
+    one at d, so the kept chains are unchanged, and so are the Kerr phases
+    and the top-quartile mask read at their indices.  Returns the kept
+    chains and (images, phases): for each row of the kept indices laid one
+    after another, the Fock index of |b, a> and i^(a - b), or its own index
+    and 0 for |n, n>.
     """
-    kept = [(index, inner) for index, inner in sectors if index[0] // cutoff >= index[0] % cutoff]
+    firsts = (divmod(int(index[0]), cutoff) for index, _ in sectors)
+    d = [a - b for a, b in firsts]
+    kept = [sector for sector, k in zip(sectors, d) if (k >= 0 if k % 2 == 0 else k < 0)]
     first, second = np.divmod(np.concatenate([index for index, _ in kept]), cutoff)
-    rows = np.flatnonzero(first > second)
-    images = second[rows] * cutoff + first[rows]
-    return kept, (rows, images, (-1.0) ** ((first[rows] - second[rows]) // 2))
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])[(first - second) % 4]
+    phases[first == second] = 0.0
+    return kept, (second * cutoff + first, phases)
 
 
 def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:

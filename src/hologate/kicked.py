@@ -12,24 +12,22 @@ unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
 at the current point is simply the population outside the bare code levels.
 The state is held block by block (the invariant blocks of the two control
-generators: on plane III the odd parity block and the swap-symmetric half of
-the even one, FrameFactory.blocks), in the block's paired basis Q
-(ControlBlock.paired_basis), where the inner control factor of every kick
-turns each pair of basis columns and the Kerr dwell is block-diagonal by
-sector of the inner generator.  Each edge takes one of two kernels
-(_block_loop): an axis-aligned edge's constant kick is raised to the edge's
-kick count (_power_apply), and a tilted edge's kicks go one by one on the
-code columns held as real rows (_tilted_edge).  An outer-direction edge's
-kick is the outer step, built unturned once for a rect's two such edges and
-turned by I's rotation per edge.  On plane III's odd block, which
-U = P i^(n1 - n2) maps to itself (ControlBlock.swap_pairing), that kick is
-split into its two U halves and powered as one stack of half-size blocks,
-one code column each (_halved_power).  A tilted edge there runs on the two
-halves as well, as one pair of real rows through the same kernel
-(_tilted_halves): the half steps are S+ and conj(S+) and the half dwells
-equal, so one signed row crosses the step conjugated, and a kick reads
-about a third of the whole block's doubles in the same four calls.  Only
-the state after the whole loop is kept.
+generators, FrameFactory.blocks: on plane III the U = +1 halves of the two
+parity blocks, U = P i^(n1 - n2), built by one construction), in the block's
+paired basis Q (ControlBlock.paired_basis), where the inner control factor
+of every kick turns each pair of basis columns and the Kerr dwell is
+block-diagonal by sector of the inner generator.  Plane III's odd block
+carries its U = -1 half as a conjugate twin: the same Q, chains, dwell and
+code row, with the outer step conjugated, so the block evolves two code
+columns, one for each sign (ControlBlock.signs), and its 2 x 2 map is put
+together from the two halves' overlaps (_kicks).  Each edge takes one of
+two kernels (_block_loop): an axis-aligned edge's constant kick is raised
+to the edge's kick count (_power_apply), the twin's kick beside the block's
+in one stack, and a tilted edge's kicks go one by one on the code columns
+held as real rows (_tilted_edge), the twin's with its imaginary row signed,
+so that it crosses the step conjugated.  An outer-direction edge's kick is
+the outer step, built unturned once for a rect's two such edges and turned
+by I's rotation per edge.  Only the state after the whole loop is kept.
 """
 
 from __future__ import annotations
@@ -60,13 +58,6 @@ LEAKAGE_FAILURE_THRESHOLD = 0.5
 # 0.8 MB on a 98-state block, ran its kick at 11.6 us against 9.7 us 32 kicks at a
 # time, and within 2% of it on rows of 52 to 60 states.
 _BROADCAST_KICKS = 32
-
-# The signs of U's two halves on a block that U swaps: U = +1, then U = -1.
-_HALF_SIGNS = np.array([1.0, -1.0])
-# The signs of the halves' real rows in a tilted kick, Re and Im of the + half, then
-# of the - half: its imaginary row is negated, so that it crosses the step conjugated.
-_CONJUGATED = np.array([1.0, 1.0, 1.0, -1.0])
-
 
 @dataclass(frozen=True)
 class KickSchedule:
@@ -212,29 +203,39 @@ def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
     return kept["sectors"]
 
 
+def _row_width(block) -> int:
+    """The width of a block's tilted kick rows: its size, or the next multiple of 4 on a twin.
+
+    A block with a conjugate twin (ControlBlock.signs) holds a column whose
+    imaginary row is signed, and the sign rides on I's rotation, so the
+    rotation's pair view must span the whole row: the rows are padded with
+    zeros to an even width, and the rates with zero.  The next multiple of 4
+    makes a (2, 2 width) row pair of whole 64-byte lines: at cutoff 14 a
+    tilted kick took as long at 52 as at 50, the least even width, and
+    longer at 56 and 64 (BENCH_28.json).
+    """
+    n = block.index.size
+    return n if len(block.signs) == 1 else -(-n // 4) * 4
+
+
 def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
     """The dwell D = Q^dag exp(-i H0 delta_t) Q on each block, as the real form of its transpose.
 
     That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
-    held as [Re | Im] rows: a 2n x 2n real matrix per n-state block, built for
-    the first tilted edge and kept, read-only, beside the sector stacks.  On
-    a block that U swaps the tilted kicks run on its halves (_tilted_halves),
-    where the dwell is D[c, c] in half_layout's order and padding: its form
-    is 2 width x 2 width, about a quarter of the block's.
+    held as [Re | Im] rows: a 2 width x 2 width real matrix per block
+    (_row_width), built for the first tilted edge and kept, read-only,
+    beside the sector stacks, from which D is scattered with no product: it
+    is zero between sectors, and in the padding.
     """
     kept = _kept_dwells(factory, chi, delta_t)
     if "paired" not in kept:
-        dwell = fock.kerr_phases(chi, delta_t, factory.cutoff, factory.mode_count)
         forms = []
-        for block in factory.blocks:
-            basis, _ = block.paired_basis
-            if block.swap_pairing is None:
-                matrix = (basis.conj().T * dwell[block.index]) @ basis
-            else:
-                pairing, width, _ = half_layout(block)
-                size, within = pairing.half.size, basis[:, pairing.half]
-                matrix = np.zeros((width, width), dtype=complex)
-                matrix[:size, :size] = (within.conj().T * dwell[block.index]) @ within
+        for block, (stack, _, _) in zip(factory.blocks, sector_dwells(factory, chi, delta_t)):
+            n, width = block.index.size, _row_width(block)
+            matrix = np.zeros((width, width), dtype=complex)
+            for part, places in zip(stack, block.sector_columns):
+                places = places[places < n]
+                matrix[np.ix_(places, places)] = part[: places.size, : places.size]
             form = _aligned(real_form(matrix.T))
             form.setflags(write=False)
             forms.append(form)
@@ -253,39 +254,32 @@ def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return padded[:-1]
 
 
-def _dwell_rows(block, stack: np.ndarray, step: np.ndarray, sectors=slice(None)):
-    """((D @ step)[order], order): D's rows at the `sectors` of the stack, sector by sector.
+def _dwell_product(block, stack: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """D @ step, for the dwell D held as its sector stack (sector_dwells) and n rows of step.
 
-    D is the dwell held as its sector stack (sector_dwells), block-diagonal
-    by sector up to the order of Q's columns, so with the step's rows taken
-    sector by sector (ControlBlock.sector_columns; `order` lists them) each
-    sector's rows of the product are one small product D_k S_k.  It is taken
-    transposed, S_k^T D_k^T, and written straight into that sector's columns
-    of one array; a real step takes D_k^T on its [Re, Im]-interleaved view,
-    so that S_k^T needs no complex copy.  No padded copy of the step is
-    formed.
+    D is block-diagonal by sector up to the order of Q's columns, so with the
+    step's rows taken sector by sector (ControlBlock.sector_columns; `order`
+    lists them) each sector's rows of the product are one small product
+    D_k S_k.  It is taken transposed, S_k^T D_k^T, and written straight into
+    that sector's columns of one array; a real step takes D_k^T on its
+    [Re, Im]-interleaved view, so that S_k^T needs no complex copy.  No
+    padded copy of the step is formed.
     """
     n = step.shape[0]
-    columns = block.sector_columns[sectors]
+    columns = block.sector_columns
     order = columns[columns < n]  # Q's columns sector by sector
     ends = np.cumsum(np.count_nonzero(columns < n, axis=1))
     rows = step[order]
-    parts = stack[sectors].transpose(0, 2, 1).copy()  # each sector's D_k^T, padded
-    transposed = np.empty((n, order.size), dtype=complex)  # (D S)^T, columns sector by sector
+    parts = stack.transpose(0, 2, 1).copy()  # each sector's D_k^T, padded
+    transposed = np.empty((step.shape[1], n), dtype=complex)  # (D S)^T, columns sector by sector
     out, width = transposed, 1
     if np.isrealobj(step):  # a complex entry is two floats of the views
         parts, out, width = parts.view(np.float64), transposed.view(np.float64), 2
     for part, start, end in zip(parts, np.append(0, ends[:-1]), ends):
         dwell_t = part[: end - start, : width * (end - start)]
         np.matmul(rows[start:end].T, dwell_t, out=out[:, width * start : width * end])
-    return transposed.T, order
-
-
-def _dwell_product(block, stack: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """D @ step for the dwell D held as its sector stack (sector_dwells): _dwell_rows, in order."""
-    rows, order = _dwell_rows(block, stack, step)
-    product = np.empty(rows.shape, dtype=complex)  # C order, as the powers read it fastest
-    product[order] = rows
+    product = np.empty(step.shape, dtype=complex)  # C order, as the powers read it fastest
+    product[order] = transposed.T
     return product
 
 
@@ -298,7 +292,7 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count, signs
     at the kick point (one complex multiply on that view), the outer step S,
     the rotation back at the next point and the dwell.  A real S (planes I
     and III) is one (2 columns, n) @ (n, n) product, n^2 doubles read; a
-    complex one (plane II, the U halves) goes through its 2n x 2n real form
+    complex one (plane II, plane III's odd block) goes through its 2n x 2n real form
     on the rows, as the dwell always does.  `signs` holds one sign per real
     row of the view, and both rotations take it: a column whose imaginary
     row is signed -1 crosses the step conjugated, conj(S conj(y)), and is
@@ -337,187 +331,82 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count, signs
 def _tilted_columns(columns, width, step, dwell_form, rates, signs, *edge) -> np.ndarray:
     """The complex `columns` (k, m) after _tilted_edge's kicks, held as [Re | Im] rows of `width`.
 
-    The rows are padded with zeros from m to `width`, and stay zero there.
-    `edge` is (inner0, inner_step, count).
+    The rows, and the step, are padded with zeros from m to `width`, and the
+    rows stay zero there.  `edge` is (inner0, inner_step, count).
     """
     size = columns.shape[-1]
     rows = np.zeros((columns.shape[0], 2 * width))
     rows[:, :size], rows[:, width : width + size] = columns.real, columns.imag
+    if size < width:
+        step = np.pad(step, (0, width - size))
     _tilted_edge(rows, step, dwell_form, rates, *edge, signs)
     return rows[:, :size] + 1j * rows[:, width : width + size]
-
-
-def _sector_power(kick: np.ndarray, count: int, pairing):
-    """apply(rows): kick^count on rows gathered sector by sector (_by_sector), for a sector stack.
-
-    On a block that U swaps (`pairing`, ControlBlock.swap_pairing), U maps
-    sector d onto -d place by place, and the dwell's blocks on the two, and
-    their pair rates, are the same numbers, so the kick's sector blocks at d
-    and -d are equal: only the d < 0 half of the stack is powered, on the
-    rows of both sectors side by side.
-    """
-    if pairing is None:
-        return lambda part: _power_apply(kick, count, part)
-    lower, upper = pairing.lower, pairing.upper
-
-    def apply(part):
-        width = part.shape[-1]
-        both = _power_apply(kick[lower], count, np.concatenate([part[lower], part[upper]], -1))
-        part[lower], part[upper] = both[..., :width], both[..., width:]
-        return part
-
-    return apply
 
 
 def _shared_step(block, steps: dict, d_outer: float) -> np.ndarray:
     """The unturned outer step S(d_outer), kept in the loop's `steps` by d_outer.
 
-    S(-d) = S(d)^dag, its transpose on a real block, so a rect's two
+    S(-d) = S(d)^dag, its transpose on a real step, so a rect's two
     outer-direction edges, whose d_outer are opposite, build one step.
     """
     if -d_outer in steps:
         opposite = steps[-d_outer]
-        return opposite.T if block.real_controls else opposite.conj().T
+        return opposite.T if block.real_step else opposite.conj().T
     steps[d_outer] = block.outer_step(d_outer)
     return steps[d_outer]
 
 
-def _on_halves(state: np.ndarray, pairing, apply) -> np.ndarray:
-    """The code columns `state` after apply(halves) on the U = +-1 halves of a block that U swaps.
+def _block_loop(block, runs, factory, sectors, form) -> np.ndarray:
+    """The block's code rows in Q after the loop, once per sign of the block, edge by edge.
 
-    `pairing` is ControlBlock.swap_pairing.  The two code columns are turned
-    to one in each half (pairing.turn), and the halves' coordinates on their
-    bases (e_c +- phase e_p)/sqrt 2, c in pairing.half, are taken times
-    sqrt 2, t[c] +- conj(phase) t[p]: `halves` is (2, n/2), the + half
-    first.  apply returns them after, and they are given back halved.
-    """
-    half, partner, phase, turn = pairing.half, pairing.partner, pairing.phase, pairing.turn
-    turned = state @ turn
-    halves = turned[half] + phase.conj()[:, None] * turned[partner] * _HALF_SIGNS
-    halves = apply(halves.T).T / 2.0
-    turned[half], turned[partner] = halves, phase[:, None] * halves * _HALF_SIGNS
-    return turned @ turn.conj().T
-
-
-def _half_kicks(rows: np.ndarray, pairing) -> np.ndarray:
-    """K+- = K[c, c] +- K[c, p] phase, as a (2, n/2, n/2) stack, from K's `rows` at c.
-
-    K commutes with U, so on the halves' bases (_on_halves) it is these two
-    blocks, split with no product (pairing, ControlBlock.swap_pairing).
-    """
-    within, across = rows[:, pairing.half], rows[:, pairing.partner] * pairing.phase
-    return np.stack([within + across, within - across])
-
-
-def _halved_power(rows: np.ndarray, count: int, state: np.ndarray, pairing) -> np.ndarray:
-    """K^count @ state on the U = +-1 halves of a block that U swaps, from K's `rows` at c.
-
-    The halves (_half_kicks), one code column each (_on_halves), are powered
-    as one (2, n/2, n/2) stack.
-    """
-    kicks = _half_kicks(rows, pairing)
-    return _on_halves(
-        state, pairing, lambda halves: _power_apply(kicks, count, halves[:, :, None])[:, :, 0]
-    )
-
-
-def half_layout(block):
-    """(pairing, width, rates): where the tilted kicks of a block that U swaps run on its halves.
-
-    `pairing` is ControlBlock.swap_pairing with the half's columns c in Q's
-    order, its pairs first, each adjacent, then its zero modes, so that I
-    turns each pair (2k, 2k + 1) of the half as it turns that pair in Q, at
-    the pair's rate in `rates`, and the zero modes not at all.  The half is
-    padded with zeros to `width`, the next multiple of 4: a (2, 2 width)
-    row pair of whole 64-byte lines.  At cutoff 14 a tilted kick took as long
-    at 52 as at 50, the least even width, and longer at 56 and 64
-    (BENCH_28.json).
-    """
-    pairing = block.swap_pairing
-    order = np.argsort(pairing.half)
-    pairing = pairing._replace(
-        half=pairing.half[order], partner=pairing.partner[order], phase=pairing.phase[order]
-    )
-    width = -(-order.size // 4) * 4
-    rates = np.zeros(width // 2)
-    turning = np.append(block.paired_basis[1], 0.0)[pairing.half[::2] // 2]
-    rates[: turning.size] = turning
-    return pairing, width, rates
-
-
-def _tilted_halves(block, state, d_outer, dwell_form, *edge) -> np.ndarray:
-    """The code columns `state` after a tilted edge's kicks on the U halves of a block that U swaps.
-
-    The outer step S is real and the phases are +-i, so its halves are S+
-    and S- = conj(S+) (_half_kicks), formed from S's rows at the half's
-    columns c alone.  The dwell links no two sectors and is the same on d
-    and -d, so on either half it is D[c, c], whose real form is `dwell_form`
-    (paired_dwells).  The - half crosses the step conjugated (_CONJUGATED),
-    so both take S+: one product for the step and one for the dwell a kick,
-    on (2, 2 width) rows laid out as half_layout says.
-    """
-    pairing, width, rates = half_layout(block)
-    size = pairing.half.size
-    plus = np.zeros((width, width), dtype=complex)
-    plus[:size, :size] = _half_kicks(block.outer_step(d_outer, rows=pairing.half), pairing)[0]
-    return _on_halves(
-        state,
-        pairing,
-        lambda halves: _tilted_columns(halves, width, plus, dwell_form, rates, _CONJUGATED, *edge),
-    )
-
-
-def _block_loop(block, runs, factory, sectors, form) -> tuple[np.ndarray, np.ndarray]:
-    """(Q^dag c, the block's code columns in Q after the loop), edge by edge.
-
-    An axis-aligned edge's kick K is constant, and K^count is applied to the
-    columns by _power_apply.  Along the inner control the outer step is the
-    identity, and K = D I(-inner step) is powered as the block's stack of
-    sector blocks, `sectors` (sector_dwells); on a block that U swaps (plane
-    III's odd block, ControlBlock.swap_pairing) only half the stack is
-    powered (_sector_power), so at cutoff 14 a squaring costs 7 products of
-    13 x 13 blocks instead of one 98 x 98 product.  Along the outer control
+    The columns start as Q^dag code (ControlBlock.paired_code), one copy
+    for each of block.signs; a -1 column is the conjugate twin's, which
+    shares Q, the chains, the dwell and the code rows, and crosses each
+    outer step conjugated.  An axis-aligned edge's kick K is constant, and
+    K^count is applied to the columns by _power_apply.  Along the inner
+    control the outer step is the identity, and K = D I(-inner step) is
+    powered as the block's stack of sector blocks, `sectors`
+    (sector_dwells), on every column at once.  Along the outer control
     K = D R S R^dag, S the unturned outer step (ControlBlock.outer_step),
     built once per loop for a rect's two opposite edges (_shared_step), and
     R = Q^dag I(-inner) Q the turn at the edge's inner value
     (ControlBlock.turned_step); D multiplies on sector by sector
-    (_dwell_product).  These kicks stay complex.  On a block that U swaps
-    the kick is powered on its two U halves (_halved_power), from its rows
-    at the d < 0 sectors alone.  A tilted edge's kicks go one by one on the
-    columns held as [Re | Im] rows, with the dwell's real form `form`
-    (_tilted_edge); on a block that U swaps, on its two halves, one column
-    each, whose steps are S+ and conj(S+) and whose dwells are equal
-    (_tilted_halves): a kick took about 5.5 us there against 10 us on the
-    whole block (OpenBLAS, one thread), and `form` is the half's, a quarter
-    of the size.
+    (_dwell_product).  These kicks stay complex, and on a twin the kick and
+    the twin's, D conj(R S R^dag) (R is real there), are powered as one
+    stack, one column each.  A tilted edge's kicks go one by one on the
+    columns held as [Re | Im] rows of _row_width, with the dwell's real form
+    `form` (_tilted_edge); a twin's column has its imaginary row signed -1,
+    so that it crosses the step conjugated.
     """
-    basis, rates = block.paired_basis
-    code, pairing = block.paired_code, block.swap_pairing
-    state, n, columns, steps = code, basis.shape[1], block.sector_columns, {}
+    rates = block.paired_basis[1]
+    signs = np.repeat(block.signs, block.paired_code.shape[1])
+    state = np.tile(block.paired_code, len(block.signs))
+    width, columns, steps = _row_width(block), block.sector_columns, {}
+    turning = np.zeros(width // 2)
+    turning[: rates.size] = rates
+    row_signs = np.stack([np.ones(signs.size), signs], axis=1).ravel()
     for run in runs:
         outer0, inner0 = factory.split(*run.start)
         outer1, inner1 = factory.split(*run.end)
         d_outer, inner_step = (outer0 - outer1) / run.count, (inner1 - inner0) / run.count
         if not run.axis_aligned:
-            edge = (inner0, inner_step, run.count)
-            if pairing is None:
-                step, signs = block.outer_step(d_outer), np.ones(2 * state.shape[1])
-                state = _tilted_columns(state.T, n, step, form, rates, signs, *edge).T
-            else:
-                state = _tilted_halves(block, state, d_outer, form, *edge)
+            step, edge = block.outer_step(d_outer), (inner0, inner_step, run.count)
+            state = _tilted_columns(state.T, width, step, form, turning, row_signs, *edge).T
         elif outer0 == outer1:  # D I(-inner_step), sector by sector
             dwell, partner, sector_rates = sectors
             turns = inner_step * sector_rates[:, None]
             kick = dwell * np.cos(turns) + partner * np.sin(turns)
-            state = _by_sector(_sector_power(kick, run.count, pairing), state, columns)
+            power = lambda part: _power_apply(kick, run.count, part)  # noqa: E731
+            state = _by_sector(power, state, columns)
         else:
             step = block.turned_step(_shared_step(block, steps, d_outer), inner0)
-            if pairing is None:
+            if len(block.signs) == 1:
                 state = _power_apply(_dwell_product(block, sectors[0], step), run.count, state)
-            else:  # the kick's rows at the half's columns: the d < 0 sectors of D
-                rows, _ = _dwell_rows(block, sectors[0], step, pairing.lower)
-                state = _halved_power(rows, run.count, state, pairing)
-    return code, state
+            else:  # the block's kick and its twin's, one column each, from one dwell product
+                both = _dwell_product(block, sectors[0], np.hstack([step, step.conj()]))
+                kicks = np.stack(np.hsplit(both, 2))
+                state = _power_apply(kicks, run.count, state.T[:, :, None])[:, :, 0].T
+    return state
 
 
 def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -527,21 +416,34 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     (FrameFactory.blocks), so each block evolves its own code columns.  A
     kick from p to p' is C(p')^dag C(p) = I(-i') O(-(o' - o)) I(i), then the
     dwell exp(-i H0 dt).  The code states and the evolved states are in the
-    block's paired basis Q (_block_loop).  Only a loop with an axis-aligned
-    edge builds the sector stacks, and only one with a tilted edge builds
-    the paired dwell's real form.
+    block's paired basis Q (_block_loop).  A block holds its code columns as
+    B^dag c = code mix (ControlBlock), mix the identity on a block with one
+    sign.  A block with a conjugate twin evolves its one code row in both
+    halves, and both are returned stacked, each times its mix: mix on the
+    block and conj(mix) on the twin.  Then code^dag state sums the halves,
+    and the odd block's code map on plane III is phi+ P+ + phi- P-, with phi
+    the overlap of each half's evolved code row with its start and P the
+    projector mix^dag mix, or its conjugate, onto the code pair's U = +1 or
+    U = -1 state.  Every loop builds the sector stacks, and only one with a
+    tilted edge the paired dwell's real form.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
-    aligned, unbuilt = {run.axis_aligned for run in runs}, [None] * len(factory.blocks)
     args = (factory, schedule.chi, schedule.delta_t)
-    stacks = sector_dwells(*args) if True in aligned else unbuilt
-    forms = paired_dwells(*args) if False in aligned else unbuilt
-    return [
-        (block.columns, *_block_loop(block, runs, factory, sectors, form))
-        for block, sectors, form in zip(factory.blocks, stacks, forms)
-    ]
+    stacks = sector_dwells(*args)
+    tilted = not all(run.axis_aligned for run in runs)
+    forms = paired_dwells(*args) if tilted else [None] * len(factory.blocks)
+    out = []
+    for block, sectors, form in zip(factory.blocks, stacks, forms):
+        code, state = block.paired_code, _block_loop(block, runs, factory, sectors, form)
+        if len(block.signs) > 1:  # each half times its mix: mix, and conj(mix) on the twin
+            mixes = (block.mix, block.mix.conj())
+            halves = np.split(state, len(mixes), axis=1)
+            state = np.vstack([half @ mix for half, mix in zip(halves, mixes)])
+            code = np.vstack([code @ mix for mix in mixes])
+        out.append((block.columns, code, state))
+    return out
 
 
 def _leakage(state: np.ndarray, overlap: np.ndarray) -> float:

@@ -33,34 +33,41 @@ def rect_sigma_closed_form(plane: PlaneId, rect: Rect) -> float:
     )
 
 
-def in_fock(block, rows, size):
-    """A control block's (rows, columns) as `size` Fock rows, a mirrored row split on its pair.
+def in_fock(block, rows, factory):
+    """A control block's (rows, columns) as Fock rows: B rows, B the block's rows as Fock columns.
 
-    ControlBlock.mirror marks the rows of plane III's even block that stand
-    for (|index> + sign |image>)/sqrt 2 (fock.swap_symmetric_half).
+    On plane III a row |a, b> of a block stands for
+    (|a, b> + i^(a - b) |b, a>)/sqrt 2, or for |n, n> alone
+    (fock.swap_symmetric_half); on one mode each row is its own Fock state.
+    The coefficients i^(a - b) are complex on the odd block.  B itself is
+    in_fock(block, identity, factory).
     """
-    out = np.zeros((size, rows.shape[1]), dtype=complex)
-    out[block.index] = rows
-    if block.mirror is not None:
-        mirrored, images, signs = block.mirror
-        halves = rows[mirrored] / math.sqrt(2.0)
-        out[block.index[mirrored]] = halves
-        out[images] = signs[:, None] * halves
-    return out
+    cutoff, index = factory.cutoff, block.index
+    columns = np.arange(index.size)
+    basis = np.zeros((cutoff**factory.mode_count, index.size), dtype=complex)
+    a, b = np.divmod(index, cutoff) if factory.mode_count == 2 else (index, index)
+    pair = a != b
+    basis[index, columns] = np.where(pair, math.sqrt(0.5), 1.0)
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])[(a - b) % 4]
+    basis[(b * cutoff + a)[pair], columns[pair]] = phases[pair] * math.sqrt(0.5)
+    return basis @ rows
 
 
 def frame(factory, u, v):
     """The dressed code basis O(o) I(i) c at plane point (u, v), from the kicked part's blocks.
 
     The reference frame: ControlBlock.frames at that one point, block by
-    block, each block's rows mapped back to the Fock basis (in_fock).
+    block, on the code columns (times the block's mix), each block's rows
+    mapped back to the Fock basis (in_fock).  A block with a conjugate twin
+    (plane III's odd block) adds the twin's part, conj(B) conj(rows): the
+    twin's outer propagator is conj(O), and I and the code row are real.
     """
     outer, inner = factory.split(np.array([u], dtype=float), np.array([v], dtype=float))
-    cols = np.zeros(factory.code.shape, dtype=complex)
+    cols = np.zeros((factory.cutoff**factory.mode_count, factory.code_dim), dtype=complex)
     for block in factory.blocks:
         left = block.vectors @ block.outer_vectors
-        rows = block.frames(outer, inner, left)[:, 0]
-        cols[:, block.columns] = in_fock(block, rows, cols.shape[0])
+        rows = in_fock(block, block.frames(outer, inner, left)[:, 0] @ block.mix, factory)
+        cols[:, block.columns] = rows + rows.conj() if len(block.signs) > 1 else rows
     return cols
 
 
@@ -336,7 +343,10 @@ def v_basis_kicked(schedule):
     and the dwell is dense (v_dwell).  An axis-aligned edge's constant kick
     is raised to its count by plain binary powering (binary_power); a tilted
     edge's kicks go one by one, the row scalings by I's phases around the
-    step, and the step and the dwell through interleaved real forms.
+    step, and the step and the dwell through interleaved real forms.  A
+    block with a conjugate twin runs twice, the twin with its outer kick
+    conjugated in the block's Fock coordinates, and its code map sums the
+    two halves (kicked._kicks).
     """
     runs = kicked._schedule_runs(schedule)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
@@ -344,45 +354,60 @@ def v_basis_kicked(schedule):
     code_map = np.zeros((dim, dim), dtype=complex)
     leakages = []
     for block in factory.blocks:
-        w = block.values
-        dwell = v_dwell(block, factory.cutoff, factory.mode_count, schedule.chi, schedule.delta_t)
-        dwell_re = interleaved_real_form(dwell.T)
-        state = block.code_eig
-        rows = np.empty(state.T.shape, dtype=complex)
-        scaled = np.empty_like(rows)
-        rows_re, scaled_re = rows.view(np.float64), scaled.view(np.float64)
-        following = np.empty(w.size, dtype=complex)
-        for run in runs:
-            outer0, inner0 = factory.split(*run.start)
-            outer1, inner1 = factory.split(*run.end)
-            outer_step = (outer0 - outer1) / run.count
-            inner_step = (inner1 - inner0) / run.count
-            if run.axis_aligned:
-                if outer0 == outer1:
-                    kick = dwell * np.exp(1j * inner_step * w)[None, :]
-                else:
-                    phase = np.exp(-1j * inner0 * w)[:, None]
-                    kick = dwell @ (phase.conj() * v_outer_kick(block, outer_step) * phase.T)
-                state = binary_power(kick, run.count, state)
-            else:
-                step_re = interleaved_real_form(v_outer_kick(block, outer_step).T)
-                rows[...] = state.T
-                for start in range(0, run.count, connection.MAGNUS_BATCH):
-                    size = min(connection.MAGNUS_BATCH, run.count - start)
-                    phases = connection.phase_table(
-                        block.values, inner0 + inner_step * start, inner_step, size + 1
-                    ).T
-                    for k in range(size):
-                        np.multiply(rows, phases[:, k], out=scaled)
-                        np.matmul(scaled_re, step_re, out=rows_re)
-                        np.conjugate(phases[:, k + 1], out=following)
-                        np.multiply(rows, following, out=scaled)
-                        np.matmul(scaled_re, dwell_re, out=rows_re)
-                state = rows.T.copy()
-        overlap = block.code_eig.conj().T @ state
+        # the conjugate twin's outer kick is V^dag conj(V K V^dag) V; its dwell and I are the
+        # block's own
+        twin = block.vectors.conj().T @ block.vectors.conj()
+        kicks = [lambda d: v_outer_kick(block, d),
+                 lambda d: twin @ v_outer_kick(block, d).conj() @ twin.conj().T]
+        states = [v_basis_loop(block, factory, runs, schedule, kick)
+                  for kick, _ in zip(kicks, block.signs)]
+        mixes = [block.mix, block.mix.conj()][: len(block.signs)]
+        code = np.vstack([block.code_eig @ mix for mix in mixes])
+        state = np.vstack([part @ mix for part, mix in zip(states, mixes)])
+        overlap = code.conj().T @ state
         code_map[np.ix_(block.columns, block.columns)] = connection.polar_unitary(overlap)
         leakages.append(kicked._leakage(state, overlap))
     return code_map, max(leakages)
+
+
+def v_basis_loop(block, factory, runs, schedule, outer_kick):
+    """v_basis_kicked's loop on one block, the outer kick in V from outer_kick(d_outer)."""
+    w = block.values
+    dwell = v_dwell(block, factory.cutoff, factory.mode_count, schedule.chi, schedule.delta_t)
+    dwell_re = interleaved_real_form(dwell.T)
+    state = block.code_eig
+    rows = np.empty(state.T.shape, dtype=complex)
+    scaled = np.empty_like(rows)
+    rows_re, scaled_re = rows.view(np.float64), scaled.view(np.float64)
+    following = np.empty(w.size, dtype=complex)
+    for run in runs:
+        outer0, inner0 = factory.split(*run.start)
+        outer1, inner1 = factory.split(*run.end)
+        outer_step = (outer0 - outer1) / run.count
+        inner_step = (inner1 - inner0) / run.count
+        if run.axis_aligned:
+            if outer0 == outer1:
+                kick = dwell * np.exp(1j * inner_step * w)[None, :]
+            else:
+                phase = np.exp(-1j * inner0 * w)[:, None]
+                kick = dwell @ (phase.conj() * outer_kick(outer_step) * phase.T)
+            state = binary_power(kick, run.count, state)
+        else:
+            step_re = interleaved_real_form(outer_kick(outer_step).T)
+            rows[...] = state.T
+            for start in range(0, run.count, connection.MAGNUS_BATCH):
+                size = min(connection.MAGNUS_BATCH, run.count - start)
+                phases = connection.phase_table(
+                    block.values, inner0 + inner_step * start, inner_step, size + 1
+                ).T
+                for k in range(size):
+                    np.multiply(rows, phases[:, k], out=scaled)
+                    np.matmul(scaled_re, step_re, out=rows_re)
+                    np.conjugate(phases[:, k + 1], out=following)
+                    np.multiply(rows, following, out=scaled)
+                    np.matmul(scaled_re, dwell_re, out=rows_re)
+            state = rows.T.copy()
+    return state
 
 
 def paired_transform(block):

@@ -315,6 +315,8 @@ def test_kicked_increment_of_a_far_loop_is_finite_and_short(capsys, tmp_path, u_
         ("--statistical", ["error", "{loop}", "--statistical", "nan", "64"]),
         ("--shift-magnitude", ["compile", "{circuit}", "--shift-magnitude", "inf"]),
         ("--precision", ["--precision", "-3", "area", "{loop}"]),
+        # a negative magnitude used to print a negative total_first_order_epsilon_bound
+        ("--shift-magnitude", ["compile", "{circuit}", "--shift-magnitude", "-0.01"]),
     ],
 )
 def test_bad_numeric_option_exits_2_naming_it(capsys, tmp_path, hadamard_loop_file, option, argv):
@@ -565,6 +567,28 @@ def test_parse_circuit_rejects_bad_arity():
         compiler.parse_circuit("P q0\n")
     with pytest.raises(compiler.CircuitParseError):
         compiler.parse_circuit("H(0.3) q0\n")
+
+
+@pytest.mark.parametrize("line", ["CNOT q0 q0", "CROT q1 q1"])
+def test_compile_refuses_a_two_qubit_gate_on_one_qubit(capsys, tmp_path, line):
+    # both used to exit 0 with a schedule
+    path = tmp_path / "c.txt"
+    path.write_text(f"H q0\n{line}\n")
+    code = cli.main(["compile", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [message] = captured.err.splitlines()
+    assert "line 2:" in message and "distinct qubits" in message
+
+
+def test_compile_circuit_refuses_a_negative_shift_magnitude():
+    circuit = compiler.parse_circuit("CROT q0 q1\n")
+    for magnitude in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shift_magnitude must be finite and non-negative"):
+            compiler.compile_circuit(circuit, shift_magnitude=magnitude)
+    record = compiler.compile_circuit(circuit, shift_magnitude=0.0)
+    assert record["total_first_order_epsilon_bound"] == 0.0
 
 
 def test_parse_circuit_comments_and_params():

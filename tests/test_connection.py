@@ -27,6 +27,7 @@ from conftest import (
     convex_polygons,
     corner_populations,
     curvature_coefficient,
+    dense_sectors,
     frame,
     in_fock,
     kerr_hamiltonian,
@@ -163,6 +164,11 @@ def test_curvature_plane2_origin():
     assert coefficient == pytest.approx(2.0, abs=5e-2)
 
 
+def inner_generator(cutoff):
+    """The dense two-mode squeeze generator of plane III (conftest.plane_generators)."""
+    return plane_generators(PlaneId.III, cutoff)[1]
+
+
 def swap_symmetry(cutoff):
     """Dense U = P i^(n1 - n2), P the swap of the two modes: U|a, b> = i^(a - b) |b, a>."""
     first, second = np.divmod(np.arange(cutoff * cutoff), cutoff)
@@ -171,22 +177,9 @@ def swap_symmetry(cutoff):
     return u
 
 
-def symmetric_half_basis(cutoff, index):
-    """Columns |n, n> and (|a, b> + (-1)^(d/2) |b, a>)/sqrt 2, d = a - b, at |a, b>'s index."""
-    basis = np.zeros((cutoff * cutoff, index.size))
-    for column, state in enumerate(index):
-        a, b = divmod(int(state), cutoff)
-        if a == b:
-            basis[state, column] = 1.0
-        else:
-            basis[state, column] = 1.0 / math.sqrt(2.0)
-            basis[b * cutoff + a, column] = (-1.0) ** ((a - b) // 2) / math.sqrt(2.0)
-    return basis
-
-
-@pytest.mark.parametrize("cutoff,sizes", [(13, [49, 84]), (14, [56, 98])])
+@pytest.mark.parametrize("cutoff,sizes", [(13, [49, 42]), (14, [56, 49])])
 def test_plane3_control_blocks_are_the_two_parity_blocks(monkeypatch, cutoff, sizes):
-    # the odd parity block, and the U = +1 half of the even one (fock.swap_symmetric_half)
+    # the U = +1 halves of the two parity blocks, by one construction (fock.swap_symmetric_half)
     generators = []
     original = fock.Propagator
 
@@ -205,35 +198,53 @@ def test_plane3_control_blocks_are_the_two_parity_blocks(monkeypatch, cutoff, si
     for generator in (outer, inner, np.diag(kerr)):
         assert not np.any(u @ generator - generator @ u)
     assert np.array_equal(u @ u, np.eye(cutoff * cutoff))
-    # the odd block holds every odd state of n1 + n2 as itself; the even block's
-    # basis T is orthonormal, U = +1 on it, and it spans the even states' U = +1 half
     dim = cutoff * cutoff
     parity = (np.arange(dim) // cutoff + np.arange(dim) % cutoff) % 2
-    assert np.array_equal(np.sort(odd.index), np.flatnonzero(parity == 1))
-    assert odd.mirror is None
-    basis = symmetric_half_basis(cutoff, even.index)
-    assert np.array_equal(in_fock(even, np.eye(even.index.size), dim), basis)
-    assert np.max(np.abs(basis.T @ basis - np.eye(even.index.size))) < 1e-15
-    assert not np.any(u @ basis - basis) and not np.any(basis[parity == 1])
-    assert even.index.size == (np.count_nonzero(parity == 0) + cutoff) // 2
-    # the even block's G_o, the one its eigh took, is T^T G_o T; G_i and the Kerr
-    # phases are read at its indices
-    [even_outer] = [g for g in generators if g.shape == (sizes[0], sizes[0])]
-    assert np.max(np.abs(even_outer - basis.T @ outer @ basis)) <= 1e-14
-    assert not np.any(even_outer.imag)
-    assert np.max(np.abs(basis.T @ inner @ basis - inner[np.ix_(even.index, even.index)])) <= 1e-14
-    assert np.max(np.abs(basis.T @ np.diag(kerr) @ basis - np.diag(kerr[even.index]))) <= 1e-12
-    # neither control generator couples the blocks, nor the even block to the even U = -1 half
-    odd_states = np.eye(dim)[:, parity == 1]
-    other_half = (np.eye(dim) - basis @ basis.T)[:, parity == 0]
-    for generator in (outer, inner):
-        assert not np.any(basis.T @ generator @ odd_states)
-        assert np.max(np.abs(basis.T @ generator @ other_half)) < 1e-14
+    for kept, block in enumerate(factory.blocks):
+        # each block's basis B is orthonormal, U = +1 on it, and it spans the U = +1 half
+        # of its parity block: |n, n> and (|a, b> + i^(a - b) |b, a>)/sqrt 2
+        basis = in_fock(block, np.eye(block.index.size), factory)
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(block.index.size))) < 1e-15
+        assert not np.any(u @ basis - basis) and not np.any(basis[parity != kept])
+        assert block.index.size == (np.count_nonzero(parity == kept) + cutoff * (1 - kept)) // 2
+        # its G_o, the one its eigh took, is B^dag G_o B, gathered (a pair's entries there
+        # are exact, and the dense product rounds 1/sqrt 2 twice); G_i and the Kerr phases
+        # are read at its indices
+        [block_outer] = [g for g in generators if g.shape == (block.index.size,) * 2]
+        assert np.max(np.abs(block_outer - basis.conj().T @ outer @ basis)) <= 1e-14
+        chains = inner[np.ix_(block.index, block.index)]
+        assert np.max(np.abs(basis.conj().T @ inner @ basis - chains)) <= 1e-14
+        within = basis.conj().T @ np.diag(kerr) @ basis
+        assert np.max(np.abs(within - np.diag(kerr[block.index]))) <= 1e-12
+        # neither control generator couples the blocks, nor a block to its parity's U = -1 half
+        other_states = np.eye(dim)[:, parity != kept]
+        other_half = (np.eye(dim) - basis @ basis.conj().T)[:, parity == kept]
+        for generator in (outer, inner):
+            assert not np.any(basis.conj().T @ generator @ other_states)
+            assert np.max(np.abs(basis.conj().T @ generator @ other_half)) < 1e-14
+        # the code columns on the block, B^dag c, are its code rows times its mix
+        assert np.array_equal(basis.conj().T @ code[:, block.columns], block.code @ block.mix)
     # each code column lies in exactly one block: {|00>, |11>} even, {|10>, |01>} odd
     assert [block.columns.tolist() for block in factory.blocks] == [[0, 2], [1, 3]]
-    for block in factory.blocks:
-        columns = in_fock(block, block.code, dim)
-        assert np.array_equal(columns, code[:, block.columns])
+    # the even block is real and holds its code states whole; the odd one holds half of
+    # each, on the one row of h = (|01> - i |10>)/sqrt 2, and its G_o is complex
+    assert (even.signs, even.real_step, np.array_equal(even.mix, np.eye(2))) == ((1.0,), True, True)
+    assert (odd.signs, odd.real_step) == ((1.0, -1.0), False)
+    assert np.max(np.abs(odd.mix * math.sqrt(2.0) - [[1j, 1.0]])) <= 1e-15
+    [odd_outer] = [g for g in generators if g.shape == (odd.index.size,) * 2]
+    assert np.max(np.abs(odd_outer.imag)) > 1.0
+    # the odd block's U = -1 half, conj(B), is its conjugate twin: G_o there is conj(G_o)
+    # and G_i the same chains, and B and conj(B) together hold the odd code states
+    basis = in_fock(odd, np.eye(odd.index.size), factory)
+    twin = basis.conj()
+    assert not np.any(u @ twin + twin)
+    dense = basis.conj().T @ outer @ basis
+    assert np.array_equal(twin.conj().T @ outer @ twin, dense.conj())
+    assert np.max(np.abs(dense.imag)) == cutoff - 1
+    chains = inner[np.ix_(odd.index, odd.index)]
+    assert np.max(np.abs(twin.conj().T @ inner @ twin - chains)) <= 1e-14
+    halves = basis @ odd.code @ odd.mix + twin @ odd.code @ odd.mix.conj()
+    assert np.max(np.abs(halves - code[:, odd.columns])) <= 1e-15
 
 
 def held_arrays(owner):
@@ -246,7 +257,7 @@ def held_arrays(owner):
 
 
 def test_control_blocks_hold_two_dense_matrices(monkeypatch):
-    # each plane III block (56 and 98 states at cutoff 14) keeps its inner
+    # each plane III block (56 and 49 states at cutoff 14) keeps its inner
     # eigenvectors V and W = V^dag V_o; everything else it holds is a few columns.
     # A fresh factory: a kicked loop elsewhere would have built the paired basis
     factory = connection.FrameFactory(PlaneId.III, 14)
@@ -254,9 +265,10 @@ def test_control_blocks_hold_two_dense_matrices(monkeypatch):
 
     def held(block):
         return list(held_arrays(block)) + [a for pair in vars(block).values()
-                                           if isinstance(pair, tuple) for a in pair]
+                                           if isinstance(pair, tuple) for a in pair
+                                           if isinstance(a, np.ndarray)]
 
-    assert [block.index.size for block in factory.blocks] == [56, 98]
+    assert [block.index.size for block in factory.blocks] == [56, 49]
     for block in factory.blocks:
         block.code_eig  # built on first use; count it too
         size = block.index.size
@@ -311,7 +323,8 @@ def test_paired_basis_turns_each_pair_and_holds_the_zero_modes(plane, cutoff):
         assert np.count_nonzero(rates == 0.0) == zeros // 2
         assert np.all(rates[: rates.size - zeros // 2] > 0.0)
         lone += n % 2
-    assert lone == cutoff % 2
+    # plane III's halves hold 49 states, the even one at cutoff 13 and the odd one at 14
+    assert lone == (1 if plane is PlaneId.III else cutoff % 2)
 
 
 @pytest.mark.parametrize("plane,cutoff", PAIRED_CASES)
@@ -328,9 +341,10 @@ def test_outer_step_is_the_outer_propagator_in_the_paired_basis(plane, cutoff):
             # a turned step and its reference both round phases of up to |inner| w ~ 70 rad
             bound = 3e-14 if inner else 1e-14
             assert np.max(np.abs(step - reference)) < bound
-            if factory.real_controls:
+            if block.real_step:
                 # real and contiguous for the real products, where the complex product
-                # leaves rounding in the imaginary part
+                # leaves rounding in the imaginary part; plane III's odd block has a
+                # complex G_o (ControlBlock), and so a complex step
                 assert step.dtype == np.float64 and step.flags.c_contiguous
                 assert np.max(np.abs(reference.imag)) < bound
             else:
@@ -362,11 +376,9 @@ SECTOR_CASES = [
     pytest.param(PlaneId.I, 60, [[30, 30]], id="I"),
     pytest.param(PlaneId.II, 60, [[30, 30]], id="II"),
     # n1 - n2 = d holds cutoff - |d| states; even d in the even parity block
-    # the even block keeps d >= 0 only (fock.swap_symmetric_half)
-    pytest.param(PlaneId.III, 13, [[13, 11, 9, 7, 5, 3, 1],
-                                   [12, 12, 10, 10, 8, 8, 6, 6, 4, 4, 2, 2]], id="III-13"),
-    pytest.param(PlaneId.III, 14, [[14, 12, 10, 8, 6, 4, 2],
-                                   [13, 13, 11, 11, 9, 9, 7, 7, 5, 5, 3, 3, 1, 1]], id="III"),
+    # the even block keeps d >= 0 only, the odd one d < 0 (fock.swap_symmetric_half)
+    pytest.param(PlaneId.III, 13, [[13, 11, 9, 7, 5, 3, 1], [12, 10, 8, 6, 4, 2]], id="III-13"),
+    pytest.param(PlaneId.III, 14, [[14, 12, 10, 8, 6, 4, 2], [13, 11, 9, 7, 5, 3, 1]], id="III"),
 ]
 
 
@@ -417,11 +429,15 @@ def test_pair_sectors_are_the_blocks_own_with_one_eigh_each(monkeypatch, plane, 
     factory = connection.FrameFactory(plane, cutoff)
     sectors = [sector for block in factory.blocks for sector in block.sectors]
     assert any(factory.pair.first is sector for sector in sectors)
-    assert any(factory.pair.second is sector for sector in sectors)
-    # one eigh per sector of G_i and one of G_o per block: no block-sized eigh
-    # of G_i and no second eigh of the pair's sectors
+    # plane III's odd block keeps n1 - n2 = -1 of the pair, and +1 is its image there
+    # (fock.swap_symmetric_half)
+    pair_held = any(factory.pair.second is sector for sector in sectors)
+    assert pair_held == (plane is not PlaneId.III)
+    # one eigh per sector of G_i, the transport's chains among them, and one of G_o per
+    # block: no block-sized eigh of G_i and no second eigh of the pair's sectors
+    chains = {id(chain): chain for chain in sectors + factory.chains}.values()
     assert sorted(sizes) == sorted(
-        [s.index.size for s in sectors] + [block.index.size for block in factory.blocks]
+        [s.index.size for s in chains] + [block.index.size for block in factory.blocks]
     )
 
 
@@ -511,37 +527,39 @@ def test_the_frame_check_is_the_more_pessimistic_one():
 
 
 @pytest.mark.parametrize("cutoff", [13, 14, 20])
-def test_swap_pairing_is_u_in_the_paired_basis(cutoff):
-    # U = P i^(n1 - n2) maps each column of Q on the odd block to one other column,
-    # times i^d: U Q = Q C exactly for the closed-form pairing C
+def test_odd_twin_is_the_u_minus_half_with_the_conjugate_step(cutoff):
+    # plane III's odd block is its U = +1 half, B Q in the Fock basis, and its twin
+    # conj(B) Q is the U = -1 half: there the outer step is conj(S), and the dwell and
+    # the code row are the block's own
     factory = connection.FrameFactory(PlaneId.III, cutoff)
     even, odd = factory.blocks
-    assert even.swap_pairing is None
-    assert frame_factory(PlaneId.I, 24).blocks[0].swap_pairing is None
-    half, partner, phase, turn, lower, upper = odd.swap_pairing
+    assert even.signs == frame_factory(PlaneId.I, 24).blocks[0].signs == (1.0,)
+    outer, _, code = plane_generators(PlaneId.III, cutoff)
     basis, _ = odd.paired_basis
-    n = odd.index.size
-    assert np.array_equal(np.sort(np.concatenate([half, partner])), np.arange(n))
-    assert set(phase.tolist()) == {1j, -1j}
-    closed = np.zeros((n, n), dtype=complex)
-    closed[partner, half], closed[half, partner] = phase, phase.conj()
-    u = swap_symmetry(cutoff)[np.ix_(odd.index, odd.index)]
-    assert np.array_equal(u @ basis, basis @ closed)
-    # so Q^dag U Q is C up to Q's own orthonormality, a few 1e-15 from eigh
-    defect = basis.T @ basis - np.eye(n)
-    assert np.array_equal(basis.T @ (u @ basis) - closed, defect @ closed)
-    assert np.max(np.abs(defect)) < 5e-15
-    # the turned code columns lie in U's +1 and -1 halves: (|10> +- i |01>)/sqrt 2
-    turned = odd.paired_code @ turn
-    assert np.max(np.abs(closed @ turned - turned * [1.0, -1.0])) <= 1e-15
-    assert np.array_equal(turn * math.sqrt(2.0), [[1.0, 1.0], [1j, -1j]])
-    # the sectors d < 0 hold `half`, and the dwell's blocks at d and -d are the same
-    # numbers, so an inner-direction kick is powered on that half of its stack
-    for columns, sectors in ((half, lower), (partner, upper)):
-        places = odd.sector_columns[sectors]
-        assert np.array_equal(columns, places[places < n])
-    for kept in kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)[1]:
-        assert np.array_equal(kept[lower], kept[upper])
+    assert np.isrealobj(basis)
+    plus = in_fock(odd, basis, factory)
+    minus = plus.conj()
+    u = swap_symmetry(cutoff)
+    assert np.array_equal(u @ plus, plus) and np.array_equal(u @ minus, -minus)
+    assert np.max(np.abs(plus.conj().T @ minus)) <= 1e-15
+    for d_outer, inner in [(0.0005, 0.0), (-0.0004, 0.07), (0.0011, 0.15)]:
+        step = odd.outer_step(d_outer, inner)
+        turned = expm(-inner * inner_generator(cutoff)) @ expm(d_outer * outer)
+        turned = turned @ expm(inner * inner_generator(cutoff))
+        assert np.max(np.abs(plus.conj().T @ turned @ plus - step)) <= 1e-14
+        assert np.max(np.abs(minus.conj().T @ turned @ minus - step.conj())) <= 1e-14
+    # each half holds its code row, q = Q^T e_r, and with mix and conj(mix) the two make
+    # the odd code states, |10> = i (h+ - h-)/sqrt 2 and |01> = (h+ + h-)/sqrt 2, up to
+    # Q's own orthonormality, a few 1e-15 from eigh
+    q = odd.paired_code
+    halves = plus @ q @ odd.mix + minus @ q @ odd.mix.conj()
+    assert np.max(np.abs(halves - code[:, odd.columns])) < 5e-15
+    # the Kerr dwell is the same on both halves, and the sector stacks hold it
+    dwell = np.diag(fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, 2))
+    on_plus = plus.conj().T @ dwell @ plus
+    assert np.max(np.abs(minus.conj().T @ dwell @ minus - on_plus)) <= 1e-15
+    [_, (stack, _, _)] = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    assert np.max(np.abs(dense_sectors(stack, odd) - on_plus)) <= 1e-14
 
 
 @pytest.mark.parametrize(

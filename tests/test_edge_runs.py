@@ -123,8 +123,9 @@ def test_kicked_edge_powers_match_stepped_kicks(loop, cutoff):
     assert abs(result.leakage - leakage) < 1e-10
 
 
-# plane III's even block runs on its swap-symmetric half (fock.swap_symmetric_half)
-# at both parities of the cutoff: 49 + 84 states at 13, 56 + 98 at 14
+# plane III's blocks run on their swap-symmetric halves (fock.swap_symmetric_half), the
+# odd one with its conjugate twin, at both parities of the cutoff: 49 + 42 states at 13,
+# 56 + 49 at 14
 HALF_BLOCK_CASES = [
     pytest.param(LoopSpec(PlaneId.III, shape, orientation), cutoff,
                  id=f"{name}-cutoff{cutoff}-{orientation:+d}")

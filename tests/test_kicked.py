@@ -144,8 +144,8 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     steps, forms = [], []
     outer_step, real_form = connection.ControlBlock.outer_step, kicked.real_form
 
-    def counted_step(self, d_outer, inner=0.0, rows=slice(None)):
-        step = outer_step(self, d_outer, inner, rows)
+    def counted_step(self, d_outer, inner=0.0):
+        step = outer_step(self, d_outer, inner)
         steps.append(step.dtype)
         return step
 
@@ -159,9 +159,10 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     for loop, cutoff in [(connection.CALIBRATION_RECT, 24),
                          (LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)), 12)]:
         kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
-    # a rect runs in Q too: one real step for its two outer-direction edges, on plane
-    # I's one block and plane III's two, the sector stacks, and no real form
-    assert steps == [np.float64] * 3 and forms == []
+    # a rect runs in Q too: one step for its two outer-direction edges, on plane I's one
+    # block and plane III's two (the odd one's complex, its G_o being complex), the
+    # sector stacks, and no real form
+    assert steps == [np.float64] * 2 + [np.complex128] and forms == []
     lazy = ("paired_basis", "paired_outer_vectors")
     for factory in factories.values():
         assert all(name in vars(block) for block in factory.blocks for name in lazy)
@@ -177,17 +178,18 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     [factory] = factories.values()
     assert all(sorted(kept) == ["paired", "sectors"] for kept in factory.dwells.values())
     # plane II's steps are complex, and each goes through a real form; a loop of
-    # tilted edges builds no sector stack
+    # tilted edges builds the sector stacks too, as the paired dwell is scattered from them
     steps.clear()
     forms.clear()
     factories.clear()
     triangle = LoopSpec(PlaneId.II, Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
-    assert all("sectors" not in kept for factory in factories.values()
+    assert all(list(kept) == ["sectors", "paired"] for factory in factories.values()
                for kept in factory.dwells.values())
-    # plane III's odd block keeps its dwell on its U halves: one real form of D[c, c] and
-    # one of each tilted edge's S+, both width x width, and none of the whole block
+    # plane III's odd block is its U = +1 half: one real form of its dwell and one of each
+    # tilted edge's complex step, both padded to width x width, and a real step on the
+    # even block
     steps.clear()
     forms.clear()
     factories.clear()
@@ -195,10 +197,10 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=12))
     [factory] = factories.values()
     even, odd = factory.blocks
-    pairing, width, _ = kicked.half_layout(odd)
-    assert (even.index.size, odd.index.size, pairing.half.size, width) == (42, 72, 36, 36)
+    width = kicked._row_width(odd)
+    assert (even.index.size, odd.index.size, width) == (42, 36, 36)
     assert forms == [(42, 42)] + [(width, width)] * 4
-    assert steps == [np.float64] * 6
+    assert steps == [np.float64] * 3 + [np.complex128] * 3
     [[_, form]] = [kept["paired"] for kept in factory.dwells.values()]
     assert form.shape == (2 * width, 2 * width)
 
@@ -229,9 +231,10 @@ def random_unitaries(rng, shape):
     return q
 
 
-# (kick shape, state shape) of the oracle kicks: plane III's 98-state parity blocks and
-# their sector stacks at cutoff 14, plane I's one 60-state block and its two sectors at 60
-POWER_SHAPES = [((98, 98), (98, 2)), ((60, 60), (60, 2)), ((14, 14, 14), (14, 14, 2)),
+# (kick shape, state shape) of the oracle kicks: plane III's odd block and its twin, one
+# column each, and the even block's sector stack at cutoff 14, plane I's one 60-state
+# block and its two sectors at 60
+POWER_SHAPES = [((2, 49, 49), (2, 49, 1)), ((60, 60), (60, 2)), ((7, 14, 14), (7, 14, 2)),
                 ((2, 30, 30), (2, 30, 2))]
 
 
@@ -306,9 +309,9 @@ def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
         shapes.append(kick.shape)
         return original(kick, count, state)
 
-    def counted_step(self, d_outer, inner=0.0, rows=slice(None)):
+    def counted_step(self, d_outer, inner=0.0):
         outer_steps.append(d_outer)
-        return outer_step(self, d_outer, inner, rows)
+        return outer_step(self, d_outer, inner)
 
     monkeypatch.setattr(kicked, "_power_apply", counted)
     monkeypatch.setattr(connection.ControlBlock, "outer_step", counted_step)
@@ -316,14 +319,15 @@ def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
     kicked.run_kicked(KickSchedule(loop, 128, cutoff=12))
     factory = connection.frame_factory(PlaneId.III, 12)
     # per parity block, in the order of the edges: along r2 (the inner control),
-    # along r3, back along r2, back along r3.  The odd block, which U swaps, is
-    # powered on the d < 0 half of its sector stack along r2 and on its two U
-    # halves along r3
+    # along r3, back along r2, back along r3.  Each block is its U = +1 half, whose
+    # sector stack is powered along r2; along r3 the odd block's kick and its
+    # conjugate twin's are powered as one stack of two
     expected = []
-    stacked = [(len(block.sectors) // (1 + bool(block.swap_pairing)),)
-               + (block.sector_columns.shape[1],) * 2 for block in factory.blocks]
-    dense = [(block.index.size,) * 2 if block.swap_pairing is None
-             else (2,) + (block.index.size // 2,) * 2 for block in factory.blocks]
+    stacked = [(len(block.sectors),) + (block.sector_columns.shape[1],) * 2
+               for block in factory.blocks]
+    dense = [(len(block.signs),) * (len(block.signs) > 1) + (block.index.size,) * 2
+             for block in factory.blocks]
+    assert stacked == [(6, 12, 12), (6, 11, 11)] and dense == [(42, 42), (2, 36, 36)]
     for stack, outer in zip(stacked, dense):
         expected += [stack, outer, stack, outer]
     assert shapes == expected
@@ -382,18 +386,24 @@ def test_odd_block_maps_commute_with_u(shape, cutoff):
 
 
 @pytest.mark.parametrize("cutoff", [13, 14])
-def test_halved_power_is_the_dense_power(cutoff):
+def test_twin_power_is_the_dense_power(cutoff):
+    # the odd block's outer-direction kick K = D R S R^dag and its twin's, D conj(R S R^dag),
+    # powered as one stack on the code row, one column each: the whole odd block's dense
+    # kick, both halves side by side, powered on its code columns (kicked._kicks' mix)
     factory = connection.frame_factory(PlaneId.III, cutoff)
     _, odd = factory.blocks
-    [sectors] = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)[1:]
-    state = odd.paired_code
+    [_, (stack, _, _)] = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    q, n = odd.paired_code, odd.index.size
+    start = np.vstack([q @ odd.mix, q @ odd.mix.conj()])
     for d_outer, inner in [(0.0005, 0.0), (-0.0004, 0.07), (0.0011, 0.15)]:
-        kick = kicked._dwell_product(odd, sectors[0], odd.outer_step(d_outer, inner))
-        # the halves drop K's rounding-sized part that does not commute with U, and the
-        # dense power keeps it: the two part by about 1e-15 a kick (3e-13 at 1000 kicks)
+        step = odd.outer_step(d_outer, inner)
+        kicks = np.stack([kicked._dwell_product(odd, stack, s) for s in (step, step.conj())])
+        whole = np.zeros((2 * n, 2 * n), dtype=complex)
+        whole[:n, :n], whole[n:, n:] = kicks
         for count in (1, 2, 23, 24, 25, 64, 279, 333, 1000):
-            expected = kicked._power_apply(kick, count, state)
-            got = kicked._halved_power(kick[odd.swap_pairing.half], count, state, odd.swap_pairing)
+            expected = kicked._power_apply(whole, count, start)
+            halves = kicked._power_apply(kicks, count, np.stack([q, q]))
+            got = np.vstack([halves[0] @ odd.mix, halves[1] @ odd.mix.conj()])
             assert np.max(np.abs(got - expected)) <= 1e-15 * (count + 1), (d_outer, count)
 
 
@@ -401,9 +411,9 @@ def test_a_rect_builds_one_unturned_outer_step_per_block(monkeypatch):
     calls = []
     outer_step = connection.ControlBlock.outer_step
 
-    def counted_step(self, d_outer, inner=0.0, rows=slice(None)):
+    def counted_step(self, d_outer, inner=0.0):
         calls.append((id(self), inner))
-        return outer_step(self, d_outer, inner, rows)
+        return outer_step(self, d_outer, inner)
 
     monkeypatch.setattr(connection.ControlBlock, "outer_step", counted_step)
     for plane, cutoff in [(PlaneId.I, 24), (PlaneId.II, 24), (PlaneId.III, 12)]:
@@ -427,9 +437,10 @@ def whole_block_form(block, factory):
 @settings(max_examples=10, deadline=None)
 @given(convex_polygons(planes=tuple(PlaneId)), st.sampled_from([1, -1]))
 def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
-    # a loop with no axis-aligned edge is kick by kick from Q^dag c on every block: bit
-    # for bit with no turn of the columns and no shared step where U swaps nothing, and
-    # on the odd block's U halves within 1e-14 of the kicks on the whole block
+    # a loop with no axis-aligned edge is kick by kick from Q^dag c on every block, bit for
+    # bit with no turn of the columns and no shared step; on the odd block once from its
+    # code row and once from its conjugate twin's, whose imaginary row is signed -1, both
+    # padded to the row width, and the code map sums the two halves through their mixes
     loop = LoopSpec(loop.plane, loop.shape, orientation)
     cutoff = 12 if loop.plane is PlaneId.III else 24
     schedule = KickSchedule(loop, 128, cutoff=cutoff)
@@ -440,24 +451,25 @@ def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
     assert not any(run.axis_aligned for run in runs)
     for block, form in zip(factory.blocks, forms):
         basis, rates = block.paired_basis
-        n = basis.shape[1]
-        if block.swap_pairing is not None:
-            form = whole_block_form(block, factory)
-        code = block.paired_code
-        rows = np.ascontiguousarray(np.hstack([code.T.real, code.T.imag]))
+        n, width, halves = basis.shape[1], kicked._row_width(block), len(block.signs)
+        turning = np.zeros(width // 2)
+        turning[: rates.size] = rates
+        code = np.tile(block.paired_code, halves)
+        signs = np.repeat(block.signs, block.paired_code.shape[1])
+        rows = np.zeros((code.shape[1], 2 * width))
+        rows[:, :n], rows[:, width : width + n] = code.T.real, code.T.imag
         for run in runs:
             (outer0, inner0), (outer1, inner1) = factory.split(*run.start), factory.split(*run.end)
-            step = block.outer_step((outer0 - outer1) / run.count)
-            kicked._tilted_edge(rows, step, form, rates, inner0, (inner1 - inner0) / run.count,
-                                run.count, np.ones(4))
-        state = (rows[:, :n] + 1j * rows[:, n:]).T
-        overlap = block.paired_code.conj().T @ state
-        expected = connection.polar_unitary(overlap)
-        got = result.code_map[np.ix_(block.columns, block.columns)]
-        if block.swap_pairing is None:
-            assert np.array_equal(got, expected)
-        else:
-            assert np.max(np.abs(got - expected)) <= 1e-14
+            step = np.pad(block.outer_step((outer0 - outer1) / run.count), (0, width - n))
+            kicked._tilted_edge(rows, step, form, turning, inner0, (inner1 - inner0) / run.count,
+                                run.count, np.stack([np.ones(signs.size), signs], 1).ravel())
+        state, code = (rows[:, :n] + 1j * rows[:, width : width + n]).T, block.paired_code
+        if halves > 1:
+            mixes = (block.mix, block.mix.conj())
+            state = np.vstack([part @ mix for part, mix in zip(np.split(state, 2, axis=1), mixes)])
+            code = np.vstack([code @ mix for mix in mixes])
+        expected = connection.polar_unitary(code.conj().T @ state)
+        assert np.array_equal(result.code_map[np.ix_(block.columns, block.columns)], expected)
 
 
 def unsigned_tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count):
@@ -511,23 +523,20 @@ def test_tilted_kernel_signs_are_exact(plane, cutoff, count):
 
 def test_paired_dwell_forms_start_on_64_byte_boundaries():
     # a tilted kick reads the kept real form of the dwell; off a 64-byte boundary it
-    # runs slower, and a copy in the other memory order would round differently.  On
-    # the odd block it is the form of its U halves' D[c, c], c the columns of the d < 0
-    # sectors in Q's order, padded with zeros to a multiple of 4 (at cutoff 13, 42 -> 44)
+    # runs slower, and a copy in the other memory order would round differently.  It is
+    # scattered from the sector stacks, bit for bit the dense Q^dag D Q, and on the odd
+    # block, which has a conjugate twin, padded with zeros to a multiple of 4 (at cutoff
+    # 13, 42 states stay 44 wide; at 12, 36 stay 36)
     for cutoff in (12, 13):
         factory = connection.FrameFactory(PlaneId.III, cutoff)
         forms = kicked.paired_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
         dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, 2)
-        for block, form in zip(factory.blocks, forms):
+        widths = [kicked._row_width(block) for block in factory.blocks]
+        assert widths == ([42, 36] if cutoff == 12 else [49, 44])
+        for block, form, width in zip(factory.blocks, forms, widths):
             basis, _ = block.paired_basis
-            if block.swap_pairing is None:
-                expected = kicked.real_form(((basis.conj().T * dwell[block.index]) @ basis).T)
-            else:
-                half = np.sort(block.swap_pairing.half)
-                width = form.shape[0] // 2
-                assert width % 4 == 0 and half.size <= width < half.size + 4
-                within = np.zeros((basis.shape[0], width))
-                within[:, : half.size] = basis[:, half]
-                expected = kicked.real_form(((within.conj().T * dwell[block.index]) @ within).T)
+            within = np.zeros((basis.shape[0], width))
+            within[:, : basis.shape[1]] = basis
+            expected = kicked.real_form(((within.conj().T * dwell[block.index]) @ within).T)
             assert form.ctypes.data % 64 == 0 and not form.flags.writeable
             assert np.array_equal(form, expected) and form.strides == expected.strides

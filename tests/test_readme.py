@@ -62,7 +62,7 @@ def test_readme_names_resolve():
 
 
 def test_readme_plane3_block_sizes_are_the_factory_blocks():
-    # "runs on 56 + 98 states (49 + 84 at cutoff 13)"
+    # "runs on 56 + 49 states (49 + 42 at cutoff 13)"
     text = " ".join(README.read_text(encoding="utf-8").split())
     [(at14, at13)] = re.findall(r"runs on (\d+ \+ \d+) states \((\d+ \+ \d+) at cutoff 13\)", text)
     for cutoff, sizes in ((14, at14), (13, at13)):
