@@ -30,13 +30,14 @@ exponential is the same closed form.
 
 Everything runs in the eigenbasis V of G_i, and G_i never leaves one of its
 sectors (the parity chains of the squeeze, the n1 - n2 chains of the
-two-mode squeeze).  So V is built sector by sector, one small eigh each.  The
-transport reads only the sectors that hold code columns, and G_o only
-between its code pair's two, so it builds nothing else (FrameFactory's
-transport part).  The kicked route's blocks take V as the direct sum of all
-their sectors' bases and run in the paired basis Q built from it, where a
-diagonal operator such as the Kerr dwell is block-diagonal by sector up to
-the order of Q's columns (ControlBlock.sector_columns).  On plane III each
+two-mode squeeze).  So V is built sector by sector, one real SVD of half
+the sector's size each (_sector).  The transport reads only the sectors
+that hold code columns, and G_o only between its code pair's two, so it
+builds nothing else (FrameFactory's transport part).  The kicked route's
+blocks take V as the direct sum of all their sectors' bases and run in the
+paired basis Q built from it, where a diagonal operator such as the Kerr
+dwell is block-diagonal by sector up to the order of Q's columns
+(ControlBlock.sector_columns).  On plane III each
 block is the U = +1 half of a parity block of (-1)^(n1 + n2), U the
 beam swap times i^(n1 - n2), built by one construction
 (fock.swap_symmetric_half); the odd one carries its U = -1 half as a
@@ -45,7 +46,7 @@ conjugate twin, which differs from it only by a conjugated G_o.
 Raw holonomies come out in the dressed-frame code basis.  That basis differs
 from the gate convention (Sigma1/Sigma2/Sigma12 per plane) by a constant
 change of code basis which carries no physics; the frozen CALIBRATION maps one
-onto the other.  calibrate() re-derives the frozen choice numerically.
+onto the other, and the tests re-derive that choice from small rects.
 """
 
 from __future__ import annotations
@@ -81,25 +82,32 @@ class CodeBlock:
 
     `index` lists the block's Fock basis states, `columns` the code columns
     it holds (possibly none), those whose Fock index, in `places`
-    (fock.code_places), it lists, and `code` those columns on the block;
-    `values` w and the columns of `vectors` V are the eigenpairs of i G_i on
+    (fock.code_places), it lists, and `code` those columns on the block, as
+    unit columns; `values` w and the columns of `vectors`, formed when asked
+    for as V = diag(row_phases) real_vectors, are the eigenpairs of i G_i on
     the block, so that I(i) = V diag(exp(-i i w)) V^dag there.
     """
 
-    def __init__(
-        self, index: np.ndarray, values: np.ndarray, vectors: np.ndarray, places: np.ndarray
-    ):
+    def __init__(self, index: np.ndarray, values: np.ndarray, real_vectors: np.ndarray,
+                 row_phases: np.ndarray, places: np.ndarray):
         self.index = index
         self.values = values
-        self.vectors = vectors
+        self.real_vectors = real_vectors
+        self.row_phases = row_phases
         self.columns, rows = np.nonzero(places[:, None] == index)
         self.code = np.zeros((index.size, self.columns.size), dtype=complex)
         self.code[rows, np.arange(rows.size)] = 1.0
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """V, the eigenvectors of i G_i on the block, as a new complex array."""
+        return self.row_phases[:, None] * self.real_vectors
+
     @cached_property
     def code_eig(self) -> np.ndarray:
-        """The block's code columns in its inner eigenbasis V."""
-        return self.vectors.conj().T @ self.code
+        """The block's code columns in its inner eigenbasis V: V^dag c, V's code rows conjugated."""
+        rows = np.nonzero(self.code.T)[1]
+        return (self.row_phases[rows, None] * self.real_vectors[rows]).conj().T
 
     def phases_at(self, inner: np.ndarray, rows=slice(None)) -> np.ndarray:
         """exp(-i w i) at each inner control value i, shape (rows, values): I's phases."""
@@ -121,10 +129,31 @@ def phase_table(values: np.ndarray, start: float, step: float, count: int) -> np
     return table.reshape(-1, values.size)[:count]
 
 
-def _sector(index: np.ndarray, inner: np.ndarray, places: np.ndarray) -> CodeBlock:
-    """One sector of G_i (a chain that G_i does not leave), with its own eigh of `inner` on it."""
-    basis = fock.Propagator(inner)
-    return CodeBlock(index, basis.values, basis.vectors, places)
+def _sector(index: np.ndarray, lower: np.ndarray, places: np.ndarray) -> CodeBlock:
+    """One sector of G_i, a chain that G_i does not leave, from one real SVD of half its size.
+
+    h = i lower, i G_i below its diagonal (fock.inner_sectors), has one phase
+    alpha: i on planes I and III, -1 on plane II.  With a zero diagonal, i G_i
+    is [[0, B], [B^dag, 0]] on the chain's (even, odd) places, B / alpha =
+    U diag(s) W^T is real, and the eigenpairs are (u, +-conj(alpha) w)/sqrt 2
+    at +-s and (u, 0) at 0 for U's last column on an odd-sized chain, held in
+    eigh's ascending layout as V = diag(row_phases) real_vectors.
+    """
+    n = index.size
+    h, half = 1j * lower, n // 2
+    alpha = h[0] / abs(h[0]) if h.size else 1.0
+    block = np.zeros((n - half, half), dtype=complex)  # B, from the odd places to the even ones
+    np.fill_diagonal(block, h[0::2].conj())  # from place 2j + 1 to 2j
+    np.fill_diagonal(block[1:], h[1::2])  # from place 2j - 1 to 2j
+    u, s, wt = np.linalg.svd((block / alpha).real)
+    pair_u, pair_w = math.sqrt(0.5) * u[:, :half], math.sqrt(0.5) * wt.T
+    vectors = np.zeros((n, n))
+    vectors[0::2, :half], vectors[1::2, :half] = pair_u, -pair_w
+    vectors[0::2, n - half :], vectors[1::2, n - half :] = pair_u[:, ::-1], pair_w[:, ::-1]
+    vectors[0::2, half : n - half] = u[:, half:]  # the zero mode of an odd-sized chain
+    values = np.concatenate([-s, np.zeros(n % 2), s[::-1]])
+    row_phases = np.where(np.arange(n) % 2, np.conj(alpha), 1.0 + 0j)
+    return CodeBlock(index, values, vectors, row_phases, places)
 
 
 class ControlBlock(CodeBlock):
@@ -136,7 +165,7 @@ class ControlBlock(CodeBlock):
     sectors' eigenvalues in the same order.  G_o restricted to the block is
     V_o diag(w_o) V_o^dag times -i; the block keeps `outer_values` w_o and
     `outer_vectors` W = V^dag V_o, the outer eigenvectors in V, so that its
-    only dense matrices are V and W until a kicked loop asks for more.
+    only dense matrices are V's real factor and W until a kicked loop asks.
 
     The paired basis Q (paired_basis) is where the kicked route runs: there
     I(i) is a rotation of each pair of columns, and with `real_controls`
@@ -183,10 +212,11 @@ class ControlBlock(CodeBlock):
         sizes = np.array([sector.index.size for sector in self.sectors])
         self.index = np.concatenate([sector.index for sector in self.sectors])
         n = self.index.size
-        self.vectors = np.zeros((n, n), dtype=complex)
+        self.real_vectors = np.zeros((n, n))
         self.sector_rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
         for sector, rows in zip(self.sectors, self.sector_rows):
-            self.vectors[rows, rows] = sector.vectors
+            self.real_vectors[rows, rows] = sector.real_vectors
+        self.row_phases = np.concatenate([sector.row_phases for sector in self.sectors])
         self.values = np.concatenate([sector.values for sector in self.sectors])
         self.real_controls = real_controls
         # B's column r, unnormalized: weights[k, r] |states[k, r]> summed over k
@@ -224,40 +254,31 @@ class ControlBlock(CodeBlock):
     def paired_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """(Q, rates): the paired basis of the block and the rotation rate of each pair.
 
-        In each sector G_i's spectrum is symmetric: the eigenvector v of i G_i
-        at w > 0 has a partner u at -w, conj(v) when the controls are real.
-        q_a = (v + u)/sqrt(2) and q_b = (v - u)/(i sqrt(2)) are orthonormal,
-        and I(i) rotates them, I q_a = cos(w i) q_a + sin(w i) q_b and
-        I q_b = cos(w i) q_b - sin(w i) q_a: on the coefficients (y_a, y_b)
-        of a column that is the phase exp(i w i) on y_a + i y_b.  With real
-        controls q_a = sqrt(2) Re v and q_b = sqrt(2) Im v, so Q is real.
+        In each sector, a chain, i G_i's eigenvector at s > 0 is
+        v = (u, conj(alpha) w)/sqrt 2 on the chain's (even, odd) places, and
+        its partner at -s differs only in the sign of the odd ones (_sector).
+        q_a = sqrt 2 v = u on the even places and q_b = -i sqrt 2 v on the odd
+        ones are orthonormal, and I(i) rotates them, I q_a = cos(s i) q_a +
+        sin(s i) q_b and I q_b = cos(s i) q_b - sin(s i) q_a: on the
+        coefficients (y_a, y_b) of a column, the phase exp(i s i) on
+        y_a + i y_b.  With real controls alpha = i, q_b = -w and Q is real.
         Each sector's vectors go to its columns (sector_columns): the pairs
-        come first, sector by sector with q_a and q_b adjacent, and their rates
-        are w.  Then the zero modes, one per odd-sized sector and real up to a
-        phase (the kernel of a real or an imaginary G_i), taken real and paired
-        among themselves at rate 0; an odd one out comes last and takes no
-        phase.
+        first, sector by sector with q_a and q_b adjacent, at the rates s.
+        Then the zero modes, (u, 0) and so real, paired among themselves at
+        rate 0; an odd one out comes last and takes no phase.
         """
         n = self.index.size
-        basis = np.zeros((n, n), dtype=float if self.real_controls else complex)
+        basis = np.zeros((n, n), dtype=complex)
         rates = np.zeros(n // 2)
         for sector, rows, places in zip(self.sectors, self.sector_rows, self.sector_columns):
             m = sector.index.size
             half = m // 2
-            v = sector.vectors[:, m - half :]
-            if self.real_controls:
-                q_a, q_b = math.sqrt(2.0) * v.real, math.sqrt(2.0) * v.imag
-            else:
-                u = sector.vectors[:, :half][:, ::-1]
-                q_a, q_b = (v + u) / math.sqrt(2.0), (v - u) / (1j * math.sqrt(2.0))
-            basis[rows, places[0 : 2 * half : 2]] = q_a
-            basis[rows, places[1 : 2 * half : 2]] = q_b
+            v = math.sqrt(2.0) * sector.vectors[:, m - half :]
+            basis[rows.start : rows.stop : 2, places[0 : 2 * half : 2]] = v[0::2]
+            basis[rows.start + 1 : rows.stop : 2, places[1 : 2 * half : 2]] = -1j * v[1::2]
             rates[places[0 : 2 * half : 2] // 2] = sector.values[m - half :]
-            if m % 2:
-                zero = sector.vectors[:, half]
-                top = zero[np.argmax(np.abs(zero))]
-                basis[rows, places[2 * half]] = (zero * (np.conj(top) / abs(top))).real
-        return basis, rates
+            basis[rows, places[2 * half : m]] = sector.vectors[:, half : m - half]  # a zero mode
+        return (np.ascontiguousarray(basis.real) if self.real_controls else basis), rates
 
     @cached_property
     def paired_code(self) -> np.ndarray:
@@ -355,6 +376,21 @@ def _turn_pairs(rows: np.ndarray, turn: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _summed_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right, summed over the inner dimension 16 entries at a time.
+
+    One BLAS product sums each entry in one chain of roundings as long as
+    the inner dimension.  The pair's R_a^T G_o R_b has terms that grow with
+    the place and cancel: over plane III cutoffs 400-1096 (step 37) one
+    product left CROT_LOOP's transport up to 2.4e-14 from its gate (median
+    6.4e-15), and 16 at a time up to 7.0e-15 (3.5e-15), as the complex eigh.
+    """
+    total = left[:, :16] @ right[:16]
+    for start in range(16, right.shape[0], 16):
+        total += left[:, start : start + 16] @ right[start : start + 16]
+    return total
+
+
 class SectorPair(NamedTuple):
     """The two sectors of G_i that G_o links, one code column each.
 
@@ -415,9 +451,9 @@ class FrameFactory:
     basis) at its top-quartile Fock levels, for the kicked route's
     truncation check (top_quartile_populations).  `dwells` holds, for one
     (chi, delta_t), the kicked route's Kerr dwell per block in its paired
-    basis, as a sector stack (kicked.sector_dwells) and, for tilted edges,
-    as a real form scattered from it (kicked.paired_dwells), each built on
-    first use.
+    basis, as a sector stack (kicked.sector_dwells), as one dense matrix
+    scattered from it (kicked.dense_dwells) and, for tilted edges, as that
+    matrix's real form (kicked.paired_dwells), each built on first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -430,16 +466,23 @@ class FrameFactory:
         self.places = fock.code_places(cutoff, mode_count)
         self.code_dim = self.places.size
         chains = fock.code_chains(cutoff, mode_count, _inner_phase(plane))
-        self.chains = [_sector(index, inner, self.places) for index, inner in chains]
+        self.chains = [_sector(index, lower, self.places) for index, lower in chains]
         self.inner_connection = np.zeros((self.code_dim,) * 2, dtype=complex)
-        for chain, (_, inner) in zip(self.chains, chains):
-            columns = np.ix_(chain.columns, chain.columns)
-            self.inner_connection[columns] += chain.code.conj().T @ inner @ chain.code
+        for chain, (_, lower) in zip(self.chains, chains):
+            rows = np.nonzero(chain.code.T)[1]
+            inner = np.diag(lower[: rows.max()], -1)  # G_i up to the chain's last code row
+            inner = inner - inner.conj().T
+            self.inner_connection[np.ix_(chain.columns, chain.columns)] += inner[np.ix_(rows, rows)]
         first, second = [chain for chain in self.chains if chain.columns.size == 1]
+        self.real_controls = not any(np.any(lower.imag) for _, lower in chains)
+        # V_a^dag G_o V_b = R_a^T (D_a^* G_o D_b) R_b for V = D R (_sector), in real products:
+        # G_o is real, and D turns only its links from an even to an odd place (plane I's) by +-i
         outer = fock.outer_entries(first.index, second.index, cutoff, mode_count)
-        self.real_controls = not any(np.any(inner.imag) for _, inner in chains)
-        middle = first.vectors.conj().T @ outer
-        middle = first.code_eig.conj() * (middle @ second.vectors) * second.code_eig.T
+        outer *= np.multiply.outer(first.row_phases.conj(), second.row_phases)
+        left, right = first.real_vectors.T, second.real_vectors
+        middle = sum(scale * _summed_product(left, np.ascontiguousarray(part) @ right)
+                     for scale, part in ((1.0, outer.real), (1j, outer.imag)) if np.any(part))
+        middle = first.code_eig.conj() * middle * second.code_eig.T
         weight = 1j * np.subtract.outer(first.values, second.values)
         self.pair = SectorPair(first, second, middle, weight)
         [row], [col] = first.columns, second.columns
@@ -514,7 +557,8 @@ class FrameFactory:
         One value per inner control value i.  I(i) c never leaves the code
         columns' own sectors, the chains of G_i that hold them, so each is
         read there (`chains`): V_a's top-quartile rows times
-        exp(-i i w_a) V_a^dag c_a.  That is what the transport depends on, as
+        exp(-i i w_a) V_a^dag c_a, read off V_a's real factor (its row phases
+        keep populations).  That is what the transport depends on, as
         A_o(i) = c^dag I^dag G_o I c and A_i = c^dag G_i c; the outer
         propagator, which the frame check (top_quartile_populations) also
         applies, never acts on it.
@@ -525,7 +569,7 @@ class FrameFactory:
             rows = top[chain.index]
             if rows.any():
                 cols = chain.phases_at(inner)[:, :, None] * chain.code_eig[:, None, :]
-                tail = chain.vectors[rows] @ cols.reshape(chain.values.size, -1)
+                tail = chain.real_vectors[rows] @ cols.reshape(chain.values.size, -1)
                 population = np.sum(np.abs(tail) ** 2, axis=0).reshape(cols.shape[1:])
                 worst = np.maximum(worst, np.max(population, axis=1))
         return worst
@@ -859,48 +903,3 @@ def holonomy_path_ordered(loop: LoopSpec, cutoff: int, steps: int) -> gates.Gate
             "integrator": integrator,
         },
     )
-
-
-def calibrate(cutoff: int = 40, steps: int = 800) -> dict:
-    """Re-derive the frozen frame calibration from small-rectangle holonomies.
-
-    Searches constant diagonal phase gauges (and, for plane III, the swap of
-    the last two code labels) together with a global sign, and returns the
-    combination that reproduces the area-formula gates.  Tests assert it
-    matches CALIBRATION_GAUGE / CALIBRATION_SIGN.
-    """
-    single_candidates = [np.diag([1.0, 1.0j ** k]).astype(complex) for k in range(4)]
-    swap = _swap_matrix_23()
-    two_candidates = [np.eye(4, dtype=complex), swap] + [
-        m @ np.diag([1.0, 1.0j ** k, 1.0, 1.0]).astype(complex)
-        for m in (np.eye(4, dtype=complex), swap)
-        for k in range(1, 4)
-    ]
-    loops_by_plane = {
-        PlaneId.I: CALIBRATION_RECT,
-        PlaneId.II: LoopSpec(PlaneId.II, Rect(0.0, 0.1, 0.0, 0.1)),
-        PlaneId.III: LoopSpec(PlaneId.III, Rect(0.0, 0.1, 0.0, 0.1)),
-    }
-    result: dict = {"sign": None, "gauges": {}, "distances": {}}
-    for plane, loop in loops_by_plane.items():
-        plane_cutoff = 14 if plane is PlaneId.III else cutoff
-        raw = holonomy_path_ordered(loop, plane_cutoff, steps).matrix
-        sigma = loops_mod.area(loop).sigma
-        gen = gates.PLANE_GENERATOR[plane]
-        candidates = two_candidates if plane is PlaneId.III else single_candidates
-        best = None
-        for sign in (1, -1):
-            target = gates.gate_from_area(gen, sign * sigma).matrix
-            for v in candidates:
-                dist = float(np.linalg.norm(v @ raw @ v.conj().T - target))
-                # prefer +1 on ties: the two signs come in equivalent pairs
-                if best is None or dist < best[0] - 1e-12:
-                    best = (dist, sign, v)
-        dist, sign, v = best
-        result["gauges"][plane] = v
-        result["distances"][plane] = dist
-        if result["sign"] is None:
-            result["sign"] = sign
-        elif result["sign"] != sign:
-            raise RuntimeError("calibration signs disagree between planes")
-    return result

@@ -5,13 +5,13 @@ Operators are complex ndarrays.  Single-mode operators live on the levels
 index n1*N + n2.  The outer generators (displacement, two-mode mix) are
 dense, the mix built as Kronecker products of the single-mode ladders, or
 read entry by entry between two sets of states (outer_entries).  The inner
-ones (squeeze, two-mode squeeze) are built only sector by sector, as the
-tridiagonal chains of inner_sectors, or of code_chains alone.  Unitaries are
-never built here:
-the routes exponentiate the skew-Hermitian generators through their
-eigenpairs (Propagator), so they are exact unitaries of the *truncated*
-generator; how faithfully they represent the untruncated operator is
-monitored through the top-quartile population budget.
+ones (squeeze, two-mode squeeze) only as the entries below the diagonal of
+their tridiagonal chains, sector by sector (inner_sectors, code_chains).
+Unitaries are never built here: the routes exponentiate the skew-Hermitian
+generators through their eigenpairs (Propagator's eigh of the outer one, a
+real SVD per chain of the inner one, connection._sector), so they are exact
+unitaries of the *truncated* generator; how faithfully they represent the
+untruncated operator is monitored through the top-quartile population budget.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ TOP_QUARTILE_BUDGET = 1e-8
 
 # Bytes of complex matrices that one frame factory's part may hold (DENSE_MATRICES
 # of them, at 16 bytes an entry): cutoff**mode_count-square ones for the kicked
-# blocks, chain-square ones for the transport's code chains.
+# blocks, ones the square of the longest code chain for the transport.
 DENSE_BYTES_BUDGET = 2 * 1024**3
 DENSE_MATRICES = 8
 
@@ -94,13 +94,13 @@ def check_dense_budget(cutoff: int, mode_count: int) -> None:
 def check_chain_budget(cutoff: int, mode_count: int) -> None:
     """Reject cutoffs whose code chains would exceed DENSE_BYTES_BUDGET, before allocating.
 
-    A chain holds at most `cutoff` states: DENSE_MATRICES chain-square
-    matrices and 4 columns the size of the whole space bound what the
-    transport forms, which reads its code rows chain by chain and forms no
-    such column.
+    The longest code chain holds `cutoff` states on two modes (n1 = n2) and
+    half of them on one.  The transport's chains' real eigenvectors and G_o
+    between its pair with the pair's kept blocks peak at 5 complex matrices
+    that chain's size squared (tracemalloc), within DENSE_MATRICES.
     """
-    needed = (DENSE_MATRICES * cutoff**2 + 4 * cutoff**mode_count) * 16
-    _check_bytes(needed, cutoff, mode_count, "code chains")
+    size = cutoff if mode_count == 2 else (cutoff + 1) // 2
+    _check_bytes(DENSE_MATRICES * size**2 * 16, cutoff, mode_count, "code chains")
 
 
 def warn_if_truncated(population: float, label: str) -> None:
@@ -188,15 +188,14 @@ def _level_sets(key: np.ndarray, index: np.ndarray) -> list[np.ndarray]:
 
 
 def _chain(first: np.ndarray, second: np.ndarray, phase: complex) -> np.ndarray:
-    """G_i on one chain, from (m1, m2) at each of its states but the top one (inner_sectors)."""
-    climb = np.diag(np.sqrt(first + 1.0) * np.sqrt(second + 1.0), -1).astype(complex)
-    return phase * climb - np.conj(phase) * climb.T
+    """G_i's entries below a chain's diagonal, from (m1, m2) at each state but the top one."""
+    return phase * (np.sqrt(first + 1.0) * np.sqrt(second + 1.0)).astype(complex)
 
 
 def inner_sectors(
     cutoff: int, mode_count: int, phase: complex
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """The sectors of the inner generator G_i, block by block, as (Fock indices, G_i on them).
+    """The sectors of the inner generator G_i, block by block, as (Fock indices, chain entries).
 
     G_i = phase K^dag - conj(phase) K, with K^dag = (a^dag)^2 on one mode (the
     squeeze) and a1^dag a2^dag on two (the two-mode squeeze).  The blocks are
@@ -204,11 +203,12 @@ def inner_sectors(
     mode, the parity of n1 + n2 on two (even block first); each holds code
     states.  A block's sectors are the level sets of G_i's own number, the
     parity of n or n1 - n2, ordered by their lowest index.  Each sector is a
-    chain that K^dag climbs, an su(1,1) ladder on which G_i is tridiagonal:
-    below the diagonal K^dag has sqrt(m1 + 1) sqrt(m2 + 1) at the lower state,
-    (m1, m2) = (n, n + 1) on one mode and (n1, n2) on two.  As a product of
-    two roots, the way a^dag a^dag and the Kronecker products form it, every
-    entry is bit-equal to the dense generator's; no dense G_i is built.
+    chain that K^dag climbs, an su(1,1) ladder on which G_i is tridiagonal
+    with a zero diagonal, handed over as its entries below the diagonal:
+    K^dag has sqrt(m1 + 1) sqrt(m2 + 1) there at the lower state, (m1, m2) =
+    (n, n + 1) on one mode and (n1, n2) on two.  As a product of two roots,
+    the way a^dag a^dag and the Kronecker products form it, every entry is
+    bit-equal to the dense generator's; no dense G_i is built.
     """
     n = np.arange(cutoff)
     if mode_count == 1:

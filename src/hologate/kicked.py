@@ -218,25 +218,44 @@ def _row_width(block) -> int:
     return n if len(block.signs) == 1 else -(-n // 4) * 4
 
 
+def dense_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
+    """The dwell D = Q^dag exp(-i H0 delta_t) Q on each block, as one dense n x n matrix.
+
+    Scattered from the sector stacks (sector_dwells) with no product: D is
+    zero between sectors.  Built on first use and kept, read-only, beside
+    the stacks; an outer-direction kick takes it in one product
+    (_block_loop), and a tilted one its real form (paired_dwells).
+    """
+    kept = _kept_dwells(factory, chi, delta_t)
+    if "dense" not in kept:
+        matrices = []
+        for block, (stack, _, _) in zip(factory.blocks, sector_dwells(factory, chi, delta_t)):
+            n = block.index.size
+            matrix = np.zeros((n, n), dtype=complex)
+            for part, places in zip(stack, block.sector_columns):
+                places = places[places < n]
+                matrix[np.ix_(places, places)] = part[: places.size, : places.size]
+            matrix.setflags(write=False)
+            matrices.append(matrix)
+        kept["dense"] = matrices
+    return kept["dense"]
+
+
 def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
     """The dwell D = Q^dag exp(-i H0 delta_t) Q on each block, as the real form of its transpose.
 
     That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
     held as [Re | Im] rows: a 2 width x 2 width real matrix per block
     (_row_width), built for the first tilted edge and kept, read-only,
-    beside the sector stacks, from which D is scattered with no product: it
-    is zero between sectors, and in the padding.
+    beside the sector stacks, from the dense dwell (dense_dwells) padded
+    with zeros.
     """
     kept = _kept_dwells(factory, chi, delta_t)
     if "paired" not in kept:
         forms = []
-        for block, (stack, _, _) in zip(factory.blocks, sector_dwells(factory, chi, delta_t)):
-            n, width = block.index.size, _row_width(block)
-            matrix = np.zeros((width, width), dtype=complex)
-            for part, places in zip(stack, block.sector_columns):
-                places = places[places < n]
-                matrix[np.ix_(places, places)] = part[: places.size, : places.size]
-            form = _aligned(real_form(matrix.T))
+        for block, dwell in zip(factory.blocks, dense_dwells(factory, chi, delta_t)):
+            padded = np.pad(dwell, (0, _row_width(block) - block.index.size))
+            form = _aligned(real_form(padded.T))
             form.setflags(write=False)
             forms.append(form)
         kept["paired"] = forms
@@ -252,35 +271,6 @@ def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     padded[:-1] = rows
     padded[columns] = apply(padded[columns])
     return padded[:-1]
-
-
-def _dwell_product(block, stack: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """D @ step, for the dwell D held as its sector stack (sector_dwells) and n rows of step.
-
-    D is block-diagonal by sector up to the order of Q's columns, so with the
-    step's rows taken sector by sector (ControlBlock.sector_columns; `order`
-    lists them) each sector's rows of the product are one small product
-    D_k S_k.  It is taken transposed, S_k^T D_k^T, and written straight into
-    that sector's columns of one array; a real step takes D_k^T on its
-    [Re, Im]-interleaved view, so that S_k^T needs no complex copy.  No
-    padded copy of the step is formed.
-    """
-    n = step.shape[0]
-    columns = block.sector_columns
-    order = columns[columns < n]  # Q's columns sector by sector
-    ends = np.cumsum(np.count_nonzero(columns < n, axis=1))
-    rows = step[order]
-    parts = stack.transpose(0, 2, 1).copy()  # each sector's D_k^T, padded
-    transposed = np.empty((step.shape[1], n), dtype=complex)  # (D S)^T, columns sector by sector
-    out, width = transposed, 1
-    if np.isrealobj(step):  # a complex entry is two floats of the views
-        parts, out, width = parts.view(np.float64), transposed.view(np.float64), 2
-    for part, start, end in zip(parts, np.append(0, ends[:-1]), ends):
-        dwell_t = part[: end - start, : width * (end - start)]
-        np.matmul(rows[start:end].T, dwell_t, out=out[:, width * start : width * end])
-    product = np.empty(step.shape, dtype=complex)  # C order, as the powers read it fastest
-    product[order] = transposed.T
-    return product
 
 
 def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count, signs) -> None:
@@ -356,7 +346,7 @@ def _shared_step(block, steps: dict, d_outer: float) -> np.ndarray:
     return steps[d_outer]
 
 
-def _block_loop(block, runs, factory, sectors, form) -> np.ndarray:
+def _block_loop(block, runs, factory, sectors, dwell, form) -> np.ndarray:
     """The block's code rows in Q after the loop, once per sign of the block, edge by edge.
 
     The columns start as Q^dag code (ControlBlock.paired_code), one copy
@@ -370,8 +360,8 @@ def _block_loop(block, runs, factory, sectors, form) -> np.ndarray:
     K = D R S R^dag, S the unturned outer step (ControlBlock.outer_step),
     built once per loop for a rect's two opposite edges (_shared_step), and
     R = Q^dag I(-inner) Q the turn at the edge's inner value
-    (ControlBlock.turned_step); D multiplies on sector by sector
-    (_dwell_product).  These kicks stay complex, and on a twin the kick and
+    (ControlBlock.turned_step); D multiplies on as the dense `dwell`
+    (dense_dwells).  These kicks stay complex, and on a twin the kick and
     the twin's, D conj(R S R^dag) (R is real there), are powered as one
     stack, one column each.  A tilted edge's kicks go one by one on the
     columns held as [Re | Im] rows of _row_width, with the dwell's real form
@@ -393,17 +383,17 @@ def _block_loop(block, runs, factory, sectors, form) -> np.ndarray:
             step, edge = block.outer_step(d_outer), (inner0, inner_step, run.count)
             state = _tilted_columns(state.T, width, step, form, turning, row_signs, *edge).T
         elif outer0 == outer1:  # D I(-inner_step), sector by sector
-            dwell, partner, sector_rates = sectors
+            stack, partner, sector_rates = sectors
             turns = inner_step * sector_rates[:, None]
-            kick = dwell * np.cos(turns) + partner * np.sin(turns)
+            kick = stack * np.cos(turns) + partner * np.sin(turns)
             power = lambda part: _power_apply(kick, run.count, part)  # noqa: E731
             state = _by_sector(power, state, columns)
         else:
             step = block.turned_step(_shared_step(block, steps, d_outer), inner0)
             if len(block.signs) == 1:
-                state = _power_apply(_dwell_product(block, sectors[0], step), run.count, state)
+                state = _power_apply(dwell @ step, run.count, state)
             else:  # the block's kick and its twin's, one column each, from one dwell product
-                both = _dwell_product(block, sectors[0], np.hstack([step, step.conj()]))
+                both = dwell @ np.hstack([step, step.conj()])
                 kicks = np.stack(np.hsplit(both, 2))
                 state = _power_apply(kicks, run.count, state.T[:, :, None])[:, :, 0].T
     return state
@@ -424,19 +414,19 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     and the odd block's code map on plane III is phi+ P+ + phi- P-, with phi
     the overlap of each half's evolved code row with its start and P the
     projector mix^dag mix, or its conjugate, onto the code pair's U = +1 or
-    U = -1 state.  Every loop builds the sector stacks, and only one with a
-    tilted edge the paired dwell's real form.
+    U = -1 state.  Every loop builds the sector stacks and the dense dwell,
+    and only one with a tilted edge the dwell's real form.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
     args = (factory, schedule.chi, schedule.delta_t)
-    stacks = sector_dwells(*args)
+    stacks, dense = sector_dwells(*args), dense_dwells(*args)
     tilted = not all(run.axis_aligned for run in runs)
     forms = paired_dwells(*args) if tilted else [None] * len(factory.blocks)
     out = []
-    for block, sectors, form in zip(factory.blocks, stacks, forms):
-        code, state = block.paired_code, _block_loop(block, runs, factory, sectors, form)
+    for block, sectors, dwell, form in zip(factory.blocks, stacks, dense, forms):
+        code, state = block.paired_code, _block_loop(block, runs, factory, sectors, dwell, form)
         if len(block.signs) > 1:  # each half times its mix: mix, and conj(mix) on the twin
             mixes = (block.mix, block.mix.conj())
             halves = np.split(state, len(mixes), axis=1)

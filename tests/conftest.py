@@ -494,6 +494,18 @@ def plane_generators(plane, cutoff):
     )
 
 
+def chain_matrix(lower):
+    """A chain's dense G_i from its entries below the diagonal (fock.inner_sectors): -conj above."""
+    below = np.diag(lower, -1)
+    return below - below.conj().T
+
+
+def chain_eigh(lower):
+    """(w, V): the eigenpairs of i G_i on a chain from one dense complex eigh, the reference
+    for connection._sector's real SVD."""
+    return np.linalg.eigh(1j * chain_matrix(lower))
+
+
 def component_blocks(pattern, cols):
     """Basis indices of the connected components of a nonzero pattern that the columns touch.
 
@@ -531,6 +543,46 @@ def component_layout(plane, cutoff):
         linked = inner[np.ix_(block, block)] != 0
         layout.append([block[part] for part in component_blocks(linked, np.ones((block.size, 1)))])
     return layout, inner
+
+
+def calibrate(cutoff=40, steps=800):
+    """Re-derive the frozen frame calibration from small-rectangle holonomies.
+
+    Searches constant diagonal phase gauges (and, for plane III, the swap of
+    the last two code labels) together with a global sign, and returns the
+    combination that reproduces the area-formula gates, to be compared with
+    connection.CALIBRATION_GAUGE and CALIBRATION_SIGN.
+    """
+    single_candidates = [np.diag([1.0, 1.0j**k]).astype(complex) for k in range(4)]
+    swap = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # the last two code labels swapped
+    two_candidates = [np.eye(4, dtype=complex), swap] + [
+        m @ np.diag([1.0, 1.0j**k, 1.0, 1.0]).astype(complex)
+        for m in (np.eye(4, dtype=complex), swap)
+        for k in range(1, 4)
+    ]
+    result = {"sign": None, "gauges": {}, "distances": {}}
+    for plane, loop in SMALL_RECTS.items():
+        plane_cutoff = 14 if plane is PlaneId.III else cutoff
+        raw = connection.holonomy_path_ordered(loop, plane_cutoff, steps).matrix
+        sigma = loops.area(loop).sigma
+        gen = gates.PLANE_GENERATOR[plane]
+        candidates = two_candidates if plane is PlaneId.III else single_candidates
+        best = None
+        for sign in (1, -1):
+            target = gates.gate_from_area(gen, sign * sigma).matrix
+            for v in candidates:
+                dist = float(np.linalg.norm(v @ raw @ v.conj().T - target))
+                # prefer +1 on ties: the two signs come in equivalent pairs
+                if best is None or dist < best[0] - 1e-12:
+                    best = (dist, sign, v)
+        dist, sign, v = best
+        result["gauges"][plane] = v
+        result["distances"][plane] = dist
+        if result["sign"] is None:
+            result["sign"] = sign
+        elif result["sign"] != sign:
+            raise RuntimeError("calibration signs disagree between planes")
+    return result
 
 
 def formula_gate_in_frame(loop):

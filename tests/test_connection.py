@@ -23,6 +23,9 @@ from conftest import (
     ORACLE_CUTOFF,
     SMALL_RECTS,
     boundary_points,
+    calibrate,
+    chain_eigh,
+    chain_matrix,
     chain_tail_populations,
     convex_polygons,
     corner_populations,
@@ -187,12 +190,17 @@ def test_plane3_control_blocks_are_the_two_parity_blocks(monkeypatch, cutoff, si
         generators.append(generator)
         return original(generator)
 
+    _, shapes = counted_decompositions(monkeypatch)
     monkeypatch.setattr(fock, "Propagator", recorded)
     factory = connection.FrameFactory(PlaneId.III, cutoff)
     outer, inner, code = plane_generators(PlaneId.III, cutoff)
     kerr = np.diag(kerr_hamiltonian(1.0, cutoff, 2))
     even, odd = factory.blocks
     assert [block.index.size for block in factory.blocks] == sizes
+    # one eigh per block, of its G_o, and one half-size SVD per sector of G_i, none of a block
+    assert [g.shape[0] for g in generators] == sizes
+    chains = {id(s): s for s in factory.chains + even.sectors + odd.sectors}.values()
+    assert sorted(shapes) == sorted(half_shape(chain) for chain in chains)
     # U commutes exactly with both control generators and the Kerr dwell, U^2 = 1
     u = swap_symmetry(cutoff)
     for generator in (outer, inner, np.diag(kerr)):
@@ -416,16 +424,33 @@ def test_control_block_bases_are_direct_sums_of_sector_bases(plane, cutoff, size
             assert not np.any(basis[np.ix_(outside, places[places < n])])
 
 
-@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.II, 60), (PlaneId.III, 14)])
-def test_pair_sectors_are_the_blocks_own_with_one_eigh_each(monkeypatch, plane, cutoff):
-    sizes = []
-    original = fock.Propagator
+def counted_decompositions(monkeypatch):
+    """(eigh sizes, SVD shapes): what fock.Propagator and np.linalg.svd are asked to decompose."""
+    sizes, shapes = [], []
+    propagator, svd = fock.Propagator, np.linalg.svd
 
-    def counted(generator):
+    def counted_eigh(generator):
         sizes.append(generator.shape[0])
-        return original(generator)
+        return propagator(generator)
 
-    monkeypatch.setattr(fock, "Propagator", counted)
+    def counted_svd(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "Propagator", counted_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return sizes, shapes
+
+
+def half_shape(sector):
+    """The shape of a chain's sublattice block: its even places by its odd ones."""
+    size = sector.index.size
+    return ((size + 1) // 2, size // 2)
+
+
+@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.II, 60), (PlaneId.III, 14)])
+def test_pair_sectors_are_the_blocks_own_with_one_svd_each(monkeypatch, plane, cutoff):
+    sizes, shapes = counted_decompositions(monkeypatch)
     factory = connection.FrameFactory(plane, cutoff)
     sectors = [sector for block in factory.blocks for sector in block.sectors]
     assert any(factory.pair.first is sector for sector in sectors)
@@ -433,12 +458,55 @@ def test_pair_sectors_are_the_blocks_own_with_one_eigh_each(monkeypatch, plane, 
     # (fock.swap_symmetric_half)
     pair_held = any(factory.pair.second is sector for sector in sectors)
     assert pair_held == (plane is not PlaneId.III)
-    # one eigh per sector of G_i, the transport's chains among them, and one of G_o per
-    # block: no block-sized eigh of G_i and no second eigh of the pair's sectors
+    # one real SVD of half its size per sector of G_i, the transport's chains among them,
+    # and no eigh of G_i; one eigh of G_o per block: no block-sized decomposition of G_i
+    # and no second one of the pair's sectors
     chains = {id(chain): chain for chain in sectors + factory.chains}.values()
-    assert sorted(sizes) == sorted(
-        [s.index.size for s in chains] + [block.index.size for block in factory.blocks]
-    )
+    assert sorted(shapes) == sorted(half_shape(chain) for chain in chains)
+    assert sorted(sizes) == sorted(block.index.size for block in factory.blocks)
+
+
+@pytest.mark.parametrize("plane", list(PlaneId))
+@pytest.mark.parametrize("cutoff", [12, 13, 16, 17, 20])
+def test_chain_svd_gives_the_eigh_spectrum_a_real_q_and_the_rates(plane, cutoff):
+    # every sector of G_i, from one real SVD of its sublattice block (connection._sector),
+    # against a dense complex eigh of i G_i on it
+    factory = connection.FrameFactory(plane, cutoff)
+    phase = 1.0j if plane is PlaneId.II else 1.0
+    entries = {int(index[0]): lower
+               for sectors in fock.inner_sectors(cutoff, factory.mode_count, phase)
+               for index, lower in sectors}
+    for block in factory.blocks:
+        basis, rates = block.paired_basis
+        assert np.isrealobj(basis) == (plane is not PlaneId.II)
+        for sector, rows, places in zip(block.sectors, block.sector_rows, block.sector_columns):
+            lower, m = entries[int(sector.index[0])], sector.index.size
+            values, _ = chain_eigh(lower)
+            scale = max(np.max(np.abs(values)), 1.0)
+            assert np.max(np.abs(sector.values - values)) <= 1e-13 * scale
+            v = sector.vectors
+            assert np.max(np.abs(v.conj().T @ v - np.eye(m))) <= 1e-14
+            generator = 1j * chain_matrix(lower)
+            eigen = v.conj().T @ generator @ v
+            assert np.max(np.abs(eigen - np.diag(sector.values))) <= 1e-13 * scale
+            # each column of Q on one sublattice of the chain: q_a on its even places,
+            # q_b on its odd ones, a zero mode on the even ones
+            half = m // 2
+            columns = basis[rows, places[:m]]
+            assert not np.any(columns[1::2, 0 : 2 * half : 2])
+            assert not np.any(columns[0::2, 1 : 2 * half : 2])
+            # the rates are the singular values of the block from the odd places to the even
+            # ones, the eigenvalues at +s
+            singular = np.linalg.svd(generator[0::2, 1::2], compute_uv=False)
+            assert np.array_equal(rates[places[0 : 2 * half : 2] // 2], sector.values[m - half :])
+            assert np.max(np.abs(sector.values[m - half :] - singular[::-1]), initial=0.0) <= (
+                1e-14 * scale
+            )
+            if m % 2:
+                # the zero mode is real as it comes, and Q holds it with no phase fix
+                zero = sector.vectors[:, half]
+                assert sector.values[half] == 0.0 and not np.any(zero.imag)
+                assert not np.any(zero[1::2]) and np.array_equal(columns[:, 2 * half], zero.real)
 
 
 @pytest.mark.parametrize("plane", list(PlaneId))
@@ -936,7 +1004,7 @@ def test_plane2_weight_only_holds_near_zero_squeeze():
 
 
 def test_calibration_reproduces_frozen_constants():
-    cal = connection.calibrate(cutoff=40, steps=800)
+    cal = calibrate(cutoff=40, steps=800)
     assert cal["sign"] == CALIBRATION_SIGN
     for plane in PlaneId:
         assert np.allclose(cal["gauges"][plane], CALIBRATION_GAUGE[plane], atol=1e-12)

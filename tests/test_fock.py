@@ -9,6 +9,7 @@ from hologate.exceptions import TruncationWarning
 from hologate.loops import PlaneId
 
 from conftest import (
+    chain_matrix,
     component_layout,
     kerr_hamiltonian,
     squeeze_generator,
@@ -177,7 +178,8 @@ LAYOUT_CASES += [(PlaneId.III, cutoff) for cutoff in (3, 13, 14)]
 @pytest.mark.parametrize("plane,cutoff", LAYOUT_CASES)
 def test_inner_sectors_are_the_component_search_layout(plane, cutoff):
     # the blocks and their sectors, in the order the component search over the
-    # dense patterns finds them, and each chain bit-equal to its dense slice
+    # dense patterns finds them, and each chain's entries below the diagonal, one per
+    # state but the top one, bit-equal to its dense slice
     reference, inner = component_layout(plane, cutoff)
     mode_count = 2 if plane is PlaneId.III else 1
     layout = fock.inner_sectors(cutoff, mode_count, 1.0j if plane is PlaneId.II else 1.0)
@@ -185,13 +187,14 @@ def test_inner_sectors_are_the_component_search_layout(plane, cutoff):
         [index.tolist() for index in sectors] for sectors in reference
     ]
     for index, chain in (sector for sectors in layout for sector in sectors):
-        assert np.array_equal(chain, inner[np.ix_(index, index)])
+        assert chain.shape == (index.size - 1,)
+        assert np.array_equal(chain_matrix(chain), inner[np.ix_(index, index)])
     # at any phase, too
     phase = 0.3 - 0.7j
     dense = (two_mode_squeeze_generator if mode_count == 2 else squeeze_generator)(phase, cutoff)
     for sectors in fock.inner_sectors(cutoff, mode_count, phase):
         for index, chain in sectors:
-            assert np.array_equal(chain, dense[np.ix_(index, index)])
+            assert np.array_equal(chain_matrix(chain), dense[np.ix_(index, index)])
 
 
 @pytest.mark.parametrize("plane,cutoff", LAYOUT_CASES)
@@ -229,10 +232,11 @@ def test_outer_entries_are_the_dense_generator_between_two_state_sets(plane, cut
             assert np.array_equal(block, dense[np.ix_(rows, columns)])
 
 
-@pytest.mark.parametrize("mode_count,largest", [(1, 4095), (2, 3344)])
+@pytest.mark.parametrize("mode_count,largest", [(1, 8192), (2, 4096)])
 def test_chain_budget_refuses_the_first_cutoff_past_it(mode_count, largest):
-    # (8 chain squares + 4 code columns of cutoff**mode_count) * 16 bytes within 2 GiB:
-    # 16 (8 c^2 + 4 c) on one mode and 16 (8 + 4) c^2 on two
+    # 8 complex squares of the longest code chain within 2 GiB, 16 * 8 s^2 <= 2^31:
+    # s = 4096, the chain n1 = n2 of c states on two modes and a parity of
+    # ceil(c / 2) states on one
     fock.check_chain_budget(largest, mode_count)
     with pytest.raises(ValueError, match="code chains.*DENSE_BYTES_BUDGET"):
         fock.check_chain_budget(largest + 1, mode_count)

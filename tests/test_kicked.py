@@ -161,12 +161,12 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
         kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
     # a rect runs in Q too: one step for its two outer-direction edges, on plane I's one
     # block and plane III's two (the odd one's complex, its G_o being complex), the
-    # sector stacks, and no real form
+    # sector stacks and the dense dwell scattered from them, and no real form
     assert steps == [np.float64] * 2 + [np.complex128] and forms == []
     lazy = ("paired_basis", "paired_outer_vectors")
     for factory in factories.values():
         assert all(name in vars(block) for block in factory.blocks for name in lazy)
-        assert all(list(kept) == ["sectors"] for kept in factory.dwells.values())
+        assert all(list(kept) == ["sectors", "dense"] for kept in factory.dwells.values())
     # one axis-aligned edge and two tilted ones, on plane I's one block: one real
     # step per edge, the paired dwell's real form once, and the sector stack
     factories.clear()
@@ -176,16 +176,17 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.float64] * 6 and forms == [(24, 24)]
     [factory] = factories.values()
-    assert all(sorted(kept) == ["paired", "sectors"] for kept in factory.dwells.values())
+    assert all(sorted(kept) == ["dense", "paired", "sectors"] for kept in factory.dwells.values())
     # plane II's steps are complex, and each goes through a real form; a loop of
-    # tilted edges builds the sector stacks too, as the paired dwell is scattered from them
+    # tilted edges builds the sector stacks and the dense dwell too, as the paired
+    # dwell's real form is taken from them
     steps.clear()
     forms.clear()
     factories.clear()
     triangle = LoopSpec(PlaneId.II, Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
-    assert all(list(kept) == ["sectors", "paired"] for factory in factories.values()
+    assert all(list(kept) == ["sectors", "dense", "paired"] for factory in factories.values()
                for kept in factory.dwells.values())
     # plane III's odd block is its U = +1 half: one real form of its dwell and one of each
     # tilted edge's complex step, both padded to width x width, and a real step on the
@@ -261,7 +262,6 @@ def test_power_apply_at_a_limit_of_two_is_binary_powering():
 @pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.III, 14)])
 def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutoff):
     factory = connection.FrameFactory(plane, cutoff)
-    rng = np.random.default_rng(cutoff)
     dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
     assert kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T) is dwells
     assert list(factory.dwells) == [(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
@@ -291,11 +291,11 @@ def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutof
             assert not np.any(rate[2 * half :])
             assert np.array_equal(other[:, : 2 * half : 2], -part[:, 1 : 2 * half : 2])
             assert np.array_equal(other[:, 1 : 2 * half : 2], part[:, : 2 * half : 2])
-        # an outer-direction kick: the dwell after a dense step, complex or real, from the stack
-        step = random_unitaries(rng, (n, n))
-        for step in (step, np.ascontiguousarray(step.real)):
-            got = kicked._dwell_product(block, stack, step)
-            assert np.max(np.abs(got - dense_sectors(stack, block) @ step)) <= 1e-15
+    # an outer-direction kick takes the dwell dense, scattered from the stack, kept read-only
+    dense = kicked.dense_dwells(factory, chi, delta_t)
+    assert kicked.dense_dwells(factory, chi, delta_t) is dense
+    for block, (stack, _, _), matrix in zip(factory.blocks, dwells, dense):
+        assert not matrix.flags.writeable and np.array_equal(matrix, dense_sectors(stack, block))
     # another dwell replaces the kept one: the factory holds one dwell at a time
     kicked.sector_dwells(factory, 2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
     assert list(factory.dwells) == [(2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
@@ -392,12 +392,12 @@ def test_twin_power_is_the_dense_power(cutoff):
     # kick, both halves side by side, powered on its code columns (kicked._kicks' mix)
     factory = connection.frame_factory(PlaneId.III, cutoff)
     _, odd = factory.blocks
-    [_, (stack, _, _)] = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    [_, dwell] = kicked.dense_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
     q, n = odd.paired_code, odd.index.size
     start = np.vstack([q @ odd.mix, q @ odd.mix.conj()])
     for d_outer, inner in [(0.0005, 0.0), (-0.0004, 0.07), (0.0011, 0.15)]:
         step = odd.outer_step(d_outer, inner)
-        kicks = np.stack([kicked._dwell_product(odd, stack, s) for s in (step, step.conj())])
+        kicks = np.stack([dwell @ s for s in (step, step.conj())])
         whole = np.zeros((2 * n, 2 * n), dtype=complex)
         whole[:n, :n], whole[n:, n:] = kicks
         for count in (1, 2, 23, 24, 25, 64, 279, 333, 1000):
