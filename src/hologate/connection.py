@@ -449,11 +449,11 @@ class FrameFactory:
     the blocks hold 7 sectors each, 56 and 49 states.  `top_outer_vectors`
     holds, per block, the rows of V W (the outer eigenvectors in the Fock
     basis) at its top-quartile Fock levels, for the kicked route's
-    truncation check (top_quartile_populations).  `dwells` holds, for one
-    (chi, delta_t), the kicked route's Kerr dwell per block in its paired
-    basis, as a sector stack (kicked.sector_dwells), as one dense matrix
-    scattered from it (kicked.dense_dwells) and, for tilted edges, as that
-    matrix's real form (kicked.paired_dwells), each built on first use.
+    truncation check (top_quartile_populations).  `dwells` holds the kicked
+    route's one Kerr dwell, the echo dwell, per block in its paired basis,
+    as a sector stack (kicked.sector_dwells), as one dense matrix scattered
+    from it (kicked.dense_dwells) and, for tilted edges, as that matrix's
+    real form (kicked.paired_dwells), each built on first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):
@@ -525,7 +525,7 @@ class FrameFactory:
 
     @cached_property
     def dwells(self) -> dict:
-        """The kicked route's dwell forms, by (chi, delta_t) (kicked.sector_dwells)."""
+        """The kicked route's echo dwell forms, by kind (kicked.sector_dwells)."""
         return {}
 
     def split(self, u: float, v: float) -> tuple[float, float]:

@@ -271,17 +271,14 @@ def swap_symmetric_half(
     return kept, (second * cutoff + first, phases)
 
 
-def _kerr_energies(chi: float, cutoff: int, mode_count: int) -> np.ndarray:
-    """Diagonal of the Kerr Hamiltonian chi*n(n-1) per mode, in product-basis order."""
-    if chi <= 0:
-        raise ValueError(f"chi must be positive, got {chi}")
-    if mode_count not in (1, 2):
-        raise ValueError(f"mode_count must be 1 or 2, got {mode_count}")
-    n = np.arange(cutoff, dtype=float)
-    single = chi * n * (n - 1.0)
-    return single if mode_count == 1 else np.add.outer(single, single).reshape(-1)
+def echo_dwell(cutoff: int, mode_count: int = 1) -> np.ndarray:
+    """Diagonal of the echo dwell exp(-i (pi/2) n(n - 1)) per mode, as exact signs.
 
-
-def kerr_phases(chi: float, delta_t: float, cutoff: int, mode_count: int = 1) -> np.ndarray:
-    """Diagonal of exp(-i*H_kerr*delta_t) as a vector, for fast dwell application."""
-    return np.exp(-1j * delta_t * _kerr_energies(chi, cutoff, mode_count))
+    exp(-i (pi/2) n(n - 1)) = (-1)^(n(n - 1)/2): +1, +1, -1, -1, +1, +1, ... on
+    the levels 0, 1, 2, 3, 4, 5, ...  The Kerr Hamiltonian n(n - 1) per mode
+    has no cross term, so on two modes each state takes the product of its
+    modes' signs, in product-basis order.
+    """
+    n = np.arange(cutoff)
+    single = 1.0 - 2.0 * (n // 2 % 2)
+    return single if mode_count == 1 else np.multiply.outer(single, single).reshape(-1)

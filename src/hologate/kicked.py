@@ -7,6 +7,16 @@ exact zero-eigenspace throughout, so the code-space map converges to the
 geometric holonomy as the kick count grows; the dwell dephases whatever leaks
 to higher levels.  Kicks are instantaneous (the short-kick idealization).
 
+The dwell is the echo dwell, chi*dt = pi/2 (CHI_DELTA_T): exp(-i (pi/2) n(n - 1))
+per mode, formed exactly as the sign (-1)^(n(n - 1)/2) (fock.echo_dwell).  It
+turns the levels 2 and 3 of a mode, the first a kick reaches from the code,
+by pi, so what leaked there on one kick flips sign before the next, and the
+first-order term of the kick error cancels, as in bang-bang decoupling
+(Viola & Lloyd, PRA 58, 2733 (1998)): on rects the error then falls 4
+times per doubling of K, not 2, and at K = 1024 it lies three to four orders
+of magnitude below that at chi*dt = pi/4.  At chi*dt in pi*Z the dwell would
+be the identity, and the kicks would telescope to the identity map.
+
 Everything is computed in the frame pulled back by the instantaneous control
 unitary, where the dressed code basis is the bare one: the evolution of one
 step is exp(-i*H0*dt) C_k^dag C_{k-1}, and leakage against the dressed frame
@@ -44,10 +54,8 @@ from . import loops as loops_mod
 from .exceptions import AdiabaticityWarning
 from .loops import LoopSpec, PlaneId
 
-# Default dwell: chi*dt = pi/4, so the nearest leakage level (n = 2) picks up
-# phase pi/2 per dwell, maximally dephasing it against the code space.
-DEFAULT_CHI = 1.0
-DEFAULT_DELTA_T = math.pi / 4.0
+# The echo dwell's chi*dt: the leakage levels 2 and 3 pick up phase pi per dwell.
+CHI_DELTA_T = math.pi / 2.0
 
 MAX_CONTROL_STEP = 0.05
 LEAKAGE_FAILURE_THRESHOLD = 0.5
@@ -61,13 +69,11 @@ _BROADCAST_KICKS = 32
 
 @dataclass(frozen=True)
 class KickSchedule:
-    """A discretized loop traversal: K kicks with a Kerr dwell after each."""
+    """A discretized loop traversal: K kicks with the echo dwell after each."""
 
     loop: LoopSpec
     kick_count: int
-    chi: float = DEFAULT_CHI
-    delta_t: float = DEFAULT_DELTA_T
-    cutoff: int = 40
+    cutoff: int
 
     def __post_init__(self):
         for name in ("kick_count", "cutoff"):
@@ -76,12 +82,6 @@ class KickSchedule:
         fock.check_dense_budget(self.cutoff, 2 if self.loop.plane is PlaneId.III else 1)
         if self.kick_count < 16:
             raise ValueError(f"kick_count must be at least 16, got {self.kick_count}")
-        for name in ("delta_t", "chi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -157,17 +157,8 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
     return np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
 
 
-def _kept_dwells(factory: connection.FrameFactory, chi: float, delta_t: float) -> dict:
-    """The dwell forms kept on the factory for (chi, delta_t); any other dwell's are dropped."""
-    key = (chi, delta_t)
-    if key not in factory.dwells:
-        factory.dwells.clear()
-        factory.dwells[key] = {}
-    return factory.dwells[key]
-
-
-def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
-    """Per block, (D, E, rates): the dwell D = Q^dag exp(-i H0 delta_t) Q as sector stacks.
+def sector_dwells(factory: connection.FrameFactory):
+    """Per block, (D, E, rates): the echo dwell D = Q^dag exp(-i H0 dt) Q as sector stacks.
 
     D is block-diagonal by sector up to the order of Q's columns, so it is
     built one sector at a time, on the sector's columns in the order of
@@ -176,12 +167,11 @@ def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
     identity.  E is D with each pair's columns (a, b) taken as (-b, a), and
     the rates, of shape (sectors, s), are the rotation rate of each column's
     pair, zero off the pairs: D I(-t) = D cos(t rates) + E sin(t rates),
-    column by column.  All are kept, read-only, in factory.dwells for the
-    last (chi, delta_t) asked for, so they live and die with the factory.
+    column by column.  All are kept, read-only, in factory.dwells, so they
+    live and die with the factory.
     """
-    kept = _kept_dwells(factory, chi, delta_t)
-    if "sectors" not in kept:
-        dwell = fock.kerr_phases(chi, delta_t, factory.cutoff, factory.mode_count)
+    if "sectors" not in factory.dwells:
+        dwell = fock.echo_dwell(factory.cutoff, factory.mode_count)
         stacks = []
         for block in factory.blocks:
             basis, pair_rates = block.paired_basis
@@ -199,8 +189,8 @@ def sector_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
             for kept_array in (stack, partner, rates):
                 kept_array.setflags(write=False)
             stacks.append((stack, partner, rates))
-        kept["sectors"] = stacks
-    return kept["sectors"]
+        factory.dwells["sectors"] = stacks
+    return factory.dwells["sectors"]
 
 
 def _row_width(block) -> int:
@@ -218,18 +208,17 @@ def _row_width(block) -> int:
     return n if len(block.signs) == 1 else -(-n // 4) * 4
 
 
-def dense_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
-    """The dwell D = Q^dag exp(-i H0 delta_t) Q on each block, as one dense n x n matrix.
+def dense_dwells(factory: connection.FrameFactory):
+    """The echo dwell D = Q^dag exp(-i H0 dt) Q on each block, as one dense n x n matrix.
 
     Scattered from the sector stacks (sector_dwells) with no product: D is
     zero between sectors.  Built on first use and kept, read-only, beside
     the stacks; an outer-direction kick takes it in one product
     (_block_loop), and a tilted one its real form (paired_dwells).
     """
-    kept = _kept_dwells(factory, chi, delta_t)
-    if "dense" not in kept:
+    if "dense" not in factory.dwells:
         matrices = []
-        for block, (stack, _, _) in zip(factory.blocks, sector_dwells(factory, chi, delta_t)):
+        for block, (stack, _, _) in zip(factory.blocks, sector_dwells(factory)):
             n = block.index.size
             matrix = np.zeros((n, n), dtype=complex)
             for part, places in zip(stack, block.sector_columns):
@@ -237,12 +226,12 @@ def dense_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
                 matrix[np.ix_(places, places)] = part[: places.size, : places.size]
             matrix.setflags(write=False)
             matrices.append(matrix)
-        kept["dense"] = matrices
-    return kept["dense"]
+        factory.dwells["dense"] = matrices
+    return factory.dwells["dense"]
 
 
-def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
-    """The dwell D = Q^dag exp(-i H0 delta_t) Q on each block, as the real form of its transpose.
+def paired_dwells(factory: connection.FrameFactory):
+    """The echo dwell D = Q^dag exp(-i H0 dt) Q on each block, as the real form of its transpose.
 
     That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
     held as [Re | Im] rows: a 2 width x 2 width real matrix per block
@@ -250,16 +239,15 @@ def paired_dwells(factory: connection.FrameFactory, chi: float, delta_t: float):
     beside the sector stacks, from the dense dwell (dense_dwells) padded
     with zeros.
     """
-    kept = _kept_dwells(factory, chi, delta_t)
-    if "paired" not in kept:
+    if "paired" not in factory.dwells:
         forms = []
-        for block, dwell in zip(factory.blocks, dense_dwells(factory, chi, delta_t)):
+        for block, dwell in zip(factory.blocks, dense_dwells(factory)):
             padded = np.pad(dwell, (0, _row_width(block) - block.index.size))
             form = _aligned(real_form(padded.T))
             form.setflags(write=False)
             forms.append(form)
-        kept["paired"] = forms
-    return kept["paired"]
+        factory.dwells["paired"] = forms
+    return factory.dwells["paired"]
 
 
 def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -283,7 +271,9 @@ def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count, signs
     the rotation back at the next point and the dwell.  A real S (planes I
     and III) is one (2 columns, n) @ (n, n) product, n^2 doubles read; a
     complex one (plane II, plane III's odd block) goes through its 2n x 2n real form
-    on the rows, as the dwell always does.  `signs` holds one sign per real
+    on the rows.  So does the dwell on every plane: it is held complex, though
+    the echo dwell's signs leave it real wherever Q is (planes I and III),
+    and then its form's off-diagonal halves are zeros.  `signs` holds one sign per real
     row of the view, and both rotations take it: a column whose imaginary
     row is signed -1 crosses the step conjugated, conj(S conj(y)), and is
     itself again for the dwell.  That needs the pair view to span the whole
@@ -420,10 +410,9 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
-    args = (factory, schedule.chi, schedule.delta_t)
-    stacks, dense = sector_dwells(*args), dense_dwells(*args)
+    stacks, dense = sector_dwells(factory), dense_dwells(factory)
     tilted = not all(run.axis_aligned for run in runs)
-    forms = paired_dwells(*args) if tilted else [None] * len(factory.blocks)
+    forms = paired_dwells(factory) if tilted else [None] * len(factory.blocks)
     out = []
     for block, sectors, dwell, form in zip(factory.blocks, stacks, dense, forms):
         code, state = block.paired_code, _block_loop(block, runs, factory, sectors, dwell, form)
@@ -473,6 +462,6 @@ def run_kicked(schedule: KickSchedule) -> KickedResult:
         leakage=leakage,
         diagnostics={
             "kick_count": schedule.kick_count,
-            "chi_delta_t": schedule.chi * schedule.delta_t,
+            "chi_delta_t": CHI_DELTA_T,
         },
     )

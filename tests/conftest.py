@@ -318,9 +318,9 @@ def v_outer_kick(block, d_outer):
     return (w * np.exp(-1j * d_outer * block.outer_values)[None, :]) @ w.conj().T
 
 
-def v_dwell(block, cutoff, mode_count, chi=kicked.DEFAULT_CHI, delta_t=kicked.DEFAULT_DELTA_T):
-    """The Kerr dwell V^dag exp(-i H0 delta_t) V on a control block, dense."""
-    dwell = fock.kerr_phases(chi, delta_t, cutoff, mode_count)
+def v_dwell(block, cutoff, mode_count, chi_delta_t=kicked.CHI_DELTA_T):
+    """The Kerr dwell V^dag exp(-i chi dt H_kerr) V on a control block, dense (kerr_dwell)."""
+    dwell = np.diag(kerr_dwell(chi_delta_t, cutoff, mode_count))
     return (block.vectors.conj().T * dwell[block.index]) @ block.vectors
 
 
@@ -334,16 +334,17 @@ def interleaved_real_form(matrix):
     return form.reshape(2 * rows, 2 * cols)
 
 
-def v_basis_kicked(schedule):
+def v_basis_kicked(schedule, chi_delta_t=kicked.CHI_DELTA_T):
     """The kicked route in the inner eigenbasis V, every matrix dense, as (code map, leakage).
 
     The reference for the kicked route's paired basis, independent of it:
     each kick is formed in V, where I(i) is the diagonal phase
     exp(-i i w), the outer step is W exp(-i do w_o) W^dag (v_outer_kick)
-    and the dwell is dense (v_dwell).  An axis-aligned edge's constant kick
-    is raised to its count by plain binary powering (binary_power); a tilted
-    edge's kicks go one by one, the row scalings by I's phases around the
-    step, and the step and the dwell through interleaved real forms.  A
+    and the dwell is dense (v_dwell), at any chi dt.  An axis-aligned
+    edge's constant kick is raised to its count by plain binary powering
+    (binary_power); a tilted edge's kicks go one by one, the row scalings
+    by I's phases around the step, and the step and the dwell through
+    interleaved real forms.  A
     block with a conjugate twin runs twice, the twin with its outer kick
     conjugated in the block's Fock coordinates, and its code map sums the
     two halves (kicked._kicks).
@@ -359,7 +360,8 @@ def v_basis_kicked(schedule):
         twin = block.vectors.conj().T @ block.vectors.conj()
         kicks = [lambda d: v_outer_kick(block, d),
                  lambda d: twin @ v_outer_kick(block, d).conj() @ twin.conj().T]
-        states = [v_basis_loop(block, factory, runs, schedule, kick)
+        dwell = v_dwell(block, factory.cutoff, factory.mode_count, chi_delta_t)
+        states = [v_basis_loop(block, factory, runs, dwell, kick)
                   for kick, _ in zip(kicks, block.signs)]
         mixes = [block.mix, block.mix.conj()][: len(block.signs)]
         code = np.vstack([block.code_eig @ mix for mix in mixes])
@@ -370,10 +372,9 @@ def v_basis_kicked(schedule):
     return code_map, max(leakages)
 
 
-def v_basis_loop(block, factory, runs, schedule, outer_kick):
+def v_basis_loop(block, factory, runs, dwell, outer_kick):
     """v_basis_kicked's loop on one block, the outer kick in V from outer_kick(d_outer)."""
     w = block.values
-    dwell = v_dwell(block, factory.cutoff, factory.mode_count, schedule.chi, schedule.delta_t)
     dwell_re = interleaved_real_form(dwell.T)
     state = block.code_eig
     rows = np.empty(state.T.shape, dtype=complex)
@@ -611,21 +612,30 @@ def kerr_hamiltonian(chi, cutoff, mode_count=1):
     return np.kron(single, eye) + np.kron(eye, single)
 
 
-def stepped_kicks(loop, cutoff, kick_count):
+def kerr_dwell(chi_delta_t, cutoff, mode_count=1):
+    """The Kerr dwell expm(-i chi dt H_kerr), H_kerr = n(n - 1) per mode, dense, at any chi dt.
+
+    The references' dwell: the kicked route runs only chi dt = pi/2
+    (kicked.CHI_DELTA_T), whose diagonal is the sign fock.echo_dwell.
+    """
+    return expm(-1j * chi_delta_t * kerr_hamiltonian(1.0, cutoff, mode_count))
+
+
+def stepped_kicks(loop, cutoff, kick_count, chi_delta_t=kicked.CHI_DELTA_T):
     """The kicked route kick by kick, from scipy expm of the dense generators.
 
     The independent reference for kicked.run_kicked: each kick applies the
     dense control C = exp(o G_o) exp(i G_i) of the previous kick point, then
-    C^dag of the next one, then the Kerr dwell expm(-i H dt), at the default
-    chi and dt.  Along an edge the controls at the kick points are
+    C^dag of the next one, then the Kerr dwell expm(-i chi dt H_kerr)
+    (kerr_dwell), at the echo dwell's chi dt unless `chi_delta_t` says
+    otherwise.  Along an edge the controls at the kick points are
     exp(o_0 G) exp(do G)^k.  Returns the re-unitarized code map and the
     leakage, the worst population outside the code space: per code column
     |state|^2 - |overlap|^2, so the norm drift of the dense products cancels.
     """
     outer, inner, code = plane_generators(loop.plane, cutoff)
     mode_count = 2 if loop.plane is PlaneId.III else 1
-    kerr = kerr_hamiltonian(kicked.DEFAULT_CHI, cutoff, mode_count)
-    dwell = expm(-1j * kicked.DEFAULT_DELTA_T * kerr)
+    dwell = kerr_dwell(chi_delta_t, cutoff, mode_count)
     state = code
     for run in loops.boundary_runs(loop, kick_count):
         # (outer, inner) control values at the two ends of the edge

@@ -623,10 +623,10 @@ def test_odd_twin_is_the_u_minus_half_with_the_conjugate_step(cutoff):
     halves = plus @ q @ odd.mix + minus @ q @ odd.mix.conj()
     assert np.max(np.abs(halves - code[:, odd.columns])) < 5e-15
     # the Kerr dwell is the same on both halves, and the sector stacks hold it
-    dwell = np.diag(fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, 2))
+    dwell = np.diag(fock.echo_dwell(cutoff, 2))
     on_plus = plus.conj().T @ dwell @ plus
     assert np.max(np.abs(minus.conj().T @ dwell @ minus - on_plus)) <= 1e-15
-    [_, (stack, _, _)] = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    [_, (stack, _, _)] = kicked.sector_dwells(factory)
     assert np.max(np.abs(dense_sectors(stack, odd) - on_plus)) <= 1e-14
 
 

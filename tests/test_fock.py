@@ -11,6 +11,7 @@ from hologate.loops import PlaneId
 from conftest import (
     chain_matrix,
     component_layout,
+    kerr_dwell,
     kerr_hamiltonian,
     squeeze_generator,
     top_quartile_population,
@@ -252,33 +253,35 @@ def test_kerr_hamiltonian_single_mode():
 
 
 def test_kerr_degenerate_subspace_single_mode():
-    # the dwell leaves exactly the code levels 0 and 1 untouched
-    phases = fock.kerr_phases(0.7, 0.3, 10)
-    assert list(np.nonzero(phases == 1.0)[0]) == [0, 1]
+    # H_kerr vanishes on exactly the code levels 0 and 1, which the echo dwell leaves as they are
+    energies = np.diag(kerr_hamiltonian(1.0, 10)).real
+    assert list(np.nonzero(energies == 0.0)[0]) == [0, 1]
+    assert np.array_equal(fock.echo_dwell(10)[:2], [1.0, 1.0])
 
 
 def test_kerr_degenerate_subspace_two_modes():
     cutoff = 3
-    phases = fock.kerr_phases(1.0, 0.3, cutoff, mode_count=2)
-    zero_idx = set(np.nonzero(phases == 1.0)[0])
+    energies = np.diag(kerr_hamiltonian(1.0, cutoff, 2)).real
+    zero_idx = set(np.nonzero(energies == 0.0)[0])
     code_idx = {n1 * cutoff + n2 for n1 in (0, 1) for n2 in (0, 1)}
     assert zero_idx == code_idx
-
-
-def test_kerr_rejects_nonpositive_chi():
-    with pytest.raises(ValueError):
-        fock.kerr_phases(0.0, 0.3, 8)
+    assert np.all(fock.echo_dwell(cutoff, 2)[sorted(code_idx)] == 1.0)
 
 
 @pytest.mark.parametrize("mode_count", [1, 2])
 def test_kerr_phases_are_the_dwell_of_the_hamiltonian(mode_count):
-    chi, delta_t, cutoff = 0.7, 0.3, 6
-    energies = np.diag(kerr_hamiltonian(chi, cutoff, mode_count)).real
-    phases = fock.kerr_phases(chi, delta_t, cutoff, mode_count)
-    assert np.max(np.abs(phases - np.exp(-1j * delta_t * energies))) < 1e-15
-    for bad_chi, bad_modes in ((0.0, mode_count), (-1.0, mode_count), (chi, 3)):
-        with pytest.raises(ValueError):
-            fock.kerr_phases(bad_chi, delta_t, cutoff, bad_modes)
+    # the echo dwell is exactly +-1: +, +, -, -, +, +, ... per mode, the product on two
+    single = [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
+    expected = single if mode_count == 1 else np.multiply.outer(single, single).ravel()
+    signs = fock.echo_dwell(8, mode_count)
+    assert signs.dtype == np.float64 and np.array_equal(signs, expected)
+    # and it is the diagonal of expm(-i (pi/2) H_kerr); the exponential's phase rounds
+    # at about 1e-16 per unit of energy, so past cutoff 4 the bound scales with it
+    for cutoff in (4, 8):
+        reference = np.diag(kerr_dwell(math.pi / 2.0, cutoff, mode_count))
+        energies = np.diag(kerr_hamiltonian(1.0, cutoff, mode_count)).real
+        scale = 1.0 if cutoff == 4 else np.maximum(energies, 1.0)
+        assert np.all(np.abs(fock.echo_dwell(cutoff, mode_count) - reference) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("mode_count", [1, 2])

@@ -25,11 +25,9 @@ ZERO_CONTROL_LOOP = LoopSpec(
 )
 
 
-@pytest.mark.parametrize("kick_count,chi,delta_t", [(16, 1.0, 0.3), (64, 2.5, math.pi / 4.0)])
-def test_zero_control_schedule_is_exact_identity(kick_count, chi, delta_t):
-    result = kicked.run_kicked(
-        KickSchedule(ZERO_CONTROL_LOOP, kick_count, chi=chi, delta_t=delta_t, cutoff=24)
-    )
+@pytest.mark.parametrize("kick_count", [16, 64])
+def test_zero_control_schedule_is_exact_identity(kick_count):
+    result = kicked.run_kicked(KickSchedule(ZERO_CONTROL_LOOP, kick_count, cutoff=24))
     assert np.linalg.norm(result.code_map - np.eye(2)) < 1e-12
     assert result.leakage < 1e-12
 
@@ -83,21 +81,13 @@ def test_zero_control_loop_has_no_leakage():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        KickSchedule(connection.CALIBRATION_RECT, 8)
-    with pytest.raises(ValueError):
-        KickSchedule(connection.CALIBRATION_RECT, 64, chi=-1.0)
-    with pytest.raises(ValueError):
-        KickSchedule(connection.CALIBRATION_RECT, 64, delta_t=0.0)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["chi", "delta_t"])
-def test_schedule_refuses_non_finite_values(name, value):
-    # nan <= 0 is False: without the check a nan dwell reached the SVD of the polar step
-    rect = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        KickSchedule(rect, 64, cutoff=20, **{name: value})
+    with pytest.raises(ValueError, match="kick_count must be at least 16"):
+        KickSchedule(connection.CALIBRATION_RECT, 8, cutoff=40)
+    # the cutoff has no default, and the dwell is not a field: the echo dwell is fixed
+    with pytest.raises(TypeError):
+        KickSchedule(connection.CALIBRATION_RECT, 64)
+    with pytest.raises(TypeError):
+        KickSchedule(connection.CALIBRATION_RECT, 64, cutoff=40, delta_t=math.pi / 4.0)
 
 
 def test_oversized_control_increment_rejected():
@@ -108,12 +98,13 @@ def test_oversized_control_increment_rejected():
 
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 def test_adiabaticity_warning_on_resonant_dwell():
-    # chi*dt ~ 2*pi leaves the nearest leakage level barely dephased
+    # a large loop at nearly the largest control step leaks most of the code even under
+    # the echo dwell: 0.672 here
     loop = LoopSpec(PlaneId.I, Rect(0.0, 1.5, 0.0, 1.5))
-    schedule = KickSchedule(loop, 128, chi=1.0, delta_t=2.0 * math.pi * 0.999, cutoff=14)
+    schedule = KickSchedule(loop, 124, cutoff=14)
     with pytest.warns(AdiabaticityWarning):
         result = kicked.run_kicked(schedule)
-    assert result.leakage > 0.5
+    assert result.leakage > kicked.LEAKAGE_FAILURE_THRESHOLD
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -166,7 +157,7 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     lazy = ("paired_basis", "paired_outer_vectors")
     for factory in factories.values():
         assert all(name in vars(block) for block in factory.blocks for name in lazy)
-        assert all(list(kept) == ["sectors", "dense"] for kept in factory.dwells.values())
+        assert list(factory.dwells) == ["sectors", "dense"]
     # one axis-aligned edge and two tilted ones, on plane I's one block: one real
     # step per edge, the paired dwell's real form once, and the sector stack
     factories.clear()
@@ -176,7 +167,7 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.float64] * 6 and forms == [(24, 24)]
     [factory] = factories.values()
-    assert all(sorted(kept) == ["dense", "paired", "sectors"] for kept in factory.dwells.values())
+    assert sorted(factory.dwells) == ["dense", "paired", "sectors"]
     # plane II's steps are complex, and each goes through a real form; a loop of
     # tilted edges builds the sector stacks and the dense dwell too, as the paired
     # dwell's real form is taken from them
@@ -186,8 +177,8 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     triangle = LoopSpec(PlaneId.II, Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
-    assert all(list(kept) == ["sectors", "dense", "paired"] for factory in factories.values()
-               for kept in factory.dwells.values())
+    assert all(list(factory.dwells) == ["sectors", "dense", "paired"]
+               for factory in factories.values())
     # plane III's odd block is its U = +1 half: one real form of its dwell and one of each
     # tilted edge's complex step, both padded to width x width, and a real step on the
     # even block
@@ -202,7 +193,7 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     assert (even.index.size, odd.index.size, width) == (42, 36, 36)
     assert forms == [(42, 42)] + [(width, width)] * 4
     assert steps == [np.float64] * 3 + [np.complex128] * 3
-    [[_, form]] = [kept["paired"] for kept in factory.dwells.values()]
+    [_, form] = factory.dwells["paired"]
     assert form.shape == (2 * width, 2 * width)
 
 
@@ -210,7 +201,7 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
 @pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 40), (PlaneId.II, 40), (PlaneId.III, 14)])
 def test_stacked_inner_power_is_the_dense_power(plane, cutoff, count):
     factory = connection.frame_factory(plane, cutoff)
-    dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    dwells = kicked.sector_dwells(factory)
     for block, (stack, partner, rates) in zip(factory.blocks, dwells):
         to_paired = paired_transform(block)
         code = to_paired @ block.code_eig
@@ -262,11 +253,9 @@ def test_power_apply_at_a_limit_of_two_is_binary_powering():
 @pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 60), (PlaneId.III, 14)])
 def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutoff):
     factory = connection.FrameFactory(plane, cutoff)
-    dwells = kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-    assert kicked.sector_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T) is dwells
-    assert list(factory.dwells) == [(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
-    chi, delta_t = kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T
-    dwell = fock.kerr_phases(chi, delta_t, cutoff, factory.mode_count)
+    dwells = kicked.sector_dwells(factory)
+    assert kicked.sector_dwells(factory) is dwells and list(factory.dwells) == ["sectors"]
+    dwell = fock.echo_dwell(cutoff, factory.mode_count)
     for block, (stack, partner, rates) in zip(factory.blocks, dwells):
         assert not any(kept.flags.writeable for kept in (stack, partner, rates))
         basis, pair_rates = block.paired_basis
@@ -292,13 +281,10 @@ def test_sector_dwells_live_on_the_factory_and_act_sector_by_sector(plane, cutof
             assert np.array_equal(other[:, : 2 * half : 2], -part[:, 1 : 2 * half : 2])
             assert np.array_equal(other[:, 1 : 2 * half : 2], part[:, : 2 * half : 2])
     # an outer-direction kick takes the dwell dense, scattered from the stack, kept read-only
-    dense = kicked.dense_dwells(factory, chi, delta_t)
-    assert kicked.dense_dwells(factory, chi, delta_t) is dense
+    dense = kicked.dense_dwells(factory)
+    assert kicked.dense_dwells(factory) is dense and list(factory.dwells) == ["sectors", "dense"]
     for block, (stack, _, _), matrix in zip(factory.blocks, dwells, dense):
         assert not matrix.flags.writeable and np.array_equal(matrix, dense_sectors(stack, block))
-    # another dwell replaces the kept one: the factory holds one dwell at a time
-    kicked.sector_dwells(factory, 2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-    assert list(factory.dwells) == [(2.0 * kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)]
 
 
 def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
@@ -392,7 +378,7 @@ def test_twin_power_is_the_dense_power(cutoff):
     # kick, both halves side by side, powered on its code columns (kicked._kicks' mix)
     factory = connection.frame_factory(PlaneId.III, cutoff)
     _, odd = factory.blocks
-    [_, dwell] = kicked.dense_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
+    [_, dwell] = kicked.dense_dwells(factory)
     q, n = odd.paired_code, odd.index.size
     start = np.vstack([q @ odd.mix, q @ odd.mix.conj()])
     for d_outer, inner in [(0.0005, 0.0), (-0.0004, 0.07), (0.0011, 0.15)]:
@@ -428,8 +414,7 @@ def test_a_rect_builds_one_unturned_outer_step_per_block(monkeypatch):
 def whole_block_form(block, factory):
     """The dwell's 2n x 2n real form on a whole block, on a 64-byte boundary as the kept ones."""
     basis, _ = block.paired_basis
-    dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, factory.cutoff,
-                             factory.mode_count)
+    dwell = fock.echo_dwell(factory.cutoff, factory.mode_count)
     return kicked._aligned(kicked.real_form(((basis.conj().T * dwell[block.index]) @ basis).T))
 
 
@@ -446,7 +431,7 @@ def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
     schedule = KickSchedule(loop, 128, cutoff=cutoff)
     result = kicked.run_kicked(schedule)
     factory = connection.frame_factory(loop.plane, cutoff)
-    forms = kicked.paired_dwells(factory, schedule.chi, schedule.delta_t)
+    forms = kicked.paired_dwells(factory)
     runs = loops.boundary_runs(loop, 128)
     assert not any(run.axis_aligned for run in runs)
     for block, form in zip(factory.blocks, forms):
@@ -529,8 +514,8 @@ def test_paired_dwell_forms_start_on_64_byte_boundaries():
     # 13, 42 states stay 44 wide; at 12, 36 stay 36)
     for cutoff in (12, 13):
         factory = connection.FrameFactory(PlaneId.III, cutoff)
-        forms = kicked.paired_dwells(factory, kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T)
-        dwell = fock.kerr_phases(kicked.DEFAULT_CHI, kicked.DEFAULT_DELTA_T, cutoff, 2)
+        forms = kicked.paired_dwells(factory)
+        dwell = fock.echo_dwell(cutoff, 2)
         widths = [kicked._row_width(block) for block in factory.blocks]
         assert widths == ([42, 36] if cutoff == 12 else [49, 44])
         for block, form, width in zip(factory.blocks, forms, widths):
