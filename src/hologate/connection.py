@@ -67,7 +67,7 @@ CALIBRATION_RECT = LoopSpec(PlaneId.I, Rect(0.0, 0.1, 0.0, 0.1))
 # Sub-intervals per batch on a tilted edge, in both dynamical routes: bounds the
 # transport's work arrays (one sector's size x MAGNUS_BATCH phases each; only
 # tilted plane II edges take Magnus steps) and the kicked route's rotation table
-# (MAGNUS_BATCH + 1 x half the block size) whatever the count.
+# (MAGNUS_BATCH x half the block size) whatever the count.
 MAGNUS_BATCH = 256
 
 # Two-node Gauss-Legendre points on [0, 1] for the fourth-order Magnus step.
@@ -451,9 +451,8 @@ class FrameFactory:
     basis) at its top-quartile Fock levels, for the kicked route's
     truncation check (top_quartile_populations).  `dwells` holds the kicked
     route's one Kerr dwell, the echo dwell, per block in its paired basis,
-    as a sector stack (kicked.sector_dwells), as one dense matrix scattered
-    from it (kicked.dense_dwells) and, for tilted edges, as that matrix's
-    real form (kicked.paired_dwells), each built on first use.
+    as a sector stack (kicked.sector_dwells) and as one dense matrix
+    scattered from it (kicked.dense_dwells), each built on first use.
     """
 
     def __init__(self, plane: PlaneId, cutoff: int):

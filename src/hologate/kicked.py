@@ -34,10 +34,14 @@ together from the two halves' overlaps (_kicks).  Each edge takes one of
 two kernels (_block_loop): an axis-aligned edge's constant kick is raised
 to the edge's kick count (_power_apply), the twin's kick beside the block's
 in one stack, and a tilted edge's kicks go one by one on the code columns
-held as real rows (_tilted_edge), the twin's with its imaginary row signed,
-so that it crosses the step conjugated.  An outer-direction edge's kick is
-the outer step, built unturned once for a rect's two such edges and turned
-by I's rotation per edge.  Only the state after the whole loop is kept.
+held as real rows (_tilted_edge), the twin's conjugated, so that it crosses
+the step conjugated.  There the dwell folds into the outer step, M = D S:
+D conjugates I's rotation to itself or to its inverse (_echo_flips), so a
+kick is one product with M and one rotation, and where D commutes with I
+(plane III's even block) the edge is one power of M.  An outer-direction
+edge's kick is the outer step, built unturned once for a rect's two such
+edges and turned by I's rotation per edge.  Only the state after the whole
+loop is kept.
 """
 
 from __future__ import annotations
@@ -59,13 +63,6 @@ CHI_DELTA_T = math.pi / 2.0
 
 MAX_CONTROL_STEP = 0.05
 LEAKAGE_FAILURE_THRESHOLD = 0.5
-
-# Kicks whose rotations a tilted edge broadcasts to the rows' pair view at once.  A
-# multiply by a broadcast row of the table took 1.0-1.1 us against 0.4-0.5 us by a
-# row of the rows' shape (OpenBLAS, one thread).  A whole phase batch of those, about
-# 0.8 MB on a 98-state block, ran its kick at 11.6 us against 9.7 us 32 kicks at a
-# time, and within 2% of it on rows of 52 to 60 states.
-_BROADCAST_KICKS = 32
 
 @dataclass(frozen=True)
 class KickSchedule:
@@ -131,24 +128,6 @@ def _power_apply(kick: np.ndarray, count: int, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def _aligned(array: np.ndarray) -> np.ndarray:
-    """A copy of `array` in its own memory order that starts on a 64-byte boundary.
-
-    numpy aligns its arrays to 16 bytes only, and a tilted kick reads the
-    dwell's real form slower off a 64-byte boundary: 6.3 against 7.1-7.3 us
-    on plane I's 60-state block and 5.6 against 6.0-6.7 us on plane III's
-    56-state half (OpenBLAS, one thread), so where the form lands no longer
-    decides the kick's speed.  The memory order is kept, and with it the
-    products' rounding.
-    """
-    buffer = np.empty(array.nbytes + 64, dtype=np.uint8)
-    start = -buffer.ctypes.data % 64
-    order = "C" if array.flags.c_contiguous else "F"
-    out = buffer[start : start + array.nbytes].view(array.dtype).reshape(array.shape, order=order)
-    out[...] = array
-    return out
-
-
 def real_form(matrix: np.ndarray) -> np.ndarray:
     """R(M), the float64 form of x -> x @ M on complex rows held as [Re x | Im x].
 
@@ -193,28 +172,14 @@ def sector_dwells(factory: connection.FrameFactory):
     return factory.dwells["sectors"]
 
 
-def _row_width(block) -> int:
-    """The width of a block's tilted kick rows: its size, or the next multiple of 4 on a twin.
-
-    A block with a conjugate twin (ControlBlock.signs) holds a column whose
-    imaginary row is signed, and the sign rides on I's rotation, so the
-    rotation's pair view must span the whole row: the rows are padded with
-    zeros to an even width, and the rates with zero.  The next multiple of 4
-    makes a (2, 2 width) row pair of whole 64-byte lines: at cutoff 14 a
-    tilted kick took as long at 52 as at 50, the least even width, and
-    longer at 56 and 64 (BENCH_28.json).
-    """
-    n = block.index.size
-    return n if len(block.signs) == 1 else -(-n // 4) * 4
-
-
 def dense_dwells(factory: connection.FrameFactory):
     """The echo dwell D = Q^dag exp(-i H0 dt) Q on each block, as one dense n x n matrix.
 
     Scattered from the sector stacks (sector_dwells) with no product: D is
     zero between sectors.  Built on first use and kept, read-only, beside
-    the stacks; an outer-direction kick takes it in one product
-    (_block_loop), and a tilted one its real form (paired_dwells).
+    the stacks; an outer-direction kick takes it in one product, and a
+    tilted edge folds it into its outer step once, M = D S (_block_loop),
+    and reads its sign per pair off the diagonal (_echo_flips).
     """
     if "dense" not in factory.dwells:
         matrices = []
@@ -230,26 +195,6 @@ def dense_dwells(factory: connection.FrameFactory):
     return factory.dwells["dense"]
 
 
-def paired_dwells(factory: connection.FrameFactory):
-    """The echo dwell D = Q^dag exp(-i H0 dt) Q on each block, as the real form of its transpose.
-
-    That is the dwell on columns in the paired basis Q (ControlBlock.paired_basis)
-    held as [Re | Im] rows: a 2 width x 2 width real matrix per block
-    (_row_width), built for the first tilted edge and kept, read-only,
-    beside the sector stacks, from the dense dwell (dense_dwells) padded
-    with zeros.
-    """
-    if "paired" not in factory.dwells:
-        forms = []
-        for block, dwell in zip(factory.blocks, dense_dwells(factory)):
-            padded = np.pad(dwell, (0, _row_width(block) - block.index.size))
-            form = _aligned(real_form(padded.T))
-            form.setflags(write=False)
-            forms.append(form)
-        factory.dwells["paired"] = forms
-    return factory.dwells["paired"]
-
-
 def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """apply(rows gathered sector by sector at ControlBlock.sector_columns), scattered back.
 
@@ -261,66 +206,93 @@ def _by_sector(apply, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return padded[:-1]
 
 
-def _tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count, signs) -> None:
-    """`count` kicks of one edge on the columns held as paired rows, in place.
+def _echo_flips(dwell: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """eps per pair of Q, for which the echo dwell D gives D R(t) D = R(eps t).
+
+    R(t) is I's rotation, the phase exp(i w t) on each pair of Q's columns
+    (paired_basis).  Each column of Q lies on the even or the odd places of
+    one sector's chain, where the sign s = (-1)^(n(n - 1)/2) (fock.echo_dwell)
+    is constant, so the dwell in Q (`dwell`, dense_dwells) is diagonal, that
+    sign on each column.  A pair's two columns lie on the even and the odd
+    places of one chain, so eps = s(a) s(b) for two adjacent states a, b of
+    the chain.  The squeeze moves n by 2, and s(n) s(n + 2) = -1 for
+    every n, so eps = -1 on planes I and II; the two-mode squeeze moves
+    (n1, n2) by (1, 1), and s(n1 + 1) s(n2 + 1) = (-1)^(n1 + n2) s(n1) s(n2),
+    so on plane III eps is +1 on the even block and -1 on the odd one.  A
+    pair of zero modes turns at rate 0, where eps does not act.
+    """
+    signs = np.sign(dwell.diagonal().real)
+    return signs[0 : 2 * rates.size : 2] * signs[1 : 2 * rates.size : 2]
+
+
+def _tilted_edge(rows, kick, rates, flips, inner0, inner_step, count) -> np.ndarray:
+    """The columns held as [Re | Im] rows after `count` kicks of one edge.
 
     `rows` is (columns, 2n): each column in Q as [Re | Im], so that its
-    (2 columns, n) view holds real rows with each pair of Q adjacent, and the
-    complex view of those holds y_a + i y_b per pair.  A kick is I's rotation
-    at the kick point (one complex multiply on that view), the outer step S,
-    the rotation back at the next point and the dwell.  A real S (planes I
-    and III) is one (2 columns, n) @ (n, n) product, n^2 doubles read; a
-    complex one (plane II, plane III's odd block) goes through its 2n x 2n real form
-    on the rows.  So does the dwell on every plane: it is held complex, though
-    the echo dwell's signs leave it real wherever Q is (planes I and III),
-    and then its form's off-diagonal halves are zeros.  `signs` holds one sign per real
-    row of the view, and both rotations take it: a column whose imaginary
-    row is signed -1 crosses the step conjugated, conj(S conj(y)), and is
-    itself again for the dwell.  That needs the pair view to span the whole
-    row (2 rates.size = n); ones leave every column as it is.  The rotations
-    exp(i w i) come from connection.phase_table, in tables of
-    connection.MAGNUS_BATCH kicks each, the ones back conjugated, and are
-    broadcast to the view's rows, signs included, _BROADCAST_KICKS kicks at
-    a time; every kick writes into the same two buffers.
+    (2 columns, n) view holds real rows with each pair of Q adjacent, and
+    the complex view of those holds y_a + i y_b per pair, where I's
+    rotation R(t) is the phase exp(i w t).  Kick k is D R(-t_{k+1}) S R(t_k),
+    t_k the inner control at kick point k, S the unturned outer step and D
+    the echo dwell; D R(t) D = R(eps t) (_echo_flips) and D^2 = 1 make it
+    R(-eps t_{k+1}) M R(t_k) with `kick` M = D S, so the edge is
+    R(-eps t_N) M R((1 - eps) t_{N-1}) ... M R((1 - eps) t_1) M R(t_0).
+    Where eps = -1, a kick is one product with M and one complex multiply
+    by R(2 t); a real M (planes I and III) is one (2 columns, n) @ (n, n)
+    product, a complex one (plane II, plane III's odd block) goes through
+    its 2n x 2n real form on the rows.  The middle rotations come from
+    connection.phase_table, in tables of connection.MAGNUS_BATCH kicks, and
+    every kick writes into one of two buffers.  Where every eps is +1
+    (plane III's even block) the middle rotations are the identity and the
+    edge is R(-t_N) M^N R(t_0), one _power_apply.
     """
     columns, width = rows.shape
     n = width // 2
-    ahead = np.empty_like(rows)
-    halves, ahead_halves = rows.reshape(2 * columns, n), ahead.reshape(2 * columns, n)
-    turned = 2 * rates.size
-    pairs, ahead_pairs = (part[:, :turned].view(np.complex128) for part in (halves, ahead_halves))
-    if np.isrealobj(step):
-        source, matrix, target = halves, step.T, ahead_halves
+    real = np.isrealobj(kick)
+    matrix = kick.T if real else real_form(kick.T)
+
+    def views(part):  # the rows, their operand of the product with M, their pairs' complex view
+        halves = part.reshape(2 * columns, n)
+        return part, halves if real else part, halves[:, : 2 * rates.size].view(np.complex128)
+
+    here = views(rows)
+    here[2][...] *= np.exp(1j * inner0 * rates)
+    middle = (1.0 - flips) * rates
+    if not np.any(middle):
+        here[1][...] = _power_apply(matrix.T, count, here[1].T).T
     else:
-        source, matrix, target = rows, real_form(step.T), ahead
-    signs = signs[:, None]
-    for start in range(0, count, connection.MAGNUS_BATCH):
-        size = min(connection.MAGNUS_BATCH, count - start)
-        # row k holds the rotations at kick point start + k of the edge
-        table = connection.phase_table(-rates, inner0 + inner_step * start, inner_step, size + 1)
-        fore, back = table[:-1, None], np.conjugate(table[1:])[:, None]
-        for first in range(0, size, _BROADCAST_KICKS):
-            kicks = slice(first, first + _BROADCAST_KICKS)
-            for turn, turn_back in zip(fore[kicks] * signs, back[kicks] * signs):
-                np.multiply(pairs, turn, pairs)
-                np.dot(source, matrix, target)
-                np.multiply(ahead_pairs, turn_back, ahead_pairs)
-                np.dot(ahead, dwell_form, rows)
+        there = views(np.empty_like(rows))
+        np.dot(here[1], matrix, there[1])
+        for start in range(1, count, connection.MAGNUS_BATCH):
+            size = min(connection.MAGNUS_BATCH, count - start)
+            # row k holds R((1 - eps) t) at kick point start + k of the edge
+            table = connection.phase_table(-middle, inner0 + inner_step * start, inner_step, size)
+            for turn in table:
+                here, there = there, here
+                np.multiply(here[2], turn, here[2])
+                np.dot(here[1], matrix, there[1])
+        here = there
+    here[2][...] *= np.exp(-1j * (inner0 + inner_step * count) * flips * rates)
+    return here[0]
 
 
-def _tilted_columns(columns, width, step, dwell_form, rates, signs, *edge) -> np.ndarray:
-    """The complex `columns` (k, m) after _tilted_edge's kicks, held as [Re | Im] rows of `width`.
+def _tilted_columns(columns, kick, rates, flips, signs, *edge) -> np.ndarray:
+    """The complex `columns` (k, n) after _tilted_edge's kicks, each with its sign.
 
-    The rows, and the step, are padded with zeros from m to `width`, and the
-    rows stay zero there.  `edge` is (inner0, inner_step, count).
+    A column signed -1 is the conjugate twin's (ControlBlock.signs), which
+    crosses conj(S): it is held conjugated for the whole edge, its imaginary
+    row negated on the way in and out, so that it crosses conj(M) = D conj(S),
+    D being real, and I's rotation, real too, turns it as any other.  An odd
+    n is padded with a zero to an even width, where the rows, and M, stay
+    zero: on plane III's 49-state odd block a kick took 4.3 us at 50 and
+    5.3 us at 49 (OpenBLAS, one thread; BENCH_34.json).  `edge` is
+    (inner0, inner_step, count).
     """
-    size = columns.shape[-1]
+    n, signs = columns.shape[-1], signs[:, None]
+    width = n + n % 2
     rows = np.zeros((columns.shape[0], 2 * width))
-    rows[:, :size], rows[:, width : width + size] = columns.real, columns.imag
-    if size < width:
-        step = np.pad(step, (0, width - size))
-    _tilted_edge(rows, step, dwell_form, rates, *edge, signs)
-    return rows[:, :size] + 1j * rows[:, width : width + size]
+    rows[:, :n], rows[:, width : width + n] = columns.real, columns.imag * signs
+    rows = _tilted_edge(rows, np.pad(kick, (0, width - n)), rates, flips, *edge)
+    return rows[:, :n] + 1j * (rows[:, width : width + n] * signs)
 
 
 def _shared_step(block, steps: dict, d_outer: float) -> np.ndarray:
@@ -336,7 +308,7 @@ def _shared_step(block, steps: dict, d_outer: float) -> np.ndarray:
     return steps[d_outer]
 
 
-def _block_loop(block, runs, factory, sectors, dwell, form) -> np.ndarray:
+def _block_loop(block, runs, factory, sectors, dwell) -> np.ndarray:
     """The block's code rows in Q after the loop, once per sign of the block, edge by edge.
 
     The columns start as Q^dag code (ControlBlock.paired_code), one copy
@@ -354,24 +326,23 @@ def _block_loop(block, runs, factory, sectors, dwell, form) -> np.ndarray:
     (dense_dwells).  These kicks stay complex, and on a twin the kick and
     the twin's, D conj(R S R^dag) (R is real there), are powered as one
     stack, one column each.  A tilted edge's kicks go one by one on the
-    columns held as [Re | Im] rows of _row_width, with the dwell's real form
-    `form` (_tilted_edge); a twin's column has its imaginary row signed -1,
-    so that it crosses the step conjugated.
+    columns held as [Re | Im] rows (_tilted_columns), the twin's
+    conjugated, through M = D S, the dwell taken real wherever Q is, and
+    I's rotations, by eps per pair (_echo_flips, _tilted_edge).
     """
     rates = block.paired_basis[1]
     signs = np.repeat(block.signs, block.paired_code.shape[1])
     state = np.tile(block.paired_code, len(block.signs))
-    width, columns, steps = _row_width(block), block.sector_columns, {}
-    turning = np.zeros(width // 2)
-    turning[: rates.size] = rates
-    row_signs = np.stack([np.ones(signs.size), signs], axis=1).ravel()
+    columns, steps = block.sector_columns, {}
     for run in runs:
         outer0, inner0 = factory.split(*run.start)
         outer1, inner1 = factory.split(*run.end)
         d_outer, inner_step = (outer0 - outer1) / run.count, (inner1 - inner0) / run.count
-        if not run.axis_aligned:
-            step, edge = block.outer_step(d_outer), (inner0, inner_step, run.count)
-            state = _tilted_columns(state.T, width, step, form, turning, row_signs, *edge).T
+        if not run.axis_aligned:  # M = D S, D real wherever Q is
+            kick = (dwell.real if block.real_controls else dwell) @ block.outer_step(d_outer)
+            edge = (inner0, inner_step, run.count)
+            flips = _echo_flips(dwell, rates)
+            state = _tilted_columns(state.T, kick, rates, flips, signs, *edge).T
         elif outer0 == outer1:  # D I(-inner_step), sector by sector
             stack, partner, sector_rates = sectors
             turns = inner_step * sector_rates[:, None]
@@ -404,18 +375,15 @@ def _kicks(schedule: KickSchedule) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     and the odd block's code map on plane III is phi+ P+ + phi- P-, with phi
     the overlap of each half's evolved code row with its start and P the
     projector mix^dag mix, or its conjugate, onto the code pair's U = +1 or
-    U = -1 state.  Every loop builds the sector stacks and the dense dwell,
-    and only one with a tilted edge the dwell's real form.
+    U = -1 state.  Every loop builds the sector stacks and the dense dwell.
     """
     runs = _schedule_runs(schedule)
     connection.check_loop_truncation(schedule.loop, schedule.cutoff)
     factory = connection.frame_factory(schedule.loop.plane, schedule.cutoff)
     stacks, dense = sector_dwells(factory), dense_dwells(factory)
-    tilted = not all(run.axis_aligned for run in runs)
-    forms = paired_dwells(factory) if tilted else [None] * len(factory.blocks)
     out = []
-    for block, sectors, dwell, form in zip(factory.blocks, stacks, dense, forms):
-        code, state = block.paired_code, _block_loop(block, runs, factory, sectors, dwell, form)
+    for block, sectors, dwell in zip(factory.blocks, stacks, dense):
+        code, state = block.paired_code, _block_loop(block, runs, factory, sectors, dwell)
         if len(block.signs) > 1:  # each half times its mix: mix, and conj(mix) on the twin
             mixes = (block.mix, block.mix.conj())
             halves = np.split(state, len(mixes), axis=1)

@@ -417,9 +417,22 @@ def paired_transform(block):
     return basis.conj().T @ block.vectors
 
 
-def regular_polygon(plane, count, center=(0.2, 0.12), radius=0.05):
-    """A counterclockwise regular polygon with `count` edges."""
-    angles = 2.0 * math.pi * np.arange(count) / count
+def pair_phase(rates, t, size):
+    """The phase exp(i rates t) on each pair's y_a + i y_b in Q, as a real size x size matrix.
+
+    The tilted kernel's form of I's rotation Q^dag I(t) Q (ControlBlock.paired_basis).
+    """
+    turn = np.eye(size)
+    a, b = np.arange(0, 2 * rates.size, 2), np.arange(1, 2 * rates.size, 2)
+    turn[a, a] = turn[b, b] = np.cos(rates * t)
+    turn[b, a] = np.sin(rates * t)
+    turn[a, b] = -turn[b, a]
+    return turn
+
+
+def regular_polygon(plane, count, center=(0.2, 0.12), radius=0.05, first=0.0):
+    """A counterclockwise regular polygon with `count` edges, its first vertex at angle `first`."""
+    angles = first + 2.0 * math.pi * np.arange(count) / count
     verts = zip(center[0] + radius * np.cos(angles), center[1] + radius * np.sin(angles))
     return LoopSpec(plane, Polyline(tuple(verts)))
 

@@ -12,11 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from hologate import compiler, connection, kicked
+from hologate import compiler, connection, fock, kicked
 from hologate.kicked import KickSchedule
 from hologate.loops import LoopSpec, PlaneId, Polyline, Rect
 
-from conftest import stepped_kicks, v_basis_kicked
+from conftest import (
+    pair_phase,
+    paired_transform,
+    regular_polygon,
+    stepped_kicks,
+    v_basis_kicked,
+)
 
 RECTS = {
     PlaneId.I: (LoopSpec(PlaneId.I, Rect(0.0, 0.3, 0.0, 0.3)), 60),
@@ -113,3 +119,68 @@ def test_plane1_maps_are_exactly_real(loop):
     # the echo dwell is a real sign, and plane I's controls and paired basis are real
     code_map = kicked.run_kicked(KickSchedule(loop, 1024, cutoff=60)).code_map
     assert np.max(np.abs(code_map.imag)) == 0.0
+
+
+def sector_rule_flips(block, factory):
+    """eps per eigencolumn of V: s(a) s(b) for the first two states a, b of its sector's chain."""
+    signs = fock.echo_dwell(factory.cutoff, factory.mode_count)
+    return np.concatenate([np.full(sector.index.size, np.prod(signs[sector.index[:2]]))
+                           for sector in block.sectors])
+
+
+@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 13), (PlaneId.I, 60), (PlaneId.II, 13),
+                                          (PlaneId.II, 60), (PlaneId.III, 13),
+                                          (PlaneId.III, 14), (PlaneId.III, 20)])
+def test_the_dwell_conjugates_the_inner_rotation_by_the_sector_rule(plane, cutoff):
+    # D R(t) D = R(eps t) on every block, D the echo dwell and R(t) = Q^dag I(t) Q, I's
+    # rotation in the paired basis, with eps = s(a) s(b) for two adjacent states of each
+    # sector's chain: the tilted kernel folds D into the outer step on that identity
+    factory = connection.FrameFactory(plane, cutoff)
+    powered = []
+    for block, dwell in zip(factory.blocks, kicked.dense_dwells(factory)):
+        to_paired, flips = paired_transform(block), sector_rule_flips(block, factory)
+        rates, n = block.paired_basis[1], block.index.size
+        for t in (0.037, -0.61):
+            turn = to_paired @ (np.exp(-1j * t * block.values)[:, None] * to_paired.conj().T)
+            flipped = to_paired @ (np.exp(-1j * t * flips * block.values)[:, None]
+                                   * to_paired.conj().T)
+            assert np.max(np.abs(dwell @ turn @ dwell - flipped)) < 1e-14
+            # the kernel's R(t) and its eps per pair of Q
+            assert np.max(np.abs(pair_phase(rates, t, n) - turn)) < 1e-14
+            eps = kicked._echo_flips(dwell, rates)
+            assert np.max(np.abs(pair_phase(eps * rates, t, n) - flipped)) < 1e-14
+        powered.append(bool(np.all(flips == 1.0)))
+    # eps = +1 on every chain of plane III's even block alone, so only its tilted edges
+    # are one power of M = D S; eps = -1 on every other chain
+    assert powered == ([True, False] if plane is PlaneId.III else [False])
+    for block in factory.blocks[1 if plane is PlaneId.III else 0 :]:
+        flips = sector_rule_flips(block, factory)
+        chains = np.repeat([sector.index.size > 1 for sector in block.sectors],
+                           [sector.index.size for sector in block.sectors])
+        assert np.all(flips[chains] == -1.0)  # a lone state turns at rate 0
+    if plane is PlaneId.III and cutoff == 14:
+        assert [block.index.size for block in factory.blocks] == [56, 49]
+
+
+HEXAGONS = {
+    PlaneId.I: (regular_polygon(PlaneId.I, 6, (0.2, 0.2), 0.1, 0.3), 60, 60),
+    PlaneId.III: (regular_polygon(PlaneId.III, 6, (0.15, 0.15), 0.08, 0.3), 16, 40),
+}
+
+
+@pytest.mark.parametrize("plane", list(HEXAGONS))
+def test_tilted_error_falls_sixteenfold_per_two_doublings(plane):
+    # on tilted loops the error falls 16 times from K to 4K, but not 4 times per
+    # doubling: 3.0, 5.4, 3.0 on plane I and 2.6, 6.2, 2.6 on plane III from K = 512 to
+    # 4096 (16.1/16.0 and 16.1/16.0 over two doublings), so an extrapolation from K/2
+    # and K alone cannot assume one ratio.  Against the transport at cutoff 60 and 40
+    loop, cutoff, transport_cutoff = HEXAGONS[plane]
+    transport = connection.holonomy_path_ordered(loop, transport_cutoff, 2000).matrix
+    errors = []
+    for k in (512, 1024, 2048, 4096):
+        code_map = kicked.run_kicked(KickSchedule(loop, k, cutoff=cutoff)).code_map
+        errors.append(np.linalg.norm(code_map - transport))
+    for coarse, fine in zip(errors, errors[2:]):
+        assert 15.5 < coarse / fine < 16.5, errors
+    doublings = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert doublings[0] < 3.2 and doublings[1] > 5.2 and doublings[2] < 3.2, doublings

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -206,6 +206,43 @@ def test_mixed_loops_run_in_the_paired_basis_like_both_references(loop, kicks, o
     code_map, leakage = stepped_kicks(loop, cutoff, kicks)
     assert np.max(np.abs(result.code_map - code_map)) < 1e-10
     assert abs(result.leakage - leakage) < 1e-10
+
+
+def cut_first_corner(loop, kicks, cut):
+    """`loop` with its first corner cut by a short tilted edge that takes `cut` of `kicks`.
+
+    The cut runs from the closing edge to the first edge, about (cut - 0.3)
+    kicks' share of the perimeter long: boundary_runs then gives it `cut`
+    kicks, 1 or 2, and the polyline ends on it.
+    """
+    verts = np.array(loop.shape.vertices)
+    first, last = verts[0], verts[-1]
+    perimeter = np.sum(np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1))
+    back, ahead = (last - first) / np.linalg.norm(last - first), verts[1] - first
+    ahead /= np.linalg.norm(ahead)
+    size = (cut - 0.3) * perimeter / kicks / np.linalg.norm(back - ahead)
+    start, end = tuple(first + size * back), tuple(first + size * ahead)
+    return LoopSpec(loop.plane, Polyline((end, *map(tuple, verts[1:]), start)), loop.orientation)
+
+
+@pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
+@settings(max_examples=20, deadline=None)
+@given(mixed_polygons(), st.integers(64, 128), st.sampled_from([1, 2]), st.sampled_from([1, -1]))
+def test_folded_tilted_edges_match_the_v_basis_loop(loop, kicks, cut, orientation):
+    # the tilted kernel folds the dwell into the outer step (kicked._tilted_edge); the V
+    # reference still applies the dwell after the step on every kick.  Tilted edges of
+    # 1 or 2 kicks, and one of an odd count, beside axis-aligned ones
+    loop = cut_first_corner(LoopSpec(loop.plane, loop.shape, orientation), kicks, cut)
+    runs = loops.boundary_runs(loop, kicks)
+    tilted = [run.count for run in runs if not run.axis_aligned]
+    assert any(run.axis_aligned for run in runs) and tilted[-1 if orientation > 0 else 0] == cut
+    assume(any(count % 2 and count > 2 for count in tilted))
+    cutoff = CUTOFF[loop.plane]
+    schedule = KickSchedule(loop, kicks, cutoff=cutoff)
+    result = kicked.run_kicked(schedule)
+    code_map, leakage = v_basis_kicked(schedule)
+    assert np.max(np.abs(result.code_map - code_map)) <= 1e-13
+    assert abs(result.leakage - leakage) <= 1e-13
 
 
 # Rects whose axis-aligned edges take 1 and 64 kicks (thin) or 31 and 16 (wide):

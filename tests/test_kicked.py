@@ -16,6 +16,7 @@ from conftest import (
     dense_sectors,
     formula_gate_in_frame,
     infidelity,
+    pair_phase,
     paired_transform,
 )
 
@@ -159,29 +160,25 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
         assert all(name in vars(block) for block in factory.blocks for name in lazy)
         assert list(factory.dwells) == ["sectors", "dense"]
     # one axis-aligned edge and two tilted ones, on plane I's one block: one real
-    # step per edge, the paired dwell's real form once, and the sector stack
+    # step per edge, and no real form: a tilted edge's M = D S is real there
     factories.clear()
     steps.clear()
     triangle = LoopSpec(PlaneId.I, Polyline(((0.0, 0.0), (0.12, 0.0), (0.05, 0.1))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
-    assert steps == [np.float64] * 6 and forms == [(24, 24)]
+    assert steps == [np.float64] * 6 and forms == []
     [factory] = factories.values()
-    assert sorted(factory.dwells) == ["dense", "paired", "sectors"]
-    # plane II's steps are complex, and each goes through a real form; a loop of
-    # tilted edges builds the sector stacks and the dense dwell too, as the paired
-    # dwell's real form is taken from them
+    assert list(factory.dwells) == ["sectors", "dense"]
+    # plane II's steps are complex, and so is each tilted edge's M, which goes through
+    # one real form per edge; nothing else is kept beside the two dwell kinds
     steps.clear()
-    forms.clear()
     factories.clear()
     triangle = LoopSpec(PlaneId.II, Polyline(((0.01, 0.005), (0.1, 0.03), (0.04, 0.08))))
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=24))
-    assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 4
-    assert all(list(factory.dwells) == ["sectors", "dense", "paired"]
-               for factory in factories.values())
-    # plane III's odd block is its U = +1 half: one real form of its dwell and one of each
-    # tilted edge's complex step, both padded to width x width, and a real step on the
-    # even block
+    assert steps == [np.complex128] * 3 and forms == [(24, 24)] * 3
+    assert all(list(factory.dwells) == ["sectors", "dense"] for factory in factories.values())
+    # plane III's odd block is its U = +1 half: one real form of each tilted edge's
+    # complex M, even-sized already (36 states at cutoff 12); the even block's M is real
     steps.clear()
     forms.clear()
     factories.clear()
@@ -189,12 +186,10 @@ def test_real_forms_are_built_only_for_tilted_edges(monkeypatch):
     kicked.run_kicked(KickSchedule(triangle, 128, cutoff=12))
     [factory] = factories.values()
     even, odd = factory.blocks
-    width = kicked._row_width(odd)
-    assert (even.index.size, odd.index.size, width) == (42, 36, 36)
-    assert forms == [(42, 42)] + [(width, width)] * 4
+    assert (even.index.size, odd.index.size) == (42, 36)
+    assert forms == [(36, 36)] * 3
     assert steps == [np.float64] * 3 + [np.complex128] * 3
-    [_, form] = factory.dwells["paired"]
-    assert form.shape == (2 * width, 2 * width)
+    assert list(factory.dwells) == ["sectors", "dense"]
 
 
 @pytest.mark.parametrize("count", [1, 2, 31, 64, 256])
@@ -326,7 +321,9 @@ def test_inner_edges_are_powered_as_sector_stacks(monkeypatch):
     corners = ((0.0, 0.0), (0.1, 0.0), (0.1, 0.08), (0.04, 0.12))
     trapezoid = LoopSpec(PlaneId.III, Polyline(corners))
     kicked.run_kicked(KickSchedule(trapezoid, 128, cutoff=12))
-    assert shapes == [shape for stack, outer in zip(stacked, dense) for shape in (stack, outer)]
+    # the even block's two tilted edges are one power each of its real M = D S
+    tilted = [dense[0], dense[0]]
+    assert shapes == [stacked[0], dense[0], *tilted, stacked[1], dense[1]]
     assert len(outer_steps) == 3 * len(factory.blocks) and 0.0 not in outer_steps
 
 
@@ -411,44 +408,38 @@ def test_a_rect_builds_one_unturned_outer_step_per_block(monkeypatch):
             assert calls == [(id(block), 0.0) for block in blocks]
 
 
-def whole_block_form(block, factory):
-    """The dwell's 2n x 2n real form on a whole block, on a 64-byte boundary as the kept ones."""
-    basis, _ = block.paired_basis
-    dwell = fock.echo_dwell(factory.cutoff, factory.mode_count)
-    return kicked._aligned(kicked.real_form(((basis.conj().T * dwell[block.index]) @ basis).T))
+def tilted_kick(block, factory, d_outer):
+    """M = D S for a tilted edge, and eps per pair of Q: the dense dwell, real wherever Q is."""
+    dwell = kicked.dense_dwells(factory)[factory.blocks.index(block)]
+    flips = kicked._echo_flips(dwell, block.paired_basis[1])
+    return (dwell.real if block.real_controls else dwell) @ block.outer_step(d_outer), flips
 
 
 @pytest.mark.filterwarnings("ignore::hologate.exceptions.TruncationWarning")
 @settings(max_examples=10, deadline=None)
 @given(convex_polygons(planes=tuple(PlaneId)), st.sampled_from([1, -1]))
 def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
-    # a loop with no axis-aligned edge is kick by kick from Q^dag c on every block, bit for
-    # bit with no turn of the columns and no shared step; on the odd block once from its
-    # code row and once from its conjugate twin's, whose imaginary row is signed -1, both
-    # padded to the row width, and the code map sums the two halves through their mixes
+    # a loop with no axis-aligned edge is edge by edge through _tilted_columns from
+    # Q^dag c on every block, bit for bit with no turn of the columns and no shared step;
+    # on the odd block once from its code row and once from its conjugate twin's, signed
+    # -1, and the code map sums the two halves through their mixes
     loop = LoopSpec(loop.plane, loop.shape, orientation)
     cutoff = 12 if loop.plane is PlaneId.III else 24
-    schedule = KickSchedule(loop, 128, cutoff=cutoff)
-    result = kicked.run_kicked(schedule)
+    result = kicked.run_kicked(KickSchedule(loop, 128, cutoff=cutoff))
     factory = connection.frame_factory(loop.plane, cutoff)
-    forms = kicked.paired_dwells(factory)
     runs = loops.boundary_runs(loop, 128)
     assert not any(run.axis_aligned for run in runs)
-    for block, form in zip(factory.blocks, forms):
-        basis, rates = block.paired_basis
-        n, width, halves = basis.shape[1], kicked._row_width(block), len(block.signs)
-        turning = np.zeros(width // 2)
-        turning[: rates.size] = rates
-        code = np.tile(block.paired_code, halves)
+    for block in factory.blocks:
+        rates = block.paired_basis[1]
+        halves = len(block.signs)
         signs = np.repeat(block.signs, block.paired_code.shape[1])
-        rows = np.zeros((code.shape[1], 2 * width))
-        rows[:, :n], rows[:, width : width + n] = code.T.real, code.T.imag
+        columns = np.tile(block.paired_code, halves).T
         for run in runs:
             (outer0, inner0), (outer1, inner1) = factory.split(*run.start), factory.split(*run.end)
-            step = np.pad(block.outer_step((outer0 - outer1) / run.count), (0, width - n))
-            kicked._tilted_edge(rows, step, form, turning, inner0, (inner1 - inner0) / run.count,
-                                run.count, np.stack([np.ones(signs.size), signs], 1).ravel())
-        state, code = (rows[:, :n] + 1j * rows[:, width : width + n]).T, block.paired_code
+            kick, flips = tilted_kick(block, factory, (outer0 - outer1) / run.count)
+            columns = kicked._tilted_columns(columns, kick, rates, flips, signs, inner0,
+                                             (inner1 - inner0) / run.count, run.count)
+        state, code = columns.T, block.paired_code
         if halves > 1:
             mixes = (block.mix, block.mix.conj())
             state = np.vstack([part @ mix for part, mix in zip(np.split(state, 2, axis=1), mixes)])
@@ -457,71 +448,79 @@ def test_tilted_loops_take_the_tilted_kernel_alone(loop, orientation):
         assert np.array_equal(result.code_map[np.ix_(block.columns, block.columns)], expected)
 
 
-def unsigned_tilted_edge(rows, step, dwell_form, rates, inner0, inner_step, count):
-    """The tilted kernel with no signs, each kick on broadcast rows of the phase table."""
-    columns, width = rows.shape
-    n = width // 2
-    ahead = np.empty_like(rows)
-    halves, ahead_halves = rows.reshape(2 * columns, n), ahead.reshape(2 * columns, n)
-    turned = 2 * rates.size
-    pairs, ahead_pairs = (part[:, :turned].view(np.complex128) for part in (halves, ahead_halves))
-    if np.isrealobj(step):
-        source, matrix, target = halves, step.T, ahead_halves
-    else:
-        source, matrix, target = rows, kicked.real_form(step.T), ahead
-    for start in range(0, count, connection.MAGNUS_BATCH):
-        size = min(connection.MAGNUS_BATCH, count - start)
-        table = connection.phase_table(-rates, inner0 + inner_step * start, inner_step, size + 1)
-        back = np.conjugate(table[1:])
-        for k in range(size):
-            np.multiply(pairs, table[k], out=pairs)
-            np.dot(source, matrix, out=target)
-            np.multiply(ahead_pairs, back[k], out=ahead_pairs)
-            np.dot(ahead, dwell_form, out=rows)
+def kick_by_kick(columns, block, factory, d_outer, inner0, inner_step, count):
+    """The complex columns (k, n) in Q after `count` kicks D R(-t_{k+1}) S R(t_k), one by one.
+
+    R(t) is I's rotation in Q (conftest.pair_phase), D the dense dwell and S the unturned
+    outer step, all complex: the form the tilted kernel folds (_tilted_edge).
+    """
+    rates, n = block.paired_basis[1], block.index.size
+    dwell = kicked.dense_dwells(factory)[factory.blocks.index(block)]
+    step, state = block.outer_step(d_outer), columns.T
+    for k in range(count):
+        turn, back = (pair_phase(rates, inner0 + inner_step * j, n) for j in (k, k + 1))
+        state = dwell @ (back.T @ (step @ (turn @ state)))
+    return state.T
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 40, 300])
+@pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 24), (PlaneId.II, 23), (PlaneId.III, 12),
+                                          (PlaneId.III, 13)])
+def test_tilted_kernel_is_the_kick_by_kick_product(plane, cutoff, count):
+    # the folded edge, R(-eps t_N) M R((1 - eps) t_{N-1}) ... M R(t_0), or one power of M
+    # where eps = +1, is the product of the count kicks D R(-t_{k+1}) S R(t_k) formed one
+    # by one from V, on every block: counts 1, 2 and odd, and across a phase batch (300)
+    factory = connection.frame_factory(plane, cutoff)
+    for block in factory.blocks:
+        rates = block.paired_basis[1]
+        columns = np.tile(block.paired_code, 2).T[:2] * np.exp([0.4j, -1.1j])[:, None]
+        kick, flips = tilted_kick(block, factory, 0.0007)
+        got = kicked._tilted_columns(columns, kick, rates, flips, np.ones(2), 0.02, 0.0004, count)
+        expected = kick_by_kick(columns, block, factory, 0.0007, 0.02, 0.0004, count)
+        # rounding grows with the count on both sides: at most 1.1e-13 at 300 kicks
+        assert np.max(np.abs(got - expected)) < 1e-14 + 1e-15 * count
 
 
 @pytest.mark.parametrize("count", [40, 300])
 @pytest.mark.parametrize("plane,cutoff", [(PlaneId.I, 24), (PlaneId.II, 24), (PlaneId.III, 12)])
 def test_tilted_kernel_signs_are_exact(plane, cutoff, count):
-    # unit signs leave the kicks bit-equal to the unsigned loop, and a column whose
-    # imaginary row is signed -1 takes conj(S): bit-equal to the unsigned loop on it
+    # a column signed +1 runs as its [Re | Im] row on _tilted_edge, and one signed -1
+    # takes conj(M): bit-equal to the same column signed +1 through conj(M)
     factory = connection.frame_factory(plane, cutoff)
     rng = np.random.default_rng(cutoff + count)
     for block in factory.blocks:
-        basis, rates = block.paired_basis
-        n = basis.shape[1]
-        form = whole_block_form(block, factory)
-        step = block.outer_step(0.0007)
-        steps = [step] if plane is PlaneId.II else [step, step * np.exp(0.3j)]
-        start = rng.normal(size=(2, 2 * n))
-        for step in steps:
-            signed, unsigned = start.copy(), start.copy()
-            kicked._tilted_edge(signed, step, form, rates, 0.02, 0.0004, count, np.ones(4))
-            unsigned_tilted_edge(unsigned, step, form, rates, 0.02, 0.0004, count)
-            assert np.array_equal(signed, unsigned)
-            signed, unsigned = start.copy(), start.copy()
-            kicked._tilted_edge(signed[1:], step, form, rates, 0.02, 0.0004, count,
-                                np.array([1.0, -1.0]))
-            unsigned_tilted_edge(unsigned[1:], step.conj(), form, rates, 0.02, 0.0004, count)
-            assert np.array_equal(signed, unsigned)
+        n = block.index.size
+        rates = block.paired_basis[1]
+        start = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        kick, flips = tilted_kick(block, factory, 0.0007)
+        edge = (0.02, 0.0004, count)
+        kicks = [kick] if plane is PlaneId.II else [kick, kick * np.exp(0.3j)]
+        for kick in kicks:
+            got = kicked._tilted_columns(start, kick, rates, flips, np.ones(2), *edge)
+            rows = np.hstack([start.real, start.imag])
+            rows = kicked._tilted_edge(rows, kick, rates, flips, *edge)
+            assert np.array_equal(got, rows[:, :n] + 1j * rows[:, n:])
+            signed = kicked._tilted_columns(start, kick, rates, flips, np.array([1.0, -1.0]),
+                                            *edge)
+            twin = kicked._tilted_columns(start, kick.conj(), rates, flips, np.ones(2), *edge)
+            assert np.array_equal(signed[0], got[0])
+            assert np.array_equal(signed[1], twin[1])
 
 
-def test_paired_dwell_forms_start_on_64_byte_boundaries():
-    # a tilted kick reads the kept real form of the dwell; off a 64-byte boundary it
-    # runs slower, and a copy in the other memory order would round differently.  It is
-    # scattered from the sector stacks, bit for bit the dense Q^dag D Q, and on the odd
-    # block, which has a conjugate twin, padded with zeros to a multiple of 4 (at cutoff
-    # 13, 42 states stay 44 wide; at 12, 36 stay 36)
-    for cutoff in (12, 13):
-        factory = connection.FrameFactory(PlaneId.III, cutoff)
-        forms = kicked.paired_dwells(factory)
-        dwell = fock.echo_dwell(cutoff, 2)
-        widths = [kicked._row_width(block) for block in factory.blocks]
-        assert widths == ([42, 36] if cutoff == 12 else [49, 44])
-        for block, form, width in zip(factory.blocks, forms, widths):
-            basis, _ = block.paired_basis
-            within = np.zeros((basis.shape[0], width))
-            within[:, : basis.shape[1]] = basis
-            expected = kicked.real_form(((within.conj().T * dwell[block.index]) @ within).T)
-            assert form.ctypes.data % 64 == 0 and not form.flags.writeable
-            assert np.array_equal(form, expected) and form.strides == expected.strides
+def test_the_even_block_takes_one_power_per_tilted_edge(monkeypatch):
+    # eps = +1 on every chain of plane III's even block (56 states at cutoff 14), so each
+    # tilted edge there is R(-t_N) M^N R(t_0): one _power_apply of its real M = D S; the
+    # odd block's tilted edges go kick by kick, and power nothing
+    shapes = []
+    original = kicked._power_apply
+
+    def counted(kick, count, state):
+        shapes.append((kick.shape, count))
+        return original(kick, count, state)
+
+    monkeypatch.setattr(kicked, "_power_apply", counted)
+    pentagon = LoopSpec(PlaneId.III, Polyline(((0.02, 0.01), (0.13, 0.04), (0.14, 0.12),
+                                               (0.08, 0.14), (0.01, 0.1))))
+    kicked.run_kicked(KickSchedule(pentagon, 1024, cutoff=14))
+    counts = [run.count for run in loops.boundary_runs(pentagon, 1024)]
+    assert shapes == [((56, 56), count) for count in counts]
